@@ -16,13 +16,13 @@
 #include "vg/GraphBuilder.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 using namespace llvmmd;
 using namespace llvmmd::bench;
 
 int main() {
-  std::map<std::string, uint64_t> Fires;
+  std::array<uint64_t, NumRewriteRules> Fires{};
   uint64_t Pairs = 0, Validated = 0, TotalRewrites = 0;
 
   for (const BenchmarkProfile &P : getPaperSuite()) {
@@ -45,24 +45,27 @@ int main() {
       if (!A.Supported || !B.Supported)
         continue;
       ++Pairs;
-      NormalizeStats S = normalizeGraph(G, {A.Ret, B.Ret}, Rules);
+      NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, Rules);
       TotalRewrites += S.Rewrites;
       Validated += G.find(A.Ret) == G.find(B.Ret);
-      for (const auto &[Rule, N] : S.RuleFires)
-        Fires[Rule] += N;
+      for (unsigned R = 0; R < NumRewriteRules; ++R)
+        Fires[R] += S.RuleFires[R];
     }
   }
 
   printHeader("Rule effectiveness across the full pipeline (all rules on)");
-  std::printf("%-28s %12s %9s\n", "rule", "fires", "share");
-  std::vector<std::pair<std::string, uint64_t>> Sorted(Fires.begin(),
-                                                       Fires.end());
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const auto &X, const auto &Y) { return X.second > Y.second; });
-  for (const auto &[Rule, N] : Sorted)
-    std::printf("%-28s %12llu %8.1f%%\n", Rule.c_str(),
-                static_cast<unsigned long long>(N),
-                TotalRewrites ? 100.0 * N / TotalRewrites : 0.0);
+  std::printf("%-28s %-14s %12s %9s\n", "rule", "family", "fires", "share");
+  std::vector<unsigned> Order;
+  for (unsigned R = 0; R < NumRewriteRules; ++R)
+    if (Fires[R])
+      Order.push_back(R);
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](unsigned X, unsigned Y) { return Fires[X] > Fires[Y]; });
+  for (unsigned R : Order)
+    std::printf("%-28s %-14s %12llu %8.1f%%\n", RewriteRules[R].Name,
+                getRuleSetName(RewriteRules[R].Family),
+                static_cast<unsigned long long>(Fires[R]),
+                100.0 * Fires[R] / TotalRewrites);
   std::printf("\n%llu pairs, %llu validated (%.1f%%), %llu rewrites total "
               "(%.1f per pair)\n",
               static_cast<unsigned long long>(Pairs),

@@ -53,7 +53,7 @@ void showCase(Context &Ctx, const char *Title, const char *Src,
   RuleConfig Rules;
   Rules.Mask = Mask;
   Rules.M = PR.M.get();
-  NormalizeStats S = normalizeGraph(G, {A.Ret, B.Ret}, Rules);
+  NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, Rules);
   std::printf("--- after %u rewrites ---\n%s", S.Rewrites,
               G.dump({A.Ret, B.Ret}).c_str());
   std::printf("==> %s\n", G.find(A.Ret) == G.find(B.Ret)

@@ -109,7 +109,7 @@ public:
   /// changes in a way old verdicts must not survive (new rules, fingerprint
   /// algorithm changes, ...). Orthogonal to FormatVersion, which only
   /// covers the byte layout.
-  static constexpr uint64_t SemanticsSalt = 0x6c6d642d76312e30ULL; // "lmd-v1.0"
+  static constexpr uint64_t SemanticsSalt = 0x6c6d642d76312e31ULL; // "lmd-v1.1"
 
   enum class LoadStatus : uint8_t {
     Loaded,         ///< entries merged into the map

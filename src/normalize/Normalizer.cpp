@@ -21,25 +21,39 @@ public:
   RuleEngine(ValueGraph &G, const RuleConfig &C, NormalizeStats &Stats)
       : G(G), C(C), Stats(Stats) {}
 
-  /// One full sweep over the live nodes; returns the number of rewrites.
-  unsigned sweep(const std::vector<NodeId> &Roots) {
+  /// One full sweep over the live nodes. A fire counts as a rewrite only
+  /// if it created a node or merged two classes.
+  void sweep(const std::vector<NodeId> &Roots) {
     GraphRoots = Roots;
     computeLive(Roots);
-    unsigned Rewrites = 0;
     // Iterate over a snapshot of live roots; rewrites may add nodes (they
     // are processed next sweep).
     std::vector<NodeId> Work(Live.begin(), Live.end());
     for (NodeId N : Work) {
       if (G.find(N) != N)
         continue; // already merged away this sweep
-      Rewrites += applyRules(N);
+      size_t Nodes = G.size();
+      unsigned Merges = G.getMergeCount();
+      if (!applyRules(N))
+        continue;
+      if (G.size() == Nodes && G.getMergeCount() == Merges) {
+        ++Stats.NoProgressFires;
+        continue;
+      }
+      ++Stats.Rewrites;
+      ++Stats.RuleFires[static_cast<unsigned>(Fired)];
     }
-    Stats.Rewrites += Rewrites;
-    return Rewrites;
   }
 
 private:
-  void fire(const char *Rule) { ++Stats.RuleFires[Rule]; }
+  using Rule = RewriteRule;
+
+  /// Applies rule \p R: \p N is replaced by (merged into) \p Into.
+  unsigned rewrite(Rule R, NodeId N, NodeId Into) {
+    Fired = R;
+    G.mergeInto(N, Into);
+    return 1;
+  }
 
   void computeLive(const std::vector<NodeId> &Roots) {
     Live.clear();
@@ -131,17 +145,12 @@ private:
       if (Nd.Op == Opcode::ICmp && isConstInt(A, &VA) && isConstInt(B, &VB)) {
         bool R = foldICmp(static_cast<ICmpPred>(Nd.Pred), VA, VB,
                           G.node(A).Ty->getBitWidth());
-        fire("constfold.icmp");
-        G.mergeInto(N, G.getConstBool(Nd.Ty, R));
-        return 1;
+        return rewrite(Rule::ConstFoldIcmp, N, G.getConstBool(Nd.Ty, R));
       }
       if (isIntBinaryOp(Nd.Op) && isConstInt(A, &VA) && isConstInt(B, &VB)) {
         auto R = foldIntBinary(Nd.Op, VA, VB, Nd.Ty->getBitWidth());
-        if (R) {
-          fire("constfold.binary");
-          G.mergeInto(N, G.getConstInt(Nd.Ty, *R));
-          return 1;
-        }
+        if (R)
+          return rewrite(Rule::ConstFoldBinary, N, G.getConstInt(Nd.Ty, *R));
       }
       if (unsigned Hits = constIdentities(N, A, B))
         return Hits;
@@ -150,20 +159,16 @@ private:
     if (C.has(RS_FloatFold)) {
       const Node &NA = G.node(A), &NB = G.node(B);
       if (NA.Kind == NodeKind::ConstFloat && NB.Kind == NodeKind::ConstFloat) {
-        if (isFloatBinaryOp(Nd.Op)) {
-          fire("floatfold.binary");
-          G.mergeInto(N, G.getConstFloat(
-                             Nd.Ty, foldFloatBinary(Nd.Op, NA.FloatVal,
-                                                    NB.FloatVal)));
-          return 1;
-        }
-        if (Nd.Op == Opcode::FCmp) {
-          fire("floatfold.fcmp");
-          G.mergeInto(N, G.getConstBool(
-                             Nd.Ty, foldFCmp(static_cast<FCmpPred>(Nd.Pred),
-                                             NA.FloatVal, NB.FloatVal)));
-          return 1;
-        }
+        if (isFloatBinaryOp(Nd.Op))
+          return rewrite(Rule::FloatFoldBinary, N,
+                         G.getConstFloat(Nd.Ty,
+                                         foldFloatBinary(Nd.Op, NA.FloatVal,
+                                                         NB.FloatVal)));
+        if (Nd.Op == Opcode::FCmp)
+          return rewrite(Rule::FloatFoldFcmp, N,
+                         G.getConstBool(Nd.Ty,
+                                        foldFCmp(static_cast<FCmpPred>(Nd.Pred),
+                                                 NA.FloatVal, NB.FloatVal)));
       }
     }
 
@@ -188,14 +193,10 @@ private:
       switch (Nd.Op) {
       case Opcode::And:
       case Opcode::Or:
-        fire("constfold.idem");
-        G.mergeInto(N, A);
-        return 1;
+        return rewrite(Rule::ConstFoldIdem, N, A);
       case Opcode::Xor:
       case Opcode::Sub:
-        fire("constfold.self-cancel");
-        G.mergeInto(N, G.getConstInt(Nd.Ty, 0));
-        return 1;
+        return rewrite(Rule::ConstFoldSelfCancel, N, G.getConstInt(Nd.Ty, 0));
       default:
         break;
       }
@@ -204,98 +205,53 @@ private:
     case Opcode::Add:
       // Commutative identities must look at both sides: hash-consing
       // orders operands by node id, which often puts constants first.
-      if (CB && VB == 0) {
-        fire("constfold.add0");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (CA && VA == 0) {
-        fire("constfold.add0");
-        G.mergeInto(N, B);
-        return 1;
-      }
+      if (CB && VB == 0)
+        return rewrite(Rule::ConstFoldAdd0, N, A);
+      if (CA && VA == 0)
+        return rewrite(Rule::ConstFoldAdd0, N, B);
       break;
     case Opcode::Sub:
-      if (CB && VB == 0) {
-        fire("constfold.sub0");
-        G.mergeInto(N, A);
-        return 1;
-      }
+      if (CB && VB == 0)
+        return rewrite(Rule::ConstFoldSub0, N, A);
       break;
     case Opcode::Mul:
-      if (CB && VB == 1) {
-        fire("constfold.mul1");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (CA && VA == 1) {
-        fire("constfold.mul1");
-        G.mergeInto(N, B);
-        return 1;
-      }
-      if ((CA && VA == 0) || (CB && VB == 0)) {
-        fire("constfold.mul0");
-        G.mergeInto(N, G.getConstInt(Nd.Ty, 0));
-        return 1;
-      }
+      if (CB && VB == 1)
+        return rewrite(Rule::ConstFoldMul1, N, A);
+      if (CA && VA == 1)
+        return rewrite(Rule::ConstFoldMul1, N, B);
+      if ((CA && VA == 0) || (CB && VB == 0))
+        return rewrite(Rule::ConstFoldMul0, N, G.getConstInt(Nd.Ty, 0));
       break;
     case Opcode::And:
-      if ((CA && VA == 0) || (CB && VB == 0)) {
-        fire("constfold.and0");
-        G.mergeInto(N, G.getConstInt(Nd.Ty, 0));
-        return 1;
-      }
-      if (CB && VB == -1) {
-        fire("constfold.and1s");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (CA && VA == -1) {
-        fire("constfold.and1s");
-        G.mergeInto(N, B);
-        return 1;
-      }
+      if ((CA && VA == 0) || (CB && VB == 0))
+        return rewrite(Rule::ConstFoldAnd0, N, G.getConstInt(Nd.Ty, 0));
+      if (CB && VB == -1)
+        return rewrite(Rule::ConstFoldAnd1s, N, A);
+      if (CA && VA == -1)
+        return rewrite(Rule::ConstFoldAnd1s, N, B);
       break;
     case Opcode::Or:
-      if (CB && VB == 0) {
-        fire("constfold.or0");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (CA && VA == 0) {
-        fire("constfold.or0");
-        G.mergeInto(N, B);
-        return 1;
-      }
+      if (CB && VB == 0)
+        return rewrite(Rule::ConstFoldOr0, N, A);
+      if (CA && VA == 0)
+        return rewrite(Rule::ConstFoldOr0, N, B);
       break;
     case Opcode::Xor:
-      if (CB && VB == 0) {
-        fire("constfold.xor0");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (CA && VA == 0) {
-        fire("constfold.xor0");
-        G.mergeInto(N, B);
-        return 1;
-      }
+      if (CB && VB == 0)
+        return rewrite(Rule::ConstFoldXor0, N, A);
+      if (CA && VA == 0)
+        return rewrite(Rule::ConstFoldXor0, N, B);
       break;
     case Opcode::Shl:
     case Opcode::LShr:
     case Opcode::AShr:
-      if (CB && VB == 0) {
-        fire("constfold.shift0");
-        G.mergeInto(N, A);
-        return 1;
-      }
+      if (CB && VB == 0)
+        return rewrite(Rule::ConstFoldShift0, N, A);
       break;
     case Opcode::SDiv:
     case Opcode::UDiv:
-      if (CB && VB == 1) {
-        fire("constfold.div1");
-        G.mergeInto(N, A);
-        return 1;
-      }
+      if (CB && VB == 1)
+        return rewrite(Rule::ConstFoldDiv1, N, A);
       break;
     default:
       break;
@@ -312,35 +268,18 @@ private:
         bool R = P == ICmpPred::EQ || P == ICmpPred::SLE ||
                  P == ICmpPred::SGE || P == ICmpPred::ULE ||
                  P == ICmpPred::UGE;
-        bool IsOrderLike =
-            P != ICmpPred::EQ && P != ICmpPred::NE; // all handled anyway
-        (void)IsOrderLike;
-        fire("boolean.cmp-same");
-        G.mergeInto(N, G.getConstBool(Nd.Ty, R));
-        return 1;
+        return rewrite(Rule::BoolCmpSame, N, G.getConstBool(Nd.Ty, R));
       }
       // Rules (3)-(4) at i1: a == true ↓ a, a != false ↓ a.
       if (G.node(A).Ty && G.node(A).Ty->isBool()) {
-        if (P == ICmpPred::EQ && isBoolConst(B, true)) {
-          fire("boolean.eq-true");
-          G.mergeInto(N, A);
-          return 1;
-        }
-        if (P == ICmpPred::NE && isBoolConst(B, false)) {
-          fire("boolean.ne-false");
-          G.mergeInto(N, A);
-          return 1;
-        }
-        if (P == ICmpPred::EQ && isBoolConst(A, true)) {
-          fire("boolean.eq-true");
-          G.mergeInto(N, B);
-          return 1;
-        }
-        if (P == ICmpPred::NE && isBoolConst(A, false)) {
-          fire("boolean.ne-false");
-          G.mergeInto(N, B);
-          return 1;
-        }
+        if (P == ICmpPred::EQ && isBoolConst(B, true))
+          return rewrite(Rule::BoolEqTrue, N, A);
+        if (P == ICmpPred::NE && isBoolConst(B, false))
+          return rewrite(Rule::BoolNeFalse, N, A);
+        if (P == ICmpPred::EQ && isBoolConst(A, true))
+          return rewrite(Rule::BoolEqTrue, N, B);
+        if (P == ICmpPred::NE && isBoolConst(A, false))
+          return rewrite(Rule::BoolNeFalse, N, B);
       }
       return 0;
     }
@@ -358,63 +297,33 @@ private:
     };
     switch (Nd.Op) {
     case Opcode::And:
-      if (A == B || isBoolConst(B, true)) {
-        fire("boolean.and");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (isBoolConst(A, true)) {
-        fire("boolean.and");
-        G.mergeInto(N, B);
-        return 1;
-      }
-      if (isBoolConst(A, false) || isBoolConst(B, false)) {
-        fire("boolean.and-false");
-        G.mergeInto(N, boolNode(false));
-        return 1;
-      }
-      if (IsNotOf(A, B) || IsNotOf(B, A)) {
-        fire("boolean.and-complement");
-        G.mergeInto(N, boolNode(false));
-        return 1;
-      }
+      if (A == B || isBoolConst(B, true))
+        return rewrite(Rule::BoolAnd, N, A);
+      if (isBoolConst(A, true))
+        return rewrite(Rule::BoolAnd, N, B);
+      if (isBoolConst(A, false) || isBoolConst(B, false))
+        return rewrite(Rule::BoolAndFalse, N, boolNode(false));
+      if (IsNotOf(A, B) || IsNotOf(B, A))
+        return rewrite(Rule::BoolAndComplement, N, boolNode(false));
       break;
     case Opcode::Or:
-      if (A == B || isBoolConst(B, false)) {
-        fire("boolean.or");
-        G.mergeInto(N, A);
-        return 1;
-      }
-      if (isBoolConst(A, false)) {
-        fire("boolean.or");
-        G.mergeInto(N, B);
-        return 1;
-      }
-      if (isBoolConst(A, true) || isBoolConst(B, true)) {
-        fire("boolean.or-true");
-        G.mergeInto(N, boolNode(true));
-        return 1;
-      }
-      if (IsNotOf(A, B) || IsNotOf(B, A)) {
-        fire("boolean.or-complement");
-        G.mergeInto(N, boolNode(true));
-        return 1;
-      }
+      if (A == B || isBoolConst(B, false))
+        return rewrite(Rule::BoolOr, N, A);
+      if (isBoolConst(A, false))
+        return rewrite(Rule::BoolOr, N, B);
+      if (isBoolConst(A, true) || isBoolConst(B, true))
+        return rewrite(Rule::BoolOrTrue, N, boolNode(true));
+      if (IsNotOf(A, B) || IsNotOf(B, A))
+        return rewrite(Rule::BoolOrComplement, N, boolNode(true));
       break;
     case Opcode::Xor: {
       // not(not(x)) ↓ x ; xor x false ↓ x ; xor x x ↓ false. The constant
       // may sit on either side after commutative canonicalization.
-      if (A == B) {
-        fire("boolean.xor-same");
-        G.mergeInto(N, boolNode(false));
-        return 1;
-      }
+      if (A == B)
+        return rewrite(Rule::BoolXorSame, N, boolNode(false));
       for (auto [X, K] : {std::pair{A, B}, std::pair{B, A}}) {
-        if (isBoolConst(K, false)) {
-          fire("boolean.xor-false");
-          G.mergeInto(N, X);
-          return 1;
-        }
+        if (isBoolConst(K, false))
+          return rewrite(Rule::BoolXorFalse, N, X);
         if (!isBoolConst(K, true))
           continue;
         const Node &NX = G.node(X);
@@ -423,18 +332,12 @@ private:
           // Inner negation: find its non-constant side.
           NodeId IA = G.find(NX.Ops[0]), IB = G.find(NX.Ops[1]);
           for (auto [IX, IK] : {std::pair{IA, IB}, std::pair{IB, IA}}) {
-            if (isBoolConst(IK, true)) {
-              fire("boolean.not-not");
-              G.mergeInto(N, IX);
-              return 1;
-            }
+            if (isBoolConst(IK, true))
+              return rewrite(Rule::BoolNotNot, N, IX);
           }
         }
-        if (NX.Kind == NodeKind::ConstInt) {
-          fire("boolean.not-const");
-          G.mergeInto(N, boolNode(NX.IntVal == 0));
-          return 1;
-        }
+        if (NX.Kind == NodeKind::ConstInt)
+          return rewrite(Rule::BoolNotConst, N, boolNode(NX.IntVal == 0));
       }
       break;
     }
@@ -450,31 +353,24 @@ private:
     switch (Nd.Op) {
     case Opcode::Add:
       // a + a ↓ shl a 1 (LLVM prefers the shift).
-      if (A == B) {
-        fire("canon.add-self");
-        G.mergeInto(N, G.getOp(Opcode::Shl, Nd.Ty,
+      if (A == B)
+        return rewrite(Rule::CanonAddSelf, N,
+                       G.getOp(Opcode::Shl, Nd.Ty,
                                {A, G.getConstInt(Nd.Ty, 1)}));
-        return 1;
-      }
       // add x (-k) ↓ sub x k. The constant may sit on either side: the
       // hash-consed operand order is by node id, not by kind.
       for (auto [X, K] : {std::pair{A, B}, std::pair{B, A}}) {
         if (isConstInt(K, &VB) && VB < 0 &&
             VB != signExtend(int64_t(1) << (Nd.Ty->getBitWidth() - 1),
-                             Nd.Ty->getBitWidth())) {
-          fire("canon.add-neg");
-          G.mergeInto(N, G.getOp(Opcode::Sub, Nd.Ty,
+                             Nd.Ty->getBitWidth()))
+          return rewrite(Rule::CanonAddNeg, N,
+                         G.getOp(Opcode::Sub, Nd.Ty,
                                  {X, G.getConstInt(Nd.Ty, -VB)}));
-          return 1;
-        }
       }
       break;
     case Opcode::Sub:
-      if (A == B && C.has(RS_ConstFold)) {
-        fire("canon.sub-self");
-        G.mergeInto(N, G.getConstInt(Nd.Ty, 0));
-        return 1;
-      }
+      if (A == B && C.has(RS_ConstFold))
+        return rewrite(Rule::CanonSubSelf, N, G.getConstInt(Nd.Ty, 0));
       break;
     case Opcode::Mul:
       // mul a 2^k ↓ shl a k (either operand order).
@@ -485,34 +381,28 @@ private:
           unsigned Shift = 0;
           while ((int64_t(1) << Shift) != VA)
             ++Shift;
-          fire("canon.mul-pow2");
-          G.mergeInto(N, G.getOp(Opcode::Shl, Nd.Ty,
+          return rewrite(Rule::CanonMulPow2, N,
+                         G.getOp(Opcode::Shl, Nd.Ty,
                                  {X, G.getConstInt(Nd.Ty, Shift)}));
-          return 1;
         }
       }
       break;
     case Opcode::ICmp: {
+      bool ConstA = G.node(A).Kind == NodeKind::ConstInt;
+      bool ConstB = G.node(B).Kind == NodeKind::ConstInt;
+      auto Swap = [&] {
+        return G.getOp(Opcode::ICmp, Nd.Ty, {B, A},
+                       static_cast<uint8_t>(
+                           swapPred(static_cast<ICmpPred>(Nd.Pred))));
+      };
       // Constant on the left: reorient (gt 10 a ↓ lt a 10).
-      if (G.node(A).Kind == NodeKind::ConstInt &&
-          G.node(B).Kind != NodeKind::ConstInt) {
-        fire("canon.cmp-swap");
-        G.mergeInto(
-            N, G.getOp(Opcode::ICmp, Nd.Ty, {B, A},
-                       static_cast<uint8_t>(
-                           swapPred(static_cast<ICmpPred>(Nd.Pred)))));
-        return 1;
-      }
+      if (ConstA && !ConstB)
+        return rewrite(Rule::CanonCmpSwap, N, Swap());
       // Neither constant: orient by node order so that GVN's predicate
-      // canonicalization (a < b vs b > a) meets in one form.
-      if (G.node(A).Kind != NodeKind::ConstInt && B < A) {
-        fire("canon.cmp-orient");
-        G.mergeInto(
-            N, G.getOp(Opcode::ICmp, Nd.Ty, {B, A},
-                       static_cast<uint8_t>(
-                           swapPred(static_cast<ICmpPred>(Nd.Pred)))));
-        return 1;
-      }
+      // canonicalization (a < b vs b > a) meets in one form. A constant
+      // stays on the right whatever its id, or this would undo cmp-swap.
+      if (!ConstA && !ConstB && B < A)
+        return rewrite(Rule::CanonCmpOrient, N, Swap());
       break;
     }
     default:
@@ -527,14 +417,11 @@ private:
     const Node &Nd = G.node(N);
     NodeId S = G.operand(N, 0);
     int64_t V;
-    if (isConstInt(S, &V)) {
-      fire("constfold.cast");
-      G.mergeInto(N, G.getConstInt(
-                         Nd.Ty, foldCast(Nd.Op, V,
-                                         G.node(S).Ty->getBitWidth(),
-                                         Nd.Ty->getBitWidth())));
-      return 1;
-    }
+    if (isConstInt(S, &V))
+      return rewrite(Rule::ConstFoldCast, N,
+                     G.getConstInt(Nd.Ty, foldCast(Nd.Op, V,
+                                                   G.node(S).Ty->getBitWidth(),
+                                                   Nd.Ty->getBitWidth())));
     return 0;
   }
 
@@ -543,11 +430,8 @@ private:
       return 0;
     NodeId Idx = G.operand(N, 1);
     int64_t V;
-    if (isConstInt(Idx, &V) && V == 0) {
-      fire("constfold.gep0");
-      G.mergeInto(N, G.operand(N, 0));
-      return 1;
-    }
+    if (isConstInt(Idx, &V) && V == 0)
+      return rewrite(Rule::ConstFoldGep0, N, G.operand(N, 0));
     return 0;
   }
 
@@ -574,27 +458,18 @@ private:
       Branches.emplace_back(Cond, Val);
     }
     // Rule (5): a branch whose conditions hold is the value.
-    if (TrueBranchValue != InvalidNode) {
-      fire("phi.rule5");
-      G.mergeInto(N, TrueBranchValue);
-      return 1;
-    }
+    if (TrueBranchValue != InvalidNode)
+      return rewrite(Rule::PhiRule5, N, TrueBranchValue);
     if (Branches.empty())
       return 0; // all branches dead: undefined; leave untouched
     // Rule (6): all branches agree.
     bool AllSame = true;
     for (auto &[Cond, Val] : Branches)
       AllSame &= Val == Branches.front().second;
-    if (AllSame) {
-      fire("phi.rule6");
-      G.mergeInto(N, Branches.front().second);
-      return 1;
-    }
-    if (Dropped) {
-      fire("phi.drop-false");
-      G.mergeInto(N, G.getGamma(Nd.Ty, Branches));
-      return 1;
-    }
+    if (AllSame)
+      return rewrite(Rule::PhiRule6, N, Branches.front().second);
+    if (Dropped)
+      return rewrite(Rule::PhiDropFalse, N, G.getGamma(Nd.Ty, Branches));
     // Flatten a nested γ: a branch (c, γ(d_i → v_i)) becomes the branches
     // (c ∧ d_i → v_i). This is how a select tree and a multi-way φ over
     // conjunctive gates meet in one canonical flat form (footnote 1 of the
@@ -616,9 +491,7 @@ private:
         Flat.emplace_back(G.getOp(Opcode::And, BoolTy, {Outer, InnerC}),
                           InnerV);
       }
-      fire("phi.flatten");
-      G.mergeInto(N, G.getGamma(Nd.Ty, Flat));
-      return 1;
+      return rewrite(Rule::PhiFlatten, N, G.getGamma(Nd.Ty, Flat));
     }
     // Boolean γ(c → true, !c → false) ↓ c.
     if (C.has(RS_Boolean) && Nd.Ty && Nd.Ty->isBool() &&
@@ -626,11 +499,8 @@ private:
       for (unsigned Which = 0; Which < 2; ++Which) {
         NodeId CT = Branches[Which].first, VT = Branches[Which].second;
         NodeId VF = Branches[1 - Which].second;
-        if (isBoolConst(VT, true) && isBoolConst(VF, false)) {
-          fire("boolean.gamma-to-cond");
-          G.mergeInto(N, CT);
-          return 1;
-        }
+        if (isBoolConst(VT, true) && isBoolConst(VF, false))
+          return rewrite(Rule::BoolGammaToCond, N, CT);
       }
     }
     return 0;
@@ -650,43 +520,28 @@ private:
         NodeId Init = G.find(NV.Ops[0]);
         NodeId Next = G.find(NV.Ops[1]);
         // Rule (7): the loop never executes.
-        if (isBoolConst(Cond, false)) {
-          fire("eta.rule7");
-          G.mergeInto(N, Init);
-          return 1;
-        }
+        if (isBoolConst(Cond, false))
+          return rewrite(Rule::EtaRule7, N, Init);
         // Rule (7) continued: a loop whose guard is false on entry. The
-      // stay condition seen symbolically contains the μ streams; evaluate
-      // it at the first iteration by substituting every μ by its initial
-      // value (η nodes are opaque: they belong to other loops).
-      if (auto First = firstIterValue(Cond, 0); First && *First == 0) {
-        fire("eta.rule7-first-iter");
-        G.mergeInto(N, Init);
-        return 1;
-      }
-      // Rule (8): μ(x, x) — the value never varies.
-        if (Init == Next) {
-          fire("eta.rule8");
-          G.mergeInto(N, Init);
-          return 1;
-        }
+        // stay condition seen symbolically contains the μ streams; evaluate
+        // it at the first iteration by substituting every μ by its initial
+        // value (η nodes are opaque: they belong to other loops).
+        if (auto First = firstIterValue(Cond, 0); First && *First == 0)
+          return rewrite(Rule::EtaRule7FirstIter, N, Init);
+        // Rule (8): μ(x, x) — the value never varies.
+        if (Init == Next)
+          return rewrite(Rule::EtaRule8, N, Init);
         // Rule (9): μ(x, self) — generalized to μ whose iteration value is
         // itself behind η layers (an inner loop that never modified it).
         NodeId Strip = Next;
         while (G.node(Strip).Kind == NodeKind::Eta)
           Strip = G.find(G.node(Strip).Ops[1]);
-        if (Strip == Val) {
-          fire("eta.rule9");
-          G.mergeInto(N, Init);
-          return 1;
-        }
+        if (Strip == Val)
+          return rewrite(Rule::EtaRule9, N, Init);
       }
       // η over a loop-free value is the value itself.
-      if (NV.Kind != NodeKind::Mu && !G.coneContainsMu(Val)) {
-        fire("eta.loop-free");
-        G.mergeInto(N, Val);
-        return 1;
-      }
+      if (NV.Kind != NodeKind::Mu && !G.coneContainsMu(Val))
+        return rewrite(Rule::EtaLoopFree, N, Val);
     }
 
     if (C.has(RS_Commuting)) {
@@ -697,18 +552,15 @@ private:
           return Hits;
       }
       // Push η toward μ: distribute over pure structure.
-      const Node &EtaNode = G.node(N);
       if (NV.Kind == NodeKind::Op) {
-        fire("commute.eta-op");
         std::vector<NodeId> NewOps;
         for (NodeId Op : NV.Ops)
           NewOps.push_back(G.getEta(G.node(G.find(Op)).Ty, Cond, G.find(Op)));
-        G.mergeInto(N, G.getOp(NV.Op, NV.Ty, std::move(NewOps), NV.Pred,
+        return rewrite(Rule::CommuteEtaOp, N,
+                       G.getOp(NV.Op, NV.Ty, std::move(NewOps), NV.Pred,
                                NV.IntVal));
-        return 1;
       }
       if (NV.Kind == NodeKind::Gamma) {
-        fire("commute.eta-gamma");
         std::vector<std::pair<NodeId, NodeId>> Branches;
         for (unsigned K = 0; K + 1 < NV.Ops.size(); K += 2) {
           NodeId BC = G.find(NV.Ops[K]);
@@ -716,26 +568,22 @@ private:
           Branches.emplace_back(G.getEta(G.node(BC).Ty, Cond, BC),
                                 G.getEta(G.node(BV).Ty, Cond, BV));
         }
-        G.mergeInto(N, G.getGamma(NV.Ty, Branches));
-        return 1;
+        return rewrite(Rule::CommuteEtaGamma, N, G.getGamma(NV.Ty, Branches));
       }
       if (NV.Kind == NodeKind::Load) {
-        fire("commute.eta-load");
         NodeId P = G.find(NV.Ops[0]), M = G.find(NV.Ops[1]);
-        G.mergeInto(N, G.getLoad(NV.Ty, G.getEta(G.node(P).Ty, Cond, P),
+        return rewrite(Rule::CommuteEtaLoad, N,
+                       G.getLoad(NV.Ty, G.getEta(G.node(P).Ty, Cond, P),
                                  G.getEta(nullptr, Cond, M)));
-        return 1;
       }
       if (NV.Kind == NodeKind::Store) {
-        fire("commute.eta-store");
         NodeId V = G.find(NV.Ops[0]), P = G.find(NV.Ops[1]),
                M = G.find(NV.Ops[2]);
-        G.mergeInto(N, G.getStore(G.getEta(G.node(V).Ty, Cond, V),
+        return rewrite(Rule::CommuteEtaStore, N,
+                       G.getStore(G.getEta(G.node(V).Ty, Cond, V),
                                   G.getEta(G.node(P).Ty, Cond, P),
                                   G.getEta(nullptr, Cond, M)));
-        return 1;
       }
-      (void)EtaNode;
     }
     return 0;
   }
@@ -998,8 +846,8 @@ private:
   }
 
   unsigned unswitchEta(NodeId N, NodeId Cond, NodeId Mu) {
-    // Each application duplicates a loop cone; cap the growth per run.
-    if (Stats.RuleFires["commute.unswitch"] >= 8)
+    // Each application duplicates a loop cone; cap the growth per round.
+    if (Stats.fires(Rule::CommuteUnswitch) >= 8)
       return 0;
     NodeId Gamma = InvalidNode, C2 = InvalidNode, TV = InvalidNode,
            FV = InvalidNode;
@@ -1018,9 +866,8 @@ private:
     NodeId EtaF = G.getEta(EtaTy, CondF, MuF);
     assert(BoolTy && "unswitching without a boolean type in the graph");
     NodeId NotC = G.getOp(Opcode::Xor, BoolTy, {C2, boolNode(true)});
-    fire("commute.unswitch");
-    G.mergeInto(N, G.getGamma(EtaTy, {{C2, EtaT}, {NotC, EtaF}}));
-    return 1;
+    return rewrite(Rule::CommuteUnswitch, N,
+                   G.getGamma(EtaTy, {{C2, EtaT}, {NotC, EtaF}}));
   }
 
   //===------------------------------------------------------------------===//
@@ -1047,26 +894,19 @@ private:
       unsigned SSize = G.node(SV).Ty ? G.node(SV).Ty->getStoreSize() : 1;
       int AR = G.aliasPointers(Ptr, SP, LSize, SSize);
       // Rule (11): load of the just-stored value.
-      if (AR == 2 && G.node(SV).Ty == Nd.Ty) {
-        fire("loadstore.rule11");
-        G.mergeInto(N, SV);
-        return 1;
-      }
+      if (AR == 2 && G.node(SV).Ty == Nd.Ty)
+        return rewrite(Rule::LoadStoreRule11, N, SV);
       // Rule (10): the load jumps over a non-aliasing store.
-      if (AR == 0) {
-        fire("loadstore.rule10");
-        G.mergeInto(N, G.getLoad(Nd.Ty, Ptr, SM));
-        return 1;
-      }
+      if (AR == 0)
+        return rewrite(Rule::LoadStoreRule10, N, G.getLoad(Nd.Ty, Ptr, SM));
       return 0;
     }
     // Allocations do not write memory: jump over them.
     if (NM.Kind == NodeKind::AllocMem) {
       NodeId Alloc = G.find(NM.Ops[0]);
       NodeId PreMem = G.operand(Alloc, 1);
-      fire("loadstore.skip-alloc");
-      G.mergeInto(N, G.getLoad(Nd.Ty, Ptr, PreMem));
-      return 1;
+      return rewrite(Rule::LoadStoreSkipAlloc, N,
+                     G.getLoad(Nd.Ty, Ptr, PreMem));
     }
     // Folding a load of a constant global (extension rule set).
     if (C.has(RS_GlobalFold) && C.M) {
@@ -1074,16 +914,12 @@ private:
       if (NP.Kind == NodeKind::Global && NP.IntVal /*constant-qualified*/) {
         if (const GlobalVariable *GV = C.M->getGlobal(NP.Str)) {
           if (GV->hasInitializer() && GV->getValueType() == Nd.Ty) {
-            if (const auto *CI = dyn_cast<ConstantInt>(GV->getInitializer())) {
-              fire("globalfold.load");
-              G.mergeInto(N, G.getConstInt(Nd.Ty, CI->getSExtValue()));
-              return 1;
-            }
-            if (const auto *CF = dyn_cast<ConstantFP>(GV->getInitializer())) {
-              fire("globalfold.load");
-              G.mergeInto(N, G.getConstFloat(Nd.Ty, CF->getValue()));
-              return 1;
-            }
+            if (const auto *CI = dyn_cast<ConstantInt>(GV->getInitializer()))
+              return rewrite(Rule::GlobalFoldLoad, N,
+                             G.getConstInt(Nd.Ty, CI->getSExtValue()));
+            if (const auto *CF = dyn_cast<ConstantFP>(GV->getInitializer()))
+              return rewrite(Rule::GlobalFoldLoad, N,
+                             G.getConstFloat(Nd.Ty, CF->getValue()));
           }
         }
       }
@@ -1092,11 +928,9 @@ private:
     // when no write inside the cycle may alias it (mirrors LICM hoisting a
     // load out of a loop that only writes elsewhere).
     if (NM.Kind == NodeKind::Mu && NM.Ops[0] != InvalidNode) {
-      if (muWritesDisjointFrom(Mem, {Ptr})) {
-        fire("loadstore.load-over-loop");
-        G.mergeInto(N, G.getLoad(Nd.Ty, Ptr, G.find(NM.Ops[0])));
-        return 1;
-      }
+      if (muWritesDisjointFrom(Mem, {Ptr}))
+        return rewrite(Rule::LoadStoreLoadOverLoop, N,
+                       G.getLoad(Nd.Ty, Ptr, G.find(NM.Ops[0])));
     }
     // Libc: loads may jump over memset to a disjoint region, or read the
     // memset fill byte.
@@ -1115,19 +949,16 @@ private:
           LenV = LenNode.IntVal < 0 ? 0 : LenNode.IntVal;
           int AR = G.aliasPointers(Ptr, Dst, LSize,
                                    static_cast<unsigned>(LenV));
-          if (AR == 0) {
-            fire("libc.load-over-memset");
-            G.mergeInto(N, G.getLoad(Nd.Ty, Ptr, PreMem));
-            return 1;
-          }
+          if (AR == 0)
+            return rewrite(Rule::LibcLoadOverMemset, N,
+                           G.getLoad(Nd.Ty, Ptr, PreMem));
           // Reading a byte wholly inside the filled region yields the fill
           // value (the paper's memset rule, l2 < l1).
           int64_t FillV;
           if (LSize == 1 && isConstInt(Fill, &FillV) && Nd.Ty->isInteger() &&
               memsetCovers(Dst, LenV, Ptr, LSize)) {
-            fire("libc.memset-read");
-            G.mergeInto(N, G.getConstInt(Nd.Ty, signExtend(FillV, 8)));
-            return 1;
+            return rewrite(Rule::LibcMemsetRead, N,
+                           G.getConstInt(Nd.Ty, signExtend(FillV, 8)));
           }
         }
       }
@@ -1151,34 +982,25 @@ private:
       unsigned OldSize =
           G.node(OldVal).Ty ? G.node(OldVal).Ty->getStoreSize() : 1;
       int AR = G.aliasPointers(Ptr, SP, NewSize, OldSize);
-      if (AR == 2 && NewSize >= OldSize) {
-        fire("loadstore.store-over-store");
-        G.mergeInto(N, G.getStore(Val, Ptr, SM));
-        return 1;
-      }
+      if (AR == 2 && NewSize >= OldSize)
+        return rewrite(Rule::LoadStoreStoreOverStore, N,
+                       G.getStore(Val, Ptr, SM));
       // Adjacent stores to disjoint locations commute; order the chain
       // canonically (smaller pointer root innermost) so both functions'
       // chains meet in one shape regardless of emission order.
-      if (AR == 0 && G.find(Ptr) < G.find(SP)) {
-        fire("loadstore.store-commute");
-        NodeId Inner = G.getStore(Val, Ptr, SM);
-        G.mergeInto(N, G.getStore(OldVal, SP, Inner));
-        return 1;
-      }
+      if (AR == 0 && G.find(Ptr) < G.find(SP))
+        return rewrite(Rule::LoadStoreStoreCommute, N,
+                       G.getStore(OldVal, SP, G.getStore(Val, Ptr, SM)));
     }
     // Dead store: non-escaping allocation never read by any live load.
-    if (storeIsDead(N, Ptr)) {
-      fire("loadstore.dead-store");
-      G.mergeInto(N, Mem);
-      return 1;
-    }
+    if (storeIsDead(Ptr))
+      return rewrite(Rule::LoadStoreDeadStore, N, Mem);
     return 0;
   }
 
-  /// True if \p StoreNode writes a non-escaping allocation from which no
-  /// live load may read.
-  bool storeIsDead(NodeId StoreNode, NodeId Ptr) {
-    const Node &NP = G.node(Ptr);
+  /// True if a store to \p Ptr writes a non-escaping allocation from which
+  /// no live load may read.
+  bool storeIsDead(NodeId Ptr) {
     NodeId Base = Ptr;
     // Walk GEPs to the base.
     while (G.node(Base).Kind == NodeKind::Op &&
@@ -1188,7 +1010,6 @@ private:
       return false;
     if (!G.isNonEscapingAlloc(Base))
       return false;
-    (void)NP;
     refreshLive();
     // Any live load that may alias the store's pointer keeps it alive.
     for (NodeId L : Live) {
@@ -1201,7 +1022,6 @@ private:
       if (G.aliasPointers(G.find(NL.Ops[0]), Ptr, LSize, 8) != 0)
         return false;
     }
-    (void)StoreNode;
     return true;
   }
 
@@ -1218,9 +1038,8 @@ private:
         if (Op != InvalidNode && G.find(Op) == Alloc)
           return 0; // still referenced
     }
-    fire("loadstore.dead-alloc");
-    G.mergeInto(N, G.operand(Alloc, 1)); // memory before the allocation
-    return 1;
+    // The memory state before the allocation.
+    return rewrite(Rule::LoadStoreDeadAlloc, N, G.operand(Alloc, 1));
   }
 
   unsigned rewriteCall(NodeId N) {
@@ -1237,6 +1056,13 @@ private:
       if (G.node(A).Ty && G.node(A).Ty->isPointer())
         PtrArgs.push_back(A);
     }
+    // The same readonly call over an earlier memory state.
+    auto CallOver = [&](Rule R, NodeId EarlierMem) {
+      std::vector<NodeId> NewOps(Nd.Ops.begin(), Nd.Ops.end() - 1);
+      NewOps.push_back(EarlierMem);
+      return rewrite(R, N,
+                     G.getCall(Nd.Str, Effect, Nd.Ty, std::move(NewOps)));
+    };
     const Node &NM = G.node(Mem);
     // A readonly call jumps over a store none of its pointers can see.
     if (NM.Kind == NodeKind::Store) {
@@ -1244,34 +1070,18 @@ private:
       bool AllDisjoint = true;
       for (NodeId P : PtrArgs)
         AllDisjoint &= G.aliasPointers(P, SP, 4096, 8) == 0;
-      if (AllDisjoint) {
-        fire("libc.call-over-store");
-        std::vector<NodeId> NewOps(Nd.Ops.begin(), Nd.Ops.end() - 1);
-        NewOps.push_back(G.find(NM.Ops[2]));
-        G.mergeInto(N, G.getCall(Nd.Str, Effect, Nd.Ty, std::move(NewOps)));
-        return 1;
-      }
+      if (AllDisjoint)
+        return CallOver(Rule::LibcCallOverStore, G.find(NM.Ops[2]));
       return 0;
     }
-    if (NM.Kind == NodeKind::AllocMem) {
-      fire("libc.call-over-alloc");
-      NodeId Alloc = G.find(NM.Ops[0]);
-      std::vector<NodeId> NewOps(Nd.Ops.begin(), Nd.Ops.end() - 1);
-      NewOps.push_back(G.operand(Alloc, 1));
-      G.mergeInto(N, G.getCall(Nd.Str, Effect, Nd.Ty, std::move(NewOps)));
-      return 1;
-    }
+    if (NM.Kind == NodeKind::AllocMem)
+      return CallOver(Rule::LibcCallOverAlloc,
+                      G.operand(G.find(NM.Ops[0]), 1));
     // A readonly call whose memory is a loop μ can use the loop's initial
     // memory if no write inside the loop can affect its pointers.
-    if (NM.Kind == NodeKind::Mu && NM.Ops[0] != InvalidNode) {
-      if (muWritesDisjointFrom(Mem, PtrArgs)) {
-        fire("libc.call-over-loop");
-        std::vector<NodeId> NewOps(Nd.Ops.begin(), Nd.Ops.end() - 1);
-        NewOps.push_back(G.find(NM.Ops[0]));
-        G.mergeInto(N, G.getCall(Nd.Str, Effect, Nd.Ty, std::move(NewOps)));
-        return 1;
-      }
-    }
+    if (NM.Kind == NodeKind::Mu && NM.Ops[0] != InvalidNode &&
+        muWritesDisjointFrom(Mem, PtrArgs))
+      return CallOver(Rule::LibcCallOverLoop, G.find(NM.Ops[0]));
     return 0;
   }
 
@@ -1331,22 +1141,79 @@ private:
   std::vector<NodeId> GraphRoots;
   unsigned LiveStamp = 0;
   Type *BoolTy = nullptr;
+  /// The rule the last rewrite() applied.
+  Rule Fired = Rule::ConstFoldIcmp;
 };
 
 } // namespace
+
+const char *llvmmd::getRuleSetName(RuleSet RS) {
+  switch (RS) {
+  case RS_Boolean:
+    return "boolean";
+  case RS_PhiSimplify:
+    return "phi-simplify";
+  case RS_EtaMu:
+    return "eta-mu";
+  case RS_ConstFold:
+    return "const-fold";
+  case RS_Canonicalize:
+    return "canonicalize";
+  case RS_LoadStore:
+    return "load-store";
+  case RS_Commuting:
+    return "commuting";
+  case RS_Libc:
+    return "libc";
+  case RS_FloatFold:
+    return "float-fold";
+  case RS_GlobalFold:
+    return "global-fold";
+  default:
+    return "?";
+  }
+}
+
+NormalizeStats &NormalizeStats::operator+=(const NormalizeStats &O) {
+  Rewrites += O.Rewrites;
+  SharingMerges += O.SharingMerges;
+  Iterations += O.Iterations;
+  NoProgressFires += O.NoProgressFires;
+  BudgetExhausted |= O.BudgetExhausted;
+  for (unsigned R = 0; R < NumRewriteRules; ++R)
+    RuleFires[R] += O.RuleFires[R];
+  return *this;
+}
 
 NormalizeStats llvmmd::normalizeGraph(ValueGraph &G,
                                       const std::vector<NodeId> &Roots,
                                       const RuleConfig &Config) {
   NormalizeStats Stats;
-  RuleEngine Engine(G, Config, Stats);
-  for (unsigned Iter = 0; Iter < Config.MaxIterations; ++Iter) {
-    ++Stats.Iterations;
-    unsigned Rewrites = Engine.sweep(Roots);
-    unsigned Merges = G.maximizeSharing(Config.Strategy);
-    Stats.SharingMerges += Merges;
-    if (Rewrites == 0 && Merges == 0)
-      break;
-  }
+  Stats.Iterations = 1;
+  RuleEngine(G, Config, Stats).sweep(Roots);
+  Stats.SharingMerges = G.maximizeSharing(Config.Strategy);
   return Stats;
+}
+
+NormalizeStats llvmmd::normalizeToFixpoint(ValueGraph &G,
+                                           const std::vector<NodeId> &Roots,
+                                           const RuleConfig &Config) {
+  auto RootsMerged = [&] {
+    return Roots.size() >= 2 &&
+           std::all_of(Roots.begin() + 1, Roots.end(), [&](NodeId R) {
+             return G.find(R) == G.find(Roots.front());
+           });
+  };
+  NormalizeStats Total;
+  while (!RootsMerged()) {
+    if (Total.Iterations == Config.MaxIterations) {
+      Total.BudgetExhausted = true;
+      break;
+    }
+    NormalizeStats Round = normalizeGraph(G, Roots, Config);
+    Total += Round;
+    if (Round.Rewrites == 0 && Round.SharingMerges == 0)
+      break; // a true fixpoint: the next round would see the same graph
+  }
+  return Total;
 }

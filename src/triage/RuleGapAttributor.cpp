@@ -16,33 +16,6 @@
 
 using namespace llvmmd;
 
-const char *llvmmd::getRuleSetName(RuleSet RS) {
-  switch (RS) {
-  case RS_Boolean:
-    return "boolean";
-  case RS_PhiSimplify:
-    return "phi-simplify";
-  case RS_EtaMu:
-    return "eta-mu";
-  case RS_ConstFold:
-    return "const-fold";
-  case RS_Canonicalize:
-    return "canonicalize";
-  case RS_LoadStore:
-    return "load-store";
-  case RS_Commuting:
-    return "commuting";
-  case RS_Libc:
-    return "libc";
-  case RS_FloatFold:
-    return "float-fold";
-  case RS_GlobalFold:
-    return "global-fold";
-  default:
-    return "?";
-  }
-}
-
 namespace {
 
 /// Every individually probeable family, in mask-bit order (deterministic
@@ -117,18 +90,10 @@ RuleGapOutcome llvmmd::attributeRuleGap(const Function &A, const Function &B,
   if (!RA.Supported || !RB.Supported)
     return Out; // nothing to diff; probing below is pointless too
   Out.Ran = true;
-  std::vector<NodeId> Roots{RA.Ret, RB.Ret};
-  for (unsigned Round = 0; Round < Rules.MaxIterations; ++Round) {
-    if (G.find(RA.Ret) == G.find(RB.Ret))
-      break;
-    NormalizeStats S = normalizeGraph(G, Roots, Rules);
-    if (S.Rewrites == 0 && S.SharingMerges == 0)
-      break;
-  }
+  normalizeToFixpoint(G, {RA.Ret, RB.Ret}, Rules);
   if (G.find(RA.Ret) == G.find(RB.Ret)) {
-    // The pair validates after all (the caller raced a different
-    // configuration, or the alarm came from a fixpoint-budget cutoff that
-    // this fresh run got past); there is no gap to attribute.
+    // The pair validates under these rules after all (the caller rejected
+    // it under a different configuration); there is no gap to attribute.
     Out.Ran = false;
     return Out;
   }

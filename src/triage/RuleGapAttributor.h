@@ -33,11 +33,6 @@ namespace llvmmd {
 
 class Function;
 
-/// Stable lowercase name of one rule family ("boolean", "phi-simplify",
-/// "eta-mu", "const-fold", "canonicalize", "load-store", "commuting",
-/// "libc", "float-fold", "global-fold"); "?" for non-single-family masks.
-const char *getRuleSetName(RuleSet RS);
-
 struct RuleGapOutcome {
   bool Ran = false;
   /// A head-diverging node pair was found (false when the cones are

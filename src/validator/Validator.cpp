@@ -55,22 +55,14 @@ ValidationResult llvmmd::validatePair(const Function &Original,
     return Finish();
   }
 
-  RuleConfig C = Config;
-  std::vector<NodeId> Roots{A.Ret, B.Ret};
-  for (unsigned Round = 0; Round < C.MaxIterations; ++Round) {
-    ++R.Iterations;
-    NormalizeStats S = normalizeGraph(G, Roots, C);
-    R.Rewrites += S.Rewrites;
-    R.SharingMerges += S.SharingMerges;
-    if (G.find(A.Ret) == G.find(B.Ret)) {
-      R.Validated = true;
-      break;
-    }
-    if (S.Rewrites == 0 && S.SharingMerges == 0)
-      break; // fixpoint without convergence: alarm
-  }
+  NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, Config);
+  R.Iterations = S.Iterations;
+  R.Rewrites = S.Rewrites;
+  R.SharingMerges = S.SharingMerges;
+  R.Validated = G.find(A.Ret) == G.find(B.Ret);
   if (!R.Validated)
-    R.Reason = "graphs did not merge";
+    R.Reason = S.BudgetExhausted ? "fixpoint budget exhausted"
+                                 : "graphs did not merge";
   R.LiveNodes = G.countRoots();
   return Finish();
 }

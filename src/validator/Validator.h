@@ -35,9 +35,9 @@ struct ValidationResult {
   // Statistics for the evaluation harness.
   uint64_t GraphNodes = 0;    ///< arena size after construction
   uint64_t LiveNodes = 0;     ///< representative nodes after the run
-  uint64_t Rewrites = 0;      ///< rule applications
+  uint64_t Rewrites = 0;      ///< rule applications that made progress
   uint64_t SharingMerges = 0; ///< merges from sharing maximization
-  uint64_t Iterations = 0;    ///< normalize/share rounds
+  uint64_t Iterations = 0;    ///< rounds: one rule sweep + one sharing pass
   uint64_t Microseconds = 0;  ///< wall time of the validation
   /// True when the functions' graphs were equal before any normalization —
   /// the O(1) best case of §2.

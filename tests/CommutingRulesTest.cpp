@@ -28,7 +28,7 @@ struct CommuteFixture : ::testing::Test {
   NodeId normalize(std::vector<NodeId> Roots, unsigned Mask) {
     RuleConfig C;
     C.Mask = Mask;
-    normalizeGraph(G, Roots, C);
+    normalizeToFixpoint(G, Roots, C);
     return G.find(Roots.front());
   }
 

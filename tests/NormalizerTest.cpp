@@ -27,7 +27,7 @@ struct NormFixture : ::testing::Test {
   NodeId normalize(NodeId Root, unsigned Mask) {
     RuleConfig C;
     C.Mask = Mask;
-    normalizeGraph(G, {Root}, C);
+    normalizeToFixpoint(G, {Root}, C);
     return G.find(Root);
   }
 
@@ -264,6 +264,59 @@ TEST_F(NormFixture, Canonicalization) {
   EXPECT_EQ(G.operand(Cmp, 0), G.find(A));
 }
 
+TEST_F(NormFixture, CmpAgainstLowIdConstantDoesNotPingPong) {
+  // The constant is built first, so its id is below x's. Orienting by id
+  // would move it back to the left, where cmp-swap moves it right again:
+  // a rewrite cycle that only the round budget used to stop.
+  NodeId Ten = constant(10);
+  NodeId X = G.getParam(0, I32);
+  NodeId Right = G.getOp(Opcode::ICmp, I1, {X, Ten},
+                         static_cast<uint8_t>(ICmpPred::SLT));
+  NodeId Left = G.getOp(Opcode::ICmp, I1, {Ten, X},
+                        static_cast<uint8_t>(ICmpPred::SGT));
+  RuleConfig C;
+  C.Mask = RS_Paper;
+  for (NodeId Cmp : {Right, Left}) {
+    NormalizeStats S = normalizeToFixpoint(G, {Cmp}, C);
+    EXPECT_LE(S.fires(RewriteRule::CanonCmpSwap) +
+                  S.fires(RewriteRule::CanonCmpOrient),
+              1u);
+    EXPECT_EQ(S.NoProgressFires, 0u);
+    EXPECT_FALSE(S.BudgetExhausted);
+    EXPECT_LE(S.Iterations, 2u);
+  }
+  // Both spellings meet as x < 10, constant on the right.
+  EXPECT_EQ(G.find(Left), G.find(Right));
+  EXPECT_EQ(G.operand(Right, 0), G.find(X));
+  EXPECT_EQ(static_cast<ICmpPred>(G.node(Right).Pred), ICmpPred::SLT);
+}
+
+TEST_F(NormFixture, RoundBudgetIsReportedAndRoundsAreSingle) {
+  NodeId A = G.getParam(0, I32), B = G.getParam(1, I32);
+  // Two roots that only sharing can merge, after constant folding: one
+  // round folds and re-shares, the next sees the roots in one class.
+  NodeId X = G.getOp(Opcode::Add, I32, {A, G.getOp(Opcode::Add, I32,
+                                                   {constant(2), constant(3)})});
+  NodeId Y = G.getOp(Opcode::Add, I32, {A, constant(5)});
+  RuleConfig C;
+  C.Mask = RS_Paper;
+  NormalizeStats One = normalizeGraph(G, {X, Y}, C);
+  EXPECT_EQ(One.Iterations, 1u);
+  EXPECT_EQ(G.find(X), G.find(Y));
+  NormalizeStats Done = normalizeToFixpoint(G, {X, Y}, C);
+  EXPECT_EQ(Done.Iterations, 0u) << "merged roots need no round";
+  // A zero budget with work left is reported, not mistaken for a fixpoint.
+  NodeId P = G.getOp(Opcode::Mul, I32, {B, constant(8)});
+  NodeId Q = G.getOp(Opcode::Shl, I32, {B, constant(3)});
+  C.MaxIterations = 0;
+  EXPECT_TRUE(normalizeToFixpoint(G, {P, Q}, C).BudgetExhausted);
+  C.MaxIterations = 32;
+  NormalizeStats S = normalizeToFixpoint(G, {P, Q}, C);
+  EXPECT_FALSE(S.BudgetExhausted);
+  EXPECT_EQ(G.find(P), G.find(Q));
+  EXPECT_EQ(S.fires(RewriteRule::CanonMulPow2), 1u);
+}
+
 TEST_F(NormFixture, FloatFoldIsOptIn) {
   NodeId Sum = G.getOp(Opcode::FAdd, Ctx.getFloatTy(),
                        {G.getConstFloat(Ctx.getFloatTy(), 1.5),
@@ -338,7 +391,7 @@ TEST_F(MemFixture, DeadStoreToLocalAllocation) {
   NodeId Ret = G.getRet(InvalidNode, M1);
   RuleConfig C;
   C.Mask = RS_LoadStore;
-  normalizeGraph(G, {Ret}, C);
+  normalizeToFixpoint(G, {Ret}, C);
   // The store to the never-read local allocation is gone; so are the
   // allocations themselves (their pointers are unused afterwards).
   EXPECT_EQ(G.operand(G.find(Ret), 0), Mem0);
@@ -352,7 +405,7 @@ TEST_F(MemFixture, EscapedAllocationStoresStay) {
   NodeId Ret = G.getRet(InvalidNode, M1);
   RuleConfig C;
   C.Mask = RS_LoadStore;
-  normalizeGraph(G, {Ret}, C);
+  normalizeToFixpoint(G, {Ret}, C);
   EXPECT_EQ(G.node(G.operand(G.find(Ret), 0)).Kind, NodeKind::Store);
 }
 
@@ -364,10 +417,10 @@ TEST_F(MemFixture, GlobalFoldExtension) {
   RuleConfig C;
   C.Mask = RS_Paper;
   C.M = &M;
-  normalizeGraph(G, {Ld}, C);
+  normalizeToFixpoint(G, {Ld}, C);
   EXPECT_EQ(G.node(G.find(Ld)).Kind, NodeKind::Load) << "needs extension";
   C.Mask = RS_Paper | RS_GlobalFold;
-  normalizeGraph(G, {Ld}, C);
+  normalizeToFixpoint(G, {Ld}, C);
   expectConst(G.find(Ld), 42);
 }
 
@@ -383,7 +436,7 @@ TEST_F(MemFixture, LibcCallJumpsOverDisjointStore) {
   EXPECT_NE(G.find(Call), G.find(CallClean));
   RuleConfig C;
   C.Mask = RS_Paper | RS_Libc;
-  normalizeGraph(G, {Call, CallClean}, C);
+  normalizeToFixpoint(G, {Call, CallClean}, C);
   // Both collapse to strlen over the initial memory (the allocations are
   // transparent to a readonly call).
   EXPECT_EQ(G.find(Call), G.find(CallClean));
@@ -398,7 +451,7 @@ TEST_F(MemFixture, MemsetReadBack) {
   NodeId Ld = G.getLoad(Ctx.getInt8Ty(), AllocA, MemAfter);
   RuleConfig C;
   C.Mask = RS_Paper | RS_Libc;
-  normalizeGraph(G, {Ld}, C);
+  normalizeToFixpoint(G, {Ld}, C);
   const Node &After = G.node(G.find(Ld));
   ASSERT_EQ(After.Kind, NodeKind::ConstInt);
   EXPECT_EQ(After.IntVal, 65);

@@ -7,12 +7,20 @@
 #include "TestUtil.h"
 
 #include "ir/Cloning.h"
+#include "normalize/Normalizer.h"
 #include "opt/BugInjector.h"
 #include "opt/Pass.h"
+#include "support/Hashing.h"
 #include "validator/LLVMMD.h"
 #include "validator/Validator.h"
+#include "vg/GraphBuilder.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <numeric>
 
 using namespace llvmmd;
 using namespace llvmmd::testutil;
@@ -429,3 +437,88 @@ j:
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoundnessSweep, ::testing::Range(1, 40));
+
+//===----------------------------------------------------------------------===//
+// The fixpoint stops for a reason on the whole paper suite
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Verdicts on every transformed pair of the 12 paper profiles under
+/// {RS_Paper, RS_All}: the validated count and a digest of (function
+/// name, verdict) in module order. They were recorded while normalization
+/// still ran nested budget loops, so stopping at a true fixpoint provably
+/// changed no verdict.
+struct SuiteVerdicts {
+  const char *Profile;
+  unsigned Validated[2];
+  uint64_t Digest[2];
+};
+
+const SuiteVerdicts PaperSuiteVerdicts[] = {
+    {"sqlite", {61, 68}, {0xd03edb52cf2204a2, 0xf4479b2beb407ec2}},
+    {"bzip2", {11, 12}, {0x133252bcd32515c7, 0x1a0a9735f1c3345a}},
+    {"gcc", {102, 144}, {0x74b56a13ba4c39a5, 0xf9ed48f7dbea76cd}},
+    {"h264ref", {26, 30}, {0x1199c16e53805797, 0x297580d307e54cbd}},
+    {"hmmer", {25, 31}, {0x4991c2c8d093f598, 0x928ca24a17bf9a8b}},
+    {"lbm", {6, 8}, {0xd4c1a5a42951e1d5, 0xea3dbbb476e75ebc}},
+    {"libquantum", {11, 12}, {0xdf3b24a7dca4b467, 0x3ca3f9ddfaf7703f}},
+    {"mcf", {10, 10}, {0x6d5f8c53ba7c577e, 0x6d5f8c53ba7c577e}},
+    {"milc", {15, 15}, {0x338ef93ded5ec655, 0x338ef93ded5ec655}},
+    {"perlbench", {78, 100}, {0xbba1ac5dc59240ec, 0x325216c1cf78f265}},
+    {"sjeng", {9, 11}, {0x30951bceb406b67e, 0x3b7c5629e9360f79}},
+    {"sphinx", {16, 18}, {0x8311bc94093d9a00, 0x67448b1e133bc41f}},
+};
+
+} // namespace
+
+TEST(SuiteFixpointTest, EveryPairStopsForAReasonWithItsVerdict) {
+  const unsigned Masks[2] = {RS_Paper, RS_All};
+  std::vector<BenchmarkProfile> Suite = getPaperSuite();
+  ASSERT_EQ(Suite.size(), std::size(PaperSuiteVerdicts));
+  for (size_t P = 0; P < Suite.size(); ++P) {
+    const SuiteVerdicts &Want = PaperSuiteVerdicts[P];
+    ASSERT_EQ(Suite[P].Name, Want.Profile);
+    Context Ctx;
+    auto Orig = generateBenchmark(Ctx, Suite[P]);
+    auto Opt = cloneModule(*Orig);
+    PassManager PM;
+    PM.parsePipeline(getPaperPipeline());
+    PM.run(*Opt);
+    for (unsigned K = 0; K < 2; ++K) {
+      SCOPED_TRACE(Suite[P].Name + (K ? " RS_All" : " RS_Paper"));
+      RuleConfig RC;
+      RC.Mask = Masks[K];
+      RC.M = Orig.get();
+      unsigned Validated = 0;
+      uint64_t Digest = 0;
+      for (const Function *F : Orig->definedFunctions()) {
+        const Function *FO = Opt->getFunction(F->getName());
+        if (!FO || fingerprintFunction(*F) == fingerprintFunction(*FO))
+          continue;
+        ValidationResult R = validatePair(*F, *FO, RC);
+        EXPECT_NE(R.Reason, "fixpoint budget exhausted") << F->getName();
+        Validated += R.Validated;
+        Digest = hashCombine(Digest, hashCombine(hashString(F->getName()),
+                                                 R.Validated * 2 +
+                                                     R.Unsupported));
+        // The same fixpoint again, for the normalizer's own counters.
+        ValueGraph G;
+        BuildResult A = buildValueGraph(G, *F);
+        BuildResult B = buildValueGraph(G, *FO);
+        if (!A.Supported || !B.Supported)
+          continue;
+        NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, RC);
+        EXPECT_EQ(S.NoProgressFires, 0u) << F->getName();
+        EXPECT_FALSE(S.BudgetExhausted) << F->getName();
+        EXPECT_EQ(S.Iterations, R.Iterations) << F->getName();
+        EXPECT_EQ(S.Rewrites, R.Rewrites) << F->getName();
+        EXPECT_EQ(std::accumulate(S.RuleFires.begin(), S.RuleFires.end(), 0u),
+                  S.Rewrites)
+            << F->getName();
+      }
+      EXPECT_EQ(Validated, Want.Validated[K]);
+      EXPECT_EQ(Digest, Want.Digest[K]);
+    }
+  }
+}
