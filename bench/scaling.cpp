@@ -205,9 +205,9 @@ void BM_SnapshotReclone(benchmark::State &State) {
 }
 BENCHMARK(BM_SnapshotReclone)->Arg(4)->Arg(16);
 
-/// Builds a many-module verdict store on disk for the mapped-probe bench.
+/// Builds a many-module verdict store on disk for the reader-probe bench.
 /// Distinct Config values model distinct modules (the per-module globals
-/// digest folds into Config), so the entries spread across v3 shards.
+/// digest folds into Config), so the entries spread across shards.
 std::string writeProbeStore(uint64_t Digest, unsigned Modules,
                             unsigned PerModule, VerdictKey &ProbeKey) {
   VerdictMap Map;
@@ -229,35 +229,36 @@ std::string writeProbeStore(uint64_t Digest, unsigned Modules,
   return Path;
 }
 
-/// Probing one module's verdicts through the mmap-backed view: open the
-/// store, look up a single key, report how many shards had to be
-/// materialized. Contrast with BM_StoreFullLoad, which parses and verifies
-/// every shard up front.
-void BM_StoreMappedProbe(benchmark::State &State) {
+/// Probing one module's verdicts through VerdictStoreReader, the engine's
+/// read path: open the store, look up a single key, report how many shards
+/// had to be read. Contrast with BM_StoreFullLoad, which reads, verifies
+/// and parses every shard up front.
+void BM_StoreReaderProbe(benchmark::State &State) {
   const uint64_t Digest = 0xd19e57;
   VerdictKey Probe;
   std::string Path = writeProbeStore(Digest, 32, 64, Probe);
   unsigned Shards = 0, Materialized = 0;
   for (auto _ : State) {
-    auto Mapped = MappedVerdictStore::open(Path, Digest);
-    const ValidationResult *R = Mapped->lookup(Probe);
+    auto Reader = VerdictStoreReader::open(Path, Digest);
+    const ValidationResult *R = Reader->lookup(Probe);
     benchmark::DoNotOptimize(R);
     if (!R) {
       State.SkipWithError("probe key missing; store broken?");
       break;
     }
-    Shards = Mapped->numShards();
-    Materialized = Mapped->shardsMaterialized();
+    Shards = Reader->numShards();
+    Materialized = Reader->shardsMaterialized();
   }
   State.counters["shards"] = static_cast<double>(Shards);
   State.counters["shards_touched"] = static_cast<double>(Materialized);
   std::remove(Path.c_str());
   std::remove((Path + ".lock").c_str());
 }
-BENCHMARK(BM_StoreMappedProbe);
+BENCHMARK(BM_StoreReaderProbe);
 
-/// The eager path the mapped view replaces for single-module consumers:
-/// checksum-verify and parse the entire store into an in-memory map.
+/// VerdictStore::load(), the strict fold over the same reader that
+/// merge-on-save and offline merges use: checksum-verify and parse the
+/// entire store into an in-memory map.
 void BM_StoreFullLoad(benchmark::State &State) {
   const uint64_t Digest = 0xd19e57;
   VerdictKey Probe;

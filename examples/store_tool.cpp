@@ -19,12 +19,11 @@
 //       union). Earlier inputs win per key. Exit 0 on success.
 //
 //   $ ./store_tool --stats PATH...
-//       Per-shard occupancy of each v3 store: entries, triage entries,
+//       Per-shard occupancy of each store: entries, triage entries,
 //       payload bytes and checksum health per shard, plus the index-level
 //       totals — the view that answers "is one module's shard hogging the
-//       file" and "which shard did the corruption hit". A v2 store reports
-//       its totals with a no-shards note. Exit 0 iff every file (and every
-//       shard) is healthy.
+//       file" and "which shard did the corruption hit". Exit 0 iff every
+//       file (and every shard) is healthy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,16 +120,6 @@ int stats(const std::vector<std::string> &Paths) {
     VerdictStore::HeaderInfo HI;
     std::vector<VerdictStore::ShardStats> Shards =
         VerdictStore::peekShards(P, &HI);
-    if (HI.Status == VerdictStore::LoadStatus::Loaded && Shards.empty()) {
-      std::printf("%s: v%u digest %016llx verdicts %llu triage %llu "
-                  "(%llu bytes, flat payload — no shards)\n",
-                  P.c_str(), HI.Version,
-                  static_cast<unsigned long long>(HI.ConfigDigest),
-                  static_cast<unsigned long long>(HI.VerdictEntries),
-                  static_cast<unsigned long long>(HI.TriageEntries),
-                  static_cast<unsigned long long>(HI.FileBytes));
-      continue;
-    }
     if (Shards.empty()) {
       std::printf("%s: %s%s%s\n", P.c_str(), statusName(HI.Status),
                   HI.Message.empty() ? "" : " — ", HI.Message.c_str());

@@ -196,6 +196,7 @@ if [ "$MODE" = serve ]; then
   run_client --suite sqlite,hmmer --quiet --expect-warm
   run_client --shutdown --quiet
   wait "$DAEMON"
+  DAEMON=""
 
   # Warm restart: the checkpointed store must make the new daemon serve a
   # 100% warm replay, byte-identical to the batch path over the same store.
@@ -204,6 +205,7 @@ if [ "$MODE" = serve ]; then
     --json "$DIR/served_warm.json"
   run_client --shutdown --quiet
   wait "$DAEMON"
+  DAEMON=""
 
   cp "$STORE" "$DIR/batch.vstore"
   rc=0
@@ -312,6 +314,7 @@ open(sys.argv[2], "wb").write(body)
 EOF
   run_client "$DIR/s.sock" --shutdown --quiet
   wait "$DAEMON"
+  DAEMON=""
   python3 "$REPO_ROOT/scripts/check_obs.py" prom "$DIR/server.prom"
   grep -q '^llvmmd_server_jobs_completed_total ' "$DIR/server.prom"
   grep -q '^llvmmd_server_queue_wait_us_count ' "$DIR/server.prom"
@@ -444,6 +447,7 @@ if [ "$MODE" = fleet ]; then
 
   run_client --shutdown --quiet
   wait "$ROUTER"
+  ROUTER=""
 
   # The drain merged the shards into the base store; store_tool must agree
   # they are loadable, and an offline union of the shards alone must also
@@ -460,6 +464,7 @@ if [ "$MODE" = fleet ]; then
     --json "$DIR/served_warm.json"
   run_client --shutdown --quiet
   wait "$ROUTER"
+  ROUTER=""
 
   cp "$STORE" "$DIR/batch.vstore"
   rc=0
@@ -529,6 +534,7 @@ if [ "$MODE" = llvm ]; then
     --quiet --json "$DIR/server.json"
   "$BUILD_DIR/validate_client" --connect "$DIR/s.sock" --shutdown --quiet
   wait "$DAEMON"
+  DAEMON=""
   cmp "$DIR/batch.json" "$DIR/server.json"
 
   "$BUILD_DIR/validate_fleet" --listen "$DIR/f.sock" --workers 2 --quiet &

@@ -161,7 +161,7 @@ struct ValidationEngine::BatchState {
     size_t Fn;
     int Step;
     ValidationResult Result;
-    /// Replayed from a store-loaded entry (proven by a prior process).
+    /// Replayed from the persistent store (proven by a prior process).
     bool Warm = false;
   };
   std::vector<CachedLanding> Cached;
@@ -207,8 +207,23 @@ struct ValidationEngine::ModuleRunState {
 
 ValidationEngine::ValidationEngine(EngineConfig Config)
     : Cfg(std::move(Config)), Pool(Cfg.Threads) {
-  if (!Cfg.CachePath.empty() && Cfg.CacheLoad)
-    loadCache();
+  if (Cfg.CachePath.empty() || !Cfg.CacheLoad)
+    return;
+  PhaseTimer Timer;
+  TraceSpan Span("store_load", "store", Cfg.CachePath);
+  VerdictStore::LoadResult LR;
+  Store = VerdictStoreReader::open(Cfg.CachePath, storeConfigDigest(), &LR);
+  Stats.StoreLoadMicroseconds += Timer.elapsedUs();
+  if (Store) {
+    Stats.StoreLoaded = Store->verdictEntriesInFile();
+    Stats.TriageStoreLoaded = Store->triageEntriesInFile();
+  } else if (LR.Status != VerdictStore::LoadStatus::NoFile) {
+    // Rejections (as opposed to a simply absent store) are safe — the
+    // store will be rebuilt — but must be diagnosable: a silently-empty
+    // cache surfaces later as a baffling sub-100% replay rate.
+    logWarn("engine", "verdict store '" + Cfg.CachePath +
+                          "' rejected, rebuilding: " + LR.Message);
+  }
 }
 
 ValidationEngine::~ValidationEngine() = default;
@@ -216,6 +231,7 @@ ValidationEngine::~ValidationEngine() = default;
 void ValidationEngine::clearCache() {
   Cache.clear();
   TriageCache.clear();
+  Store.reset();
   Stats.Entries = 0;
   CacheDirty = false;
 }
@@ -224,52 +240,13 @@ uint64_t ValidationEngine::storeConfigDigest() const {
   return verdictStoreConfigDigest(Cfg.Rules);
 }
 
-VerdictStore::LoadResult ValidationEngine::loadCache() {
-  PhaseTimer Timer;
-  TraceSpan Span("store_load", "store", Cfg.CachePath);
-  VerdictMap Loaded;
-  TriageMap LoadedTriage;
-  VerdictStore::LoadResult LR = VerdictStore::load(
-      Cfg.CachePath, storeConfigDigest(), Loaded, &LoadedTriage);
-  Stats.StoreLoadMicroseconds += Timer.elapsedUs();
-  if (!LR.loaded()) {
-    // Rejections (as opposed to a simply absent store) are safe — the
-    // store will be rebuilt — but must be diagnosable: a silently-empty
-    // cache surfaces later as a baffling sub-100% replay rate.
-    if (LR.Status != VerdictStore::LoadStatus::NoFile)
-      logWarn("engine", "verdict store '" + Cfg.CachePath +
-                            "' rejected, rebuilding: " + LR.Message);
-    return LR;
-  }
-  LR.EntriesMerged = 0;
-  for (auto &KV : Loaded)
-    if (Cache.emplace(KV.first, CachedVerdict{std::move(KV.second), true})
-            .second)
-      ++LR.EntriesMerged;
-  for (auto &KV : LoadedTriage)
-    if (TriageCache.emplace(KV.first, CachedTriage{std::move(KV.second), true})
-            .second)
-      ++Stats.TriageStoreLoaded;
-  Stats.StoreLoaded += LR.EntriesMerged;
-  Stats.Entries = Cache.size();
-  return LR;
-}
-
 bool ValidationEngine::saveCache(std::string *Error) {
   PhaseTimer Timer;
   TraceSpan Span("store_save", "store", Cfg.CachePath);
-  VerdictMap Out;
-  Out.reserve(Cache.size());
-  for (const auto &KV : Cache)
-    Out.emplace(KV.first, KV.second.Result);
-  TriageMap TriageOut;
-  TriageOut.reserve(TriageCache.size());
-  for (const auto &KV : TriageCache)
-    TriageOut.emplace(KV.first, KV.second.Stored);
   std::string LocalError;
-  uint64_t Written = VerdictStore::save(Cfg.CachePath, storeConfigDigest(),
-                                        Out, Error ? Error : &LocalError,
-                                        /*MergeExisting=*/true, &TriageOut);
+  uint64_t Written = VerdictStore::save(
+      Cfg.CachePath, storeConfigDigest(), Cache, Error ? Error : &LocalError,
+      /*MergeExisting=*/true, &TriageCache);
   if (Written == ~0ull) {
     // A swallowed save failure would resurface later as a baffling
     // "replay rate < 100%" on the next warm run; make the I/O error loud
@@ -302,13 +279,15 @@ std::vector<std::pair<unsigned, size_t>> ValidationEngine::resolveTriageCache(
                  hashCombine(Digests[Mi], OptionDigests[Mi])};
     if (Cfg.UseCache) {
       auto It = TriageCache.find(Key);
+      const StoredTriage *Hit = It != TriageCache.end() ? &It->second
+                                : Store ? Store->lookupTriage(Key)
+                                        : nullptr;
       // Digest equality re-checked as defense in depth against a
       // hashCombine collision: a mismatched entry is inert, never wrong.
-      if (It != TriageCache.end() &&
-          It->second.Stored.OptionsDigest == OptionDigests[Mi]) {
-        E.Triage = It->second.Stored.Result;
+      if (Hit && Hit->OptionsDigest == OptionDigests[Mi]) {
+        E.Triage = Hit->Result;
         ++Stats.TriageHits;
-        Stats.TriageWarmHits += It->second.FromStore;
+        Stats.TriageWarmHits += It == TriageCache.end();
         continue;
       }
     }
@@ -329,8 +308,7 @@ void ValidationEngine::memoizeTriage(
     const FunctionReportEntry &E = Reports[Mi]->Functions[Fi];
     CacheKey Key{E.FingerprintOrig, E.FingerprintOpt,
                  hashCombine(Digests[Mi], OptionDigests[Mi])};
-    TriageCache[Key] =
-        CachedTriage{StoredTriage{OptionDigests[Mi], E.Triage}, false};
+    TriageCache[Key] = StoredTriage{OptionDigests[Mi], E.Triage};
   }
   CacheDirty |= !Tasks.empty();
 }
@@ -343,11 +321,14 @@ void ValidationEngine::scheduleValidation(BatchState &B, unsigned Mod,
   CacheKey Key{FpA, FpB, B.ConfigDigests[Mod]};
   if (Cfg.UseCache) {
     auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      B.Cached.push_back(
-          {Mod, Fn, Step, It->second.Result, It->second.FromStore});
+    bool Warm = It == Cache.end();
+    const ValidationResult *Hit = !Warm ? &It->second
+                                  : Store ? Store->lookup(Key)
+                                          : nullptr;
+    if (Hit) {
+      B.Cached.push_back({Mod, Fn, Step, *Hit, Warm});
       ++Stats.Hits;
-      Stats.WarmHits += It->second.FromStore;
+      Stats.WarmHits += Warm;
       return;
     }
   }
@@ -402,7 +383,7 @@ void ValidationEngine::executeBatch(
 
   if (Cfg.UseCache) {
     for (const PairJob &Job : B.Jobs)
-      Cache.emplace(Job.Key, CachedVerdict{Job.Result, false});
+      Cache.emplace(Job.Key, Job.Result);
     Stats.Entries = Cache.size();
     CacheDirty |= !B.Jobs.empty();
   }

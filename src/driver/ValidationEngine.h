@@ -81,9 +81,10 @@ struct EngineConfig {
   /// Path of the persistent verdict store (VerdictStore format). Empty
   /// keeps the cache in-memory only.
   std::string CachePath;
-  /// With CachePath set: merge the store into the cache at construction. A
-  /// store whose magic/version/config digest mismatches is rejected and the
-  /// cache starts empty (the store will be rebuilt on save).
+  /// With CachePath set: open the store at construction and replay its
+  /// verdicts on lookup. A store whose magic/version/config digest
+  /// mismatches is rejected and the run starts cold (the store will be
+  /// rebuilt on save).
   bool CacheLoad = true;
   /// With CachePath set: save the cache back (atomically, merging the
   /// current on-disk contents) after every run that memoized new verdicts.
@@ -96,24 +97,26 @@ struct EngineConfig {
 };
 
 struct EngineCacheStats {
-  uint64_t Hits = 0;   ///< verdicts replayed (cache or duplicate in batch)
-  /// The subset of Hits replayed from entries the persistent store
-  /// contributed ("warm"); Hits - WarmHits were proven by this process
-  /// ("cold" in-memory hits and in-batch duplicates).
+  uint64_t Hits = 0;   ///< verdicts replayed (cache, store or batch dedup)
+  /// The subset of Hits read from the persistent store ("warm"); Hits -
+  /// WarmHits were proven by this process ("cold" in-memory hits and
+  /// in-batch duplicates).
   uint64_t WarmHits = 0;
   uint64_t Misses = 0; ///< pairs validated from scratch
   uint64_t SkippedIdentical = 0; ///< fingerprint-equal pairs, skipped O(1)
-  uint64_t Entries = 0;          ///< memoized verdicts currently held
-  uint64_t StoreLoaded = 0; ///< entries merged in from the persistent store
-  uint64_t StoreSaved = 0;  ///< entries written by the most recent save
+  uint64_t Entries = 0; ///< verdicts this engine proved and memoized
+  /// Verdict entries in the store opened at construction (its index total);
+  /// they are read lazily, per shard, on lookup.
+  uint64_t StoreLoaded = 0;
+  uint64_t StoreSaved = 0; ///< entries written by the most recent save
   /// Triage replay accounting, mirroring the verdict fields: rejected pairs
-  /// whose TriageResult was replayed from the in-memory triage cache
-  /// (TriageHits; TriageWarmHits of those came from the persistent store)
-  /// vs re-interpreted from scratch (TriageMisses).
+  /// whose TriageResult was replayed (TriageHits; TriageWarmHits of those
+  /// came from the persistent store) vs re-interpreted from scratch
+  /// (TriageMisses).
   uint64_t TriageHits = 0;
   uint64_t TriageWarmHits = 0;
   uint64_t TriageMisses = 0;
-  uint64_t TriageStoreLoaded = 0; ///< triage entries merged from the store
+  uint64_t TriageStoreLoaded = 0; ///< triage entries in the opened store
   /// Phase wall-time accounting, accumulated across runs (microseconds).
   /// Telemetry only — these numbers never feed verdict-bearing report
   /// fields (suite JSON exposes them solely behind IncludeTiming).
@@ -122,7 +125,7 @@ struct EngineCacheStats {
   uint64_t StepwiseMicroseconds = 0;  ///< stepwise synthesis + attribution
   uint64_t TriageMicroseconds = 0;    ///< differential/reduce/attribute
   uint64_t RevertMicroseconds = 0;    ///< failure revert re-cloning
-  uint64_t StoreLoadMicroseconds = 0; ///< verdict store load
+  uint64_t StoreLoadMicroseconds = 0; ///< verdict store open
   uint64_t StoreSaveMicroseconds = 0; ///< verdict store checkpoint/save
   /// Per-pass optimize wall time (pass name → accumulated microseconds),
   /// populated in stepwise granularity where passes run individually; the
@@ -185,6 +188,8 @@ public:
   const RuleConfig &getRules() const { return Cfg.Rules; }
 
   const EngineCacheStats &cacheStats() const { return Stats; }
+  /// Forgets every memoized verdict and closes the store: later runs start
+  /// cold.
   void clearCache();
   unsigned getThreadCount() const { return Pool.getThreadCount(); }
 
@@ -198,15 +203,10 @@ public:
   /// here).
   uint64_t storeConfigDigest() const;
 
-  /// Merges the store at Cfg.CachePath into the verdict cache; entries the
-  /// engine already proved keep their in-memory verdict. Called by the
-  /// constructor when CachePath is set and CacheLoad is on; callable again
-  /// to pick up verdicts other processes saved meanwhile.
-  VerdictStore::LoadResult loadCache();
-
-  /// Atomically saves the verdict cache to Cfg.CachePath, merging the
-  /// current on-disk contents. Called automatically after every run that
-  /// memoized new verdicts (when CachePath is set and CacheSave is on).
+  /// Atomically saves the verdicts this engine proved to Cfg.CachePath,
+  /// merging the current on-disk contents. Called automatically after
+  /// every run that memoized new verdicts (when CachePath is set and
+  /// CacheSave is on).
   bool saveCache(std::string *Error = nullptr);
 
 private:
@@ -218,21 +218,6 @@ private:
   /// modules may differ).
   using CacheKey = VerdictKey;
   using CacheKeyHash = VerdictKeyHash;
-
-  /// One memoized verdict plus its provenance: FromStore marks entries the
-  /// persistent store contributed, so replays can be attributed warm (prior
-  /// process) vs cold (this process).
-  struct CachedVerdict {
-    ValidationResult Result;
-    bool FromStore = false;
-  };
-
-  /// One memoized triage outcome (same key space as verdicts, plus the
-  /// options digest the stored entry was computed under).
-  struct CachedTriage {
-    StoredTriage Stored;
-    bool FromStore = false;
-  };
 
   /// A scheduled validation: a unique, uncached (original, optimized) pair
   /// of module \p Mod within the current batch.
@@ -265,9 +250,10 @@ private:
   /// the current rule configuration.
   uint64_t cacheConfigDigest(const Module &OrigModule) const;
 
-  /// Resolves the pair against the cache / in-batch duplicates or appends a
-  /// job; the verdict will land in module \p Mod's report at function
-  /// \p Fn (step \p Step, or the whole-pipeline slot when \p Step is -1).
+  /// Resolves the pair against the cache, the store and in-batch
+  /// duplicates or appends a job; the verdict will land in module \p Mod's
+  /// report at function \p Fn (step \p Step, or the whole-pipeline slot
+  /// when \p Step is -1).
   void scheduleValidation(BatchState &B, unsigned Mod, uint64_t FpA,
                           uint64_t FpB, const Function *A,
                           const Function *OptF, size_t Fn, int Step);
@@ -309,8 +295,13 @@ private:
 
   EngineConfig Cfg;
   ThreadPool Pool;
-  std::unordered_map<CacheKey, CachedVerdict, CacheKeyHash> Cache;
-  std::unordered_map<CacheKey, CachedTriage, CacheKeyHash> TriageCache;
+  /// Only verdicts and triage results this process proved; the store's
+  /// entries are served by Store, never copied in.
+  VerdictMap Cache;
+  TriageMap TriageCache;
+  /// The store at Cfg.CachePath, opened at construction; null when there
+  /// is none, it was rejected, or the cache was cleared.
+  std::unique_ptr<VerdictStoreReader> Store;
   EngineCacheStats Stats;
   /// New verdicts or triage results were memoized since the last save;
   /// gates save-on-report so replay-only runs don't rewrite an unchanged

@@ -50,10 +50,7 @@
 //                reduced orig, reduced opt, gap node a, gap node b,
 //                missing rule
 //
-// v2 (still read, rewritten as v3 on the next save) was one flat payload:
-// the same header magic/version, then u32 reserved, u64 config digest,
-// u64 entry count, u64 payload hash, the verdict entries, a u64 triage
-// count, and the triage entries — all behind a single whole-payload hash.
+// Any other format version is rejected as BadVersion and rebuilt on save.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,17 +58,16 @@
 
 #include "normalize/Rules.h"
 #include "support/Hashing.h"
+#include "support/Log.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #ifndef _WIN32
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -93,10 +89,9 @@ uint64_t llvmmd::verdictStoreConfigDigest(const RuleConfig &Rules) {
 namespace {
 
 constexpr uint64_t StoreMagic = 0x0152545356444d4cULL; // "LMDVSTR\x01" LE
-constexpr uint32_t LegacyVersion2 = 2;
 // magic + version + shard count + digest + verdict total + triage total +
 // index hash.
-constexpr size_t HeaderSizeV3 = 8 + 4 + 4 + 8 + 8 + 8 + 8;
+constexpr size_t HeaderSize = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 constexpr size_t IndexRecordSize = 8 + 8 + 8 + 8 + 8;
 
 size_t alignToPage(size_t N) {
@@ -267,10 +262,12 @@ bool readEntry(const char *Data, size_t Size, size_t &Cur, VerdictKey &K,
 
 /// Parses one shard payload: \p VerdictCount entries, then \p TriageCount
 /// triage entries, nothing else. The caller has already verified the hash.
+/// Every entry is over 64 bytes, so the reservations are bounded by the
+/// payload size even when the index's counts lie.
 bool parseShardPayload(const char *Data, size_t Size, uint64_t VerdictCount,
                        uint64_t TriageCount, VerdictMap &V, TriageMap &T) {
   size_t Cur = 0;
-  V.reserve(V.size() + static_cast<size_t>(VerdictCount));
+  V.reserve(V.size() + std::min<size_t>(VerdictCount, Size / 64));
   for (uint64_t I = 0; I < VerdictCount; ++I) {
     VerdictKey K;
     ValidationResult R;
@@ -278,7 +275,7 @@ bool parseShardPayload(const char *Data, size_t Size, uint64_t VerdictCount,
       return false;
     V.emplace(K, std::move(R));
   }
-  T.reserve(T.size() + static_cast<size_t>(TriageCount));
+  T.reserve(T.size() + std::min<size_t>(TriageCount, Size / 64));
   for (uint64_t I = 0; I < TriageCount; ++I) {
     VerdictKey K;
     StoredTriage ST;
@@ -289,65 +286,6 @@ bool parseShardPayload(const char *Data, size_t Size, uint64_t VerdictCount,
   return Cur == Size;
 }
 
-/// The whole file, mmap'd read-only when the platform allows it and read
-/// into memory otherwise. Either way `data()/size()` view the full bytes;
-/// with mmap the kernel faults pages in only as they are touched, which is
-/// what makes the lazy MappedVerdictStore O(pages touched).
-class FileBuffer {
-public:
-  FileBuffer() = default;
-  FileBuffer(const FileBuffer &) = delete;
-  FileBuffer &operator=(const FileBuffer &) = delete;
-  ~FileBuffer() {
-#ifndef _WIN32
-    if (Mapped)
-      ::munmap(Mapped, Size);
-#endif
-  }
-
-  /// False only when the file cannot be opened (the NoFile case).
-  bool open(const std::string &Path) {
-#ifndef _WIN32
-    int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (Fd < 0)
-      return false;
-    off_t End = ::lseek(Fd, 0, SEEK_END);
-    if (End > 0) {
-      void *M = ::mmap(nullptr, static_cast<size_t>(End), PROT_READ,
-                       MAP_PRIVATE, Fd, 0);
-      if (M != MAP_FAILED) {
-        Mapped = M;
-        Data = static_cast<const char *>(M);
-        Size = static_cast<size_t>(End);
-        ::close(Fd);
-        return true;
-      }
-    }
-    ::close(Fd);
-#endif
-    std::ifstream In(Path, std::ios::binary);
-    if (!In)
-      return false;
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Owned = SS.str();
-    Data = Owned.data();
-    Size = Owned.size();
-    return true;
-  }
-
-  const char *data() const { return Data; }
-  size_t size() const { return Size; }
-
-private:
-  const char *Data = nullptr;
-  size_t Size = 0;
-  std::string Owned;
-#ifndef _WIN32
-  void *Mapped = nullptr;
-#endif
-};
-
 struct ShardRecord {
   uint64_t Offset = 0;
   uint64_t Bytes = 0;
@@ -355,177 +293,6 @@ struct ShardRecord {
   uint64_t TriageCount = 0;
   uint64_t PayloadHash = 0;
 };
-
-struct StoreIndex {
-  uint64_t ConfigDigest = 0;
-  uint64_t VerdictTotal = 0;
-  uint64_t TriageTotal = 0;
-  std::vector<ShardRecord> Shards;
-};
-
-/// Reads the magic and version. Returns Loaded when \p Version is one this
-/// build can read (the caller dispatches), an error status otherwise.
-VerdictStore::LoadStatus readMagicAndVersion(const char *Data, size_t Size,
-                                             const std::string &Path,
-                                             uint32_t &Version,
-                                             std::string &Message) {
-  size_t Cur = 0;
-  uint64_t Magic = 0;
-  if (!readU64LE(Data, Size, Cur, Magic) ||
-      !readU32LE(Data, Size, Cur, Version)) {
-    Message = "truncated header";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  if (Magic != StoreMagic) {
-    Message = "'" + Path + "' is not a verdict store";
-    return VerdictStore::LoadStatus::BadMagic;
-  }
-  if (Version != VerdictStore::FormatVersion && Version != LegacyVersion2) {
-    Message = "format version " + std::to_string(Version) +
-              " (this build reads " +
-              std::to_string(VerdictStore::FormatVersion) + " and " +
-              std::to_string(LegacyVersion2) + ")";
-    return VerdictStore::LoadStatus::BadVersion;
-  }
-  return VerdictStore::LoadStatus::Loaded;
-}
-
-/// Parses and validates a v3 header + shard index (magic/version already
-/// read): index hash, canonical offsets, exact file size, count totals.
-/// Everything here is O(index); shard payload hashes are NOT checked.
-VerdictStore::LoadStatus parseV3Index(const char *Data, size_t Size,
-                                      StoreIndex &Idx, std::string &Message) {
-  size_t Cur = 8 + 4; // past magic + version
-  uint32_t ShardCount = 0;
-  uint64_t IndexHash = 0;
-  if (!readU32LE(Data, Size, Cur, ShardCount) ||
-      !readU64LE(Data, Size, Cur, Idx.ConfigDigest) ||
-      !readU64LE(Data, Size, Cur, Idx.VerdictTotal) ||
-      !readU64LE(Data, Size, Cur, Idx.TriageTotal) ||
-      !readU64LE(Data, Size, Cur, IndexHash)) {
-    Message = "truncated header";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  if (ShardCount == 0 || ShardCount > (1u << 20) ||
-      Size - Cur < static_cast<size_t>(ShardCount) * IndexRecordSize) {
-    Message = "truncated shard index";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  if (hashBytes(Data + Cur, ShardCount * IndexRecordSize) != IndexHash) {
-    Message = "shard index checksum mismatch";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  Idx.Shards.resize(ShardCount);
-  for (ShardRecord &S : Idx.Shards) {
-    readU64LE(Data, Size, Cur, S.Offset);
-    readU64LE(Data, Size, Cur, S.Bytes);
-    readU64LE(Data, Size, Cur, S.VerdictCount);
-    readU64LE(Data, Size, Cur, S.TriageCount);
-    readU64LE(Data, Size, Cur, S.PayloadHash);
-  }
-  // The layout is canonical; anything off-pattern did not come from this
-  // writer and is rejected rather than interpreted.
-  uint64_t VerdictSum = 0, TriageSum = 0;
-  size_t Expect = alignToPage(Cur);
-  for (const ShardRecord &S : Idx.Shards) {
-    if (S.Offset != Expect || S.Offset > Size || S.Bytes > Size - S.Offset) {
-      Message = "shard index out of bounds";
-      return VerdictStore::LoadStatus::Corrupt;
-    }
-    Expect = alignToPage(S.Offset + S.Bytes);
-    VerdictSum += S.VerdictCount;
-    TriageSum += S.TriageCount;
-  }
-  const ShardRecord &Last = Idx.Shards.back();
-  if (Last.Offset + Last.Bytes != Size) {
-    Message = "file size does not match the shard index";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  if (VerdictSum != Idx.VerdictTotal || TriageSum != Idx.TriageTotal) {
-    Message = "entry totals do not match the shard index";
-    return VerdictStore::LoadStatus::Corrupt;
-  }
-  return VerdictStore::LoadStatus::Loaded;
-}
-
-/// Full v2 flat-payload parse (magic/version already read). Kept verbatim
-/// from the v2 reader so old stores keep loading byte-for-byte.
-VerdictStore::LoadResult loadV2(const char *Data, size_t Size,
-                                uint64_t ConfigDigest, VerdictMap &Map,
-                                TriageMap *Triage) {
-  VerdictStore::LoadResult LR;
-  size_t Cur = 8 + 4; // past magic + version
-  uint64_t FileDigest = 0, Count = 0, PayloadHash = 0;
-  uint32_t Reserved = 0;
-  if (!readU32LE(Data, Size, Cur, Reserved) ||
-      !readU64LE(Data, Size, Cur, FileDigest) ||
-      !readU64LE(Data, Size, Cur, Count) ||
-      !readU64LE(Data, Size, Cur, PayloadHash)) {
-    LR.Status = VerdictStore::LoadStatus::Corrupt;
-    LR.Message = "truncated header";
-    return LR;
-  }
-  if (FileDigest != ConfigDigest) {
-    LR.Status = VerdictStore::LoadStatus::ConfigMismatch;
-    LR.Message = "store was produced under a different rule configuration";
-    return LR;
-  }
-  LR.EntriesInFile = Count;
-  if (hashBytes(Data + Cur, Size - Cur) != PayloadHash) {
-    LR.Status = VerdictStore::LoadStatus::Corrupt;
-    LR.Message = "payload checksum mismatch";
-    return LR;
-  }
-
-  // Parse into scratch maps first so a malformed payload (count lies, bad
-  // entry bounds) cannot leave Map half-merged.
-  VerdictMap Parsed;
-  Parsed.reserve(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I < Count; ++I) {
-    VerdictKey K;
-    ValidationResult R;
-    if (!readEntry(Data, Size, Cur, K, R)) {
-      LR.Status = VerdictStore::LoadStatus::Corrupt;
-      LR.Message = "truncated at entry " + std::to_string(I) + " of " +
-                   std::to_string(Count);
-      return LR;
-    }
-    Parsed.emplace(K, std::move(R));
-  }
-  uint64_t TriageCount = 0;
-  TriageMap ParsedTriage;
-  if (!readU64LE(Data, Size, Cur, TriageCount)) {
-    LR.Status = VerdictStore::LoadStatus::Corrupt;
-    LR.Message = "truncated triage section header";
-    return LR;
-  }
-  ParsedTriage.reserve(static_cast<size_t>(TriageCount));
-  for (uint64_t I = 0; I < TriageCount; ++I) {
-    VerdictKey K;
-    StoredTriage T;
-    if (!readTriageEntry(Data, Size, Cur, K, T)) {
-      LR.Status = VerdictStore::LoadStatus::Corrupt;
-      LR.Message = "truncated at triage entry " + std::to_string(I) + " of " +
-                   std::to_string(TriageCount);
-      return LR;
-    }
-    ParsedTriage.emplace(K, std::move(T));
-  }
-  if (Cur != Size) {
-    LR.Status = VerdictStore::LoadStatus::Corrupt;
-    LR.Message = "trailing bytes after last entry";
-    return LR;
-  }
-
-  for (auto &KV : Parsed)
-    if (Map.emplace(KV.first, std::move(KV.second)).second)
-      ++LR.EntriesMerged;
-  if (Triage)
-    for (auto &KV : ParsedTriage)
-      Triage->emplace(KV.first, std::move(KV.second));
-  LR.Status = VerdictStore::LoadStatus::Loaded;
-  return LR;
-}
 
 /// Advisory exclusive lock on `Path + ".lock"` held for the save's whole
 /// load-merge-rename sequence. Without it two shards could both load the
@@ -562,6 +329,233 @@ private:
 };
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// VerdictStoreReader
+//===----------------------------------------------------------------------===//
+
+struct VerdictStoreReader::Impl {
+  std::string Path;
+  std::ifstream In;
+  VerdictStore::HeaderInfo Header;
+  std::vector<ShardRecord> Index;
+  struct Shard {
+    bool Materialized = false;
+    std::string Error; ///< why the shard serves nothing; empty if healthy
+    VerdictMap V;
+    TriageMap T;
+  };
+  std::vector<Shard> Shards;
+  unsigned MaterializedCount = 0;
+
+  /// Positioned read of [Offset, Offset + Bytes); false on a short read
+  /// (with \p Out holding only what was read).
+  bool readAt(uint64_t Offset, size_t Bytes, std::string &Out) {
+    Out.resize(Bytes);
+    In.clear();
+    In.seekg(static_cast<std::streamoff>(Offset));
+    In.read(&Out[0], static_cast<std::streamsize>(Bytes));
+    Out.resize(static_cast<size_t>(In.gcount()));
+    return Out.size() == Bytes;
+  }
+
+  /// Reads and verifies the header and shard index into \p HI and Index:
+  /// magic, version, index hash, canonical offsets, exact file size
+  /// (HI.FileBytes), count totals. O(index); no shard payload is read.
+  VerdictStore::LoadStatus readIndex(VerdictStore::HeaderInfo &HI) {
+    using LoadStatus = VerdictStore::LoadStatus;
+    std::string Head;
+    readAt(0, std::min<uint64_t>(HI.FileBytes, HeaderSize), Head);
+    size_t Cur = 0;
+    uint64_t Magic = 0, IndexHash = 0;
+    if (!readU64LE(Head.data(), Head.size(), Cur, Magic) ||
+        !readU32LE(Head.data(), Head.size(), Cur, HI.Version)) {
+      HI.Message = "truncated header";
+      return LoadStatus::Corrupt;
+    }
+    if (Magic != StoreMagic) {
+      HI.Message = "'" + Path + "' is not a verdict store";
+      return LoadStatus::BadMagic;
+    }
+    if (HI.Version != VerdictStore::FormatVersion) {
+      HI.Message = "format version " + std::to_string(HI.Version) +
+                   " (this build reads " +
+                   std::to_string(VerdictStore::FormatVersion) + ")";
+      return LoadStatus::BadVersion;
+    }
+    if (!readU32LE(Head.data(), Head.size(), Cur, HI.ShardCount) ||
+        !readU64LE(Head.data(), Head.size(), Cur, HI.ConfigDigest) ||
+        !readU64LE(Head.data(), Head.size(), Cur, HI.VerdictEntries) ||
+        !readU64LE(Head.data(), Head.size(), Cur, HI.TriageEntries) ||
+        !readU64LE(Head.data(), Head.size(), Cur, IndexHash)) {
+      HI.Message = "truncated header";
+      return LoadStatus::Corrupt;
+    }
+    const size_t IndexBytes = size_t(HI.ShardCount) * IndexRecordSize;
+    std::string Raw;
+    if (HI.ShardCount == 0 || HI.ShardCount > (1u << 20) ||
+        HI.FileBytes - HeaderSize < IndexBytes ||
+        !readAt(HeaderSize, IndexBytes, Raw)) {
+      HI.Message = "truncated shard index";
+      return LoadStatus::Corrupt;
+    }
+    if (hashBytes(Raw.data(), Raw.size()) != IndexHash) {
+      HI.Message = "shard index checksum mismatch";
+      return LoadStatus::Corrupt;
+    }
+    Index.resize(HI.ShardCount);
+    Cur = 0;
+    for (ShardRecord &S : Index) {
+      readU64LE(Raw.data(), Raw.size(), Cur, S.Offset);
+      readU64LE(Raw.data(), Raw.size(), Cur, S.Bytes);
+      readU64LE(Raw.data(), Raw.size(), Cur, S.VerdictCount);
+      readU64LE(Raw.data(), Raw.size(), Cur, S.TriageCount);
+      readU64LE(Raw.data(), Raw.size(), Cur, S.PayloadHash);
+    }
+    // The layout is canonical; anything off-pattern did not come from this
+    // writer and is rejected rather than interpreted.
+    const uint64_t Size = HI.FileBytes;
+    uint64_t VerdictSum = 0, TriageSum = 0;
+    uint64_t Expect = alignToPage(HeaderSize + IndexBytes);
+    for (const ShardRecord &S : Index) {
+      if (S.Offset != Expect || S.Offset > Size || S.Bytes > Size - S.Offset) {
+        HI.Message = "shard index out of bounds";
+        return LoadStatus::Corrupt;
+      }
+      Expect = alignToPage(S.Offset + S.Bytes);
+      VerdictSum += S.VerdictCount;
+      TriageSum += S.TriageCount;
+    }
+    if (Index.back().Offset + Index.back().Bytes != Size) {
+      HI.Message = "file size does not match the shard index";
+      return LoadStatus::Corrupt;
+    }
+    if (VerdictSum != HI.VerdictEntries || TriageSum != HI.TriageEntries) {
+      HI.Message = "entry totals do not match the shard index";
+      return LoadStatus::Corrupt;
+    }
+    return LoadStatus::Loaded;
+  }
+
+  /// Reads shard \p S's payload into \p Bytes and verifies its checksum;
+  /// on failure \p Error says why.
+  bool readShard(size_t S, std::string &Bytes, std::string &Error) {
+    const ShardRecord &R = Index[S];
+    if (!readAt(R.Offset, R.Bytes, Bytes))
+      Error = "shard " + std::to_string(S) + " truncated";
+    else if (hashBytes(Bytes.data(), Bytes.size()) != R.PayloadHash)
+      Error = "shard " + std::to_string(S) + " checksum mismatch";
+    else
+      return true;
+    return false;
+  }
+
+  /// Reads, verifies and parses shard \p S the first time it is asked for.
+  /// A bad shard materializes empty with its Error set.
+  Shard &materialize(size_t S) {
+    Shard &Sh = Shards[S];
+    if (Sh.Materialized)
+      return Sh;
+    Sh.Materialized = true;
+    ++MaterializedCount;
+    const ShardRecord &R = Index[S];
+    std::string Bytes;
+    if (readShard(S, Bytes, Sh.Error) &&
+        !parseShardPayload(Bytes.data(), Bytes.size(), R.VerdictCount,
+                           R.TriageCount, Sh.V, Sh.T)) {
+      Sh.Error = "malformed shard " + std::to_string(S);
+      Sh.V.clear();
+      Sh.T.clear();
+    }
+    return Sh;
+  }
+
+  /// The shard a key with \p Config lives in, materialized. A bad shard is
+  /// a silent miss for every key in it, so say so once, when it is read.
+  const Shard &probe(uint64_t Config) {
+    size_t S = shardFor(Config, static_cast<uint32_t>(Shards.size()));
+    bool Fresh = !Shards[S].Materialized;
+    const Shard &Sh = materialize(S);
+    if (Fresh && !Sh.Error.empty())
+      logWarn("store", "verdict store '" + Path + "': " + Sh.Error +
+                           "; its verdicts will be re-proved");
+    return Sh;
+  }
+};
+
+VerdictStoreReader::VerdictStoreReader() : I(new Impl) {}
+VerdictStoreReader::~VerdictStoreReader() = default;
+
+std::unique_ptr<VerdictStoreReader>
+VerdictStoreReader::inspect(const std::string &Path,
+                            VerdictStore::HeaderInfo &HI) {
+  std::unique_ptr<VerdictStoreReader> R(new VerdictStoreReader());
+  Impl &I = *R->I;
+  I.Path = Path;
+  I.In.open(Path, std::ios::binary);
+  if (!I.In) {
+    HI.Status = VerdictStore::LoadStatus::NoFile;
+    HI.Message = "no store at '" + Path + "'";
+    return nullptr;
+  }
+  I.In.seekg(0, std::ios::end);
+  std::streamoff End = I.In.tellg();
+  HI.FileBytes = End > 0 ? static_cast<uint64_t>(End) : 0;
+  HI.Status = I.readIndex(HI);
+  if (!HI.ok())
+    return nullptr;
+  I.Header = HI;
+  I.Shards.resize(I.Index.size());
+  return R;
+}
+
+std::unique_ptr<VerdictStoreReader>
+VerdictStoreReader::open(const std::string &Path, uint64_t ConfigDigest,
+                         VerdictStore::LoadResult *Out) {
+  VerdictStore::HeaderInfo HI;
+  std::unique_ptr<VerdictStoreReader> R = inspect(Path, HI);
+  VerdictStore::LoadResult LR;
+  LR.Status = HI.Status;
+  LR.Message = HI.Message;
+  if (R && HI.ConfigDigest != ConfigDigest) {
+    LR.Status = VerdictStore::LoadStatus::ConfigMismatch;
+    LR.Message = "store was produced under a different rule configuration";
+    R.reset();
+  }
+  if (R)
+    LR.EntriesInFile = HI.VerdictEntries;
+  if (Out)
+    *Out = LR;
+  return R;
+}
+
+const ValidationResult *VerdictStoreReader::lookup(const VerdictKey &K) {
+  const Impl::Shard &S = I->probe(K.Config);
+  auto It = S.V.find(K);
+  return It == S.V.end() ? nullptr : &It->second;
+}
+
+const StoredTriage *VerdictStoreReader::lookupTriage(const VerdictKey &K) {
+  const Impl::Shard &S = I->probe(K.Config);
+  auto It = S.T.find(K);
+  return It == S.T.end() ? nullptr : &It->second;
+}
+
+unsigned VerdictStoreReader::numShards() const {
+  return static_cast<unsigned>(I->Shards.size());
+}
+
+unsigned VerdictStoreReader::shardsMaterialized() const {
+  return I->MaterializedCount;
+}
+
+uint64_t VerdictStoreReader::verdictEntriesInFile() const {
+  return I->Header.VerdictEntries;
+}
+
+uint64_t VerdictStoreReader::triageEntriesInFile() const {
+  return I->Header.TriageEntries;
+}
 
 std::string VerdictStore::serialize(uint64_t ConfigDigest,
                                     const VerdictMap &Map,
@@ -610,7 +604,7 @@ std::string VerdictStore::serialize(uint64_t ConfigDigest,
     Index[S].PayloadHash = hashBytes(P.data(), P.size());
   }
 
-  size_t Offset = alignToPage(HeaderSizeV3 + ShardCount * IndexRecordSize);
+  size_t Offset = alignToPage(HeaderSize + ShardCount * IndexRecordSize);
   for (uint32_t S = 0; S < ShardCount; ++S) {
     Index[S].Offset = Offset;
     Offset = alignToPage(Offset + Index[S].Bytes);
@@ -648,59 +642,27 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
                                             VerdictMap &Map,
                                             TriageMap *Triage) {
   LoadResult LR;
-  FileBuffer Buf;
-  if (!Buf.open(Path)) {
-    LR.Status = LoadStatus::NoFile;
-    LR.Message = "no store at '" + Path + "'";
+  std::unique_ptr<VerdictStoreReader> R =
+      VerdictStoreReader::open(Path, ConfigDigest, &LR);
+  if (!R)
     return LR;
-  }
-
-  uint32_t Version = 0;
-  LR.Status = readMagicAndVersion(Buf.data(), Buf.size(), Path, Version,
-                                  LR.Message);
-  if (LR.Status != LoadStatus::Loaded)
-    return LR;
-  if (Version == LegacyVersion2)
-    return loadV2(Buf.data(), Buf.size(), ConfigDigest, Map, Triage);
-
-  StoreIndex Idx;
-  LR.Status = parseV3Index(Buf.data(), Buf.size(), Idx, LR.Message);
-  if (LR.Status != LoadStatus::Loaded)
-    return LR;
-  if (Idx.ConfigDigest != ConfigDigest) {
-    LR.Status = LoadStatus::ConfigMismatch;
-    LR.Message = "store was produced under a different rule configuration";
-    return LR;
-  }
-  LR.EntriesInFile = Idx.VerdictTotal;
-
-  // Parse every shard into scratch maps first so a malformed one cannot
+  // Materialize every shard before merging anything, so a bad one cannot
   // leave Map half-merged.
-  VerdictMap Parsed;
-  TriageMap ParsedTriage;
-  for (size_t S = 0; S < Idx.Shards.size(); ++S) {
-    const ShardRecord &R = Idx.Shards[S];
-    const char *P = Buf.data() + R.Offset;
-    if (hashBytes(P, R.Bytes) != R.PayloadHash) {
+  auto &Shards = R->I->Shards;
+  for (size_t S = 0; S < Shards.size(); ++S)
+    if (!R->I->materialize(S).Error.empty()) {
       LR.Status = LoadStatus::Corrupt;
-      LR.Message = "shard " + std::to_string(S) + " checksum mismatch";
+      LR.Message = Shards[S].Error;
       return LR;
     }
-    if (!parseShardPayload(P, R.Bytes, R.VerdictCount, R.TriageCount, Parsed,
-                           ParsedTriage)) {
-      LR.Status = LoadStatus::Corrupt;
-      LR.Message = "malformed shard " + std::to_string(S);
-      return LR;
-    }
+  for (auto &Sh : Shards) {
+    for (auto &KV : Sh.V)
+      if (Map.emplace(KV.first, std::move(KV.second)).second)
+        ++LR.EntriesMerged;
+    if (Triage)
+      for (auto &KV : Sh.T)
+        Triage->emplace(KV.first, std::move(KV.second));
   }
-
-  for (auto &KV : Parsed)
-    if (Map.emplace(KV.first, std::move(KV.second)).second)
-      ++LR.EntriesMerged;
-  if (Triage)
-    for (auto &KV : ParsedTriage)
-      Triage->emplace(KV.first, std::move(KV.second));
-  LR.Status = LoadStatus::Loaded;
   return LR;
 }
 
@@ -711,65 +673,7 @@ std::string VerdictStore::shardPath(const std::string &BasePath,
 
 VerdictStore::HeaderInfo VerdictStore::peekHeader(const std::string &Path) {
   HeaderInfo HI;
-  FileBuffer Buf;
-  if (!Buf.open(Path)) {
-    HI.Status = LoadStatus::NoFile;
-    HI.Message = "no store at '" + Path + "'";
-    return HI;
-  }
-  HI.FileBytes = Buf.size();
-
-  HI.Status = readMagicAndVersion(Buf.data(), Buf.size(), Path, HI.Version,
-                                  HI.Message);
-  if (HI.Status != LoadStatus::Loaded)
-    return HI;
-
-  if (HI.Version == LegacyVersion2) {
-    // v2 has no per-section counts outside the payload, so counting triage
-    // entries needs the full walk; reuse the loader (any digest accepted —
-    // read it out of the header first).
-    size_t Cur = 8 + 4;
-    uint32_t Reserved = 0;
-    if (!readU32LE(Buf.data(), Buf.size(), Cur, Reserved) ||
-        !readU64LE(Buf.data(), Buf.size(), Cur, HI.ConfigDigest)) {
-      HI.Status = LoadStatus::Corrupt;
-      HI.Message = "truncated header";
-      return HI;
-    }
-    VerdictMap Scratch;
-    TriageMap ScratchTriage;
-    LoadResult LR = load(Path, HI.ConfigDigest, Scratch, &ScratchTriage);
-    if (!LR.loaded()) {
-      HI.Status = LR.Status;
-      HI.Message = LR.Message;
-      return HI;
-    }
-    HI.VerdictEntries = LR.EntriesInFile;
-    HI.TriageEntries = ScratchTriage.size();
-    HI.Status = LoadStatus::Loaded;
-    return HI;
-  }
-
-  StoreIndex Idx;
-  HI.Status = parseV3Index(Buf.data(), Buf.size(), Idx, HI.Message);
-  if (HI.Status != LoadStatus::Loaded)
-    return HI;
-  // Counts come straight from the verified index — no entry is parsed —
-  // but inspection stays honest about damage: every shard checksum is
-  // still verified (a pure hash pass, no allocation).
-  for (size_t S = 0; S < Idx.Shards.size(); ++S) {
-    const ShardRecord &R = Idx.Shards[S];
-    if (hashBytes(Buf.data() + R.Offset, R.Bytes) != R.PayloadHash) {
-      HI.Status = LoadStatus::Corrupt;
-      HI.Message = "shard " + std::to_string(S) + " checksum mismatch";
-      return HI;
-    }
-  }
-  HI.ShardCount = static_cast<uint32_t>(Idx.Shards.size());
-  HI.ConfigDigest = Idx.ConfigDigest;
-  HI.VerdictEntries = Idx.VerdictTotal;
-  HI.TriageEntries = Idx.TriageTotal;
-  HI.Status = LoadStatus::Loaded;
+  peekShards(Path, &HI);
   return HI;
 }
 
@@ -777,60 +681,22 @@ std::vector<VerdictStore::ShardStats>
 VerdictStore::peekShards(const std::string &Path, HeaderInfo *Info) {
   HeaderInfo HI;
   std::vector<ShardStats> Out;
-  FileBuffer Buf;
-  if (!Buf.open(Path)) {
-    HI.Status = LoadStatus::NoFile;
-    HI.Message = "no store at '" + Path + "'";
-    if (Info)
-      *Info = HI;
-    return Out;
-  }
-  HI.FileBytes = Buf.size();
-
-  HI.Status = readMagicAndVersion(Buf.data(), Buf.size(), Path, HI.Version,
-                                  HI.Message);
-  if (HI.Status == LoadStatus::Loaded && HI.Version == LegacyVersion2) {
-    // v2 is one flat payload: nothing shard-shaped to report. The header
-    // info still comes back (via the full-walk peek) so callers can say
-    // "v2, N entries, no shards" instead of failing.
-    HI = peekHeader(Path);
-    if (Info)
-      *Info = HI;
-    return Out;
-  }
-  if (HI.Status != LoadStatus::Loaded) {
-    if (Info)
-      *Info = HI;
-    return Out;
-  }
-
-  StoreIndex Idx;
-  HI.Status = parseV3Index(Buf.data(), Buf.size(), Idx, HI.Message);
-  if (HI.Status != LoadStatus::Loaded) {
-    if (Info)
-      *Info = HI;
-    return Out;
-  }
-  HI.ShardCount = static_cast<uint32_t>(Idx.Shards.size());
-  HI.ConfigDigest = Idx.ConfigDigest;
-  HI.VerdictEntries = Idx.VerdictTotal;
-  HI.TriageEntries = Idx.TriageTotal;
-
-  Out.reserve(Idx.Shards.size());
-  for (const ShardRecord &R : Idx.Shards) {
-    ShardStats S;
-    S.Offset = R.Offset;
-    S.Bytes = R.Bytes;
-    S.VerdictEntries = R.VerdictCount;
-    S.TriageEntries = R.TriageCount;
-    S.ChecksumOk = hashBytes(Buf.data() + R.Offset, R.Bytes) == R.PayloadHash;
-    if (!S.ChecksumOk) {
-      HI.Status = LoadStatus::Corrupt;
-      if (HI.Message.empty())
-        HI.Message = "shard " + std::to_string(&R - Idx.Shards.data()) +
-                     " checksum mismatch";
+  if (std::unique_ptr<VerdictStoreReader> R =
+          VerdictStoreReader::inspect(Path, HI)) {
+    // Counts come straight from the verified index — no entry is parsed —
+    // but every shard checksum is still verified.
+    const std::vector<ShardRecord> &Index = R->I->Index;
+    Out.reserve(Index.size());
+    for (size_t S = 0; S < Index.size(); ++S) {
+      std::string Bytes, Error;
+      bool Ok = R->I->readShard(S, Bytes, Error);
+      if (!Ok && HI.ok()) {
+        HI.Status = LoadStatus::Corrupt;
+        HI.Message = Error;
+      }
+      Out.push_back({Index[S].Offset, Index[S].Bytes, Index[S].VerdictCount,
+                     Index[S].TriageCount, Ok});
     }
-    Out.push_back(S);
   }
   if (Info)
     *Info = HI;
@@ -918,124 +784,4 @@ uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
     }
   }
   return static_cast<uint64_t>(ToWrite->size());
-}
-
-//===----------------------------------------------------------------------===//
-// MappedVerdictStore
-//===----------------------------------------------------------------------===//
-
-struct MappedVerdictStore::Impl {
-  FileBuffer Buf;
-  StoreIndex Idx;
-  struct Shard {
-    bool Materialized = false;
-    VerdictMap V;
-    TriageMap T;
-  };
-  std::vector<Shard> Shards;
-  unsigned MaterializedCount = 0;
-
-  Shard &shardFor(uint64_t Config) {
-    uint32_t S = Idx.Shards.empty()
-                     ? 0
-                     : ::shardFor(Config,
-                                  static_cast<uint32_t>(Idx.Shards.size()));
-    Shard &Sh = Shards[S];
-    if (Sh.Materialized)
-      return Sh;
-    Sh.Materialized = true;
-    ++MaterializedCount;
-    if (!Idx.Shards.empty()) {
-      const ShardRecord &R = Idx.Shards[S];
-      const char *P = Buf.data() + R.Offset;
-      // A shard that fails its checksum (or structure) materializes as
-      // empty: lookups miss and the caller re-proves — wasted work, never
-      // a wrong answer.
-      if (hashBytes(P, R.Bytes) == R.PayloadHash &&
-          !parseShardPayload(P, R.Bytes, R.VerdictCount, R.TriageCount, Sh.V,
-                             Sh.T)) {
-        Sh.V.clear();
-        Sh.T.clear();
-      }
-    }
-    return Sh;
-  }
-};
-
-MappedVerdictStore::MappedVerdictStore() : I(new Impl) {}
-MappedVerdictStore::~MappedVerdictStore() = default;
-
-std::unique_ptr<MappedVerdictStore>
-MappedVerdictStore::open(const std::string &Path, uint64_t ConfigDigest,
-                         VerdictStore::LoadResult *Out) {
-  VerdictStore::LoadResult LR;
-  std::unique_ptr<MappedVerdictStore> M(new MappedVerdictStore());
-  Impl &I = *M->I;
-  auto Fail = [&]() -> std::unique_ptr<MappedVerdictStore> {
-    if (Out)
-      *Out = LR;
-    return nullptr;
-  };
-
-  if (!I.Buf.open(Path)) {
-    LR.Status = VerdictStore::LoadStatus::NoFile;
-    LR.Message = "no store at '" + Path + "'";
-    return Fail();
-  }
-  uint32_t Version = 0;
-  LR.Status = readMagicAndVersion(I.Buf.data(), I.Buf.size(), Path, Version,
-                                  LR.Message);
-  if (LR.Status != VerdictStore::LoadStatus::Loaded)
-    return Fail();
-
-  if (Version == LegacyVersion2) {
-    // Old flat format: no index to be lazy over — materialize everything
-    // up front behind the same interface.
-    I.Shards.resize(1);
-    LR = loadV2(I.Buf.data(), I.Buf.size(), ConfigDigest, I.Shards[0].V,
-                &I.Shards[0].T);
-    if (!LR.loaded())
-      return Fail();
-    I.Idx.VerdictTotal = LR.EntriesInFile;
-    I.Shards[0].Materialized = true;
-    I.MaterializedCount = 1;
-  } else {
-    LR.Status = parseV3Index(I.Buf.data(), I.Buf.size(), I.Idx, LR.Message);
-    if (LR.Status != VerdictStore::LoadStatus::Loaded)
-      return Fail();
-    if (I.Idx.ConfigDigest != ConfigDigest) {
-      LR.Status = VerdictStore::LoadStatus::ConfigMismatch;
-      LR.Message = "store was produced under a different rule configuration";
-      return Fail();
-    }
-    I.Shards.resize(I.Idx.Shards.size());
-    LR.EntriesInFile = I.Idx.VerdictTotal;
-  }
-  if (Out)
-    *Out = LR;
-  return M;
-}
-
-const ValidationResult *MappedVerdictStore::lookup(const VerdictKey &K) {
-  Impl::Shard &S = I->shardFor(K.Config);
-  auto It = S.V.find(K);
-  return It == S.V.end() ? nullptr : &It->second;
-}
-
-const StoredTriage *MappedVerdictStore::lookupTriage(const VerdictKey &K) {
-  Impl::Shard &S = I->shardFor(K.Config);
-  auto It = S.T.find(K);
-  return It == S.T.end() ? nullptr : &It->second;
-}
-
-unsigned MappedVerdictStore::numShards() const {
-  return static_cast<unsigned>(I->Shards.size());
-}
-
-unsigned MappedVerdictStore::shardsMaterialized() const {
-  return I->MaterializedCount;
-}
-
-uint64_t MappedVerdictStore::verdictEntriesInFile() const {
-  return I->Idx.VerdictTotal;
 }

@@ -28,13 +28,13 @@
 ///    lock on `<path>.lock`, so concurrent shards writing the same path
 ///    union their verdicts (last writer wins per key) instead of
 ///    clobbering or losing each other's updates.
-///  * since v3 the payload is split into page-aligned shards partitioned by
-///    the entry key's Config field — the per-module digest folds into
-///    Config, so one module's verdicts land in one shard. A
-///    MappedVerdictStore mmaps the file (when the platform has mmap) and
-///    materializes shards lazily on first lookup: probing a store for one
-///    module's verdicts touches the index page plus that module's shard
-///    pages, not the whole file.
+///  * the payload is split into page-aligned shards partitioned by the
+///    entry key's Config field — the per-module digest folds into Config,
+///    so one module's verdicts land in one shard. Every read goes through
+///    one VerdictStoreReader: it reads the header and shard index at open
+///    and each shard's bytes the first time a key lands there, so probing
+///    a store for one module's verdicts reads the index plus that module's
+///    shard, not the whole file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,14 +96,12 @@ uint64_t verdictStoreConfigDigest(const RuleConfig &Rules);
 class VerdictStore {
 public:
   /// On-disk layout version. Bump when the serialized shape changes.
-  /// v2 appended the triage section (entries keyed like verdicts, carrying
-  /// the full TriageResult plus its options digest); v3 restructured the
-  /// payload into page-aligned, per-module shards behind an index header.
-  /// v3 is written; v2 is still read (and rewritten as v3 on the next
-  /// save); v1 stores are rejected as BadVersion and rebuilt.
+  /// v3 is page-aligned, per-module shards behind an index header, each
+  /// holding verdicts and triage entries. Only v3 is read or written; any
+  /// other version is rejected as BadVersion and the store is rebuilt.
   static constexpr uint32_t FormatVersion = 3;
-  /// Shard payloads start on multiples of this and the index is sized to
-  /// it, so mapping one shard touches only its own pages.
+  /// Shard payloads start on multiples of this, so reading one shard
+  /// touches only its own pages.
   static constexpr size_t PageBytes = 4096;
   /// Folded into every config digest; bump when validator *behavior*
   /// changes in a way old verdicts must not survive (new rules, fingerprint
@@ -131,7 +129,9 @@ public:
   /// Loads the store at \p Path and merges its entries into \p Map (and,
   /// when \p Triage is non-null, its triage section into \p *Triage). Keys
   /// already present keep their in-memory value (the current process has
-  /// fresher information). On any rejection both maps are left untouched.
+  /// fresher information). Every shard is read and verified; the first bad
+  /// one rejects the whole load, and on any rejection both maps are left
+  /// untouched.
   static LoadResult load(const std::string &Path, uint64_t ConfigDigest,
                          VerdictMap &Map, TriageMap *Triage = nullptr);
 
@@ -164,7 +164,7 @@ public:
   struct HeaderInfo {
     LoadStatus Status = LoadStatus::NoFile;
     uint32_t Version = 0;
-    uint32_t ShardCount = 0; ///< 0 for v2 stores (single flat payload)
+    uint32_t ShardCount = 0;
     uint64_t ConfigDigest = 0;
     uint64_t VerdictEntries = 0;
     uint64_t TriageEntries = 0;
@@ -175,13 +175,13 @@ public:
 
   /// Reads \p Path's header (any config digest accepted — the caller is
   /// inspecting, not replaying). Status mirrors load(): BadMagic/BadVersion/
-  /// Corrupt on rejection, Loaded when the header and checksums hold. For a
-  /// v3 store the entry counts come straight from the index — no entry is
-  /// parsed — but every shard checksum is still verified: inspection stays
-  /// honest about damage.
+  /// Corrupt on rejection, Loaded when the header and checksums hold. The
+  /// entry counts come straight from the index — no entry is parsed — but
+  /// every shard checksum is still verified: inspection stays honest about
+  /// damage. This is peekShards() folded into one status.
   static HeaderInfo peekHeader(const std::string &Path);
 
-  /// One v3 shard's slot in the index, for occupancy inspection
+  /// One shard's slot in the index, for occupancy inspection
   /// (`store_tool --stats`). Offsets/bytes are the on-disk payload (the
   /// page padding between shards is derivable from the next offset);
   /// ChecksumOk is the shard's payload hash verified against the file.
@@ -193,13 +193,12 @@ public:
     bool ChecksumOk = false;
   };
 
-  /// Per-shard occupancy of the v3 store at \p Path, in index order. Unlike
-  /// peekHeader a damaged shard does not reject the whole inspection: the
-  /// bad shard reports ChecksumOk=false and \p Info (when given) comes back
-  /// Corrupt, but every shard's index record is still returned — exactly
-  /// what "which shard is hurt, how much is lost" needs. A v2 store (no
-  /// shards) or an unreadable header yields an empty vector with \p Info
-  /// carrying the peekHeader-style status.
+  /// Per-shard occupancy of the store at \p Path, in index order. A damaged
+  /// shard does not reject the whole inspection: the bad shard reports
+  /// ChecksumOk=false and \p Info (when given) comes back Corrupt, but
+  /// every shard's index record is still returned — exactly what "which
+  /// shard is hurt, how much is lost" needs. An unreadable header or index
+  /// yields an empty vector with \p Info carrying the rejection.
   static std::vector<ShardStats> peekShards(const std::string &Path,
                                             HeaderInfo *Info = nullptr);
 
@@ -213,29 +212,30 @@ public:
                              std::string *Error = nullptr);
 };
 
-/// Read-only view of a store that materializes shards lazily: open() maps
-/// the file (mmap on POSIX, a plain read elsewhere) and verifies only the
-/// header and shard index; a lookup verifies and parses just the shard its
-/// key hashes to, the first time any key lands there. A warm probe against
-/// an N-module store therefore costs O(index pages + pages of the shards
-/// actually hit), while load() always pays for the whole file.
+/// The one way store bytes are read. open() reads and verifies only the
+/// header and shard index; a lookup reads, verifies and parses just the
+/// shard its key hashes to, the first time any key lands there (a
+/// positioned read of that shard's byte range). A warm probe against an
+/// N-module store therefore costs O(index + the shards actually hit);
+/// load(), peekHeader() and peekShards() are folds over the same reader.
 ///
-/// The config digest is gated at open() exactly like load(). A shard whose
-/// checksum fails materializes as empty (lookups miss; the caller re-proves
-/// — wrong answers are impossible, only wasted work). v2 stores are served
-/// through the same interface by materializing the flat payload eagerly.
+/// The config digest is gated at open() exactly like load(). A shard that
+/// fails its checksum, does not parse, or comes back short (the file was
+/// truncated under the reader) materializes as empty, with one warning
+/// naming it: lookups miss and the caller re-proves — wrong answers are
+/// impossible, only wasted work.
 ///
 /// Not thread-safe: confine one instance to one thread.
-class MappedVerdictStore {
+class VerdictStoreReader {
 public:
   /// Opens \p Path; returns null (with \p Out describing why, when given)
   /// unless the header, index, and digest all check out.
-  static std::unique_ptr<MappedVerdictStore>
+  static std::unique_ptr<VerdictStoreReader>
   open(const std::string &Path, uint64_t ConfigDigest,
        VerdictStore::LoadResult *Out = nullptr);
-  ~MappedVerdictStore();
-  MappedVerdictStore(const MappedVerdictStore &) = delete;
-  MappedVerdictStore &operator=(const MappedVerdictStore &) = delete;
+  ~VerdictStoreReader();
+  VerdictStoreReader(const VerdictStoreReader &) = delete;
+  VerdictStoreReader &operator=(const VerdictStoreReader &) = delete;
 
   /// The stored verdict for \p K, or null. Materializes K's shard on first
   /// touch. The pointer lives as long as this object.
@@ -244,13 +244,19 @@ public:
   const StoredTriage *lookupTriage(const VerdictKey &K);
 
   unsigned numShards() const;
-  /// How many shards have been verified + parsed so far (the laziness
-  /// observable the tests and benches assert on).
+  /// How many shards have been read so far (the laziness observable the
+  /// tests and benches assert on).
   unsigned shardsMaterialized() const;
   uint64_t verdictEntriesInFile() const;
+  uint64_t triageEntriesInFile() const;
 
 private:
-  MappedVerdictStore();
+  friend class VerdictStore;
+  VerdictStoreReader();
+  /// open() without the digest gate, for inspection: \p HI gets the
+  /// header fields and the status.
+  static std::unique_ptr<VerdictStoreReader>
+  inspect(const std::string &Path, VerdictStore::HeaderInfo &HI);
   struct Impl;
   std::unique_ptr<Impl> I;
 };

@@ -281,8 +281,9 @@ bool ValidationServer::start(std::string *Error) {
     }
   }
 
-  // The engine loads the warm store here (CacheLoad), before any client
-  // can connect — a half-loaded cache can never serve a request.
+  // The engine opens the warm store here (CacheLoad), before any client
+  // can connect: a store that fails its header or index checks is
+  // rejected up front, and healthy shards are read on first lookup.
   Engine = std::make_unique<ValidationEngine>(Cfg.Engine);
   {
     std::lock_guard<std::mutex> G(StatsLock);

@@ -397,6 +397,9 @@ TEST(FleetTest, KilledWorkerJobRequeuedAndCompleted) {
   // a complete, correct stream despite the crash in the middle of it.
   EXPECT_EQ(Suite, batchSuiteJSON(profileSubmission("sqlite", 32).Modules));
 
+  // The job can finish before the SIGKILL lands, so the counters are only
+  // meaningful once the monitor has reaped and respawned the worker.
+  EXPECT_TRUE(eventually([&] { return Router.workerRestarts() >= 1; }));
   FleetCounters C = Router.counters();
   EXPECT_EQ(C.JobsCompleted, 1u);
   EXPECT_LE(C.JobsRequeued, 1u); // the crash costs at most the job in flight

@@ -15,13 +15,16 @@
 #include "driver/VerdictStore.h"
 #include "opt/Pass.h"
 #include "support/Hashing.h"
+#include "support/Log.h"
 #include "workload/Generator.h"
 #include "workload/Profiles.h"
 
 #include "TestUtil.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -69,7 +72,11 @@ VerdictMap makeMap(unsigned N, uint64_t Salt = 0) {
   return M;
 }
 
+/// Replaces \p Path with \p Bytes. Removing first (rather than truncating
+/// in place) avoids the data flush some filesystems force on truncation,
+/// which the mutation tests would otherwise pay per case.
 void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::remove(Path.c_str());
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(Out.write(Bytes.data(), Bytes.size()));
 }
@@ -500,7 +507,7 @@ TEST(VerdictStoreTest, PeekHeaderReportsWithoutReplaying) {
 }
 
 //===----------------------------------------------------------------------===//
-// v3 sharded layout: index round-trip, lazy mapped lookups, v2 fallback
+// Sharded layout: index round-trip, lazy reader lookups, version gate
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -515,59 +522,6 @@ VerdictMap makeMultiModuleMap(unsigned Modules, unsigned PerModule) {
       M.emplace(K, makeResult(I % 2 == 0, I, I % 2 ? "" : "r"));
     }
   return M;
-}
-
-/// Serializes a map in the retired v2 flat layout, byte-for-byte what the
-/// old writer produced, so the fallback reader has a real artifact to chew
-/// on without keeping binary fixtures in the tree.
-std::string serializeV2(uint64_t ConfigDigest, const VerdictMap &Map) {
-  auto Append64 = [](std::string &S, uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  auto Append32 = [](std::string &S, uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  std::vector<const VerdictMap::value_type *> Entries;
-  for (const auto &KV : Map)
-    Entries.push_back(&KV);
-  std::sort(Entries.begin(), Entries.end(), [](const auto *A, const auto *B) {
-    if (A->first.FpA != B->first.FpA)
-      return A->first.FpA < B->first.FpA;
-    if (A->first.FpB != B->first.FpB)
-      return A->first.FpB < B->first.FpB;
-    return A->first.Config < B->first.Config;
-  });
-  std::string Payload;
-  for (const auto *KV : Entries) {
-    const VerdictKey &K = KV->first;
-    const ValidationResult &R = KV->second;
-    Append64(Payload, K.FpA);
-    Append64(Payload, K.FpB);
-    Append64(Payload, K.Config);
-    uint8_t Flags = (R.Validated ? 1 : 0) | (R.Unsupported ? 2 : 0) |
-                    (R.EqualOnConstruction ? 4 : 0);
-    Payload.push_back(static_cast<char>(Flags));
-    Append64(Payload, R.GraphNodes);
-    Append64(Payload, R.LiveNodes);
-    Append64(Payload, R.Rewrites);
-    Append64(Payload, R.SharingMerges);
-    Append64(Payload, R.Iterations);
-    Append64(Payload, R.Microseconds);
-    Append32(Payload, static_cast<uint32_t>(R.Reason.size()));
-    Payload += R.Reason;
-  }
-  Append64(Payload, 0); // empty triage section
-  std::string Out;
-  Append64(Out, 0x0152545356444d4cULL); // store magic
-  Append32(Out, 2);                     // the retired version
-  Append32(Out, 0);                     // v2 reserved field
-  Append64(Out, ConfigDigest);
-  Append64(Out, static_cast<uint64_t>(Entries.size()));
-  Append64(Out, hashBytes(Payload.data(), Payload.size()));
-  Out += Payload;
-  return Out;
 }
 
 } // namespace
@@ -598,44 +552,44 @@ TEST(VerdictStoreTest, ShardedLayoutRoundTripsAndReportsShards) {
   }
 }
 
-TEST(VerdictStoreTest, MappedLookupTouchesOnlyTheKeysShard) {
-  TempFile F("mapped.vstore");
+TEST(VerdictStoreTest, ReaderLookupTouchesOnlyTheKeysShard) {
+  TempFile F("reader.vstore");
   VerdictMap Big = makeMultiModuleMap(40, 20);
   ASSERT_NE(VerdictStore::save(F.path(), 0xd1, Big), ~0ull);
 
   VerdictStore::LoadResult LR;
-  auto Mapped = MappedVerdictStore::open(F.path(), 0xd1, &LR);
-  ASSERT_NE(Mapped, nullptr) << LR.Message;
-  ASSERT_GT(Mapped->numShards(), 1u);
-  EXPECT_EQ(Mapped->shardsMaterialized(), 0u) << "open must not parse shards";
-  EXPECT_EQ(Mapped->verdictEntriesInFile(), Big.size());
+  auto Reader = VerdictStoreReader::open(F.path(), 0xd1, &LR);
+  ASSERT_NE(Reader, nullptr) << LR.Message;
+  ASSERT_GT(Reader->numShards(), 1u);
+  EXPECT_EQ(Reader->shardsMaterialized(), 0u) << "open must not parse shards";
+  EXPECT_EQ(Reader->verdictEntriesInFile(), Big.size());
 
   // Probing one module's keys materializes exactly one shard...
   VerdictKey First = Big.begin()->first;
-  const ValidationResult *R = Mapped->lookup(First);
+  const ValidationResult *R = Reader->lookup(First);
   ASSERT_NE(R, nullptr);
   EXPECT_EQ(R->Rewrites, Big.at(First).Rewrites);
-  EXPECT_EQ(Mapped->shardsMaterialized(), 1u);
+  EXPECT_EQ(Reader->shardsMaterialized(), 1u);
   VerdictKey SameModule = First;
   SameModule.FpA ^= 0xdead; // same Config => same shard, missing key
-  EXPECT_EQ(Mapped->lookup(SameModule), nullptr);
-  EXPECT_EQ(Mapped->shardsMaterialized(), 1u);
+  EXPECT_EQ(Reader->lookup(SameModule), nullptr);
+  EXPECT_EQ(Reader->shardsMaterialized(), 1u);
 
   // ...and a full sweep finds everything without a single wrong answer.
   for (const auto &[K, Want] : Big) {
-    const ValidationResult *Got = Mapped->lookup(K);
+    const ValidationResult *Got = Reader->lookup(K);
     ASSERT_NE(Got, nullptr);
     EXPECT_EQ(Got->Rewrites, Want.Rewrites);
   }
-  EXPECT_LE(Mapped->shardsMaterialized(), Mapped->numShards());
+  EXPECT_LE(Reader->shardsMaterialized(), Reader->numShards());
 
   // Digest gating matches load(): a mismatched open fails cleanly.
-  EXPECT_EQ(MappedVerdictStore::open(F.path(), 0xd2, &LR), nullptr);
+  EXPECT_EQ(VerdictStoreReader::open(F.path(), 0xd2, &LR), nullptr);
   EXPECT_EQ(LR.Status, VerdictStore::LoadStatus::ConfigMismatch);
 }
 
-TEST(VerdictStoreTest, MappedStoreNeverServesFromACorruptShard) {
-  TempFile F("mapped-corrupt.vstore");
+TEST(VerdictStoreTest, ReaderNeverServesFromACorruptShard) {
+  TempFile F("reader-corrupt.vstore");
   VerdictMap Big = makeMultiModuleMap(40, 20);
   std::string Bytes = VerdictStore::serialize(0xd1, Big);
   // Flip one byte in the last shard's payload (the file ends inside it).
@@ -647,15 +601,15 @@ TEST(VerdictStoreTest, MappedStoreNeverServesFromACorruptShard) {
   EXPECT_EQ(VerdictStore::load(F.path(), 0xd1, Map).Status,
             VerdictStore::LoadStatus::Corrupt);
 
-  // ...while the mapped view still opens (the index is intact) and serves
+  // ...while the reader still opens (the index is intact) and serves
   // healthy shards, but every lookup landing in the damaged shard misses
   // rather than returning a possibly-torn verdict.
   VerdictStore::LoadResult LR;
-  auto Mapped = MappedVerdictStore::open(F.path(), 0xd1, &LR);
-  ASSERT_NE(Mapped, nullptr) << LR.Message;
+  auto Reader = VerdictStoreReader::open(F.path(), 0xd1, &LR);
+  ASSERT_NE(Reader, nullptr) << LR.Message;
   unsigned Hits = 0, Misses = 0;
   for (const auto &[K, Want] : Big) {
-    const ValidationResult *Got = Mapped->lookup(K);
+    const ValidationResult *Got = Reader->lookup(K);
     if (!Got) {
       ++Misses;
       continue;
@@ -667,44 +621,400 @@ TEST(VerdictStoreTest, MappedStoreNeverServesFromACorruptShard) {
   EXPECT_GT(Misses, 0u) << "the corrupt shard must refuse to serve";
 }
 
-TEST(VerdictStoreTest, LegacyV2StoresStillLoadAndUpgradeOnSave) {
-  TempFile F("legacy.vstore");
-  VerdictMap Old = makeMap(11);
-  writeBytes(F.path(), serializeV2(0xd1, Old));
+namespace {
 
-  // The v2 reader path: full round-trip, header inspection, mapped view.
-  VerdictMap Loaded;
-  VerdictStore::LoadResult LR = VerdictStore::load(F.path(), 0xd1, Loaded);
-  ASSERT_TRUE(LR.loaded()) << LR.Message;
-  ASSERT_EQ(Loaded.size(), Old.size());
-  for (const auto &[K, R] : Old)
-    EXPECT_EQ(Loaded.at(K).Rewrites, R.Rewrites);
+/// A retired version-2 store holding nothing: magic, version 2, reserved
+/// word, config digest, zero entries, payload hash, empty triage section.
+std::string v2StoreBytes(uint64_t ConfigDigest) {
+  std::string Payload;
+  appendU64LE(Payload, 0);
+  std::string Out;
+  appendU64LE(Out, 0x0152545356444d4cULL); // store magic
+  appendU32LE(Out, 2);
+  appendU32LE(Out, 0);
+  appendU64LE(Out, ConfigDigest);
+  appendU64LE(Out, 0);
+  appendU64LE(Out, hashBytes(Payload.data(), Payload.size()));
+  return Out + Payload;
+}
 
+/// Routes log lines into Lines for the scope's lifetime.
+struct LogCapture {
+  std::string Lines;
+  LogCapture() { setLogSinkForTesting(&Lines); }
+  ~LogCapture() { setLogSinkForTesting(nullptr); }
+};
+
+} // namespace
+
+TEST(VerdictStoreTest, VersionTwoStoresAreRejectedAndRebuiltAsV3) {
+  TempFile F("v2.vstore");
+  EngineConfig C;
+  C.CachePath = F.path();
+  const uint64_t Digest = verdictStoreConfigDigest(C.Rules);
+  writeBytes(F.path(), v2StoreBytes(Digest));
+
+  VerdictMap Map;
+  EXPECT_EQ(VerdictStore::load(F.path(), Digest, Map).Status,
+            VerdictStore::LoadStatus::BadVersion);
+  EXPECT_TRUE(Map.empty());
+  EXPECT_EQ(VerdictStore::peekHeader(F.path()).Status,
+            VerdictStore::LoadStatus::BadVersion);
+  VerdictStore::LoadResult LR;
+  EXPECT_EQ(VerdictStoreReader::open(F.path(), Digest, &LR), nullptr);
+  EXPECT_EQ(LR.Status, VerdictStore::LoadStatus::BadVersion);
+
+  // An engine over it says so, proves everything cold and saves a v3 store.
+  LogCapture Log;
+  Context Ctx;
+  auto M = generateBenchmark(Ctx, smallProfile());
+  ValidationEngine Engine(C);
+  EXPECT_NE(Log.Lines.find("rejected, rebuilding"), std::string::npos)
+      << Log.Lines;
+  EXPECT_EQ(Engine.cacheStats().StoreLoaded, 0u);
+  Engine.run(*M, getPaperPipeline());
+  EXPECT_GT(Engine.cacheStats().Misses, 0u);
+  EXPECT_EQ(Engine.cacheStats().WarmHits, 0u);
   VerdictStore::HeaderInfo HI = VerdictStore::peekHeader(F.path());
   ASSERT_TRUE(HI.ok()) << HI.Message;
-  EXPECT_EQ(HI.Version, 2u);
-  EXPECT_EQ(HI.ShardCount, 0u);
-  EXPECT_EQ(HI.VerdictEntries, Old.size());
-
-  auto Mapped = MappedVerdictStore::open(F.path(), 0xd1, &LR);
-  ASSERT_NE(Mapped, nullptr) << LR.Message;
-  EXPECT_EQ(Mapped->lookup(Old.begin()->first)->Rewrites,
-            Old.at(Old.begin()->first).Rewrites);
-
-  // A config-mismatched v2 store is still rejected, not replayed.
-  VerdictMap Denied;
-  EXPECT_EQ(VerdictStore::load(F.path(), 0xd2, Denied).Status,
-            VerdictStore::LoadStatus::ConfigMismatch);
-
-  // Saving over it merges the old entries and rewrites the file as v3.
-  VerdictMap Fresh = makeMap(3, /*Salt=*/7000);
-  EXPECT_EQ(VerdictStore::save(F.path(), 0xd1, Fresh),
-            Old.size() + Fresh.size());
-  HI = VerdictStore::peekHeader(F.path());
-  ASSERT_TRUE(HI.ok()) << HI.Message;
   EXPECT_EQ(HI.Version, VerdictStore::FormatVersion);
-  EXPECT_GE(HI.ShardCount, 1u);
-  EXPECT_EQ(HI.VerdictEntries, Old.size() + Fresh.size());
+  EXPECT_EQ(HI.VerdictEntries, Engine.cacheStats().Entries);
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile bytes: seeded mutations of a multi-shard store
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Triage entries spread over \p Modules Config values, with every string
+/// and counter field populated so a torn entry cannot compare equal.
+TriageMap makeMultiModuleTriage(unsigned Modules, unsigned PerModule) {
+  TriageMap T;
+  for (unsigned Mod = 0; Mod < Modules; ++Mod)
+    for (unsigned I = 0; I < PerModule; ++I) {
+      VerdictKey K{0x5000 + I, 0x6000 + I, 0xc000 + Mod * 0x9e37};
+      StoredTriage ST;
+      ST.OptionsDigest = 0x0b7 + Mod;
+      TriageResult &R = ST.Result;
+      R.Classification = static_cast<TriageClassification>(I % 4);
+      R.InputsTried = I;
+      R.Reduced = I % 2;
+      R.OrigInstsBefore = 10 + I;
+      R.WitnessInputs = {"i32 " + std::to_string(I), "i32 7"};
+      R.WitnessDivergence = "ret " + std::to_string(Mod);
+      R.ReducedOrig = "define i32 @f() { ret i32 0 }";
+      R.MissingRule = I % 3 ? "" : "canon.cmp-swap";
+      T.emplace(K, ST);
+    }
+  return T;
+}
+
+/// The entries of \p From whose keys are in \p Keys, so a set of reader
+/// hits can be compared with the original byte-for-byte.
+template <typename MapT, typename KeysT>
+MapT restrictTo(const MapT &From, const KeysT &Keys) {
+  MapT Out;
+  for (const auto &KV : Keys)
+    Out.emplace(KV.first, From.at(KV.first));
+  return Out;
+}
+
+/// Checks the two reader properties over a possibly damaged \p Path: it
+/// refuses to open with a rejection status, or every lookup — each
+/// original key plus keys it never held — returns null or an entry equal
+/// to the original.
+void expectReaderSafe(const std::string &Path, uint64_t Digest,
+                      const VerdictMap &V, const TriageMap &T,
+                      const std::string &What) {
+  VerdictStore::LoadResult LR;
+  std::unique_ptr<VerdictStoreReader> R =
+      VerdictStoreReader::open(Path, Digest, &LR);
+  if (!R) {
+    EXPECT_NE(LR.Status, VerdictStore::LoadStatus::Loaded) << What;
+    return;
+  }
+  VerdictMap GotV;
+  TriageMap GotT;
+  for (const auto &KV : V)
+    if (const ValidationResult *Got = R->lookup(KV.first))
+      GotV.emplace(KV.first, *Got);
+  for (const auto &KV : T)
+    if (const StoredTriage *Got = R->lookupTriage(KV.first))
+      GotT.emplace(KV.first, *Got);
+  for (unsigned I = 0; I < 8; ++I) {
+    VerdictKey Absent{0xabab00 + I, 0xcdcd00 + I, 0xc000 + I * 0x9e37};
+    EXPECT_EQ(R->lookup(Absent), nullptr) << What;
+    EXPECT_EQ(R->lookupTriage(Absent), nullptr) << What;
+  }
+  TriageMap WantT = restrictTo(T, GotT);
+  EXPECT_EQ(VerdictStore::serialize(Digest, GotV, &GotT),
+            VerdictStore::serialize(Digest, restrictTo(V, GotV), &WantT))
+      << What << ": a lookup returned an entry the store never held";
+}
+
+/// Checks the load() property over a possibly damaged \p Path: Loaded with
+/// maps equal to the original, or a rejection that leaves both maps
+/// exactly as they were.
+void expectLoadSafe(const std::string &Path, uint64_t Digest,
+                    const std::string &Original, const std::string &What) {
+  const VerdictKey Sentinel{0x5e, 0x5e, 0x5e};
+  VerdictMap V;
+  TriageMap T;
+  V.emplace(Sentinel, makeResult(true, 1));
+  T.emplace(Sentinel, StoredTriage());
+  VerdictStore::LoadResult LR = VerdictStore::load(Path, Digest, V, &T);
+  if (LR.loaded()) {
+    V.erase(Sentinel);
+    T.erase(Sentinel);
+    EXPECT_EQ(VerdictStore::serialize(Digest, V, &T), Original) << What;
+    return;
+  }
+  EXPECT_EQ(V.size(), 1u) << What << ": rejected load merged entries";
+  EXPECT_EQ(T.size(), 1u) << What << ": rejected load merged triage";
+}
+
+} // namespace
+
+TEST(VerdictStoreTest, SeededMutationsNeverYieldAWrongEntry) {
+  TempFile F("mutate.vstore");
+  const uint64_t Digest = 0xd1;
+  const VerdictMap V = makeMultiModuleMap(40, 20);
+  const TriageMap T = makeMultiModuleTriage(40, 2);
+  const std::string Bytes = VerdictStore::serialize(Digest, V, &T);
+  VerdictStore::HeaderInfo HI;
+  {
+    writeBytes(F.path(), Bytes);
+    std::vector<VerdictStore::ShardStats> Shards =
+        VerdictStore::peekShards(F.path(), &HI);
+    ASSERT_TRUE(HI.ok()) << HI.Message;
+    ASSERT_GT(Shards.size(), 1u);
+  }
+  const size_t IndexEnd = 48 + HI.ShardCount * 40;
+  LogCapture Quiet; // every damaged shard the reader reads warns
+  auto Check = [&](const std::string &Mutated, const std::string &What) {
+    writeBytes(F.path(), Mutated);
+    expectLoadSafe(F.path(), Digest, Bytes, What);
+    expectReaderSafe(F.path(), Digest, V, T, What);
+  };
+
+  // Truncation at every page boundary and at seeded random offsets.
+  for (size_t Keep = 0; Keep < Bytes.size();
+       Keep += VerdictStore::PageBytes)
+    Check(Bytes.substr(0, Keep), "truncated to " + std::to_string(Keep));
+  SplitMixRng R(0x7a11);
+  for (unsigned I = 0; I < 32; ++I) {
+    size_t Keep = R.below(Bytes.size());
+    Check(Bytes.substr(0, Keep), "truncated to " + std::to_string(Keep));
+  }
+
+  // Appended junk.
+  for (unsigned I = 0; I < 8; ++I) {
+    std::string Junk(1 + R.below(5000), '\0');
+    for (char &C : Junk)
+      C = static_cast<char>(R.next());
+    Check(Bytes + Junk, "junk of " + std::to_string(Junk.size()));
+  }
+
+  // Bit flips in the header, the index and the payload, round-robin, for
+  // at least 60 rounds and then until the time budget is spent.
+  auto Start = std::chrono::steady_clock::now();
+  for (unsigned Round = 0;
+       Round < 60 || std::chrono::steady_clock::now() - Start <
+                         std::chrono::milliseconds(1500);
+       ++Round) {
+    size_t Lo = 0, Hi = 48;
+    if (Round % 3 == 1)
+      Lo = 48, Hi = IndexEnd;
+    else if (Round % 3 == 2)
+      Lo = IndexEnd, Hi = Bytes.size();
+    std::string Mutated = Bytes;
+    std::string What = "flipped";
+    for (unsigned Flips = 1 + R.below(3); Flips; --Flips) {
+      size_t At = Lo + R.below(Hi - Lo);
+      Mutated[At] ^= static_cast<char>(1u << R.below(8));
+      What += " @" + std::to_string(At);
+    }
+    Check(Mutated, What);
+  }
+}
+
+TEST(VerdictStoreTest, StoreTruncatedUnderAnOpenReaderOnlyMisses) {
+  TempFile F("truncate-open.vstore");
+  const uint64_t Digest = 0xd1;
+  const VerdictMap V = makeMultiModuleMap(40, 20);
+  const TriageMap T = makeMultiModuleTriage(40, 2);
+  const std::string Bytes = VerdictStore::serialize(Digest, V, &T);
+  SplitMixRng R(0x0be7);
+  std::vector<size_t> Sizes = {VerdictStore::PageBytes, 0};
+  for (unsigned I = 0; I < 6; ++I)
+    Sizes.push_back(R.below(Bytes.size()));
+  LogCapture Quiet;
+  for (size_t Keep : Sizes) {
+    writeBytes(F.path(), Bytes);
+    VerdictStore::LoadResult LR;
+    std::unique_ptr<VerdictStoreReader> Reader =
+        VerdictStoreReader::open(F.path(), Digest, &LR);
+    ASSERT_NE(Reader, nullptr) << LR.Message;
+    // Shrink the very file the reader has open, in place.
+    std::filesystem::resize_file(F.path(), Keep);
+    unsigned Hits = 0;
+    for (const auto &[K, Want] : V)
+      if (const ValidationResult *Got = Reader->lookup(K)) {
+        ++Hits;
+        EXPECT_EQ(VerdictStore::serialize(Digest, {{K, *Got}}),
+                  VerdictStore::serialize(Digest, {{K, Want}}));
+      }
+    for (const auto &[K, Want] : T)
+      if (const StoredTriage *Got = Reader->lookupTriage(K))
+        EXPECT_EQ(Got->Result.WitnessDivergence, Want.Result.WitnessDivergence);
+    if (Keep <= VerdictStore::PageBytes)
+      EXPECT_EQ(Hits, 0u) << "every shard lies past byte " << Keep;
+  }
+}
+
+TEST(VerdictStoreTest, IndexCountsThatLieAreMalformedNotAllocated) {
+  // A hand-crafted file whose checksums all hold but whose index claims
+  // 2^40 verdicts in shard 0: the parser must reject the shard, not size
+  // a table for the claim.
+  TempFile F("lying-counts.vstore");
+  std::string Bytes = VerdictStore::serialize(0xd1, makeMap(5));
+  auto Patch = [&](size_t At, uint64_t V) {
+    std::string LE;
+    appendU64LE(LE, V);
+    Bytes.replace(At, 8, LE);
+  };
+  const uint64_t Claim = uint64_t(1) << 40;
+  Patch(24, Claim); // header verdict total
+  Patch(64, Claim); // shard 0's verdict count
+  Patch(40, hashBytes(Bytes.data() + 48, 40)); // index hash
+  writeBytes(F.path(), Bytes);
+
+  VerdictMap Map;
+  VerdictStore::LoadResult LR = VerdictStore::load(F.path(), 0xd1, Map);
+  EXPECT_EQ(LR.Status, VerdictStore::LoadStatus::Corrupt) << LR.Message;
+  EXPECT_EQ(LR.Message, "malformed shard 0");
+  EXPECT_TRUE(Map.empty());
+  LogCapture Quiet;
+  auto Reader = VerdictStoreReader::open(F.path(), 0xd1);
+  ASSERT_NE(Reader, nullptr);
+  EXPECT_EQ(Reader->lookup(makeMap(5).begin()->first), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Engine over a store with one damaged shard
+//===----------------------------------------------------------------------===//
+
+TEST(VerdictStoreTest, EngineReprovesOnlyTheDamagedShard) {
+  TempFile F("engine-damaged.vstore");
+  // The global-folding rules digest each module's globals into its keys,
+  // so each module's verdicts form their own shard.
+  EngineConfig C;
+  C.CachePath = F.path();
+  C.Rules.Mask = RS_All;
+  const uint64_t Digest = verdictStoreConfigDigest(C.Rules);
+  auto MakeModules = [](Context &Ctx,
+                        std::vector<std::unique_ptr<Module>> &Own) {
+    std::vector<const Module *> Mods;
+    for (const char *Name : {"sqlite", "hmmer", "sjeng", "bzip2"}) {
+      BenchmarkProfile P = getProfile(Name);
+      P.FunctionCount = 6;
+      Own.push_back(generateBenchmark(Ctx, P));
+      Mods.push_back(Own.back().get());
+    }
+    return Mods;
+  };
+
+  SuiteReport Cold;
+  {
+    Context Ctx;
+    std::vector<std::unique_ptr<Module>> Own;
+    ValidationEngine Engine(C);
+    Cold = Engine.runSuite(MakeModules(Ctx, Own), getPaperPipeline()).Report;
+  }
+  // Unrelated verdicts push the store to several shards.
+  VerdictMap Filler = makeMultiModuleMap(30, 20);
+  ASSERT_NE(VerdictStore::save(F.path(), Digest, Filler), ~0ull);
+
+  // Find a shard holding some modules' verdicts but not all of them: flip
+  // one payload byte per shard and ask the reader which modules' keys miss.
+  VerdictMap Proved;
+  ASSERT_TRUE(VerdictStore::load(F.path(), Digest, Proved).loaded());
+  std::vector<VerdictKey> ModuleKeys; // one key per distinct module Config
+  for (const auto &KV : Proved)
+    if (!Filler.count(KV.first) &&
+        std::none_of(ModuleKeys.begin(), ModuleKeys.end(),
+                     [&](const VerdictKey &K) {
+                       return K.Config == KV.first.Config;
+                     }))
+      ModuleKeys.push_back(KV.first);
+  ASSERT_GT(ModuleKeys.size(), 1u);
+  std::ifstream In(F.path(), std::ios::binary);
+  const std::string Bytes((std::istreambuf_iterator<char>(In)),
+                          std::istreambuf_iterator<char>());
+  In.close();
+  std::string Damaged;
+  unsigned DamagedShard = 0, Lost = 0;
+  std::vector<VerdictStore::ShardStats> Shards =
+      VerdictStore::peekShards(F.path());
+  for (unsigned S = 0; S < Shards.size() && Damaged.empty(); ++S) {
+    if (Shards[S].Bytes == 0)
+      continue;
+    std::string Mutated = Bytes;
+    Mutated[Shards[S].Offset + Shards[S].Bytes / 2] ^= 0x10;
+    writeBytes(F.path(), Mutated);
+    auto Reader = VerdictStoreReader::open(F.path(), Digest);
+    ASSERT_NE(Reader, nullptr);
+    Lost = 0;
+    for (const VerdictKey &K : ModuleKeys)
+      Lost += Reader->lookup(K) == nullptr;
+    if (Lost > 0 && Lost < ModuleKeys.size()) {
+      Damaged = Mutated;
+      DamagedShard = S;
+    }
+  }
+  ASSERT_FALSE(Damaged.empty()) << "no shard separates the modules";
+  writeBytes(F.path(), Damaged);
+
+  LogCapture Log;
+  Context Ctx;
+  std::vector<std::unique_ptr<Module>> Own;
+  C.CacheSave = false;
+  ValidationEngine Engine(C);
+  SuiteReport Warm =
+      Engine.runSuite(MakeModules(Ctx, Own), getPaperPipeline()).Report;
+
+  // One warning, naming the shard, when the engine first reads it.
+  const std::string Named = "shard " + std::to_string(DamagedShard);
+  size_t At = Log.Lines.find(Named + " checksum mismatch");
+  ASSERT_NE(At, std::string::npos) << Log.Lines;
+  EXPECT_EQ(Log.Lines.find(Named, At + 1), std::string::npos) << Log.Lines;
+  EXPECT_NE(Log.Lines.find("re-proved"), std::string::npos) << Log.Lines;
+
+  // Modules in the damaged shard are re-proved, verdict for verdict equal
+  // to the cold run; every other module replays warm.
+  unsigned ReprovedModules = 0;
+  ASSERT_EQ(Warm.Modules.size(), Cold.Modules.size());
+  for (size_t Mi = 0; Mi < Warm.Modules.size(); ++Mi) {
+    const ValidationReport &W = Warm.Modules[Mi], &K = Cold.Modules[Mi];
+    unsigned Replayable = W.transformed() - W.skippedIdentical();
+    if (W.warmHits() == 0 && Replayable > 0)
+      ++ReprovedModules;
+    else
+      EXPECT_EQ(W.warmHits(), Replayable) << W.ModuleName;
+    ASSERT_EQ(W.Functions.size(), K.Functions.size());
+    for (size_t Fi = 0; Fi < W.Functions.size(); ++Fi) {
+      const FunctionReportEntry &A = W.Functions[Fi], &B = K.Functions[Fi];
+      EXPECT_EQ(A.Validated, B.Validated) << A.Name;
+      EXPECT_EQ(A.Result.Rewrites, B.Result.Rewrites) << A.Name;
+      EXPECT_EQ(A.Result.GraphNodes, B.Result.GraphNodes) << A.Name;
+      EXPECT_EQ(A.Result.SharingMerges, B.Result.SharingMerges) << A.Name;
+      EXPECT_EQ(A.Result.Reason, B.Result.Reason) << A.Name;
+    }
+  }
+  EXPECT_EQ(ReprovedModules, Lost);
+  EXPECT_GT(Engine.cacheStats().Misses, 0u);
+  EXPECT_GT(Engine.cacheStats().WarmHits, 0u);
 }
 
 TEST(VerdictStoreTest, ShardPathNamingIsStable) {
