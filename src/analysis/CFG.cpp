@@ -9,32 +9,68 @@
 #include "ir/Function.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace llvmmd;
 
+namespace {
+
+/// Visited flags over the blocks of one function: a sorted copy of its
+/// block list plus one flag per block, so a walk allocates twice instead
+/// of once per visited block. Blocks outside the function (a malformed
+/// branch the verifier reports) are never visited.
+class VisitedBlocks {
+public:
+  explicit VisitedBlocks(const Function &F)
+      : Blocks(F.blocks().begin(), F.blocks().end()), Seen(Blocks.size()) {
+    std::sort(Blocks.begin(), Blocks.end());
+  }
+
+  /// Marks \p BB visited; true if it was not visited before.
+  bool insert(BasicBlock *BB) {
+    auto It = std::lower_bound(Blocks.begin(), Blocks.end(), BB);
+    if (It == Blocks.end() || *It != BB)
+      return false;
+    char &S = Seen[It - Blocks.begin()];
+    if (S)
+      return false;
+    S = 1;
+    return true;
+  }
+
+private:
+  std::vector<BasicBlock *> Blocks;
+  std::vector<char> Seen;
+};
+
+/// Successor \p I of \p BB's terminator, or null past the last one.
+BasicBlock *successor(const BasicBlock *BB, unsigned I) {
+  auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
+  return Br && I < Br->getNumSuccessors() ? Br->getSuccessor(I) : nullptr;
+}
+
+} // namespace
+
 std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
   std::vector<BasicBlock *> PostOrder;
-  std::set<BasicBlock *> Visited;
   if (F.isDeclaration())
     return PostOrder;
+  VisitedBlocks Visited(F);
 
   // Iterative DFS computing post-order.
   struct Frame {
     BasicBlock *BB;
-    std::vector<BasicBlock *> Succs;
-    size_t Next = 0;
+    unsigned Next = 0;
   };
   std::vector<Frame> Stack;
   BasicBlock *Entry = F.getEntryBlock();
   Visited.insert(Entry);
-  Stack.push_back({Entry, Entry->successors()});
+  Stack.push_back({Entry, 0});
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    if (Top.Next < Top.Succs.size()) {
-      BasicBlock *Succ = Top.Succs[Top.Next++];
-      if (Visited.insert(Succ).second)
-        Stack.push_back({Succ, Succ->successors()});
+    if (BasicBlock *Succ = successor(Top.BB, Top.Next)) {
+      ++Top.Next;
+      if (Visited.insert(Succ))
+        Stack.push_back({Succ, 0});
       continue;
     }
     PostOrder.push_back(Top.BB);
@@ -46,9 +82,9 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
 
 std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {
   std::vector<BasicBlock *> Out;
-  std::set<BasicBlock *> Visited;
   if (F.isDeclaration())
     return Out;
+  VisitedBlocks Visited(F);
   std::vector<BasicBlock *> Work{F.getEntryBlock()};
   Visited.insert(F.getEntryBlock());
   while (!Work.empty()) {
@@ -56,7 +92,7 @@ std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {
     Work.pop_back();
     Out.push_back(BB);
     for (BasicBlock *Succ : BB->successors())
-      if (Visited.insert(Succ).second)
+      if (Visited.insert(Succ))
         Work.push_back(Succ);
   }
   return Out;

@@ -20,6 +20,15 @@ DominatorTree::DominatorTree(const Function &F) {
   for (unsigned I = 0, E = RPO.size(); I != E; ++I)
     Index[RPO[I]] = I;
 
+  // Reachable predecessors by RPO index, built once from the successor
+  // lists: unreachable predecessors never enter the intersection, and a
+  // block outside the function (malformed IR) is not in the RPO.
+  std::vector<std::vector<int>> Preds(RPO.size());
+  for (unsigned I = 0, E = RPO.size(); I != E; ++I)
+    for (BasicBlock *Succ : RPO[I]->successors())
+      if (auto It = Index.find(Succ); It != Index.end())
+        Preds[It->second].push_back(static_cast<int>(I));
+
   // Cooper-Harvey-Kennedy: iterate to fixpoint over RPO.
   std::vector<int> IDom(RPO.size(), -1);
   IDom[0] = 0;
@@ -38,11 +47,7 @@ DominatorTree::DominatorTree(const Function &F) {
     Changed = false;
     for (unsigned I = 1, E = RPO.size(); I != E; ++I) {
       int NewIDom = -1;
-      for (BasicBlock *Pred : RPO[I]->predecessors()) {
-        auto It = Index.find(Pred);
-        if (It == Index.end())
-          continue; // unreachable predecessor
-        int P = static_cast<int>(It->second);
+      for (int P : Preds[I]) {
         if (IDom[P] < 0)
           continue; // not yet processed
         NewIDom = NewIDom < 0 ? P : Intersect(NewIDom, P);

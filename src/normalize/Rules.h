@@ -166,7 +166,9 @@ struct RuleConfig {
   /// Budget of normalize/share rounds (one rule sweep plus one sharing
   /// pass each) before normalizeToFixpoint gives up.
   unsigned MaxIterations = 32;
-  SharingStrategy Strategy = SharingStrategy::Combined;
+  /// Simple by default: Partition validates the same pairs (§5.4) at a
+  /// higher cost. Part of the verdict-store config digest.
+  SharingStrategy Strategy = SharingStrategy::Simple;
 
   bool has(RuleSet RS) const { return (Mask & RS) != 0; }
 };

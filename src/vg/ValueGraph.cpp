@@ -367,8 +367,8 @@ unsigned ValueGraph::canonicalizeOrders() {
 
 unsigned ValueGraph::congruencePass() {
   // Keys must be recomputed over *current* union-find roots every iteration,
-  // unlike the frozen hash-cons table; hence the local hash buckets with
-  // root-canonicalized comparison.
+  // unlike the frozen hash-cons table; hence the local hash buckets, keyed
+  // by each node's head and its find()-ed operands, compared the same way.
   auto CanonicalEquals = [this](const Node &A, const Node &B) {
     if (!scalarFieldsEqual(A, B) || A.Ops.size() != B.Ops.size())
       return false;
@@ -387,15 +387,16 @@ unsigned ValueGraph::congruencePass() {
     for (NodeId I = 0; I < Nodes.size(); ++I) {
       if (find(I) != I)
         continue;
-      if (Nodes[I].Kind == NodeKind::Mu)
+      const Node &N = Nodes[I];
+      if (N.Kind == NodeKind::Mu)
         continue; // cycles handled by unification/partitioning
-      Node Probe = Nodes[I];
-      for (NodeId &Op : Probe.Ops)
-        Op = find(Op);
-      std::vector<NodeId> &Bucket = Tab[hashNode(Probe)];
+      uint64_t H = hashNodeHead(N);
+      for (NodeId Op : N.Ops)
+        H = hashCombine(H, find(Op));
+      std::vector<NodeId> &Bucket = Tab[H];
       bool Merged = false;
       for (NodeId Candidate : Bucket) {
-        if (CanonicalEquals(Nodes[Candidate], Probe)) {
+        if (CanonicalEquals(Nodes[Candidate], N)) {
           mergeInto(I, Candidate); // keep the earlier (smaller) id
           ++Merges;
           Changed = true;
@@ -546,9 +547,27 @@ unsigned ValueGraph::partitionRefinementPass() {
     for (size_t RI = 0; RI < Roots.size(); ++RI) {
       NodeId I = Roots[RI];
       std::vector<unsigned> &Sig = SigStore[RI];
+      const Node &N = Nodes[I];
       Sig.push_back(Class[I]);
-      for (NodeId Op : Nodes[I].Ops)
+      for (NodeId Op : N.Ops)
         Sig.push_back(Op == InvalidNode ? ~0u : Class[find(Op)]);
+      // Operand order is canonical by node id, not by class: congruent
+      // add(a,b) and add(b',a') must get one signature, so commutative
+      // operands and γ's (cond, value) pairs are sorted by class here.
+      if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) &&
+          N.Ops.size() == 2) {
+        if (Sig[2] < Sig[1])
+          std::swap(Sig[1], Sig[2]);
+      } else if (N.Kind == NodeKind::Gamma) {
+        std::vector<std::pair<unsigned, unsigned>> Branches;
+        for (size_t K = 1; K + 1 < Sig.size(); K += 2)
+          Branches.emplace_back(Sig[K], Sig[K + 1]);
+        std::sort(Branches.begin(), Branches.end());
+        for (size_t B = 0; B < Branches.size(); ++B) {
+          Sig[1 + 2 * B] = Branches[B].first;
+          Sig[2 + 2 * B] = Branches[B].second;
+        }
+      }
       uint64_t H = hashCombine(0x9e3779b9, Sig.size());
       for (unsigned S : Sig)
         H = hashCombine(H, S);
@@ -589,33 +608,18 @@ unsigned ValueGraph::partitionRefinementPass() {
 }
 
 unsigned ValueGraph::maximizeSharing(SharingStrategy Strategy) {
+  if (Strategy == SharingStrategy::Partition) {
+    unsigned Total = congruencePass();
+    Total += partitionRefinementPass();
+    return Total + congruencePass();
+  }
   unsigned Total = 0;
-  switch (Strategy) {
-  case SharingStrategy::Simple: {
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      unsigned C = congruencePass();
-      unsigned M = muUnificationPass();
-      Total += C + M;
-      Changed = (C + M) > 0;
-    }
-    return Total;
+  while (true) {
+    unsigned Merges = congruencePass() + muUnificationPass();
+    if (Merges == 0)
+      return Total;
+    Total += Merges;
   }
-  case SharingStrategy::Partition: {
-    Total += congruencePass();
-    Total += partitionRefinementPass();
-    Total += congruencePass();
-    return Total;
-  }
-  case SharingStrategy::Combined: {
-    Total += maximizeSharing(SharingStrategy::Simple);
-    Total += partitionRefinementPass();
-    Total += congruencePass();
-    return Total;
-  }
-  }
-  return Total;
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,9 +12,9 @@
 ///
 /// Acyclic nodes are interned on construction. Cycles are broken by μ
 /// nodes, which are created unique and merged later by the sharing
-/// maximization pass (§5.4): either the simple parallel-unification
-/// algorithm, a Hopcroft-style partition refinement, or the paper's default
-/// combination (simple first, partitioning as fallback).
+/// maximization pass (§5.4): the simple parallel-unification algorithm
+/// (the default), or a Hopcroft-style partition refinement. As the paper
+/// reports, both validate the same pairs; the suite tests pin that tie.
 ///
 /// Merging is a union-find over node ids; rewrite rules replace a node by
 /// merging it into its replacement.
@@ -75,13 +75,13 @@ struct Node {
 
 /// Sharing maximization strategy (§5.4 of the paper).
 enum class SharingStrategy : uint8_t {
-  /// Bottom-up congruence pass + pairwise μ unification.
+  /// Bottom-up congruence pass + pairwise μ unification, repeated until
+  /// neither merges. The default, and the cheaper of the two.
   Simple,
-  /// Hopcroft-style partition refinement (bisimulation classes).
+  /// Hopcroft-style partition refinement (bisimulation classes), between
+  /// two congruence passes. Validates exactly what Simple validates; kept
+  /// as the §5.4 ablation leg and as a reference.
   Partition,
-  /// Simple first; partitioning as a fallback. The paper reports this
-  /// performs slightly better than either alone.
-  Combined,
 };
 
 class ValueGraph {

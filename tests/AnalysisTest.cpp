@@ -10,8 +10,16 @@
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "ir/Cloning.h"
+#include "opt/Pass.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
 
 using namespace llvmmd;
 using namespace llvmmd::testutil;
@@ -135,6 +143,130 @@ TEST(Dominators, LoopHeaderDominatesBody) {
   // Preorder visits idoms before children.
   auto Pre = DT.preorder();
   EXPECT_EQ(Pre.front()->getName(), "entry");
+}
+
+namespace {
+
+/// Blocks reachable from \p F's entry without passing through \p Removed
+/// (null removes nothing; removing the entry leaves nothing reachable).
+std::set<const BasicBlock *> reachableWithout(const Function &F,
+                                              const BasicBlock *Removed) {
+  std::set<const BasicBlock *> Seen;
+  std::vector<BasicBlock *> Work;
+  if (F.getEntryBlock() != Removed)
+    Work.push_back(F.getEntryBlock());
+  while (!Work.empty()) {
+    BasicBlock *BB = Work.back();
+    Work.pop_back();
+    if (!Seen.insert(BB).second)
+      continue;
+    for (BasicBlock *Succ : BB->successors())
+      if (Succ != Removed)
+        Work.push_back(Succ);
+  }
+  return Seen;
+}
+
+/// Checks predecessors(), getIDom and dominates on every block pair of
+/// \p F against the definitions: predecessors are the blocks whose
+/// terminator names the block, in function order; A dominates B when B is
+/// reachable and removing A makes it unreachable (or A == B); the idom is
+/// the strict dominator every other strict dominator dominates.
+void expectDominatorsMatchReference(const Function &F) {
+  SCOPED_TRACE(F.getName());
+  const auto &Blocks = F.blocks();
+  std::set<const BasicBlock *> Reachable = reachableWithout(F, nullptr);
+  std::map<const BasicBlock *, std::set<const BasicBlock *>> Cut;
+  for (const BasicBlock *A : Blocks)
+    Cut[A] = reachableWithout(F, A);
+  auto RefDominates = [&](const BasicBlock *A, const BasicBlock *B) {
+    return Reachable.count(A) && Reachable.count(B) &&
+           (A == B || !Cut[A].count(B));
+  };
+
+  DominatorTree DT(F);
+  for (const BasicBlock *B : Blocks) {
+    std::vector<BasicBlock *> WantPreds;
+    for (BasicBlock *P : Blocks) {
+      std::vector<BasicBlock *> Succs = P->successors();
+      if (std::find(Succs.begin(), Succs.end(), B) != Succs.end())
+        WantPreds.push_back(P);
+    }
+    EXPECT_EQ(B->predecessors(), WantPreds) << B->getName();
+    EXPECT_EQ(DT.isReachable(B), Reachable.count(B) != 0) << B->getName();
+
+    const BasicBlock *WantIDom = nullptr;
+    for (const BasicBlock *D : Blocks) {
+      if (D == B || !RefDominates(D, B))
+        continue;
+      bool Immediate = true;
+      for (const BasicBlock *O : Blocks)
+        if (O != B && O != D && RefDominates(O, B) && !RefDominates(O, D))
+          Immediate = false;
+      if (Immediate)
+        WantIDom = D;
+    }
+    EXPECT_EQ(DT.getIDom(B), WantIDom) << B->getName();
+    for (const BasicBlock *A : Blocks)
+      EXPECT_EQ(DT.dominates(A, B), RefDominates(A, B))
+          << A->getName() << " dom " << B->getName();
+  }
+}
+
+} // namespace
+
+TEST(Dominators, UnreachablePredecessorAndDoubleEdge) {
+  Context Ctx;
+  auto M = parseOrDie(Ctx, R"(
+define i32 @f(i1 %c) {
+entry:
+  br i1 %c, label %j, label %j
+dead:
+  br label %k
+j:
+  br label %k
+k:
+  ret i32 0
+}
+)");
+  Function *F = M->getFunction("f");
+  BasicBlock *Entry = blockNamed(F, "entry");
+  BasicBlock *Dead = blockNamed(F, "dead");
+  BasicBlock *J = blockNamed(F, "j");
+  BasicBlock *K = blockNamed(F, "k");
+  // Both edges of the branch count once; the unreachable block is still a
+  // predecessor, in function order.
+  EXPECT_EQ(J->predecessors(), std::vector<BasicBlock *>{Entry});
+  EXPECT_EQ(K->predecessors(), (std::vector<BasicBlock *>{Dead, J}));
+  EXPECT_EQ(computeRPO(*F), (std::vector<BasicBlock *>{Entry, J, K}));
+
+  DominatorTree DT(*F);
+  EXPECT_FALSE(DT.isReachable(Dead));
+  EXPECT_EQ(DT.getIDom(J), Entry);
+  EXPECT_EQ(DT.getIDom(K), J) << "the unreachable predecessor is ignored";
+  EXPECT_EQ(DT.getIDom(Dead), nullptr);
+  EXPECT_TRUE(DT.dominates(J, K));
+  EXPECT_FALSE(DT.dominates(Dead, K));
+  EXPECT_FALSE(DT.dominates(Dead, Dead));
+  expectDominatorsMatchReference(*F);
+}
+
+TEST(Dominators, MatchBruteForceOnPaperSuite) {
+  // Every function of the 12 paper profiles, before and after the paper
+  // pipeline: the optimizer's CFG edits (unswitching, deletion, SCCP and
+  // SimplifyCFG folds) reach shapes the generator alone does not.
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    SCOPED_TRACE(P.Name);
+    Context Ctx;
+    auto Orig = generateBenchmark(Ctx, P);
+    auto Opt = cloneModule(*Orig);
+    PassManager PM;
+    PM.parsePipeline(getPaperPipeline());
+    PM.run(*Opt);
+    for (const Module *M : {Orig.get(), Opt.get()})
+      for (const Function *F : M->definedFunctions())
+        expectDominatorsMatchReference(*F);
+  }
 }
 
 TEST(LoopInfoTest, SimpleLoop) {

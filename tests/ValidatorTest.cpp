@@ -448,7 +448,9 @@ namespace {
 /// {RS_Paper, RS_All}: the validated count and a digest of (function
 /// name, verdict) in module order. They were recorded while normalization
 /// still ran nested budget loops, so stopping at a true fixpoint provably
-/// changed no verdict.
+/// changed no verdict. Both sharing strategies must reproduce them: the
+/// paper's §5.4 reports that simple unification and partition refinement
+/// validate the same pairs.
 struct SuiteVerdicts {
   const char *Profile;
   unsigned Validated[2];
@@ -474,6 +476,8 @@ const SuiteVerdicts PaperSuiteVerdicts[] = {
 
 TEST(SuiteFixpointTest, EveryPairStopsForAReasonWithItsVerdict) {
   const unsigned Masks[2] = {RS_Paper, RS_All};
+  const SharingStrategy Strategies[2] = {SharingStrategy::Simple,
+                                         SharingStrategy::Partition};
   std::vector<BenchmarkProfile> Suite = getPaperSuite();
   ASSERT_EQ(Suite.size(), std::size(PaperSuiteVerdicts));
   for (size_t P = 0; P < Suite.size(); ++P) {
@@ -485,40 +489,44 @@ TEST(SuiteFixpointTest, EveryPairStopsForAReasonWithItsVerdict) {
     PassManager PM;
     PM.parsePipeline(getPaperPipeline());
     PM.run(*Opt);
-    for (unsigned K = 0; K < 2; ++K) {
-      SCOPED_TRACE(Suite[P].Name + (K ? " RS_All" : " RS_Paper"));
-      RuleConfig RC;
-      RC.Mask = Masks[K];
-      RC.M = Orig.get();
-      unsigned Validated = 0;
-      uint64_t Digest = 0;
-      for (const Function *F : Orig->definedFunctions()) {
-        const Function *FO = Opt->getFunction(F->getName());
-        if (!FO || fingerprintFunction(*F) == fingerprintFunction(*FO))
-          continue;
-        ValidationResult R = validatePair(*F, *FO, RC);
-        EXPECT_NE(R.Reason, "fixpoint budget exhausted") << F->getName();
-        Validated += R.Validated;
-        Digest = hashCombine(Digest, hashCombine(hashString(F->getName()),
-                                                 R.Validated * 2 +
-                                                     R.Unsupported));
-        // The same fixpoint again, for the normalizer's own counters.
-        ValueGraph G;
-        BuildResult A = buildValueGraph(G, *F);
-        BuildResult B = buildValueGraph(G, *FO);
-        if (!A.Supported || !B.Supported)
-          continue;
-        NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, RC);
-        EXPECT_EQ(S.NoProgressFires, 0u) << F->getName();
-        EXPECT_FALSE(S.BudgetExhausted) << F->getName();
-        EXPECT_EQ(S.Iterations, R.Iterations) << F->getName();
-        EXPECT_EQ(S.Rewrites, R.Rewrites) << F->getName();
-        EXPECT_EQ(std::accumulate(S.RuleFires.begin(), S.RuleFires.end(), 0u),
-                  S.Rewrites)
-            << F->getName();
+    for (SharingStrategy Strategy : Strategies)
+      for (unsigned K = 0; K < 2; ++K) {
+        SCOPED_TRACE(Suite[P].Name + (K ? " RS_All" : " RS_Paper") +
+                     (Strategy == SharingStrategy::Simple ? " simple"
+                                                          : " partition"));
+        RuleConfig RC;
+        RC.Mask = Masks[K];
+        RC.M = Orig.get();
+        RC.Strategy = Strategy;
+        unsigned Validated = 0;
+        uint64_t Digest = 0;
+        for (const Function *F : Orig->definedFunctions()) {
+          const Function *FO = Opt->getFunction(F->getName());
+          if (!FO || fingerprintFunction(*F) == fingerprintFunction(*FO))
+            continue;
+          ValidationResult R = validatePair(*F, *FO, RC);
+          EXPECT_NE(R.Reason, "fixpoint budget exhausted") << F->getName();
+          Validated += R.Validated;
+          Digest = hashCombine(Digest, hashCombine(hashString(F->getName()),
+                                                   R.Validated * 2 +
+                                                       R.Unsupported));
+          // The same fixpoint again, for the normalizer's own counters.
+          ValueGraph G;
+          BuildResult A = buildValueGraph(G, *F);
+          BuildResult B = buildValueGraph(G, *FO);
+          if (!A.Supported || !B.Supported)
+            continue;
+          NormalizeStats S = normalizeToFixpoint(G, {A.Ret, B.Ret}, RC);
+          EXPECT_EQ(S.NoProgressFires, 0u) << F->getName();
+          EXPECT_FALSE(S.BudgetExhausted) << F->getName();
+          EXPECT_EQ(S.Iterations, R.Iterations) << F->getName();
+          EXPECT_EQ(S.Rewrites, R.Rewrites) << F->getName();
+          EXPECT_EQ(std::accumulate(S.RuleFires.begin(), S.RuleFires.end(), 0u),
+                    S.Rewrites)
+              << F->getName();
+        }
+        EXPECT_EQ(Validated, Want.Validated[K]);
+        EXPECT_EQ(Digest, Want.Digest[K]);
       }
-      EXPECT_EQ(Validated, Want.Validated[K]);
-      EXPECT_EQ(Digest, Want.Digest[K]);
-    }
   }
 }

@@ -149,6 +149,39 @@ TEST_F(GraphFixture, PartitionKeepsDistinctCyclesApart) {
   EXPECT_NE(G.find(M1), G.find(M2));
 }
 
+TEST_F(GraphFixture, PartitionSortsCommutativeOperandsByClass) {
+  // Node ids μ1 < c < μ2, so add(μ1,c) and add(c,μ2) store their operands
+  // in opposite class orders; the refinement signature must not care.
+  NodeId Zero = G.getConstInt(I32, 0);
+  NodeId M1 = G.makeMu(I32);
+  NodeId C = G.getConstInt(I32, 1);
+  NodeId M2 = G.makeMu(I32);
+  G.setMuOperands(M1, Zero, G.getOp(Opcode::Add, I32, {M1, C}));
+  G.setMuOperands(M2, Zero, G.getOp(Opcode::Add, I32, {C, M2}));
+  G.maximizeSharing(SharingStrategy::Partition);
+  EXPECT_EQ(G.find(M1), G.find(M2));
+}
+
+TEST_F(GraphFixture, PartitionSortsGammaBranchesByClass) {
+  // Loop-dependent conditions on either side of a shared one (by node id)
+  // give the two γs opposite branch orders; the γs sit inside the cycles,
+  // so only the refinement itself can merge them.
+  NodeId Zero = G.getConstInt(I32, 0), One = G.getConstInt(I32, 1);
+  NodeId Ten = G.getConstInt(I32, 10);
+  auto Slt = static_cast<uint8_t>(ICmpPred::SLT);
+  NodeId M1 = G.makeMu(I32);
+  NodeId Step1 = G.getOp(Opcode::Add, I32, {M1, One});
+  NodeId Cmp1 = G.getOp(Opcode::ICmp, I1, {M1, Ten}, Slt);
+  NodeId Q = G.getParam(0, I1);
+  NodeId M2 = G.makeMu(I32);
+  NodeId Step2 = G.getOp(Opcode::Add, I32, {M2, One});
+  NodeId Cmp2 = G.getOp(Opcode::ICmp, I1, {M2, Ten}, Slt);
+  G.setMuOperands(M1, Zero, G.getGamma(I32, {{Cmp1, Step1}, {Q, M1}}));
+  G.setMuOperands(M2, Zero, G.getGamma(I32, {{Cmp2, Step2}, {Q, M2}}));
+  G.maximizeSharing(SharingStrategy::Partition);
+  EXPECT_EQ(G.find(M1), G.find(M2));
+}
+
 TEST_F(GraphFixture, AliasOnGraphPointers) {
   NodeId Mem = G.getInitialMem();
   NodeId One = G.getConstInt(Ctx.getInt64Ty(), 1);
