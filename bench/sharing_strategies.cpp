@@ -6,7 +6,7 @@
 // Hopcroft-style partitioning algorithm and reports that they validate
 // roughly the same fraction. This harness reproduces that comparison on
 // the GVN + loop-unswitch workload (the ones that stress cycle matching):
-// both strategies validate exactly the same pairs, and Simple, the
+// both strategies validate the same number of pairs, and Simple, the
 // default, is the cheaper one. It is also a check: it exits 1 when the
 // two overall validated counts differ.
 //
@@ -67,7 +67,7 @@ int main() {
     return 1;
   }
   std::printf("\n(paper: both algorithms give roughly the same rate; "
-              "measured: both validate the same %u of %u pairs)\n",
+              "measured: both validate %u of %u pairs)\n",
               V[0], T[0]);
   return 0;
 }
