@@ -6,8 +6,8 @@
 #   (default)  tier-1 build + ctest, fig4 smoke, the §5.4 sharing-strategy
 #              tie, engine determinism checks
 #   --tsan     ThreadSanitizer build (CMake preset "tsan") running the
-#              engine + concurrent-interning + triage + server tests — the
-#              same job CI runs
+#              engine + concurrent-interning + triage + server, front-door
+#              and fleet tests — the same job CI runs
 #   --asan     AddressSanitizer+UBSan build (preset "asan") running the
 #              full test suite — ditto
 #   --warm     local reproduction of the CI warm-cache job: two suite runs
@@ -339,7 +339,9 @@ EOF
   wait "$DAEMON"
   DAEMON=""
   python3 "$REPO_ROOT/scripts/check_obs.py" prom "$DIR/fleet.prom"
+  # Each scrape dials every worker; both must have answered.
   grep -q '^llvmmd_fleet_worker_up{worker="0"} 1' "$DIR/fleet.prom"
+  grep -q '^llvmmd_fleet_worker_up{worker="1"} 1' "$DIR/fleet.prom"
   grep -q '^llvmmd_fleet_jobs_completed_total ' "$DIR/fleet.prom"
   grep -q '^llvmmd_server_jobs_completed_total{worker=' "$DIR/fleet.prom"
 

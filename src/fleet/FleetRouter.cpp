@@ -7,21 +7,14 @@
 #include "fleet/FleetRouter.h"
 
 #include "driver/VerdictStore.h"
-#include "support/Http.h"
 #include "support/Log.h"
-#include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <sstream>
 
 #ifndef _WIN32
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -93,6 +86,9 @@ std::string FleetRouter::statsJSON() const {
 
 namespace {
 
+/// Receive deadline of the roll-up's per-worker dial.
+constexpr unsigned ScrapeDeadlineMs = 300;
+
 /// One metric family parsed out of a worker's text exposition: the
 /// `# HELP` / `# TYPE` header plus its sample lines (re-labeled by the
 /// caller). Same-name families from different workers merge so the
@@ -163,41 +159,6 @@ void mergeWorkerScrape(const std::string &Text, unsigned Worker,
 } // namespace
 
 std::string FleetRouter::metricsText() const {
-  // Short-TTL cache with coalescing: a fresh sweep is served to everyone
-  // who asks within the TTL, and scrapes racing a cache miss wait for the
-  // one in-flight sweep instead of stampeding the workers. TTL 0 keeps
-  // the coalescing but never serves stale text.
-  const auto Ttl = std::chrono::milliseconds(Cfg.MetricsCacheTtlMs);
-  std::unique_lock<std::mutex> G(MetricsCacheLock);
-  for (;;) {
-    if (MetricsCacheValid && Cfg.MetricsCacheTtlMs &&
-        std::chrono::steady_clock::now() - MetricsCacheAt < Ttl)
-      return MetricsCache;
-    if (!MetricsRefreshInFlight)
-      break;
-    MetricsCacheCV.wait(G); // the in-flight sweep's result serves us too
-  }
-  MetricsRefreshInFlight = true;
-  G.unlock();
-  std::string Text = buildRollup();
-  G.lock();
-  MetricsCache = Text;
-  MetricsCacheAt = std::chrono::steady_clock::now();
-  MetricsCacheValid = true;
-  MetricsRefreshInFlight = false;
-  MetricsCacheCV.notify_all();
-  return Text;
-}
-
-int FleetRouter::boundHttpPort() const {
-  return Http ? Http->boundPort() : -1;
-}
-
-std::string FleetRouter::buildRollup() const {
-  // The sweep count is itself a sample in the roll-up (bumped before the
-  // snapshot below so each sweep sees itself); the delta between two
-  // scrapes tells an operator how well the cache is coalescing.
-  const_cast<FleetRouter *>(this)->bumpCounter(&FleetCounters::MetricsSweeps);
   FleetCounters C = counters();
   JobTable::Stats T = tableStats();
 
@@ -235,54 +196,28 @@ std::string FleetRouter::buildRollup() const {
        "Dispatcher reconnects to (re)spawned workers", C.WorkerReconnects);
   Emit("llvmmd_fleet_frames_fanned_total", "counter",
        "Response frames fanned out to subscribers", T.FramesFanned);
-  Emit("llvmmd_fleet_metrics_sweeps_total", "counter",
-       "Worker metric sweeps performed (cache hits excluded)",
-       C.MetricsSweeps);
 
-  // Per-worker scrapes, preferably over the dispatchers' persistent
-  // links: every dispatcher is asked up front (they scrape concurrently
-  // between jobs), then each answer is collected against one shared
-  // deadline. A dispatcher that is mid-job, drained, or whose link is
-  // down answers late or not at all — those workers fall back to a fresh
-  // dial, so a worker mid-respawn is simply reported down and the
-  // roll-up stays useful while the monitor restarts it.
-  std::vector<uint64_t> Targets(Cfg.Workers, 0);
-  for (unsigned W = 0; W < Cfg.Workers && WM; ++W) {
-    WorkerLink &L = *Links[W];
-    std::lock_guard<std::mutex> LG(L.Lock);
-    Targets[W] = ++L.ScrapeSeq;
-    L.CV.notify_all();
-  }
-  const auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
-
+  // One fresh dial per worker per scrape. It works whatever the worker's
+  // dispatcher is doing (mid-job, reconnecting, drained), and the receive
+  // deadline bounds what a stopped or wedged worker can cost: it reads
+  // down, and the roll-up moves on. A worker mid-respawn is simply
+  // reported down while the monitor restarts it.
   std::vector<std::string> Order;
   std::map<std::string, ExpoFamily> Families;
   std::string Up = "# HELP llvmmd_fleet_worker_up Worker scrape reachability "
                    "(1 = scraped)\n# TYPE llvmmd_fleet_worker_up gauge\n";
   for (unsigned W = 0; W < Cfg.Workers && WM; ++W) {
-    WorkerLink &L = *Links[W];
     std::string Text, Err;
-    bool Ok = false, Answered = false;
-    {
-      std::unique_lock<std::mutex> LG(L.Lock);
-      Answered = L.CV.wait_until(
-          LG, Deadline, [&] { return L.ScrapeDoneSeq >= Targets[W]; });
-      if (Answered && L.ScrapeOk) {
-        Ok = true;
-        Text = L.ScrapeText;
-      }
-    }
-    if (!Ok) {
-      ServerClient Probe;
-      Probe.MaxFrameBytes = Cfg.MaxFrameBytes;
-      Probe.Retry.Retries = 2;
-      Probe.Retry.BaseDelayMs = 5;
-      Probe.Retry.MaxDelayMs = 20;
-      Ok = Probe.connectUnix(WM->socketPath(W), &Err) &&
-           Probe.handshake(configDigest(), nullptr, &Err) &&
-           Probe.metrics(&Text, &Err);
-    }
+    ServerClient Probe;
+    Probe.MaxFrameBytes = Cfg.MaxFrameBytes;
+    Probe.Retry.Retries = 2;
+    Probe.Retry.BaseDelayMs = 5;
+    Probe.Retry.MaxDelayMs = 20;
+    bool Ok = Probe.connectUnix(WM->socketPath(W), &Err);
+    if (Ok)
+      setRecvTimeout(Probe.fd(), ScrapeDeadlineMs);
+    Ok = Ok && Probe.handshake(configDigest(), nullptr, &Err) &&
+         Probe.metrics(&Text, &Err);
     Up += "llvmmd_fleet_worker_up{worker=\"" + std::to_string(W) + "\"} " +
           (Ok ? "1" : "0") + "\n";
     if (Ok)
@@ -308,29 +243,7 @@ std::string FleetRouter::buildRollup() const {
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-bool FleetRouter::listenOn(int Fd, const std::string &What,
-                           std::string *Error) {
-#ifndef _WIN32
-  if (Fd < 0 || ::listen(Fd, 64) != 0) {
-    if (Error)
-      *Error = "cannot listen on " + What;
-    if (Fd >= 0)
-      ::close(Fd);
-    return false;
-  }
-  ListenFds.push_back(Fd);
-  return true;
-#else
-  (void)Fd;
-  (void)What;
-  if (Error)
-    *Error = "router sockets are POSIX-only";
-  return false;
-#endif
-}
-
 bool FleetRouter::start(std::string *Error) {
-#ifndef _WIN32
   {
     std::lock_guard<std::mutex> G(LifeLock);
     if (Started) {
@@ -339,94 +252,23 @@ bool FleetRouter::start(std::string *Error) {
       return false;
     }
   }
-  if (Cfg.UnixPath.empty() && Cfg.TcpPort < 0) {
-    if (Error)
-      *Error = "no listener configured (need UnixPath and/or TcpPort)";
-    return false;
-  }
   if (Cfg.Workers == 0) {
     if (Error)
       *Error = "a fleet needs at least one worker";
     return false;
   }
 
-  if (!Cfg.UnixPath.empty()) {
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    if (Cfg.UnixPath.size() >= sizeof(Addr.sun_path)) {
-      if (Error)
-        *Error = "unix socket path too long: " + Cfg.UnixPath;
-      return false;
-    }
-    std::strncpy(Addr.sun_path, Cfg.UnixPath.c_str(),
-                 sizeof(Addr.sun_path) - 1);
-    ::unlink(Cfg.UnixPath.c_str());
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0 ||
-        ::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-      if (Error)
-        *Error = "cannot bind unix socket '" + Cfg.UnixPath + "'";
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
-    if (!listenOn(Fd, "unix socket '" + Cfg.UnixPath + "'", Error))
-      return false;
-  }
-
-  if (Cfg.TcpPort >= 0) {
-    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    int One = 1;
-    if (Fd >= 0)
-      ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    Addr.sin_port = htons(static_cast<uint16_t>(Cfg.TcpPort));
-    if (Fd < 0 ||
-        ::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-      if (Error)
-        *Error = "cannot bind 127.0.0.1:" + std::to_string(Cfg.TcpPort);
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
-    socklen_t AddrLen = sizeof(Addr);
-    ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Addr), &AddrLen);
-    BoundTcpPort = ntohs(Addr.sin_port);
-    if (!listenOn(Fd, "tcp port " + std::to_string(BoundTcpPort), Error))
-      return false;
-  }
-
-  // The /metrics sidecar binds before the workers spawn: a bad
-  // --http-metrics address should fail fast, not after paying fleet
-  // startup. The handler runs on the responder's own connection threads
-  // and only ever calls the (internally locked) roll-up.
-  if (!Cfg.HttpMetrics.empty()) {
-    Http = std::make_unique<HttpServer>();
-    Http->handle("/metrics", [this] {
-      HttpResponse R;
-      R.ContentType = PrometheusContentType;
-      R.Body = metricsText();
-      return R;
-    });
-    Http->handle("/healthz", [] {
-      HttpResponse R;
-      R.Body = "ok\n";
-      return R;
-    });
-    if (!Http->start(Cfg.HttpMetrics, Error)) {
-      Http.reset();
-      for (int Fd : ListenFds)
-        ::close(Fd);
-      ListenFds.clear();
-      if (!Cfg.UnixPath.empty())
-        ::unlink(Cfg.UnixPath.c_str());
-      return false;
-    }
-  }
+  // The listeners and the /metrics sidecar bind before the workers spawn:
+  // a bad --http-metrics address should fail fast, not after paying fleet
+  // startup. The sidecar only ever calls the roll-up, which is safe from
+  // any thread.
+  FrontDoor::Config FC;
+  FC.UnixPath = Cfg.UnixPath;
+  FC.TcpPort = Cfg.TcpPort;
+  FC.HttpMetrics = Cfg.HttpMetrics;
+  FC.MaxFrameBytes = Cfg.MaxFrameBytes;
+  if (!Door.open(FC, [this] { return metricsText(); }, Error))
+    return false;
 
   JobTable::Config TC;
   TC.ConfigDigest = configDigest();
@@ -455,15 +297,7 @@ bool FleetRouter::start(std::string *Error) {
   WM = std::make_unique<WorkerManager>(WC);
   if (!WM->start(Error)) {
     WM.reset();
-    if (Http) {
-      Http->stop();
-      Http.reset();
-    }
-    for (int Fd : ListenFds)
-      ::close(Fd);
-    ListenFds.clear();
-    if (!Cfg.UnixPath.empty())
-      ::unlink(Cfg.UnixPath.c_str());
+    Door.close();
     return false;
   }
 
@@ -475,17 +309,19 @@ bool FleetRouter::start(std::string *Error) {
   Started = true;
   Stopped = false;
   StopRequested = false;
-  AcceptStop = false;
   DrainAndExit = false;
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  FrontDoor::Hooks H;
+  H.OnFrame = [this](const FrontDoor::ConnectionPtr &C, const Frame &F) {
+    return handleFrame(C, F);
+  };
+  H.OnFrameError = [this](ReadStatus) {
+    bumpCounter(&FleetCounters::ProtocolErrors);
+  };
+  H.OnAccept = [this] { bumpCounter(&FleetCounters::ConnectionsAccepted); };
+  Door.serve(std::move(H));
   for (unsigned W = 0; W < Cfg.Workers; ++W)
     Dispatchers.emplace_back([this, W] { dispatcherLoop(W); });
   return true;
-#else
-  if (Error)
-    *Error = "the fleet router is POSIX-only";
-  return false;
-#endif
 }
 
 void FleetRouter::requestStop() {
@@ -496,13 +332,11 @@ void FleetRouter::requestStop() {
 }
 
 void FleetRouter::stop() {
-#ifndef _WIN32
   if (!Started || Stopped)
     return;
   requestStop();
 
-  if (AcceptThread.joinable())
-    AcceptThread.join();
+  Door.stopAccepting();
   // Dispatchers drain their queues: every admitted job still completes (or
   // fails through its attempt budget) and its subscribers hear the end.
   for (std::thread &T : Dispatchers)
@@ -515,30 +349,13 @@ void FleetRouter::stop() {
   if (WM)
     WM->stop();
 
-  {
-    std::unique_lock<std::mutex> G(ConnLock);
-    for (const auto &C : Conns) {
-      std::lock_guard<std::mutex> WG(C->WriteLock);
-      if (C->Fd >= 0)
-        ::shutdown(C->Fd, SHUT_RDWR);
-    }
-    ConnDoneCV.wait(G, [this] { return Conns.empty(); });
-  }
-
-  for (int Fd : ListenFds)
-    ::close(Fd);
-  ListenFds.clear();
-  if (!Cfg.UnixPath.empty())
-    ::unlink(Cfg.UnixPath.c_str());
-
-  // The HTTP responder outlives the drain so a scraper watching the
-  // shutdown sees the final counters; it goes down last.
-  if (Http)
-    Http->stop();
+  // Then the connections wind down, the listeners close and the HTTP
+  // sidecar goes last, so a scraper watching the shutdown sees the final
+  // counters.
+  Door.close();
 
   Stopped = true;
   LifeCV.notify_all();
-#endif
 }
 
 void FleetRouter::wait() {
@@ -556,124 +373,33 @@ void FleetRouter::wait() {
 // Client connections
 //===----------------------------------------------------------------------===//
 
-void FleetRouter::acceptLoop() {
-#ifndef _WIN32
-  std::vector<pollfd> Polls;
-  for (int Fd : ListenFds)
-    Polls.push_back({Fd, POLLIN, 0});
-  while (!AcceptStop) {
-    int N = ::poll(Polls.data(), Polls.size(), /*timeout_ms=*/100);
-    if (N <= 0)
-      continue;
-    for (pollfd &P : Polls) {
-      if (!(P.revents & POLLIN))
-        continue;
-      int Fd = ::accept(P.fd, nullptr, nullptr);
-      if (Fd < 0)
-        continue;
-      // A client that stops reading must not park a dispatcher in a
-      // blocking send forever (that would also wedge graceful shutdown).
-      timeval SendTimeout{30, 0};
-      ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                   sizeof(SendTimeout));
-      auto C = std::make_shared<Connection>();
-      C->Fd = Fd;
-      {
-        std::lock_guard<std::mutex> G(ConnLock);
-        C->Id = NextConnId++;
-        Conns.push_back(C);
-      }
-      bumpCounter(&FleetCounters::ConnectionsAccepted);
-      std::thread([this, C] { handleConnection(C); }).detach();
-    }
-  }
-#endif
-}
-
-bool FleetRouter::sendFrame(Connection &C, FrameType T,
-                            const std::string &Payload) {
-  if (!C.Alive.load())
-    return false;
-  std::lock_guard<std::mutex> G(C.WriteLock);
-  if (C.Fd < 0 || !writeFrame(C.Fd, T, Payload)) {
-    C.Alive = false;
-    return false;
-  }
-  return true;
-}
-
-void FleetRouter::sendError(Connection &C, ErrorCode Code,
-                            const std::string &Msg) {
-  ErrorPayload E;
-  E.Code = Code;
-  E.Message = Msg;
-  sendFrame(C, FrameType::Error, encodeError(E));
-}
-
-void FleetRouter::handleConnection(std::shared_ptr<Connection> C) {
-#ifndef _WIN32
-  for (;;) {
-    Frame F;
-    ReadStatus RS = readFrame(C->Fd, F, Cfg.MaxFrameBytes);
-    if (RS == ReadStatus::Eof)
-      break;
-    if (RS != ReadStatus::Ok) {
-      bumpCounter(&FleetCounters::ProtocolErrors);
-      sendError(*C, ErrorCode::Protocol,
-                RS == ReadStatus::Oversized
-                    ? "frame exceeds the size limit"
-                    : "truncated or unreadable frame");
-      break;
-    }
-    if (!handleFrame(C, F))
-      break;
-  }
-  C->Alive = false;
-  {
-    std::lock_guard<std::mutex> WG(C->WriteLock);
-    ::close(C->Fd);
-    C->Fd = -1;
-  }
-  {
-    std::lock_guard<std::mutex> G(ConnLock);
-    for (size_t I = 0; I < Conns.size(); ++I) {
-      if (Conns[I].get() == C.get()) {
-        Conns.erase(Conns.begin() + I);
-        break;
-      }
-    }
-    ConnDoneCV.notify_all();
-  }
-#endif
-}
-
-bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
+bool FleetRouter::handleFrame(const FrontDoor::ConnectionPtr &C,
                               const Frame &F) {
   if (!C->Handshaken) {
     if (F.Type != FrameType::Hello) {
       bumpCounter(&FleetCounters::ProtocolErrors);
-      sendError(*C, ErrorCode::Protocol, "expected Hello");
+      C->sendError(ErrorCode::Protocol, "expected Hello");
       return false;
     }
     HelloPayload H;
     if (!decodeHello(F.Payload, H)) {
       bumpCounter(&FleetCounters::ProtocolErrors);
-      sendError(*C, ErrorCode::Protocol, "undecodable Hello");
+      C->sendError(ErrorCode::Protocol, "undecodable Hello");
       return false;
     }
     if (H.Version != ServerProtocolVersion) {
       bumpCounter(&FleetCounters::HandshakesRejected);
-      sendError(*C, ErrorCode::Handshake,
-                "protocol version " + std::to_string(H.Version) +
-                    " (router speaks " +
-                    std::to_string(ServerProtocolVersion) + ")");
+      C->sendError(ErrorCode::Handshake,
+                   "protocol version " + std::to_string(H.Version) +
+                       " (router speaks " +
+                       std::to_string(ServerProtocolVersion) + ")");
       return false;
     }
     if (H.ConfigDigest != configDigest()) {
       bumpCounter(&FleetCounters::HandshakesRejected);
-      sendError(*C, ErrorCode::Handshake,
-                "config digest mismatch: the fleet validates under a "
-                "different rule configuration");
+      C->sendError(ErrorCode::Handshake,
+                   "config digest mismatch: the fleet validates under a "
+                   "different rule configuration");
       return false;
     }
     HelloOkPayload Ok;
@@ -681,7 +407,7 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
     Ok.EngineThreads = Cfg.Workers; // serving parallelism, not one engine's
     Ok.TriageEnabled = Cfg.Triage;
     C->Handshaken = true;
-    return sendFrame(*C, FrameType::HelloOk, encodeHelloOk(Ok));
+    return C->send(FrameType::HelloOk, encodeHelloOk(Ok));
   }
 
   switch (F.Type) {
@@ -689,16 +415,16 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
     SubmitPayload S;
     if (!decodeSubmit(F.Payload, S) || S.Modules.empty()) {
       bumpCounter(&FleetCounters::ProtocolErrors);
-      sendError(*C, ErrorCode::Protocol, "undecodable or empty Submit");
+      C->sendError(ErrorCode::Protocol, "undecodable or empty Submit");
       return false;
     }
     if (!Accepting || QueuedJobs.load() >= Cfg.MaxQueuedJobs) {
       bumpCounter(&FleetCounters::JobsRejected);
-      sendError(*C, ErrorCode::QueueFull,
-                !Accepting ? "fleet is shutting down"
-                           : "queue full (" +
-                                 std::to_string(QueuedJobs.load()) +
-                                 " jobs pending)");
+      C->sendError(ErrorCode::QueueFull,
+                   !Accepting ? "fleet is shutting down"
+                              : "queue full (" +
+                                    std::to_string(QueuedJobs.load()) +
+                                    " jobs pending)");
       return true;
     }
     // The fleet's front door mints the trace id: when the router is
@@ -708,9 +434,8 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
     if (traceEnabled() && S.TraceId == 0)
       S.TraceId = traceMintTraceId();
     auto Sink = std::make_shared<JobTable::Sink>();
-    std::shared_ptr<Connection> Keep = C;
-    Sink->Write = [this, Keep](FrameType T, const std::string &P) {
-      return sendFrame(*Keep, T, P);
+    Sink->Write = [C](FrameType T, const std::string &P) {
+      return C->send(T, P);
     };
     // The reply callback runs before any replayed/live frame can reach
     // this sink, so the client always reads Accepted/JobId first.
@@ -719,13 +444,13 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
         AcceptedPayload A;
         A.JobId = Id;
         A.QueuePosition = static_cast<uint32_t>(QueuedJobs.load());
-        sendFrame(*C, FrameType::Accepted, encodeAccepted(A));
+        C->send(FrameType::Accepted, encodeAccepted(A));
       } else {
         JobIdPayload JI;
         JI.JobId = Id;
         JI.Deduplicated = 1;
         JI.ReplayedFrames = Replayed;
-        sendFrame(*C, FrameType::JobId, encodeJobId(JI));
+        C->send(FrameType::JobId, encodeJobId(JI));
       }
     };
     JobTable::SubmitResult R = Table->submit(S, std::move(Sink), Reply);
@@ -741,42 +466,41 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
     SubscribePayload SP;
     if (!decodeSubscribe(F.Payload, SP)) {
       bumpCounter(&FleetCounters::ProtocolErrors);
-      sendError(*C, ErrorCode::Protocol, "undecodable Subscribe");
+      C->sendError(ErrorCode::Protocol, "undecodable Subscribe");
       return false;
     }
     auto Sink = std::make_shared<JobTable::Sink>();
-    std::shared_ptr<Connection> Keep = C;
-    Sink->Write = [this, Keep](FrameType T, const std::string &P) {
-      return sendFrame(*Keep, T, P);
+    Sink->Write = [C](FrameType T, const std::string &P) {
+      return C->send(T, P);
     };
     auto Reply = [&](uint64_t Id, bool, uint32_t Replayed) {
       JobIdPayload JI;
       JI.JobId = Id;
       JI.Deduplicated = 0;
       JI.ReplayedFrames = Replayed;
-      sendFrame(*C, FrameType::JobId, encodeJobId(JI));
+      C->send(FrameType::JobId, encodeJobId(JI));
     };
     std::string Err;
     if (!Table->subscribeJob(SP.JobId, std::move(Sink), Reply, &Err)) {
       bumpCounter(&FleetCounters::UnknownJobErrors);
-      sendError(*C, ErrorCode::UnknownJob, Err);
+      C->sendError(ErrorCode::UnknownJob, Err);
       return true;
     }
     bumpCounter(&FleetCounters::Subscribes);
     return true;
   }
   case FrameType::Stats:
-    return sendFrame(*C, FrameType::StatsReply, statsJSON());
+    return C->send(FrameType::StatsReply, statsJSON());
   case FrameType::Metrics:
-    return sendFrame(*C, FrameType::MetricsReply, metricsText());
+    return C->send(FrameType::MetricsReply, metricsText());
   case FrameType::Ping:
-    return sendFrame(*C, FrameType::Pong, std::string());
+    return C->send(FrameType::Pong, std::string());
   case FrameType::Shutdown:
     requestStop();
     return true;
   default:
     bumpCounter(&FleetCounters::ProtocolErrors);
-    sendError(*C, ErrorCode::Protocol, "unexpected frame type");
+    C->sendError(ErrorCode::Protocol, "unexpected frame type");
     return false;
   }
 }
@@ -807,17 +531,9 @@ void FleetRouter::dispatcherLoop(unsigned W) {
       // Bounded wait: the signal-safe stop path stores flags without a
       // notify.
       while (!L.CV.wait_for(G, std::chrono::milliseconds(200), [&] {
-        return DrainAndExit.load() || !L.Queue.empty() ||
-               L.ScrapeDoneSeq < L.ScrapeSeq;
+        return DrainAndExit.load() || !L.Queue.empty();
       }))
         ;
-      if (L.ScrapeDoneSeq < L.ScrapeSeq) {
-        // A scrape is waiting on the persistent link; it is quick, so it
-        // goes first, and the loop re-checks for a job right after.
-        G.unlock();
-        serviceScrape(W);
-        continue;
-      }
       if (L.Queue.empty()) {
         if (DrainAndExit)
           break;
@@ -829,45 +545,7 @@ void FleetRouter::dispatcherLoop(unsigned W) {
     --QueuedJobs;
     runJobOnWorker(W, J);
   }
-  // A roll-up racing the drain must not wait out its deadline on a
-  // dispatcher that will never answer.
-  {
-    std::lock_guard<std::mutex> G(L.Lock);
-    L.ScrapeDoneSeq = L.ScrapeSeq;
-    L.ScrapeOk = false;
-    L.ScrapeText.clear();
-  }
-  L.CV.notify_all();
   L.Client.reset();
-}
-
-void FleetRouter::serviceScrape(unsigned W) {
-  WorkerLink &L = *Links[W];
-  uint64_t Target;
-  {
-    std::lock_guard<std::mutex> G(L.Lock);
-    if (L.ScrapeDoneSeq >= L.ScrapeSeq)
-      return;
-    Target = L.ScrapeSeq;
-  }
-  // Reuse the persistent link only when it already exists for the live
-  // worker generation: a scrape must never pay the reconnect retry
-  // schedule (the roll-up's fresh-dial fallback covers a down link), and
-  // answering "no" fast beats answering "yes" slowly.
-  std::string Text, Err;
-  bool Ok = false;
-  if (L.Client && WM && L.ConnectedGen == WM->generation(W)) {
-    Ok = L.Client->metrics(&Text, &Err);
-    if (!Ok)
-      L.Client.reset(); // poisoned link; the next job redials
-  }
-  {
-    std::lock_guard<std::mutex> G(L.Lock);
-    L.ScrapeDoneSeq = Target;
-    L.ScrapeOk = Ok;
-    L.ScrapeText = std::move(Text);
-  }
-  L.CV.notify_all();
 }
 
 bool FleetRouter::ensureWorkerLink(unsigned W, std::string *Error) {

@@ -20,8 +20,10 @@
 ///
 /// Structure (blocking I/O throughout, like the server):
 ///
-///   * accept thread + one detached thread per client connection
-///     (handshake, Submit/Subscribe/Stats/Ping/Shutdown);
+///   * the server's front door (server/FrontDoor.h): listeners, HTTP
+///     /metrics sidecar, accept thread and one detached thread per client
+///     connection; this class handles the frames (handshake,
+///     Submit/Subscribe/Stats/Metrics/Ping/Shutdown);
 ///   * a JobTable deduplicating identical concurrent submissions onto one
 ///     engine run and letting Subscribe join a running job mid-flight
 ///     (bounded replay buffer, then the live tail);
@@ -48,6 +50,7 @@
 #include "fleet/JobTable.h"
 #include "fleet/WorkerManager.h"
 #include "normalize/Rules.h"
+#include "server/FrontDoor.h"
 #include "server/Protocol.h"
 #include "server/ServerClient.h"
 
@@ -99,11 +102,6 @@ struct FleetConfig {
   /// /healthz; empty = none, port 0 = ephemeral). A stock Prometheus can
   /// scrape the fleet-wide roll-up straight off the router.
   std::string HttpMetrics;
-  /// How long one roll-up's worker sweep stays fresh: scrapes within the
-  /// TTL are served from cache, and concurrent scrapes coalesce onto one
-  /// in-flight sweep either way. 0 disables caching (every scrape
-  /// sweeps). Kept short by default — a scrape is a view of "now".
-  unsigned MetricsCacheTtlMs = 250;
 };
 
 struct FleetCounters {
@@ -122,9 +120,6 @@ struct FleetCounters {
   uint64_t JobsRequeued = 0;
   uint64_t WorkerReconnects = 0;
   uint64_t MaxQueueDepth = 0;
-  /// Worker sweeps actually performed by the metrics roll-up; scrapes
-  /// served from cache or coalesced onto an in-flight sweep don't count.
-  uint64_t MetricsSweeps = 0;
 };
 
 class FleetRouter {
@@ -135,8 +130,9 @@ public:
   FleetRouter(const FleetRouter &) = delete;
   FleetRouter &operator=(const FleetRouter &) = delete;
 
-  /// Binds the listeners, seeds and spawns the workers (failing loudly if
-  /// any cannot serve), and starts the accept + dispatcher threads.
+  /// Binds the listeners and the HTTP sidecar, seeds and spawns the
+  /// workers (failing loudly if any cannot serve), and starts the accept
+  /// + dispatcher threads. On failure nothing is left listening.
   bool start(std::string *Error = nullptr);
 
   /// Asynchronous graceful-stop trigger (see ValidationServer): admission
@@ -148,7 +144,7 @@ public:
   void requestStopFromSignal() {
     Accepting = false;
     DrainAndExit = true;
-    AcceptStop = true;
+    Door.requestStop();
     StopRequested = true;
   }
 
@@ -161,7 +157,7 @@ public:
   bool isStopped() const { return Stopped; }
 
   uint64_t configDigest() const;
-  int boundTcpPort() const { return BoundTcpPort; }
+  int boundTcpPort() const { return Door.boundTcpPort(); }
 
   FleetCounters counters() const;
   JobTable::Stats tableStats() const;
@@ -171,29 +167,20 @@ public:
   /// format: the router's own `llvmmd_fleet_*` families plus every live
   /// worker's scrape with its samples re-labeled `worker="N"` (same-name
   /// families from different workers merge into one `# TYPE` group).
-  /// Served from a short-TTL cache (MetricsCacheTtlMs); on a miss, one
-  /// sweep runs and concurrent scrapes wait for its result instead of
-  /// sweeping again. The sweep asks each dispatcher to scrape over its
-  /// persistent worker link (serviced between jobs), falling back to a
-  /// fresh dial when the link is down or the dispatcher is mid-job.
+  /// Each call dials every worker afresh (connect, handshake, Metrics),
+  /// with a 300 ms receive deadline per dial: a worker that does not
+  /// answer in time reads `llvmmd_fleet_worker_up{worker="N"} 0`. Safe to
+  /// call from any thread, concurrently.
   std::string metricsText() const;
 
   /// The HTTP responder's kernel-assigned port; -1 when HttpMetrics is
   /// unset or before start().
-  int boundHttpPort() const;
+  int boundHttpPort() const { return Door.boundHttpPort(); }
 
   /// Test/demo access to the supervised workers (pids, kill).
   WorkerManager *workers() { return WM.get(); }
 
 private:
-  struct Connection {
-    int Fd = -1;
-    uint64_t Id = 0;
-    std::mutex WriteLock;
-    std::atomic<bool> Alive{true};
-    bool Handshaken = false;
-  };
-
   /// One worker's dispatch state: the FIFO of jobs routed to it and the
   /// dispatcher's cached connection (dispatcher-thread only).
   struct WorkerLink {
@@ -202,66 +189,22 @@ private:
     std::deque<JobTable::JobPtr> Queue;
     std::unique_ptr<ServerClient> Client;
     uint64_t ConnectedGen = 0;
-    /// Scrape-request slot: the roll-up sweep bumps ScrapeSeq and the
-    /// dispatcher — the only thread allowed to touch Client — answers
-    /// between jobs, setting ScrapeDoneSeq/ScrapeOk/ScrapeText and
-    /// notifying CV. A dispatcher that is mid-job simply doesn't answer
-    /// before the requester's deadline, which then falls back to a fresh
-    /// dial. Guarded by Lock.
-    uint64_t ScrapeSeq = 0;
-    uint64_t ScrapeDoneSeq = 0;
-    bool ScrapeOk = false;
-    std::string ScrapeText;
   };
 
-  bool listenOn(int Fd, const std::string &What, std::string *Error);
-  void acceptLoop();
-  void handleConnection(std::shared_ptr<Connection> C);
-  bool handleFrame(const std::shared_ptr<Connection> &C, const Frame &F);
+  /// One request frame; returns false when the connection must close.
+  bool handleFrame(const FrontDoor::ConnectionPtr &C, const Frame &F);
   void dispatcherLoop(unsigned W);
-  /// Dispatcher-thread only: answer a pending scrape request over the
-  /// persistent link (if it is currently connected).
-  void serviceScrape(unsigned W);
-  /// One actual worker sweep + roll-up render (the cache miss path of
-  /// metricsText).
-  std::string buildRollup() const;
   /// One dispatch attempt; requeues or finishes the job itself.
   void runJobOnWorker(unsigned W, const JobTable::JobPtr &J);
   bool ensureWorkerLink(unsigned W, std::string *Error);
   void enqueue(const JobTable::JobPtr &J);
-  bool sendFrame(Connection &C, FrameType T, const std::string &Payload);
-  void sendError(Connection &C, ErrorCode Code, const std::string &Msg);
   void bumpCounter(uint64_t FleetCounters::*Field, uint64_t Delta = 1);
 
   FleetConfig Cfg;
   std::unique_ptr<JobTable> Table;
   std::unique_ptr<WorkerManager> WM;
   std::vector<std::unique_ptr<WorkerLink>> Links;
-  /// The /metrics + /healthz sidecar (HttpMetrics config); null when off.
-  std::unique_ptr<class HttpServer> Http;
-
-  /// Roll-up cache: one sweep's rendered text plus its timestamp, and the
-  /// in-flight flag that coalesces concurrent cache misses onto a single
-  /// sweep. All guarded by MetricsCacheLock (mutable: metricsText is
-  /// logically const).
-  mutable std::mutex MetricsCacheLock;
-  mutable std::condition_variable MetricsCacheCV;
-  mutable std::string MetricsCache;
-  mutable std::chrono::steady_clock::time_point MetricsCacheAt;
-  mutable bool MetricsCacheValid = false;
-  mutable bool MetricsRefreshInFlight = false;
-
-  std::vector<int> ListenFds;
-  int BoundTcpPort = -1;
-  std::atomic<bool> AcceptStop{false};
-
-  std::thread AcceptThread;
   std::vector<std::thread> Dispatchers;
-
-  std::mutex ConnLock;
-  std::condition_variable ConnDoneCV;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  uint64_t NextConnId = 1;
 
   std::atomic<uint64_t> QueuedJobs{0};
 
@@ -276,6 +219,9 @@ private:
 
   mutable std::mutex StatsLock;
   FleetCounters Counters;
+
+  /// Listeners, HTTP sidecar, accept loop and connection threads.
+  FrontDoor Door;
 };
 
 } // namespace llvmmd

@@ -16,7 +16,6 @@
 #ifndef _WIN32
 #include <csignal>
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -24,17 +23,6 @@
 using namespace llvmmd;
 
 namespace {
-
-#ifndef _WIN32
-/// Bounds the monitor's protocol probes: a wedged worker must not wedge
-/// the monitor with it.
-void setRecvTimeout(int Fd, unsigned Ms) {
-  timeval Tv;
-  Tv.tv_sec = Ms / 1000;
-  Tv.tv_usec = static_cast<suseconds_t>((Ms % 1000) * 1000);
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-}
-#endif
 
 /// Byte-copy \p From over \p To (both verdict stores; the format is
 /// self-contained, so a file copy is a valid seed).

@@ -96,6 +96,18 @@ ReadStatus llvmmd::readFrame(int Fd, Frame &F, uint32_t MaxPayload) {
   return ReadStatus::Ok;
 }
 
+void llvmmd::setRecvTimeout(int Fd, unsigned Ms) {
+#ifndef _WIN32
+  timeval Tv;
+  Tv.tv_sec = Ms / 1000;
+  Tv.tv_usec = static_cast<suseconds_t>((Ms % 1000) * 1000);
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+#else
+  (void)Fd;
+  (void)Ms;
+#endif
+}
+
 //===----------------------------------------------------------------------===//
 // Payload codecs. Decoders must consume exactly the payload: trailing bytes
 // are as much a protocol error as missing ones.
@@ -183,8 +195,10 @@ bool llvmmd::decodeSubmit(const std::string &Bytes, SubmitPayload &P) {
     P.Modules.push_back(std::move(M));
   }
   P.TraceId = 0;
+  // The encoder writes the trailing id only when it is nonzero; a present
+  // zero is not an encoding of any payload.
   if (!atEnd(Bytes, Cur) &&
-      !readU64LE(Bytes.data(), Bytes.size(), Cur, P.TraceId))
+      !(readU64LE(Bytes.data(), Bytes.size(), Cur, P.TraceId) && P.TraceId))
     return false;
   return atEnd(Bytes, Cur);
 }
@@ -270,8 +284,10 @@ bool llvmmd::decodeJobDone(const std::string &Bytes, JobDonePayload &P) {
     return false;
   P.TraceId = 0;
   P.TraceBlob.clear();
+  // As in decodeSubmit, the trailing fields exist only with a nonzero id;
+  // accepting a zero id would keep a blob that re-encoding drops.
   if (!atEnd(Bytes, Cur) &&
-      !(readU64LE(Bytes.data(), Bytes.size(), Cur, P.TraceId) &&
+      !(readU64LE(Bytes.data(), Bytes.size(), Cur, P.TraceId) && P.TraceId &&
         readLPString(Bytes.data(), Bytes.size(), Cur, P.TraceBlob)))
     return false;
   return atEnd(Bytes, Cur);

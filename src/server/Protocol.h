@@ -140,6 +140,11 @@ bool writeFrame(int Fd, FrameType Type, const std::string &Payload);
 /// Reads one frame (blocking). \p MaxPayload bounds the length field.
 ReadStatus readFrame(int Fd, Frame &F, uint32_t MaxPayload);
 
+/// Bounds every later blocking read on \p Fd to \p Ms milliseconds; a read
+/// that times out fails like a dead peer. A prober that must not be
+/// wedged by a stopped or wedged daemon sets this after connecting.
+void setRecvTimeout(int Fd, unsigned Ms);
+
 //===----------------------------------------------------------------------===//
 // Frame payloads
 //===----------------------------------------------------------------------===//

@@ -9,21 +9,15 @@
 #include "driver/ModuleLoader.h"
 #include "ir/Module.h"
 #include "opt/Pass.h"
-#include "support/Http.h"
 #include "support/Log.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 
 #ifndef _WIN32
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -100,10 +94,6 @@ unsigned ValidationServer::engineThreads() const {
   return Engine ? Engine->getThreadCount() : 0;
 }
 
-int ValidationServer::boundHttpPort() const {
-  return Http ? Http->boundPort() : -1;
-}
-
 ServerCounters ValidationServer::counters() const {
   std::lock_guard<std::mutex> G(StatsLock);
   return Counters;
@@ -170,29 +160,7 @@ std::string ValidationServer::metricsText() const {
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-bool ValidationServer::listenOn(int Fd, const std::string &What,
-                                std::string *Error) {
-#ifndef _WIN32
-  if (Fd < 0 || ::listen(Fd, 64) != 0) {
-    if (Error)
-      *Error = "cannot listen on " + What;
-    if (Fd >= 0)
-      ::close(Fd);
-    return false;
-  }
-  ListenFds.push_back(Fd);
-  return true;
-#else
-  (void)Fd;
-  (void)What;
-  if (Error)
-    *Error = "server sockets are POSIX-only";
-  return false;
-#endif
-}
-
 bool ValidationServer::start(std::string *Error) {
-#ifndef _WIN32
   {
     std::lock_guard<std::mutex> G(LifeLock);
     if (Started) {
@@ -201,85 +169,13 @@ bool ValidationServer::start(std::string *Error) {
       return false;
     }
   }
-  if (Cfg.UnixPath.empty() && Cfg.TcpPort < 0) {
-    if (Error)
-      *Error = "no listener configured (need UnixPath and/or TcpPort)";
+  FrontDoor::Config FC;
+  FC.UnixPath = Cfg.UnixPath;
+  FC.TcpPort = Cfg.TcpPort;
+  FC.HttpMetrics = Cfg.HttpMetrics;
+  FC.MaxFrameBytes = Cfg.MaxFrameBytes;
+  if (!Door.open(FC, [this] { return metricsText(); }, Error))
     return false;
-  }
-
-  if (!Cfg.UnixPath.empty()) {
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    if (Cfg.UnixPath.size() >= sizeof(Addr.sun_path)) {
-      if (Error)
-        *Error = "unix socket path too long: " + Cfg.UnixPath;
-      return false;
-    }
-    std::strncpy(Addr.sun_path, Cfg.UnixPath.c_str(),
-                 sizeof(Addr.sun_path) - 1);
-    // A stale socket file from a crashed daemon would fail the bind; the
-    // path is ours by configuration, so reclaim it.
-    ::unlink(Cfg.UnixPath.c_str());
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0 ||
-        ::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-      if (Error)
-        *Error = "cannot bind unix socket '" + Cfg.UnixPath + "'";
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
-    if (!listenOn(Fd, "unix socket '" + Cfg.UnixPath + "'", Error))
-      return false;
-  }
-
-  if (Cfg.TcpPort >= 0) {
-    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    int One = 1;
-    if (Fd >= 0)
-      ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    Addr.sin_port = htons(static_cast<uint16_t>(Cfg.TcpPort));
-    if (Fd < 0 ||
-        ::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-      if (Error)
-        *Error = "cannot bind 127.0.0.1:" + std::to_string(Cfg.TcpPort);
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
-    socklen_t AddrLen = sizeof(Addr);
-    ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Addr), &AddrLen);
-    BoundTcpPort = ntohs(Addr.sin_port);
-    if (!listenOn(Fd, "tcp port " + std::to_string(BoundTcpPort), Error))
-      return false;
-  }
-
-  if (!Cfg.HttpMetrics.empty()) {
-    Http = std::make_unique<HttpServer>();
-    Http->handle("/metrics", [this] {
-      HttpResponse R;
-      R.ContentType = PrometheusContentType;
-      R.Body = metricsText();
-      return R;
-    });
-    Http->handle("/healthz", [] {
-      HttpResponse R;
-      R.Body = "ok\n";
-      return R;
-    });
-    if (!Http->start(Cfg.HttpMetrics, Error)) {
-      Http.reset();
-      for (int Fd : ListenFds)
-        ::close(Fd);
-      ListenFds.clear();
-      return false;
-    }
-  }
 
   // The engine opens the warm store here (CacheLoad), before any client
   // can connect: a store that fails its header or index checks is
@@ -294,15 +190,24 @@ bool ValidationServer::start(std::string *Error) {
   Started = true;
   Stopped = false;
   StopRequested = false;
-  AcceptStop = false;
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  FrontDoor::Hooks H;
+  H.OnFrame = [this](const FrontDoor::ConnectionPtr &C, const Frame &F) {
+    return handleFrame(C, F);
+  };
+  H.OnFrameError = [this](ReadStatus RS) {
+    countProtocolError();
+    logWarn("server", std::string("dropping connection: ") +
+                          (RS == ReadStatus::Oversized
+                               ? "oversized frame"
+                               : "truncated or unreadable frame"));
+  };
+  H.OnAccept = [this] {
+    std::lock_guard<std::mutex> G(StatsLock);
+    ++Counters.ConnectionsAccepted;
+  };
+  Door.serve(std::move(H));
   ExecutorThread = std::thread([this] { executorLoop(); });
   return true;
-#else
-  if (Error)
-    *Error = "the validation server is POSIX-only";
-  return false;
-#endif
 }
 
 void ValidationServer::requestStop() {
@@ -314,45 +219,21 @@ void ValidationServer::requestStop() {
 }
 
 void ValidationServer::stop() {
-#ifndef _WIN32
   if (!Started || Stopped)
     return;
   requestStop();
 
-  if (AcceptThread.joinable())
-    AcceptThread.join();
+  Door.stopAccepting();
   // The executor drains every admitted job (clients that stayed connected
   // get full responses) and takes the final checkpoint on its way out.
   if (ExecutorThread.joinable())
     ExecutorThread.join();
-
-  // Unblock connection reads; the threads remove themselves from Conns and
-  // close their own fds, so no fd is ever closed while another thread can
-  // still act on it. Fd is read under the connection's write lock: a
-  // thread racing us through its close path leaves -1 behind.
-  {
-    std::unique_lock<std::mutex> G(ConnLock);
-    for (const auto &C : Conns) {
-      std::lock_guard<std::mutex> WG(C->WriteLock);
-      if (C->Fd >= 0)
-        ::shutdown(C->Fd, SHUT_RDWR);
-    }
-    ConnDoneCV.wait(G, [this] { return Conns.empty(); });
-  }
-
-  for (int Fd : ListenFds)
-    ::close(Fd);
-  ListenFds.clear();
-  if (!Cfg.UnixPath.empty())
-    ::unlink(Cfg.UnixPath.c_str());
-  // The HTTP sidecar outlives the drain (a scrape during shutdown still
-  // answers) and goes down last.
-  if (Http)
-    Http->stop();
+  // Then the connections wind down, the listeners close and the HTTP
+  // sidecar goes last.
+  Door.close();
 
   Stopped = true;
   LifeCV.notify_all();
-#endif
 }
 
 void ValidationServer::wait() {
@@ -375,214 +256,83 @@ void ValidationServer::setPaused(bool P) {
 }
 
 //===----------------------------------------------------------------------===//
-// Accepting and serving connections
+// Serving connections
 //===----------------------------------------------------------------------===//
 
-void ValidationServer::acceptLoop() {
-#ifndef _WIN32
-  std::vector<pollfd> Polls;
-  for (int Fd : ListenFds)
-    Polls.push_back({Fd, POLLIN, 0});
-  while (!AcceptStop) {
-    int N = ::poll(Polls.data(), Polls.size(), /*timeout_ms=*/100);
-    if (N <= 0)
-      continue;
-    for (pollfd &P : Polls) {
-      if (!(P.revents & POLLIN))
-        continue;
-      int Fd = ::accept(P.fd, nullptr, nullptr);
-      if (Fd < 0)
-        continue;
-      // Bounded sends: a client that stops *reading* must not park the
-      // executor in sendAll forever (it would also deadlock graceful
-      // shutdown, which drains the queue before tearing connections
-      // down). On timeout the write fails, the connection is marked dead,
-      // and the job completes without a consumer.
-      timeval SendTimeout{30, 0};
-      ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                   sizeof(SendTimeout));
-      auto C = std::make_shared<Connection>();
-      C->Fd = Fd;
-      {
-        std::lock_guard<std::mutex> G(ConnLock);
-        C->Id = NextConnId++;
-        Conns.push_back(C);
-      }
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ConnectionsAccepted;
-      }
-      // Detached on purpose: the thread's only shared state is the
-      // refcounted Connection and the Conns registry it removes itself
-      // from; stop() synchronizes on Conns becoming empty, not on joins.
-      std::thread([this, C] { handleConnection(C); }).detach();
-    }
-  }
-#endif
-}
-
-bool ValidationServer::sendFrame(Connection &C, FrameType T,
-                                 const std::string &Payload) {
-  if (!C.Alive.load())
-    return false;
-  std::lock_guard<std::mutex> G(C.WriteLock);
-  // Re-check under the lock: the owning thread closes (and -1s) the fd
-  // under this same lock, so a write can never hit a reused descriptor.
-  if (C.Fd < 0 || !writeFrame(C.Fd, T, Payload)) {
-    C.Alive = false;
-    return false;
-  }
-  return true;
-}
-
-void ValidationServer::sendError(Connection &C, ErrorCode Code,
-                                 const std::string &Msg) {
-  ErrorPayload E;
-  E.Code = Code;
-  E.Message = Msg;
-  sendFrame(C, FrameType::Error, encodeError(E));
-}
-
-void ValidationServer::handleConnection(std::shared_ptr<Connection> C) {
-#ifndef _WIN32
-  for (;;) {
-    Frame F;
-    ReadStatus RS = readFrame(C->Fd, F, Cfg.MaxFrameBytes);
-    if (RS == ReadStatus::Eof)
-      break;
-    if (RS != ReadStatus::Ok) {
-      // Truncated, oversized or unreadable input: report (best effort,
-      // the peer may be gone) and drop the connection. Nothing a client
-      // sends may take the daemon down.
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ProtocolErrors;
-      }
-      serverMetrics().ProtocolErrors.inc();
-      logWarn("server",
-              std::string("dropping connection: ") +
-                  (RS == ReadStatus::Oversized ? "oversized frame"
-                                               : "truncated or unreadable "
-                                                 "frame"));
-      sendError(*C, ErrorCode::Protocol,
-                RS == ReadStatus::Oversized
-                    ? "frame exceeds the size limit"
-                    : "truncated or unreadable frame");
-      break;
-    }
-    if (!handleFrame(*C, F))
-      break;
-  }
-  C->Alive = false;
+void ValidationServer::countProtocolError() {
   {
-    // Close under the connection's write lock: an executor mid-stream for
-    // this client either finishes its write first or observes Fd == -1,
-    // never a descriptor the kernel may already have handed to another
-    // accept().
-    std::lock_guard<std::mutex> WG(C->WriteLock);
-    ::close(C->Fd);
-    C->Fd = -1;
+    std::lock_guard<std::mutex> G(StatsLock);
+    ++Counters.ProtocolErrors;
   }
-  {
-    // Deregister and notify under one lock, so the notify completes
-    // before stop()/the destructor can observe Conns empty and tear the
-    // condition variable down under this detached thread.
-    std::lock_guard<std::mutex> G(ConnLock);
-    for (size_t I = 0; I < Conns.size(); ++I) {
-      if (Conns[I].get() == C.get()) {
-        Conns.erase(Conns.begin() + I);
-        break;
-      }
-    }
-    ConnDoneCV.notify_all();
-  }
-#endif
+  serverMetrics().ProtocolErrors.inc();
 }
 
-bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
+void ValidationServer::countHandshakeRejected() {
+  {
+    std::lock_guard<std::mutex> G(StatsLock);
+    ++Counters.HandshakesRejected;
+  }
+  serverMetrics().HandshakeErrors.inc();
+}
+
+bool ValidationServer::handleFrame(const FrontDoor::ConnectionPtr &C,
+                                   const Frame &F) {
   // The handshake must come first, and exactly once.
-  if (!C.Handshaken) {
+  if (!C->Handshaken) {
     if (F.Type != FrameType::Hello) {
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ProtocolErrors;
-      }
-      serverMetrics().ProtocolErrors.inc();
-      sendError(C, ErrorCode::Protocol, "expected Hello");
+      countProtocolError();
+      C->sendError(ErrorCode::Protocol, "expected Hello");
       return false;
     }
     HelloPayload H;
     if (!decodeHello(F.Payload, H)) {
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ProtocolErrors;
-      }
-      serverMetrics().ProtocolErrors.inc();
-      sendError(C, ErrorCode::Protocol, "undecodable Hello");
+      countProtocolError();
+      C->sendError(ErrorCode::Protocol, "undecodable Hello");
       return false;
     }
     if (H.Version != ServerProtocolVersion) {
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.HandshakesRejected;
-      }
-      serverMetrics().HandshakeErrors.inc();
+      countHandshakeRejected();
       logWarn("server", "handshake rejected: client speaks protocol v" +
                             std::to_string(H.Version) + ", server v" +
                             std::to_string(ServerProtocolVersion));
-      sendError(C, ErrorCode::Handshake,
-                "protocol version " + std::to_string(H.Version) +
-                    " (server speaks " +
-                    std::to_string(ServerProtocolVersion) + ")");
+      C->sendError(ErrorCode::Handshake,
+                   "protocol version " + std::to_string(H.Version) +
+                       " (server speaks " +
+                       std::to_string(ServerProtocolVersion) + ")");
       return false;
     }
     if (H.ConfigDigest != configDigest()) {
       // The whole point of carrying the digest: a client configured for
       // different rules must hear "no", never receive verdicts proven
       // under rules it did not ask for.
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.HandshakesRejected;
-      }
-      serverMetrics().HandshakeErrors.inc();
+      countHandshakeRejected();
       logWarn("server", "handshake rejected: config digest mismatch");
-      sendError(C, ErrorCode::Handshake,
-                "config digest mismatch: server validates under a "
-                "different rule configuration");
+      C->sendError(ErrorCode::Handshake,
+                   "config digest mismatch: server validates under a "
+                   "different rule configuration");
       return false;
     }
     HelloOkPayload Ok;
     Ok.ConfigDigest = configDigest();
     Ok.EngineThreads = engineThreads();
     Ok.TriageEnabled = Cfg.Engine.Triage.Enabled;
-    C.Handshaken = true;
-    return sendFrame(C, FrameType::HelloOk, encodeHelloOk(Ok));
+    C->Handshaken = true;
+    return C->send(FrameType::HelloOk, encodeHelloOk(Ok));
   }
 
   switch (F.Type) {
   case FrameType::Submit: {
     SubmitPayload S;
     if (!decodeSubmit(F.Payload, S) || S.Modules.empty()) {
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ProtocolErrors;
-      }
-      serverMetrics().ProtocolErrors.inc();
-      sendError(C, ErrorCode::Protocol, "undecodable or empty Submit");
+      countProtocolError();
+      C->sendError(ErrorCode::Protocol, "undecodable or empty Submit");
       return false;
     }
-    // Re-find the shared_ptr for this connection so the executor keeps it
-    // alive even after the client disconnects.
+    // The job holds the connection so the executor keeps it alive even
+    // after the client disconnects.
     Job J;
     J.Req = std::move(S);
-    {
-      std::lock_guard<std::mutex> CG(ConnLock);
-      for (const auto &Known : Conns)
-        if (Known.get() == &C)
-          J.Conn = Known;
-    }
-    if (!J.Conn)
-      return false; // connection already torn down
+    J.Conn = C;
 
     // Admission decision under the queue lock; the (possibly slow) socket
     // writes happen after it so one stalled client cannot block admission
@@ -630,14 +380,14 @@ bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
     if (!RejectReason.empty()) {
       serverMetrics().JobsRejected.inc();
       logInfo("server", "submission rejected: " + RejectReason);
-      sendError(C, ErrorCode::QueueFull, RejectReason);
+      C->sendError(ErrorCode::QueueFull, RejectReason);
       return true;
     }
     QueueCV.notify_all();
     AcceptedPayload A;
     A.JobId = JobId;
     A.QueuePosition = Position;
-    sendFrame(C, FrameType::Accepted, encodeAccepted(A));
+    C->send(FrameType::Accepted, encodeAccepted(A));
     // Only now may the executor write frames for this job: the Accepted
     // frame must be the first thing the client reads about it, even when
     // the queue was empty and the job fails immediately.
@@ -649,23 +399,19 @@ bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
     return true;
   }
   case FrameType::Stats:
-    return sendFrame(C, FrameType::StatsReply, statsJSON());
+    return C->send(FrameType::StatsReply, statsJSON());
   case FrameType::Metrics:
-    return sendFrame(C, FrameType::MetricsReply, metricsText());
+    return C->send(FrameType::MetricsReply, metricsText());
   case FrameType::Ping:
-    return sendFrame(C, FrameType::Pong, std::string());
+    return C->send(FrameType::Pong, std::string());
   case FrameType::WorkerHello: {
     // The fleet router's identity check: after the digest-gated handshake
     // it asks "are you the process I spawned?" and verifies the pid in the
     // reply. Any handshaken client may ask; the answer is only about us.
     WorkerHelloPayload WH;
     if (!decodeWorkerHello(F.Payload, WH)) {
-      {
-        std::lock_guard<std::mutex> G(StatsLock);
-        ++Counters.ProtocolErrors;
-      }
-      serverMetrics().ProtocolErrors.inc();
-      sendError(C, ErrorCode::Protocol, "undecodable WorkerHello");
+      countProtocolError();
+      C->sendError(ErrorCode::Protocol, "undecodable WorkerHello");
       return false;
     }
     WorkerHelloOkPayload Ok;
@@ -677,20 +423,16 @@ bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
       Ok.JobsCompleted = Counters.JobsCompleted;
     }
     Ok.StorePath = Cfg.Engine.CachePath;
-    return sendFrame(C, FrameType::WorkerHelloOk, encodeWorkerHelloOk(Ok));
+    return C->send(FrameType::WorkerHelloOk, encodeWorkerHelloOk(Ok));
   }
   case FrameType::Shutdown:
     requestStop();
     return true; // connection closes when the server winds down
   default: {
-    {
-      std::lock_guard<std::mutex> G(StatsLock);
-      ++Counters.ProtocolErrors;
-    }
-    serverMetrics().ProtocolErrors.inc();
+    countProtocolError();
     logWarn("server", "closing connection: unexpected frame type " +
                           std::to_string(static_cast<unsigned>(F.Type)));
-    sendError(C, ErrorCode::Protocol, "unexpected frame type");
+    C->sendError(ErrorCode::Protocol, "unexpected frame type");
     return false;
   }
   }
@@ -844,7 +586,7 @@ void ValidationServer::runJob(const Job &J) {
   // then — so it is closed by hand right after the suite report streams.
   auto JobSpan = std::make_unique<TraceSpan>("job", "server",
                                              "job " + std::to_string(J.Id));
-  Connection &C = *J.Conn;
+  FrontDoor::Connection &C = *J.Conn;
 
   // Materialize every module up front so a bad submission fails before any
   // verdict frame is streamed.
@@ -859,7 +601,7 @@ void ValidationServer::runJob(const Job &J) {
     if (!Mod) {
       logWarn("server", "job " + std::to_string(J.Id) + " failed: " + Error +
                             traceLogTag(J.Req.TraceId));
-      sendError(C, ErrorCode::BadSubmit, Error);
+      C.sendError(ErrorCode::BadSubmit, Error);
       std::lock_guard<std::mutex> G(StatsLock);
       ++Counters.JobsErrored;
       return;
@@ -890,12 +632,12 @@ void ValidationServer::runJob(const Job &J) {
       FP.ModuleIndex = static_cast<uint32_t>(Mi);
       FP.ModuleName = Run.Report.ModuleName;
       FP.Json = functionEntryToJSON(E);
-      sendFrame(C, FrameType::Function, encodeFunction(FP));
+      C.send(FrameType::Function, encodeFunction(FP));
     }
     ModuleReportPayload MP;
     MP.ModuleIndex = static_cast<uint32_t>(Mi);
     MP.Json = reportToJSON(Run.Report);
-    sendFrame(C, FrameType::ModuleReport, encodeModuleReport(MP));
+    C.send(FrameType::ModuleReport, encodeModuleReport(MP));
     {
       std::lock_guard<std::mutex> G(StatsLock);
       ++Counters.ModulesValidated;
@@ -908,7 +650,7 @@ void ValidationServer::runJob(const Job &J) {
   // The authoritative response: exactly the bytes batch_validate's --json
   // would emit for this suite (suiteToJSON omits the nondeterministic
   // timing fields, which is what makes the equality testable).
-  sendFrame(C, FrameType::SuiteReport, suiteToJSON(SR));
+  C.send(FrameType::SuiteReport, suiteToJSON(SR));
 
   // Close the job span now so a traced job's blob carries it.
   JobSpan.reset();
@@ -950,5 +692,5 @@ void ValidationServer::runJob(const Job &J) {
                 std::to_string(SR.Modules.size()) + " module(s), threshold " +
                 std::to_string(Cfg.SlowJobMicroseconds / 1000) + " ms" +
                 traceLogTag(J.Req.TraceId));
-  sendFrame(C, FrameType::JobDone, encodeJobDone(D));
+  C.send(FrameType::JobDone, encodeJobDone(D));
 }

@@ -15,11 +15,13 @@
 ///
 /// Architecture (all blocking I/O, no event loop to get subtly wrong):
 ///
-///   * one accept thread polls the configured listeners (unix-domain
-///     socket and/or loopback TCP) and spawns one thread per connection;
-///   * connection threads speak the framed protocol (server/Protocol.h):
+///   * the front door (server/FrontDoor.h, shared with the fleet router)
+///     owns the listeners (unix-domain socket and/or loopback TCP), the
+///     HTTP /metrics sidecar, the accept thread and one thread per
+///     connection;
+///   * this class handles each connection's frames (server/Protocol.h):
 ///     versioned handshake gated on the verdict-store config digest,
-///     then Submit/Stats/Ping/Shutdown requests;
+///     then Submit/Stats/Metrics/Ping/WorkerHello/Shutdown requests;
 ///   * an admission-controlled FIFO job queue hands submissions to the one
 ///     executor thread, which owns the ValidationEngine exclusively —
 ///     engine parallelism comes from the engine's own work-stealing pool,
@@ -51,6 +53,7 @@
 #define LLVMMD_SERVER_VALIDATIONSERVER_H
 
 #include "driver/ValidationEngine.h"
+#include "server/FrontDoor.h"
 #include "server/Protocol.h"
 
 #include <atomic>
@@ -132,7 +135,8 @@ public:
   ValidationServer &operator=(const ValidationServer &) = delete;
 
   /// Binds the listeners, loads the warm store, and spawns the accept and
-  /// executor threads. False (with \p Error) when nothing could be bound.
+  /// executor threads. False (with \p Error) when a listener or the HTTP
+  /// sidecar could not be bound; nothing is left listening then.
   bool start(std::string *Error = nullptr);
 
   /// Asynchronous graceful-stop trigger: admission closes immediately, the
@@ -148,7 +152,7 @@ public:
   void requestStopFromSignal() {
     Accepting = false;
     DrainAndExit = true;
-    AcceptStop = true;
+    Door.requestStop();
     StopRequested = true;
   }
 
@@ -174,11 +178,11 @@ public:
   uint64_t configDigest() const;
 
   /// The kernel-assigned port when TcpPort was 0; -1 before start().
-  int boundTcpPort() const { return BoundTcpPort; }
+  int boundTcpPort() const { return Door.boundTcpPort(); }
 
   /// The HTTP responder's kernel-assigned port; -1 when HttpMetrics is
   /// unset or before start().
-  int boundHttpPort() const;
+  int boundHttpPort() const { return Door.boundHttpPort(); }
 
   unsigned engineThreads() const;
 
@@ -192,23 +196,6 @@ public:
   std::string metricsText() const;
 
 private:
-  struct Connection {
-    /// Guarded by WriteLock everywhere except the owning connection
-    /// thread's reads: set to -1 under the lock when the thread closes the
-    /// socket, so the executor can never write to (or stop() shut down) a
-    /// closed-and-kernel-reused descriptor.
-    int Fd = -1;
-    uint64_t Id = 0;
-    /// Serializes writes: job frames come from the executor thread while
-    /// pong/stats replies come from the connection's own thread. Also
-    /// fences the close (above).
-    std::mutex WriteLock;
-    /// Cleared on the first failed write; the executor skips streaming the
-    /// rest of a job to a dead client (the job itself still completes).
-    std::atomic<bool> Alive{true};
-    bool Handshaken = false;
-  };
-
   /// Opened by the connection thread once the Accepted frame is on the
   /// wire, so the executor can never race a job's first response frame
   /// ahead of its acceptance.
@@ -220,7 +207,7 @@ private:
 
   struct Job {
     uint64_t Id = 0;
-    std::shared_ptr<Connection> Conn;
+    FrontDoor::ConnectionPtr Conn;
     std::shared_ptr<JobGate> Gate;
     SubmitPayload Req;
     /// Stamped under QueueLock at admission; the executor measures
@@ -233,15 +220,12 @@ private:
     size_t TraceStartIdx = 0;
   };
 
-  bool listenOn(int Fd, const std::string &What, std::string *Error);
-  void acceptLoop();
-  void handleConnection(std::shared_ptr<Connection> C);
   /// One request frame; returns false when the connection must close.
-  bool handleFrame(Connection &C, const Frame &F);
+  bool handleFrame(const FrontDoor::ConnectionPtr &C, const Frame &F);
+  void countProtocolError();
+  void countHandshakeRejected();
   void executorLoop();
   void runJob(const Job &J);
-  bool sendFrame(Connection &C, FrameType T, const std::string &Payload);
-  void sendError(Connection &C, ErrorCode Code, const std::string &Msg);
   /// Engine-thread only: checkpoint the store when dirty (no-op while the
   /// cache is clean or no store is configured).
   void checkpoint();
@@ -257,8 +241,6 @@ private:
   ServerConfig Cfg;
   std::string Pipeline;
   std::unique_ptr<ValidationEngine> Engine;
-  /// The /metrics + /healthz sidecar (HttpMetrics config); null when off.
-  std::unique_ptr<class HttpServer> Http;
   /// True while span collection is on because a *traced job* turned it on
   /// (as opposed to the operator's --trace): the executor turns it back
   /// off once no traced work remains, so an untraced daemon does not
@@ -271,17 +253,7 @@ private:
   std::unique_ptr<Context> GenCtx;
   std::map<std::string, std::unique_ptr<Module>> GenCache;
 
-  std::vector<int> ListenFds;
-  int BoundTcpPort = -1;
-  std::atomic<bool> AcceptStop{false};
-
-  std::thread AcceptThread;
   std::thread ExecutorThread;
-
-  std::mutex ConnLock;
-  std::condition_variable ConnDoneCV;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  uint64_t NextConnId = 1;
 
   mutable std::mutex QueueLock;
   std::condition_variable QueueCV;
@@ -306,6 +278,9 @@ private:
   /// Executor-updated copy of the engine's cache stats: the engine itself
   /// is single-caller, so /stats must read a snapshot, not the live engine.
   EngineCacheStats EngineSnapshot;
+
+  /// Listeners, HTTP sidecar, accept loop and connection threads.
+  FrontDoor Door;
 };
 
 } // namespace llvmmd

@@ -34,9 +34,11 @@
 #include "TestUtil.h"
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -539,21 +541,14 @@ TEST(FleetTest, MetricsRollUpAggregatesWorkersAndShowsRespawns) {
   Router.stop();
 }
 
-TEST(FleetTest, ConcurrentScrapesCoalesceOntoOneSweep) {
-  FleetDir D("coalesce");
+TEST(FleetTest, ConcurrentScrapesEachReachEveryWorker) {
+  FleetDir D("scrapes");
   FleetRouter Router(smallFleetConfig(D, 2));
   std::string Error;
   ASSERT_TRUE(Router.start(&Error)) << Error;
 
-  // Prime the cache, then race a burst of scrapes inside the TTL: they
-  // must all be served by at most one additional sweep (zero if the
-  // primer's is still fresh), not one sweep each.
-  std::string Primer = Router.metricsText();
-  ASSERT_NE(Primer.find("llvmmd_fleet_metrics_sweeps_total"),
-            std::string::npos)
-      << Primer;
-  uint64_t Before = Router.counters().MetricsSweeps;
-
+  // Every scrape dials every worker itself; concurrent scrapes share
+  // nothing, so each one must see the router families and both workers.
   constexpr unsigned Scrapers = 8;
   std::vector<std::string> Texts(Scrapers);
   std::vector<std::thread> Threads;
@@ -561,13 +556,51 @@ TEST(FleetTest, ConcurrentScrapesCoalesceOntoOneSweep) {
     Threads.emplace_back([&, I] { Texts[I] = Router.metricsText(); });
   for (std::thread &T : Threads)
     T.join();
-  uint64_t After = Router.counters().MetricsSweeps;
-  EXPECT_LE(After - Before, 1u)
-      << Scrapers << " concurrent scrapes cost " << (After - Before)
-      << " sweeps";
-  for (const std::string &T : Texts)
-    EXPECT_NE(T.find("llvmmd_fleet_workers"), std::string::npos);
+  for (const std::string &T : Texts) {
+    EXPECT_NE(T.find("\nllvmmd_fleet_workers 2\n"), std::string::npos) << T;
+    EXPECT_NE(T.find("llvmmd_fleet_worker_up{worker=\"0\"} 1"),
+              std::string::npos)
+        << T;
+    EXPECT_NE(T.find("llvmmd_fleet_worker_up{worker=\"1\"} 1"),
+              std::string::npos)
+        << T;
+  }
   Router.stop();
+}
+
+TEST(FleetTest, StoppedWorkerReadsDownWithoutStallingTheScrape) {
+  FleetDir D("stopped");
+  FleetConfig C = smallFleetConfig(D, 2);
+  // No health check: it would eventually kill the stopped worker and
+  // unblock a hung scrape, hiding the stall this test is about.
+  C.HealthPing = false;
+  FleetRouter Router(C);
+  std::string Error;
+  ASSERT_TRUE(Router.start(&Error)) << Error;
+
+  // Declared before the resume guard, so a scrape that hung is released
+  // (SIGCONT) before the future's destructor waits for it.
+  std::future<std::string> Scrape;
+  pid_t Stopped = Router.workers()->pid(1);
+  ASSERT_GT(Stopped, 0);
+  ASSERT_EQ(::kill(Stopped, SIGSTOP), 0);
+  struct Resume {
+    pid_t Pid;
+    ~Resume() { ::kill(Pid, SIGCONT); }
+  } ResumeOnExit{Stopped};
+
+  Scrape = std::async(std::launch::async,
+                      [&Router] { return Router.metricsText(); });
+  ASSERT_EQ(Scrape.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "a stopped worker stalled the roll-up";
+  std::string Text = Scrape.get();
+  EXPECT_NE(Text.find("llvmmd_fleet_worker_up{worker=\"1\"} 0"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("llvmmd_fleet_worker_up{worker=\"0\"} 1"),
+            std::string::npos)
+      << Text;
 }
 
 //===----------------------------------------------------------------------===//

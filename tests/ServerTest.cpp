@@ -2,8 +2,9 @@
 //
 // Part of the llvm-md project (PLDI 2011 value-graph validation repro).
 //
-// Protocol robustness (truncated/oversized/garbage frames, handshake
-// digest mismatches, disconnects mid-job), admission control, and the
+// Protocol robustness (handshake digest mismatches, disconnects mid-job;
+// garbage, oversized and truncated frames are FrontDoorTest's, run against
+// both daemons), admission control, and the
 // serving invariants: responses are byte-identical across server thread
 // counts and to the batch engine's reports for the same inputs, a second
 // client replays 100% warm, and a daemon restarted on its checkpointed
@@ -252,94 +253,6 @@ TEST(ServerTest, HandshakeRejectsProtocolVersionMismatch) {
   ErrorPayload E;
   ASSERT_TRUE(decodeError(F.Payload, E));
   EXPECT_EQ(E.Code, ErrorCode::Handshake);
-  Server.stop();
-}
-
-//===----------------------------------------------------------------------===//
-// Frame robustness: nothing a client sends may take the daemon down
-//===----------------------------------------------------------------------===//
-
-TEST(ServerTest, GarbageFrameClosesOnlyThatConnection) {
-  ServeDir D("garbage");
-  ValidationServer Server(smallServerConfig(D));
-  ASSERT_TRUE(Server.start());
-
-  // A frame with a plausible header but an unknown type and junk payload.
-  ServerClient Raw;
-  ASSERT_TRUE(Raw.connectUnix(D.Sock));
-  ASSERT_TRUE(Raw.sendRaw(static_cast<FrameType>(0xEE), "\x01\x02garbage"));
-  Frame F;
-  // Server answers with a protocol error (it has not seen Hello) and
-  // closes; either the error frame or a straight EOF is acceptable.
-  ReadStatus RS = readFrame(Raw.fd(), F, DefaultMaxFrameBytes);
-  if (RS == ReadStatus::Ok)
-    EXPECT_EQ(F.Type, FrameType::Error);
-
-  ServerClient Good;
-  EXPECT_TRUE(attach(Good, D.Sock));
-  EXPECT_TRUE(Good.ping());
-  Server.stop();
-}
-
-TEST(ServerTest, OversizedFrameIsRejectedBeforeItsPayload) {
-  ServeDir D("oversized");
-  ServerConfig C = smallServerConfig(D);
-  C.MaxFrameBytes = 4096;
-  ValidationServer Server(C);
-  ASSERT_TRUE(Server.start());
-
-  // Hand-write a header claiming a payload far past the server's limit;
-  // the server must reject on the header alone (we never send the body).
-  ServerClient Raw;
-  ASSERT_TRUE(Raw.connectUnix(D.Sock));
-  std::string Header;
-  appendU32LE(Header, 64u << 20);
-  Header.push_back(static_cast<char>(FrameType::Hello));
-  ASSERT_EQ(::send(Raw.fd(), Header.data(), Header.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(Header.size()));
-  Frame F;
-  ReadStatus RS = readFrame(Raw.fd(), F, DefaultMaxFrameBytes);
-  ASSERT_EQ(RS, ReadStatus::Ok);
-  ASSERT_EQ(F.Type, FrameType::Error);
-  ErrorPayload E;
-  ASSERT_TRUE(decodeError(F.Payload, E));
-  EXPECT_EQ(E.Code, ErrorCode::Protocol);
-  EXPECT_NE(E.Message.find("size"), std::string::npos);
-
-  ServerClient Good;
-  EXPECT_TRUE(attach(Good, D.Sock));
-  EXPECT_TRUE(Good.ping());
-  EXPECT_GE(Server.counters().ProtocolErrors, 1u);
-  Server.stop();
-}
-
-TEST(ServerTest, TruncatedFrameIsACleanDisconnect) {
-  ServeDir D("truncated");
-  ValidationServer Server(smallServerConfig(D));
-  ASSERT_TRUE(Server.start());
-
-  // Half a header, then hang up.
-  {
-    ServerClient Raw;
-    ASSERT_TRUE(Raw.connectUnix(D.Sock));
-    ASSERT_EQ(::send(Raw.fd(), "\x08\x00", 2, MSG_NOSIGNAL), 2);
-    Raw.close();
-  }
-  // A full header promising more payload than ever arrives.
-  {
-    ServerClient Raw;
-    ASSERT_TRUE(Raw.connectUnix(D.Sock));
-    std::string Header;
-    appendU32LE(Header, 100);
-    Header.push_back(static_cast<char>(FrameType::Hello));
-    ASSERT_EQ(::send(Raw.fd(), Header.data(), Header.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(Header.size()));
-    Raw.close();
-  }
-
-  ServerClient Good;
-  EXPECT_TRUE(attach(Good, D.Sock));
-  EXPECT_TRUE(Good.ping());
   Server.stop();
 }
 
