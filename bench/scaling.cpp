@@ -54,7 +54,7 @@ void BM_ValidateIdentical(benchmark::State &State) {
     benchmark::DoNotOptimize(R.Validated);
     assert(R.Validated && "identical pair!");
     // Acyclic functions are equal the moment construction finishes; loops
-    // additionally need one μ-unification round (μ nodes are unique).
+    // additionally need one sharing pass (μ nodes are unique).
     Immediate &= R.EqualOnConstruction;
   }
   State.counters["instructions"] = static_cast<double>(Insts);

@@ -50,8 +50,8 @@
 //                        CI warm-cache invariant
 //     --print-config-digest
 //                        print the store config digest for the current flags
-//                        (rule mask / strategy / fixpoint budget / semantics
-//                        salt) and exit; CI keys its cache on this
+//                        (rule mask / fixpoint budget / semantics salt) and
+//                        exit; CI keys its cache on this
 //     --json [PATH]      write the JSON report to PATH (default stdout);
 //                        deterministic: byte-identical for any --threads
 //     --csv [PATH]       write the CSV report

@@ -3,8 +3,7 @@
 #
 # Usage: scripts/check.sh [--tsan|--asan|--warm|--triage|--serve|--fleet|--llvm|--bench|--obs] [build-dir]
 #
-#   (default)  tier-1 build + ctest, fig4 smoke, the §5.4 sharing-strategy
-#              tie, engine determinism checks
+#   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks
 #   --tsan     ThreadSanitizer build (CMake preset "tsan") running the
 #              engine + concurrent-interning + triage + server, front-door
 #              and fleet tests — the same job CI runs
@@ -613,10 +612,6 @@ cmake --build "$BUILD_DIR" -j
 # Figure 4 in the smoke configuration (3 programs at 1/4 scale), on the
 # validation engine.
 "$BUILD_DIR/fig4_pipeline" --smoke
-
-# §5.4: partition refinement must validate exactly what the default simple
-# unification validates (sharing_strategies exits 1 otherwise).
-"$BUILD_DIR/sharing_strategies"
 
 # Engine determinism spot check: the JSON report must not depend on the
 # thread count. batch_validate exits 2 when some optimizations could not be

@@ -110,9 +110,7 @@ void accumulatePassTime(std::vector<std::pair<std::string, uint64_t>> &Into,
 } // namespace
 
 uint64_t ValidationEngine::cacheConfigDigest(const Module &OrigModule) const {
-  uint64_t H = hashCombine(Cfg.Rules.Mask,
-                           static_cast<uint64_t>(Cfg.Rules.Strategy));
-  H = hashCombine(H, Cfg.Rules.MaxIterations);
+  uint64_t H = hashCombine(Cfg.Rules.Mask, Cfg.Rules.MaxIterations);
   // Function fingerprints reference globals by name only; when the global-
   // folding rules can substitute initializers, verdicts additionally depend
   // on the module's global definitions.

@@ -181,9 +181,9 @@ public:
                                    const Module &Optimized);
 
   /// Swaps the rule configuration for subsequent runs. Safe across runs:
-  /// the verdict cache keys on (mask, strategy, fixpoint budget, and the
-  /// globals the rules can read), so entries from other configurations can
-  /// never be replayed.
+  /// the verdict cache keys on (mask, fixpoint budget, and the globals the
+  /// rules can read), so entries from other configurations can never be
+  /// replayed.
   void setRules(const RuleConfig &Rules) { Cfg.Rules = Rules; }
   const RuleConfig &getRules() const { return Cfg.Rules; }
 
@@ -212,10 +212,9 @@ public:
 private:
   /// Verdict cache keys are shared with the persistent store: both
   /// fingerprints plus a digest of everything else the verdict depends on
-  /// (rule mask, sharing strategy, fixpoint budget, and — when
-  /// RS_GlobalFold can read initializers — the module's globals;
-  /// fingerprints hash globals by name only, so the same pair in two
-  /// modules may differ).
+  /// (rule mask, fixpoint budget, and — when RS_GlobalFold can read
+  /// initializers — the module's globals; fingerprints hash globals by name
+  /// only, so the same pair in two modules may differ).
   using CacheKey = VerdictKey;
   using CacheKeyHash = VerdictKeyHash;
 

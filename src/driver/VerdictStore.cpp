@@ -81,7 +81,6 @@ size_t VerdictKeyHash::operator()(const VerdictKey &K) const {
 
 uint64_t llvmmd::verdictStoreConfigDigest(const RuleConfig &Rules) {
   uint64_t H = hashCombine(VerdictStore::SemanticsSalt, Rules.Mask);
-  H = hashCombine(H, static_cast<uint64_t>(Rules.Strategy));
   H = hashCombine(H, Rules.MaxIterations);
   return H;
 }

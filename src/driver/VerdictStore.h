@@ -14,12 +14,12 @@
 ///
 /// Safety over convenience:
 ///  * the header carries a magic, a format version, and a config digest
-///    (rule mask, sharing strategy, fixpoint budget, plus a semantics salt
-///    bumped whenever validator behavior changes); anything mismatched is
-///    *rejected* — the caller rebuilds from scratch rather than replaying
-///    verdicts proven under different rules. Per-module state (the globals
-///    digest RS_GlobalFold depends on) is part of every entry's key, so
-///    entries from other modules are inert rather than wrong.
+///    (rule mask, fixpoint budget, plus a semantics salt bumped whenever
+///    validator behavior changes); anything mismatched is *rejected* — the
+///    caller rebuilds from scratch rather than replaying verdicts proven
+///    under different rules. Per-module state (the globals digest
+///    RS_GlobalFold depends on) is part of every entry's key, so entries
+///    from other modules are inert rather than wrong.
 ///  * every shard payload is checksummed and the shard index carries its
 ///    own hash; a truncated or bit-flipped file loads as Corrupt, never as
 ///    a partial cache.
@@ -55,9 +55,9 @@ namespace llvmmd {
 struct RuleConfig;
 
 /// What one memoized verdict is keyed on: both structural fingerprints plus
-/// everything else the verdict depends on (rule mask, sharing strategy,
-/// fixpoint budget, and the module-globals digest when RS_GlobalFold can
-/// read initializers). Shared between the in-memory cache and the store.
+/// everything else the verdict depends on (rule mask, fixpoint budget, and
+/// the module-globals digest when RS_GlobalFold can read initializers).
+/// Shared between the in-memory cache and the store.
 struct VerdictKey {
   uint64_t FpA = 0, FpB = 0;
   uint64_t Config = 0;
@@ -88,9 +88,9 @@ struct StoredTriage {
 using TriageMap = std::unordered_map<VerdictKey, StoredTriage, VerdictKeyHash>;
 
 /// Digest of everything engine-global a replayed verdict depends on: rule
-/// mask, sharing strategy, fixpoint budget, and the store's semantics salt.
-/// This is the store header's compatibility gate; per-module inputs are
-/// digested into each entry's key instead.
+/// mask, fixpoint budget, and the store's semantics salt. This is the store
+/// header's compatibility gate; per-module inputs are digested into each
+/// entry's key instead.
 uint64_t verdictStoreConfigDigest(const RuleConfig &Rules);
 
 class VerdictStore {
@@ -106,8 +106,11 @@ public:
   /// Folded into every config digest; bump when validator *behavior*
   /// changes in a way old verdicts must not survive (new rules, fingerprint
   /// algorithm changes, ...). Orthogonal to FormatVersion, which only
-  /// covers the byte layout.
-  static constexpr uint64_t SemanticsSalt = 0x6c6d642d76312e31ULL; // "lmd-v1.1"
+  /// covers the byte layout. v1.2: one sharing algorithm (the coarsest
+  /// bisimulation) replaced the selectable strategies, so a stored result's
+  /// `sharing_merges`/`live_nodes` are counts a cold run no longer
+  /// reproduces; old stores are rejected once and rebuilt.
+  static constexpr uint64_t SemanticsSalt = 0x6c6d642d76312e32ULL; // "lmd-v1.2"
 
   enum class LoadStatus : uint8_t {
     Loaded,         ///< entries merged into the map

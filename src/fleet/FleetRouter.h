@@ -84,8 +84,8 @@ struct FleetConfig {
   unsigned WorkerThreads = 1;
   std::string Pipeline;
   /// Rule configuration the handshake digest is computed from. Only the
-  /// mask is forwardable to workers; strategy/iterations must stay at
-  /// their defaults (WorkerManager::start rejects the mismatch otherwise).
+  /// mask is forwardable to workers; the fixpoint budget must stay at its
+  /// default (WorkerManager::start rejects the mismatch otherwise).
   RuleConfig Rules;
   bool Triage = false;
   unsigned CheckpointEveryJobs = 1;

@@ -64,9 +64,9 @@ public:
     unsigned WorkerThreads = 1;
     std::string Pipeline;
     /// Rule mask passed to every worker via --rule-mask; ~0u = leave the
-    /// worker on its default (paper) mask. Sharing strategy and fixpoint
-    /// budget are not CLI-reachable, so only default values of those can be
-    /// fleet-served — the start()-time handshake catches any mismatch.
+    /// worker on its default (paper) mask. The fixpoint budget is not
+    /// CLI-reachable, so only its default value can be fleet-served — the
+    /// start()-time handshake catches any mismatch.
     unsigned RuleMask = ~0u;
     bool Triage = false;
     unsigned CheckpointEveryJobs = 1;

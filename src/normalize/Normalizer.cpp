@@ -1191,7 +1191,7 @@ NormalizeStats llvmmd::normalizeGraph(ValueGraph &G,
   NormalizeStats Stats;
   Stats.Iterations = 1;
   RuleEngine(G, Config, Stats).sweep(Roots);
-  Stats.SharingMerges = G.maximizeSharing(Config.Strategy);
+  Stats.SharingMerges = G.maximizeSharing();
   return Stats;
 }
 

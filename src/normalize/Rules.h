@@ -17,8 +17,6 @@
 #ifndef LLVMMD_NORMALIZE_RULES_H
 #define LLVMMD_NORMALIZE_RULES_H
 
-#include "vg/ValueGraph.h"
-
 #include <cstdint>
 #include <iterator>
 
@@ -166,9 +164,6 @@ struct RuleConfig {
   /// Budget of normalize/share rounds (one rule sweep plus one sharing
   /// pass each) before normalizeToFixpoint gives up.
   unsigned MaxIterations = 32;
-  /// Simple by default: Partition validates the same pairs (§5.4) at a
-  /// higher cost. Part of the verdict-store config digest.
-  SharingStrategy Strategy = SharingStrategy::Simple;
 
   bool has(RuleSet RS) const { return (Mask & RS) != 0; }
 };

@@ -19,8 +19,7 @@
 ///
 /// A connection starts with a versioned handshake: the client's Hello
 /// carries the protocol version and its *verdict-store config digest* (rule
-/// mask, sharing strategy, fixpoint budget, semantics salt — exactly the
-/// header gate of the persistent VerdictStore). The server compares both
+/// mask, fixpoint budget, semantics salt — exactly the header gate of the persistent VerdictStore). The server compares both
 /// against its own; a mismatch is rejected with an Error frame, never
 /// silently served, because a verdict proven under different rules is not
 /// the verdict the client asked for.

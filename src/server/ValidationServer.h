@@ -173,8 +173,8 @@ public:
   /// stop is requested (draining overrides pausing).
   void setPaused(bool P);
 
-  /// The digest the handshake is gated on (rule mask, sharing strategy,
-  /// fixpoint budget, semantics salt — the verdict store's own gate).
+  /// The digest the handshake is gated on (rule mask, fixpoint budget,
+  /// semantics salt — the verdict store's own gate).
   uint64_t configDigest() const;
 
   /// The kernel-assigned port when TcpPort was 0; -1 before start().

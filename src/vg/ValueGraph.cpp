@@ -10,9 +10,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 using namespace llvmmd;
 
@@ -330,8 +331,7 @@ NodeId ValueGraph::getRet(NodeId ValueOrInvalid, NodeId Mem) {
 // Sharing maximization
 //===----------------------------------------------------------------------===//
 
-unsigned ValueGraph::canonicalizeOrders() {
-  unsigned Changed = 0;
+void ValueGraph::canonicalizeOrders() {
   for (NodeId I = 0; I < Nodes.size(); ++I) {
     if (find(I) != I)
       continue;
@@ -341,14 +341,10 @@ unsigned ValueGraph::canonicalizeOrders() {
       for (unsigned K = 0; K + 1 < N.Ops.size(); K += 2)
         Branches.emplace_back(find(N.Ops[K]), find(N.Ops[K + 1]));
       std::sort(Branches.begin(), Branches.end());
-      std::vector<NodeId> NewOps;
+      N.Ops.clear();
       for (auto &[C, V] : Branches) {
-        NewOps.push_back(C);
-        NewOps.push_back(V);
-      }
-      if (NewOps != N.Ops) {
-        N.Ops = std::move(NewOps);
-        ++Changed;
+        N.Ops.push_back(C);
+        N.Ops.push_back(V);
       }
       continue;
     }
@@ -356,270 +352,182 @@ unsigned ValueGraph::canonicalizeOrders() {
       NodeId A = find(N.Ops[0]), B = find(N.Ops[1]);
       if (B < A)
         std::swap(A, B);
-      if (A != N.Ops[0] || B != N.Ops[1]) {
-        N.Ops = {A, B};
-        ++Changed;
-      }
+      N.Ops = {A, B};
     }
   }
-  return Changed;
 }
 
-unsigned ValueGraph::congruencePass() {
-  // Keys must be recomputed over *current* union-find roots every iteration,
-  // unlike the frozen hash-cons table; hence the local hash buckets, keyed
-  // by each node's head and its find()-ed operands, compared the same way.
-  auto CanonicalEquals = [this](const Node &A, const Node &B) {
-    if (!scalarFieldsEqual(A, B) || A.Ops.size() != B.Ops.size())
-      return false;
-    for (size_t I = 0, E = A.Ops.size(); I != E; ++I)
-      if (find(A.Ops[I]) != find(B.Ops[I]))
-        return false;
-    return true;
-  };
-
-  unsigned Merges = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    canonicalizeOrders();
-    std::unordered_map<uint64_t, std::vector<NodeId>> Tab;
-    for (NodeId I = 0; I < Nodes.size(); ++I) {
-      if (find(I) != I)
-        continue;
-      const Node &N = Nodes[I];
-      if (N.Kind == NodeKind::Mu)
-        continue; // cycles handled by unification/partitioning
-      uint64_t H = hashNodeHead(N);
-      for (NodeId Op : N.Ops)
-        H = hashCombine(H, find(Op));
-      std::vector<NodeId> &Bucket = Tab[H];
-      bool Merged = false;
-      for (NodeId Candidate : Bucket) {
-        if (CanonicalEquals(Nodes[Candidate], N)) {
-          mergeInto(I, Candidate); // keep the earlier (smaller) id
-          ++Merges;
-          Changed = true;
-          Merged = true;
-          break;
-        }
-      }
-      if (!Merged)
-        Bucket.push_back(I);
-    }
-  }
-  return Merges;
-}
-
-unsigned ValueGraph::muUnificationPass() {
-  // Gather μ roots in deterministic order.
-  std::vector<NodeId> Mus;
-  for (NodeId I = 0; I < Nodes.size(); ++I)
-    if (find(I) == I && Nodes[I].Kind == NodeKind::Mu)
-      Mus.push_back(I);
-
-  unsigned Merges = 0;
-  for (unsigned A = 0; A < Mus.size(); ++A) {
-    for (unsigned B = A + 1; B < Mus.size(); ++B) {
-      NodeId X = find(Mus[A]), Y = find(Mus[B]);
-      if (X == Y)
-        continue;
-      const Node &NX = Nodes[X], &NY = Nodes[Y];
-      if (NX.Ty != NY.Ty)
-        continue;
-      if (NX.Ops[0] == InvalidNode || NY.Ops[0] == InvalidNode)
-        continue;
-      if (find(NX.Ops[0]) != find(NY.Ops[0]))
-        continue; // same initial value required
-      // Parallel unification under the assumption X == Y.
-      std::set<std::pair<NodeId, NodeId>> Assumed;
-      if (unify(X, Y, Assumed, 0)) {
-        for (auto &[P, Q] : Assumed)
-          mergeInto(std::max(P, Q), std::min(P, Q));
-        Merges += Assumed.size();
-      }
-    }
-  }
-  return Merges;
-}
-
-bool ValueGraph::unify(NodeId X, NodeId Y,
-                       std::set<std::pair<NodeId, NodeId>> &Assumed,
-                       unsigned Depth) const {
-  if (Depth > 4096)
-    return false;
-  X = find(X);
-  Y = find(Y);
-  if (X == Y)
-    return true;
-  auto Pair = std::minmax(X, Y);
-  if (Assumed.count({Pair.first, Pair.second}))
-    return true;
-  const Node &NX = Nodes[X], &NY = Nodes[Y];
-  if (NX.Kind != NY.Kind || NX.Op != NY.Op || NX.Pred != NY.Pred ||
-      NX.Ty != NY.Ty || NX.IntVal != NY.IntVal || NX.Str != NY.Str ||
-      NX.Ops.size() != NY.Ops.size())
-    return false;
-  uint64_t BX, BY;
-  std::memcpy(&BX, &NX.FloatVal, sizeof(BX));
-  std::memcpy(&BY, &NY.FloatVal, sizeof(BY));
-  if (BX != BY)
-    return false;
-  Assumed.insert({Pair.first, Pair.second});
-  // Commutative operators need the prolog-style backtracking the paper
-  // mentions (§5.4): the two orderings may differ before merging.
-  if (NX.Kind == NodeKind::Op && isCommutativeOp(NX.Op) &&
-      NX.Ops.size() == 2) {
-    {
-      std::set<std::pair<NodeId, NodeId>> Copy = Assumed;
-      if (unify(NX.Ops[0], NY.Ops[0], Copy, Depth + 1) &&
-          unify(NX.Ops[1], NY.Ops[1], Copy, Depth + 1)) {
-        Assumed = std::move(Copy);
-        return true;
-      }
-    }
-    std::set<std::pair<NodeId, NodeId>> Copy = Assumed;
-    if (unify(NX.Ops[0], NY.Ops[1], Copy, Depth + 1) &&
-        unify(NX.Ops[1], NY.Ops[0], Copy, Depth + 1)) {
-      Assumed = std::move(Copy);
-      return true;
-    }
-    return false;
-  }
-  for (unsigned I = 0, E = NX.Ops.size(); I != E; ++I) {
-    if (NX.Ops[I] == InvalidNode || NY.Ops[I] == InvalidNode)
-      return NX.Ops[I] == NY.Ops[I];
-    if (!unify(NX.Ops[I], NY.Ops[I], Assumed, Depth + 1))
-      return false;
-  }
-  return true;
-}
-
-unsigned ValueGraph::partitionRefinementPass() {
+unsigned ValueGraph::maximizeSharing() {
+  // Initial partition of the live roots: head payload (kind, op, pred,
+  // type, scalars, arity), bucketed by the same structural hash the
+  // hash-cons table uses; collisions resolve by field equality.
   std::vector<NodeId> Roots;
-  for (NodeId I = 0; I < Nodes.size(); ++I)
-    if (find(I) == I)
-      Roots.push_back(I);
-  canonicalizeOrders();
-
-  // Initial partition: head payload (kind, op, pred, type, scalars, arity),
-  // bucketed by the same structural hash the hash-cons table and the
-  // congruence pass use; collisions resolve by field equality. Class ids are
-  // assigned first-seen in root (ascending NodeId) order, so the partition
-  // is deterministic.
   std::vector<unsigned> Class(Nodes.size(), 0);
   unsigned NumClasses = 0;
   {
     std::unordered_map<uint64_t, std::vector<NodeId>> Heads;
-    for (NodeId I : Roots) {
+    for (NodeId I = 0; I < Nodes.size(); ++I) {
+      if (find(I) != I)
+        continue;
+      Roots.push_back(I);
       const Node &N = Nodes[I];
       std::vector<NodeId> &Bucket = Heads[hashNodeHead(N)];
-      bool Found = false;
-      for (NodeId Rep : Bucket) {
-        const Node &R = Nodes[Rep];
-        if (scalarFieldsEqual(R, N) && R.Ops.size() == N.Ops.size()) {
-          Class[I] = Class[Rep];
-          Found = true;
-          break;
-        }
-      }
-      if (!Found) {
+      auto Rep = std::find_if(Bucket.begin(), Bucket.end(), [&](NodeId R) {
+        return scalarFieldsEqual(Nodes[R], N) &&
+               Nodes[R].Ops.size() == N.Ops.size();
+      });
+      if (Rep != Bucket.end()) {
+        Class[I] = Class[*Rep];
+      } else {
         Class[I] = NumClasses++;
         Bucket.push_back(I);
       }
     }
   }
 
-  // Refine until stable: split classes by the class vector of their
-  // operands. Signatures are hash-bucketed like the initial partition; each
-  // new class is a subset of an old one (the signature leads with the old
-  // class), so the partition is stable exactly when the class count stops
-  // growing.
-  while (true) {
-    struct SigRep {
-      const std::vector<unsigned> *Sig;
-      unsigned Class;
-    };
-    std::unordered_map<uint64_t, std::vector<SigRep>> Sigs;
-    std::vector<std::vector<unsigned>> SigStore(Roots.size());
-    std::vector<unsigned> NewClass(Nodes.size(), 0);
-    unsigned NewCount = 0;
-    for (size_t RI = 0; RI < Roots.size(); ++RI) {
-      NodeId I = Roots[RI];
-      std::vector<unsigned> &Sig = SigStore[RI];
-      const Node &N = Nodes[I];
-      Sig.push_back(Class[I]);
-      for (NodeId Op : N.Ops)
-        Sig.push_back(Op == InvalidNode ? ~0u : Class[find(Op)]);
-      // Operand order is canonical by node id, not by class: congruent
-      // add(a,b) and add(b',a') must get one signature, so commutative
-      // operands and γ's (cond, value) pairs are sorted by class here.
-      if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) &&
-          N.Ops.size() == 2) {
-        if (Sig[2] < Sig[1])
-          std::swap(Sig[1], Sig[2]);
-      } else if (N.Kind == NodeKind::Gamma) {
-        std::vector<std::pair<unsigned, unsigned>> Branches;
-        for (size_t K = 1; K + 1 < Sig.size(); K += 2)
-          Branches.emplace_back(Sig[K], Sig[K + 1]);
+  // Users of each root (CSR): whose signature may change when it moves.
+  std::vector<unsigned> UserBegin(Nodes.size() + 1, 0);
+  for (NodeId I : Roots)
+    for (NodeId Op : Nodes[I].Ops)
+      if (Op != InvalidNode)
+        ++UserBegin[find(Op) + 1];
+  std::partial_sum(UserBegin.begin(), UserBegin.end(), UserBegin.begin());
+  std::vector<NodeId> Users(UserBegin.back());
+  {
+    std::vector<unsigned> Fill(UserBegin.begin(), UserBegin.end() - 1);
+    for (NodeId I : Roots)
+      for (NodeId Op : Nodes[I].Ops)
+        if (Op != InvalidNode)
+          Users[Fill[find(Op)]++] = I;
+  }
+
+  // Each class is the range [Begin, End) of Elems.
+  std::vector<unsigned> Begin(NumClasses + 1, 0);
+  for (NodeId I : Roots)
+    ++Begin[Class[I] + 1];
+  std::partial_sum(Begin.begin(), Begin.end(), Begin.begin());
+  std::vector<unsigned> End(Begin.begin() + 1, Begin.end());
+  Begin.pop_back();
+  std::vector<NodeId> Elems(Roots.size());
+  {
+    std::vector<unsigned> Fill = Begin;
+    for (NodeId I : Roots)
+      Elems[Fill[Class[I]]++] = I;
+  }
+
+  // Refine to the coarsest stable partition. A class off the worklist is
+  // stable: its members' operand classes agree. Splitting a class changes
+  // the operand classes of exactly the users of the members that moved,
+  // so only their classes go back on the worklist.
+  std::vector<unsigned> Work;
+  std::vector<char> Queued(NumClasses, 0);
+  auto Push = [&](unsigned C) {
+    if (!Queued[C] && End[C] - Begin[C] > 1) {
+      Queued[C] = 1;
+      Work.push_back(C);
+    }
+  };
+  for (unsigned C = 0; C < NumClasses; ++C)
+    Push(C);
+  std::vector<unsigned> Sigs, Order;
+  std::vector<std::pair<unsigned, unsigned>> Branches, Runs;
+  std::vector<NodeId> Sorted;
+  while (!Work.empty()) {
+    unsigned C = Work.back();
+    Work.pop_back();
+    Queued[C] = 0;
+    const unsigned B = Begin[C], Size = End[C] - B;
+    const Node &Head = Nodes[Elems[B]];
+    const size_t Arity = Head.Ops.size();
+    if (Arity == 0)
+      continue;
+    // Signature: the operand classes. Operand order is canonical by node
+    // id, not by class: congruent add(a,b) and add(b',a') must get one
+    // signature, so commutative operands and γ's (cond, value) pairs are
+    // sorted by class.
+    Sigs.resize(Size * Arity);
+    for (unsigned K = 0; K < Size; ++K) {
+      unsigned *Sig = &Sigs[K * Arity];
+      const Node &N = Nodes[Elems[B + K]];
+      for (size_t J = 0; J < Arity; ++J)
+        Sig[J] = N.Ops[J] == InvalidNode ? ~0u : Class[find(N.Ops[J])];
+      if (Head.Kind == NodeKind::Op && isCommutativeOp(Head.Op) &&
+          Arity == 2) {
+        if (Sig[1] < Sig[0])
+          std::swap(Sig[0], Sig[1]);
+      } else if (Head.Kind == NodeKind::Gamma) {
+        Branches.clear();
+        for (size_t J = 0; J + 1 < Arity; J += 2)
+          Branches.emplace_back(Sig[J], Sig[J + 1]);
         std::sort(Branches.begin(), Branches.end());
-        for (size_t B = 0; B < Branches.size(); ++B) {
-          Sig[1 + 2 * B] = Branches[B].first;
-          Sig[2 + 2 * B] = Branches[B].second;
-        }
-      }
-      uint64_t H = hashCombine(0x9e3779b9, Sig.size());
-      for (unsigned S : Sig)
-        H = hashCombine(H, S);
-      std::vector<SigRep> &Bucket = Sigs[H];
-      bool Found = false;
-      for (const SigRep &Rep : Bucket) {
-        if (*Rep.Sig == Sig) {
-          NewClass[I] = Rep.Class;
-          Found = true;
-          break;
-        }
-      }
-      if (!Found) {
-        NewClass[I] = NewCount++;
-        Bucket.push_back({&Sig, NewClass[I]});
+        for (size_t J = 0; J < Branches.size(); ++J)
+          std::tie(Sig[2 * J], Sig[2 * J + 1]) = Branches[J];
       }
     }
-    bool Stable = NewCount == NumClasses;
-    Class = std::move(NewClass);
-    NumClasses = NewCount;
+    auto SigOf = [&](unsigned K) { return &Sigs[K * Arity]; };
+    bool Stable = true;
+    for (unsigned K = 1; K < Size && Stable; ++K)
+      Stable = std::equal(SigOf(0), SigOf(0) + Arity, SigOf(K));
     if (Stable)
-      break;
-  }
-
-  // Merge same-class roots (into the smallest id for determinism).
-  unsigned Merges = 0;
-  std::vector<NodeId> Leader(NumClasses, InvalidNode);
-  for (NodeId I : Roots) {
-    NodeId &L = Leader[Class[I]];
-    if (L == InvalidNode) {
-      L = I;
-    } else {
-      mergeInto(I, L);
-      ++Merges;
+      continue;
+    // Group the members by signature.
+    auto SigLess = [&](unsigned X, unsigned Y) {
+      return std::lexicographical_compare(SigOf(X), SigOf(X) + Arity,
+                                          SigOf(Y), SigOf(Y) + Arity);
+    };
+    Order.resize(Size);
+    std::iota(Order.begin(), Order.end(), 0u);
+    std::sort(Order.begin(), Order.end(), SigLess);
+    Sorted.resize(Size);
+    for (unsigned K = 0; K < Size; ++K)
+      Sorted[K] = Elems[B + Order[K]];
+    std::copy(Sorted.begin(), Sorted.end(), Elems.begin() + B);
+    // Runs of equal signature; the largest keeps C, the others get new ids.
+    Runs.clear();
+    for (unsigned S = 0, E; S < Size; S = E) {
+      for (E = S + 1; E < Size && !SigLess(Order[S], Order[E]); ++E)
+        ;
+      Runs.emplace_back(B + S, B + E);
     }
+    auto Largest = std::max_element(
+        Runs.begin(), Runs.end(), [](const auto &X, const auto &Y) {
+          return X.second - X.first < Y.second - Y.first;
+        });
+    std::tie(Begin[C], End[C]) = *Largest;
+    for (auto It = Runs.begin(); It != Runs.end(); ++It) {
+      if (It == Largest)
+        continue;
+      unsigned New = static_cast<unsigned>(Begin.size());
+      Begin.push_back(It->first);
+      End.push_back(It->second);
+      Queued.push_back(0);
+      for (unsigned K = It->first; K < It->second; ++K)
+        Class[Elems[K]] = New;
+    }
+    // The re-queue: only now are the moved members' new classes visible.
+    for (auto It = Runs.begin(); It != Runs.end(); ++It)
+      if (It != Largest)
+        for (unsigned K = It->first; K < It->second; ++K)
+          for (unsigned U = UserBegin[Elems[K]]; U < UserBegin[Elems[K] + 1];
+               ++U)
+            Push(Class[Users[U]]);
   }
-  return Merges;
-}
 
-unsigned ValueGraph::maximizeSharing(SharingStrategy Strategy) {
-  if (Strategy == SharingStrategy::Partition) {
-    unsigned Total = congruencePass();
-    Total += partitionRefinementPass();
-    return Total + congruencePass();
+  // Merge each class into its smallest id, for determinism.
+  unsigned Merges = 0;
+  for (unsigned C = 0; C < Begin.size(); ++C) {
+    if (End[C] - Begin[C] < 2)
+      continue;
+    auto First = Elems.begin() + Begin[C], Last = Elems.begin() + End[C];
+    NodeId Leader = *std::min_element(First, Last);
+    for (auto It = First; It != Last; ++It)
+      if (*It != Leader) {
+        mergeInto(*It, Leader);
+        ++Merges;
+      }
   }
-  unsigned Total = 0;
-  while (true) {
-    unsigned Merges = congruencePass() + muUnificationPass();
-    if (Merges == 0)
-      return Total;
-    Total += Merges;
-  }
+  canonicalizeOrders();
+  return Merges;
 }
 
 //===----------------------------------------------------------------------===//

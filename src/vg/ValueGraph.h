@@ -12,9 +12,9 @@
 ///
 /// Acyclic nodes are interned on construction. Cycles are broken by μ
 /// nodes, which are created unique and merged later by the sharing
-/// maximization pass (§5.4): the simple parallel-unification algorithm
-/// (the default), or a Hopcroft-style partition refinement. As the paper
-/// reports, both validate the same pairs; the suite tests pin that tie.
+/// maximization pass (§5.4): a worklist partition refinement (Hopcroft
+/// style) to the coarsest bisimulation, which subsumes both congruence
+/// closure and the paper's parallel unification of μ nodes.
 ///
 /// Merging is a union-find over node ids; rewrite rules replace a node by
 /// merging it into its replacement.
@@ -29,7 +29,6 @@
 #include "support/Arena.h"
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,17 +70,6 @@ struct Node {
   double FloatVal = 0;
   std::string Str;
   std::vector<NodeId> Ops;
-};
-
-/// Sharing maximization strategy (§5.4 of the paper).
-enum class SharingStrategy : uint8_t {
-  /// Bottom-up congruence pass + pairwise μ unification, repeated until
-  /// neither merges. The default, and the cheaper of the two.
-  Simple,
-  /// Hopcroft-style partition refinement (bisimulation classes), between
-  /// two congruence passes. Validates exactly what Simple validates; kept
-  /// as the §5.4 ablation leg and as a reference.
-  Partition,
 };
 
 class ValueGraph {
@@ -145,12 +133,11 @@ public:
   // Sharing maximization
   //===------------------------------------------------------------------===//
 
-  /// Runs one round of sharing maximization; returns the number of merges.
-  unsigned maximizeSharing(SharingStrategy Strategy);
-
-  /// Canonically re-sorts every Gamma's branches (by current roots) and
-  /// commutative operators' operands. Returns number of nodes changed.
-  unsigned canonicalizeOrders();
+  /// Merges every pair of bisimilar live nodes: same head payload and,
+  /// recursively, bisimilar operands (commutative operands and γ branches
+  /// in any order). One call reaches the fixpoint: a second call returns 0
+  /// unless the graph changed in between. Returns the number of merges.
+  unsigned maximizeSharing();
 
   //===------------------------------------------------------------------===//
   // Cone queries used by rewrite rules
@@ -187,20 +174,15 @@ private:
   /// the hash-cons key. Collisions are resolved by structural equality.
   uint64_t hashNode(const Node &N) const;
   /// Hash of the head payload only (kind, op, pred, type, scalars, arity) —
-  /// the operand *contents* are excluded. Bucket key for the partition
-  /// refinement pass's initial partition.
+  /// the operand *contents* are excluded. Bucket key for the initial
+  /// partition of maximizeSharing().
   uint64_t hashNodeHead(const Node &N) const;
   /// Field-by-field structural equality against an interned node.
   static bool nodeEquals(const Node &A, const Node &B);
 
-  /// Parallel structural unification under cycle assumptions (§5.4's
-  /// "simple unification algorithm").
-  bool unify(NodeId X, NodeId Y, std::set<std::pair<NodeId, NodeId>> &Assumed,
-             unsigned Depth) const;
-
-  unsigned congruencePass();
-  unsigned muUnificationPass();
-  unsigned partitionRefinementPass();
+  /// Canonically re-sorts every Gamma's branches (by current roots) and
+  /// commutative operators' operands.
+  void canonicalizeOrders();
 
   /// Arena-backed, pointer-stable node table. Interning a node must never
   /// invalidate references to existing nodes — the normalizer's rewrite
@@ -224,8 +206,8 @@ private:
   mutable std::vector<NodeId> Parent;
   /// Structural hash -> candidate ids (collision bucket). Keys are frozen at
   /// intern time, like the interned nodes' operand lists; later union-find
-  /// merges can make equal-shaped nodes miss, which the sharing-maximization
-  /// congruence pass cleans up.
+  /// merges can make equal-shaped nodes miss, which maximizeSharing() cleans
+  /// up.
   std::unordered_map<uint64_t, std::vector<NodeId>> HashCons;
   unsigned MergeCount = 0;
 };

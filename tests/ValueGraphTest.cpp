@@ -82,9 +82,23 @@ TEST_F(GraphFixture, CongruenceClosesUpward) {
   NodeId PB = G.getOp(Opcode::Sub, I32, {XB, B});
   EXPECT_NE(G.find(PA), G.find(PB));
   G.mergeInto(A, B);
-  G.maximizeSharing(SharingStrategy::Simple);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(PA), G.find(PB));
   EXPECT_EQ(G.find(XA), G.find(XB));
+
+  // Two parallel 80-level chains over leaves merged just before the call:
+  // the tops must merge in that one call, not one level per call.
+  NodeId LA = G.getParam(2, I32), LB = G.getParam(3, I32);
+  NodeId TopA = LA, TopB = LB;
+  for (int Level = 0; Level < 80; ++Level) {
+    NodeId K = G.getConstInt(I32, Level);
+    TopA = G.getOp(Level % 2 ? Opcode::Sub : Opcode::Xor, I32, {TopA, K});
+    TopB = G.getOp(Level % 2 ? Opcode::Sub : Opcode::Xor, I32, {TopB, K});
+  }
+  G.mergeInto(LA, LB);
+  EXPECT_EQ(G.maximizeSharing(), 80u);
+  EXPECT_EQ(G.find(TopA), G.find(TopB));
+  EXPECT_EQ(G.maximizeSharing(), 0u) << "one call reaches the fixpoint";
 }
 
 TEST_F(GraphFixture, MuUnificationMergesEqualLoops) {
@@ -95,7 +109,7 @@ TEST_F(GraphFixture, MuUnificationMergesEqualLoops) {
   NodeId M2 = G.makeMu(I32);
   G.setMuOperands(M2, Zero, G.getOp(Opcode::Add, I32, {M2, One}));
   EXPECT_NE(G.find(M1), G.find(M2));
-  G.maximizeSharing(SharingStrategy::Simple);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(M1), G.find(M2));
 }
 
@@ -106,13 +120,34 @@ TEST_F(GraphFixture, MuUnificationRespectsDifferences) {
   G.setMuOperands(M1, Zero, G.getOp(Opcode::Add, I32, {M1, One}));
   NodeId M2 = G.makeMu(I32);
   G.setMuOperands(M2, Zero, G.getOp(Opcode::Add, I32, {M2, Two}));
-  G.maximizeSharing(SharingStrategy::Simple);
+  G.maximizeSharing();
   EXPECT_NE(G.find(M1), G.find(M2)) << "different strides must stay apart";
   // Different initial values likewise.
   NodeId M3 = G.makeMu(I32);
   G.setMuOperands(M3, One, G.getOp(Opcode::Add, I32, {M3, One}));
-  G.maximizeSharing(SharingStrategy::Simple);
+  G.maximizeSharing();
   EXPECT_NE(G.find(M1), G.find(M3));
+
+  // A difference buried four levels below the μ: every level above it has
+  // the same shape, so only a refinement that re-examines the users of a
+  // split class can keep the two cycles apart.
+  auto BuriedCycle = [&](NodeId Leaf) {
+    NodeId M = G.makeMu(I32);
+    NodeId Body = G.getOp(Opcode::Mul, I32, {M, Leaf});
+    Body = G.getOp(Opcode::Sub, I32, {Body, Two});
+    Body = G.getOp(Opcode::Xor, I32, {Body, Two});
+    Body = G.getOp(Opcode::Sub, I32, {Body, One});
+    G.setMuOperands(M, Zero, Body);
+    return std::make_pair(M, Body);
+  };
+  auto [M4, Top4] = BuriedCycle(G.getParam(0, I32));
+  auto [M5, Top5] = BuriedCycle(G.getParam(1, I32));
+  auto [M6, Top6] = BuriedCycle(G.getParam(0, I32));
+  G.maximizeSharing();
+  EXPECT_NE(G.find(M4), G.find(M5)) << "buried difference must keep apart";
+  EXPECT_NE(G.find(Top4), G.find(Top5));
+  EXPECT_EQ(G.find(M4), G.find(M6));
+  EXPECT_EQ(G.find(Top4), G.find(Top6));
 }
 
 TEST_F(GraphFixture, MuUnificationBacktracksCommutativeOrder) {
@@ -124,7 +159,7 @@ TEST_F(GraphFixture, MuUnificationBacktracksCommutativeOrder) {
   NodeId M2 = G.makeMu(I32);
   NodeId Add2 = G.getOp(Opcode::Add, I32, {M2, One});
   G.setMuOperands(M2, Zero, Add2);
-  G.maximizeSharing(SharingStrategy::Simple);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(M1), G.find(M2));
 }
 
@@ -134,7 +169,7 @@ TEST_F(GraphFixture, PartitionRefinementMergesCycles) {
   G.setMuOperands(M1, Zero, G.getOp(Opcode::Add, I32, {M1, One}));
   NodeId M2 = G.makeMu(I32);
   G.setMuOperands(M2, Zero, G.getOp(Opcode::Add, I32, {M2, One}));
-  G.maximizeSharing(SharingStrategy::Partition);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(M1), G.find(M2));
 }
 
@@ -145,7 +180,7 @@ TEST_F(GraphFixture, PartitionKeepsDistinctCyclesApart) {
   G.setMuOperands(M1, Zero, G.getOp(Opcode::Add, I32, {M1, One}));
   NodeId M2 = G.makeMu(I32);
   G.setMuOperands(M2, Zero, G.getOp(Opcode::Mul, I32, {M2, Two}));
-  G.maximizeSharing(SharingStrategy::Partition);
+  G.maximizeSharing();
   EXPECT_NE(G.find(M1), G.find(M2));
 }
 
@@ -158,7 +193,7 @@ TEST_F(GraphFixture, PartitionSortsCommutativeOperandsByClass) {
   NodeId M2 = G.makeMu(I32);
   G.setMuOperands(M1, Zero, G.getOp(Opcode::Add, I32, {M1, C}));
   G.setMuOperands(M2, Zero, G.getOp(Opcode::Add, I32, {C, M2}));
-  G.maximizeSharing(SharingStrategy::Partition);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(M1), G.find(M2));
 }
 
@@ -178,7 +213,7 @@ TEST_F(GraphFixture, PartitionSortsGammaBranchesByClass) {
   NodeId Cmp2 = G.getOp(Opcode::ICmp, I1, {M2, Ten}, Slt);
   G.setMuOperands(M1, Zero, G.getGamma(I32, {{Cmp1, Step1}, {Q, M1}}));
   G.setMuOperands(M2, Zero, G.getGamma(I32, {{Cmp2, Step2}, {Q, M2}}));
-  G.maximizeSharing(SharingStrategy::Partition);
+  G.maximizeSharing();
   EXPECT_EQ(G.find(M1), G.find(M2));
 }
 
