@@ -10,6 +10,11 @@
 //  * batch validation through the ValidationEngine scales with the thread
 //    count (BM_EngineBatch/threads:N).
 //
+// Per-layer cases time one layer over the whole 12-profile paper suite:
+// the optimizer pipeline (BM_PaperPipeline, which also reports the
+// dominator trees and loop infos its passes built) and, on the optimized
+// functions, the dominator tree, loop info and gating analysis.
+//
 // After the microbenchmarks run, a whole-suite engine pass is emitted as
 // BENCH_scaling.json through the engine's JSON reporter (with timing).
 //
@@ -17,7 +22,10 @@
 
 #include "Harness.h"
 
+#include "analysis/Dominators.h"
+#include "analysis/LoopInfo.h"
 #include "driver/VerdictStore.h"
+#include "gated/GatedSSA.h"
 #include "vg/GraphBuilder.h"
 
 #include <benchmark/benchmark.h>
@@ -101,6 +109,125 @@ void BM_BuildGraph(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BuildGraph)->Arg(2)->Arg(8)->Arg(32);
+
+/// The 12 paper-suite modules, generated once, and every defined function
+/// of their copies after the paper pipeline.
+struct PaperSuite {
+  PaperSuite() {
+    for (const BenchmarkProfile &P : getPaperSuite()) {
+      Orig.push_back(generateBenchmark(Ctx, P));
+      Opt.push_back(cloneModule(*Orig.back()));
+      PassManager PM;
+      PM.parsePipeline(getPaperPipeline());
+      PM.run(*Opt.back());
+      for (const Function *F : Opt.back()->definedFunctions())
+        OptFunctions.push_back(F);
+    }
+  }
+  Context Ctx;
+  std::vector<std::unique_ptr<Module>> Orig, Opt;
+  std::vector<const Function *> OptFunctions;
+};
+
+const PaperSuite &paperSuite() {
+  static const PaperSuite S;
+  return S;
+}
+
+/// The paper pipeline over fresh clones of the 12 suite modules (cloning
+/// is untimed). The analysis-build counters are the same on every machine.
+void BM_PaperPipeline(benchmark::State &State) {
+  const auto &Modules = paperSuite().Orig;
+  PassManager::AnalysisBuilds Builds;
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::vector<std::unique_ptr<Module>> Clones;
+    for (const auto &M : Modules)
+      Clones.push_back(cloneModule(*M));
+    State.ResumeTiming();
+    Builds = {};
+    for (auto &M : Clones) {
+      PassManager PM;
+      PM.parsePipeline(getPaperPipeline());
+      PM.run(*M);
+      Builds.DomTrees += PM.getAnalysisBuilds().DomTrees;
+      Builds.LoopInfos += PM.getAnalysisBuilds().LoopInfos;
+    }
+    State.PauseTiming();
+    Clones.clear();
+    State.ResumeTiming();
+  }
+  State.counters["dom_trees"] = Builds.DomTrees;
+  State.counters["loop_infos"] = Builds.LoopInfos;
+}
+BENCHMARK(BM_PaperPipeline)->Unit(benchmark::kMillisecond);
+
+/// Dominator trees of every optimized suite function.
+void BM_DomTree(benchmark::State &State) {
+  const auto &Functions = paperSuite().OptFunctions;
+  for (auto _ : State)
+    for (const Function *F : Functions) {
+      DominatorTree DT(*F);
+      benchmark::DoNotOptimize(DT.getRPO().data());
+    }
+  State.counters["functions"] = static_cast<double>(Functions.size());
+}
+BENCHMARK(BM_DomTree)->Unit(benchmark::kMicrosecond);
+
+/// Loop infos of every optimized suite function, from prebuilt dominator
+/// trees.
+void BM_LoopInfo(benchmark::State &State) {
+  const auto &Functions = paperSuite().OptFunctions;
+  std::vector<std::unique_ptr<DominatorTree>> DTs;
+  for (const Function *F : Functions)
+    DTs.push_back(std::make_unique<DominatorTree>(*F));
+  for (auto _ : State)
+    for (size_t I = 0; I < Functions.size(); ++I) {
+      LoopInfo LI(*Functions[I], *DTs[I]);
+      benchmark::DoNotOptimize(LI.getTopLevelLoops().data());
+    }
+  State.counters["functions"] = static_cast<double>(Functions.size());
+}
+BENCHMARK(BM_LoopInfo)->Unit(benchmark::kMicrosecond);
+
+/// Gating analyses of every optimized suite function, with every gate the
+/// graph builder may ask for: each forward edge into a merge block, each
+/// latch edge, and each loop's primary-exit stay condition. Gates are
+/// built lazily, so construction alone would measure almost nothing.
+void BM_Gating(benchmark::State &State) {
+  const auto &Functions = paperSuite().OptFunctions;
+  unsigned Supported = 0;
+  for (auto _ : State) {
+    Supported = 0;
+    for (const Function *F : Functions) {
+      GatingAnalysis GA(*F);
+      if (!GA.isSupported())
+        continue;
+      const DominatorTree &DT = GA.getDomTree();
+      const LoopInfo &LI = GA.getLoopInfo();
+      for (const BasicBlock *BB : DT.getRPO()) {
+        const auto &Preds = DT.predecessors(BB);
+        if (Preds.size() < 2)
+          continue;
+        const Loop *L = LI.isLoopHeader(BB) ? LI.getLoopFor(BB) : nullptr;
+        for (const BasicBlock *P : Preds)
+          if (GA.isSupported())
+            benchmark::DoNotOptimize(L && L->contains(P)
+                                         ? GA.getLatchGate(P, BB)
+                                         : GA.getEdgeGate(P, BB));
+      }
+      for (const Loop *L : LI.getLoopsInnermostFirst()) {
+        auto [Exiting, Exit] = GA.getPrimaryExitEdge(*L);
+        if (Exiting)
+          benchmark::DoNotOptimize(GA.getStayCondition(*L, Exiting, Exit));
+      }
+      Supported += GA.isSupported();
+    }
+  }
+  State.counters["functions"] = static_cast<double>(Functions.size());
+  State.counters["supported"] = Supported;
+}
+BENCHMARK(BM_Gating)->Unit(benchmark::kMicrosecond);
 
 /// Whole-module batch validation through the engine at 1..N threads: the
 /// throughput path the driver subsystem owns. The verdict cache is disabled

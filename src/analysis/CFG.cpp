@@ -14,39 +14,29 @@ using namespace llvmmd;
 
 namespace {
 
-/// Visited flags over the blocks of one function: a sorted copy of its
-/// block list plus one flag per block, so a walk allocates twice instead
-/// of once per visited block. Blocks outside the function (a malformed
-/// branch the verifier reports) are never visited.
+/// Visited flags over the blocks of one function, indexed by block number:
+/// a slot holds its block until the walk visits it. Blocks outside the
+/// function's block list (a malformed branch the verifier reports) have no
+/// slot pointing back at them, so they are never visited.
 class VisitedBlocks {
 public:
-  explicit VisitedBlocks(const Function &F)
-      : Blocks(F.blocks().begin(), F.blocks().end()), Seen(Blocks.size()) {
-    std::sort(Blocks.begin(), Blocks.end());
+  explicit VisitedBlocks(const Function &F) : Slots(F.getMaxBlockNumber()) {
+    for (BasicBlock *BB : F.blocks())
+      Slots[BB->getNumber()] = BB;
   }
 
   /// Marks \p BB visited; true if it was not visited before.
   bool insert(BasicBlock *BB) {
-    auto It = std::lower_bound(Blocks.begin(), Blocks.end(), BB);
-    if (It == Blocks.end() || *It != BB)
+    unsigned N = BB ? BB->getNumber() : 0;
+    if (!BB || N >= Slots.size() || Slots[N] != BB)
       return false;
-    char &S = Seen[It - Blocks.begin()];
-    if (S)
-      return false;
-    S = 1;
+    Slots[N] = nullptr;
     return true;
   }
 
 private:
-  std::vector<BasicBlock *> Blocks;
-  std::vector<char> Seen;
+  std::vector<BasicBlock *> Slots;
 };
-
-/// Successor \p I of \p BB's terminator, or null past the last one.
-BasicBlock *successor(const BasicBlock *BB, unsigned I) {
-  auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
-  return Br && I < Br->getNumSuccessors() ? Br->getSuccessor(I) : nullptr;
-}
 
 } // namespace
 
@@ -67,8 +57,8 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
   Stack.push_back({Entry, 0});
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    if (BasicBlock *Succ = successor(Top.BB, Top.Next)) {
-      ++Top.Next;
+    if (Top.Next < Top.BB->getNumSuccessors()) {
+      BasicBlock *Succ = Top.BB->getSuccessor(Top.Next++);
       if (Visited.insert(Succ))
         Stack.push_back({Succ, 0});
       continue;
@@ -91,9 +81,9 @@ std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {
     BasicBlock *BB = Work.back();
     Work.pop_back();
     Out.push_back(BB);
-    for (BasicBlock *Succ : BB->successors())
-      if (Visited.insert(Succ))
-        Work.push_back(Succ);
+    for (unsigned I = 0, E = BB->getNumSuccessors(); I != E; ++I)
+      if (Visited.insert(BB->getSuccessor(I)))
+        Work.push_back(BB->getSuccessor(I));
   }
   return Out;
 }

@@ -15,19 +15,27 @@ const std::vector<BasicBlock *> DominatorTree::Empty;
 
 DominatorTree::DominatorTree(const Function &F) {
   RPO = computeRPO(F);
+  Index.assign(F.getMaxBlockNumber(), -1);
   if (RPO.empty())
     return;
   for (unsigned I = 0, E = RPO.size(); I != E; ++I)
-    Index[RPO[I]] = I;
+    Index[RPO[I]->getNumber()] = static_cast<int>(I);
+  Nodes.resize(Index.size());
 
-  // Reachable predecessors by RPO index, built once from the successor
-  // lists: unreachable predecessors never enter the intersection, and a
-  // block outside the function (malformed IR) is not in the RPO.
-  std::vector<std::vector<int>> Preds(RPO.size());
-  for (unsigned I = 0, E = RPO.size(); I != E; ++I)
-    for (BasicBlock *Succ : RPO[I]->successors())
-      if (auto It = Index.find(Succ); It != Index.end())
-        Preds[It->second].push_back(static_cast<int>(I));
+  // Reachable predecessors, built once from the successor lists in
+  // function block order: unreachable predecessors never enter the
+  // intersection, and a block outside the function (malformed IR) is not
+  // in the RPO.
+  for (BasicBlock *BB : F.blocks()) {
+    if (!isReachable(BB))
+      continue;
+    for (unsigned S = 0, E = BB->getNumSuccessors(); S != E; ++S) {
+      BasicBlock *Succ = BB->getSuccessor(S);
+      if (!isReachable(Succ) || (S == 1 && BB->getSuccessor(0) == Succ))
+        continue;
+      Nodes[Succ->getNumber()].Preds.push_back(BB);
+    }
+  }
 
   // Cooper-Harvey-Kennedy: iterate to fixpoint over RPO.
   std::vector<int> IDom(RPO.size(), -1);
@@ -47,7 +55,8 @@ DominatorTree::DominatorTree(const Function &F) {
     Changed = false;
     for (unsigned I = 1, E = RPO.size(); I != E; ++I) {
       int NewIDom = -1;
-      for (int P : Preds[I]) {
+      for (BasicBlock *Pred : Nodes[RPO[I]->getNumber()].Preds) {
+        int P = Index[Pred->getNumber()];
         if (IDom[P] < 0)
           continue; // not yet processed
         NewIDom = NewIDom < 0 ? P : Intersect(NewIDom, P);
@@ -59,56 +68,56 @@ DominatorTree::DominatorTree(const Function &F) {
     }
   }
 
-  for (unsigned I = 0, E = RPO.size(); I != E; ++I) {
-    NodeInfo &N = Nodes[RPO[I]];
-    if (I == 0) {
-      N.IDom = nullptr;
-      continue;
-    }
-    N.IDom = RPO[IDom[I]];
-    Nodes[N.IDom].Children.push_back(RPO[I]);
+  for (unsigned I = 1, E = RPO.size(); I != E; ++I) {
+    BasicBlock *Parent = RPO[IDom[I]];
+    Nodes[RPO[I]->getNumber()].IDom = Parent;
+    Nodes[Parent->getNumber()].Children.push_back(RPO[I]);
   }
 
   // DFS numbering for O(1) dominance queries.
   unsigned Clock = 0;
   struct Frame {
-    const BasicBlock *BB;
+    NodeInfo *N;
     size_t Next = 0;
   };
-  std::vector<Frame> Stack{{RPO[0], 0}};
-  Nodes[RPO[0]].DFSIn = Clock++;
+  std::vector<Frame> Stack{{&Nodes[RPO[0]->getNumber()], 0}};
+  Stack.back().N->DFSIn = Clock++;
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    NodeInfo &N = Nodes[Top.BB];
-    if (Top.Next < N.Children.size()) {
-      const BasicBlock *Child = N.Children[Top.Next++];
-      Nodes[Child].DFSIn = Clock++;
+    if (Top.Next < Top.N->Children.size()) {
+      NodeInfo *Child = &Nodes[Top.N->Children[Top.Next++]->getNumber()];
+      Child->DFSIn = Clock++;
       Stack.push_back({Child, 0});
       continue;
     }
-    N.DFSOut = Clock++;
+    Top.N->DFSOut = Clock++;
     Stack.pop_back();
   }
 }
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
-  auto It = Nodes.find(BB);
-  return It == Nodes.end() ? nullptr : It->second.IDom;
+  const NodeInfo *N = node(BB);
+  return N ? N->IDom : nullptr;
 }
 
 bool DominatorTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
-  auto ItA = Nodes.find(A);
-  auto ItB = Nodes.find(B);
-  if (ItA == Nodes.end() || ItB == Nodes.end())
+  const NodeInfo *NA = node(A);
+  const NodeInfo *NB = node(B);
+  if (!NA || !NB)
     return false;
-  return ItA->second.DFSIn <= ItB->second.DFSIn &&
-         ItB->second.DFSOut <= ItA->second.DFSOut;
+  return NA->DFSIn <= NB->DFSIn && NB->DFSOut <= NA->DFSOut;
 }
 
 const std::vector<BasicBlock *> &
 DominatorTree::getChildren(const BasicBlock *BB) const {
-  auto It = Nodes.find(BB);
-  return It == Nodes.end() ? Empty : It->second.Children;
+  const NodeInfo *N = node(BB);
+  return N ? N->Children : Empty;
+}
+
+const std::vector<BasicBlock *> &
+DominatorTree::predecessors(const BasicBlock *BB) const {
+  const NodeInfo *N = node(BB);
+  return N ? N->Preds : Empty;
 }
 
 std::vector<BasicBlock *> DominatorTree::preorder() const {

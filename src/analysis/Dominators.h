@@ -7,27 +7,37 @@
 /// \file
 /// Dominator tree built with the Cooper-Harvey-Kennedy iterative algorithm
 /// over reverse post-order, with DFS interval numbering for O(1) dominance
-/// queries.
+/// queries. Per-block facts live in vectors indexed by
+/// BasicBlock::getNumber(); a query for a block of another function or an
+/// unreachable block finds no RPO slot pointing back at it and answers as
+/// for an unreachable block.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_ANALYSIS_DOMINATORS_H
 #define LLVMMD_ANALYSIS_DOMINATORS_H
 
-#include <map>
+#include "ir/BasicBlock.h"
+
 #include <vector>
 
 namespace llvmmd {
 
-class BasicBlock;
 class Function;
 
 class DominatorTree {
 public:
   explicit DominatorTree(const Function &F);
 
-  bool isReachable(const BasicBlock *BB) const {
-    return Index.count(const_cast<BasicBlock *>(BB)) != 0;
+  bool isReachable(const BasicBlock *BB) const { return getRPONumber(BB) >= 0; }
+
+  /// Position of \p BB in getRPO(), or -1 if it is unreachable or not a
+  /// block of this function.
+  int getRPONumber(const BasicBlock *BB) const {
+    if (!BB || BB->getNumber() >= Index.size())
+      return -1;
+    int I = Index[BB->getNumber()];
+    return I >= 0 && RPO[I] == BB ? I : -1;
   }
 
   /// Immediate dominator; null for the entry block and unreachable blocks.
@@ -42,6 +52,12 @@ public:
   /// Children of \p BB in the dominator tree.
   const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const;
 
+  /// The reachable predecessors of \p BB in function block order, each
+  /// once (a branch with both edges to \p BB counts once): what
+  /// BasicBlock::predecessors() filtered by isReachable returns, without
+  /// its whole-function scan. Empty for an unreachable block.
+  const std::vector<BasicBlock *> &predecessors(const BasicBlock *BB) const;
+
   /// Reachable blocks in reverse post-order (entry first).
   const std::vector<BasicBlock *> &getRPO() const { return RPO; }
 
@@ -53,13 +69,19 @@ private:
   struct NodeInfo {
     BasicBlock *IDom = nullptr;
     std::vector<BasicBlock *> Children;
+    std::vector<BasicBlock *> Preds;
     unsigned DFSIn = 0;
     unsigned DFSOut = 0;
   };
 
+  /// The node of a reachable block of this function, else null.
+  const NodeInfo *node(const BasicBlock *BB) const {
+    return getRPONumber(BB) < 0 ? nullptr : &Nodes[BB->getNumber()];
+  }
+
   std::vector<BasicBlock *> RPO;
-  std::map<BasicBlock *, unsigned> Index; // block -> RPO index
-  std::map<const BasicBlock *, NodeInfo> Nodes;
+  std::vector<int> Index;      ///< block number -> RPO index, or -1
+  std::vector<NodeInfo> Nodes; ///< by block number; reachable blocks only
   static const std::vector<BasicBlock *> Empty;
 };
 

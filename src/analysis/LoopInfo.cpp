@@ -13,78 +13,77 @@
 
 using namespace llvmmd;
 
-LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
-  (void)F; // the CFG is reached through the dominator tree's RPO
+LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) : F(F) {
   const std::vector<BasicBlock *> &RPO = DT.getRPO();
-  std::map<BasicBlock *, unsigned> RPOIndex;
-  for (unsigned I = 0, E = RPO.size(); I != E; ++I)
-    RPOIndex[RPO[I]] = I;
+  const unsigned NumBlocks = F.getMaxBlockNumber();
 
-  // Collect back edges; detect irreducibility: a retreating edge (target
-  // earlier in RPO) whose target does not dominate the source.
-  std::map<BasicBlock *, std::vector<BasicBlock *>> BackEdges;
-  for (BasicBlock *BB : RPO) {
-    for (BasicBlock *Succ : BB->successors()) {
-      auto It = RPOIndex.find(Succ);
-      if (It == RPOIndex.end())
+  // Collect back edges by the RPO index of their target; detect
+  // irreducibility: a retreating edge (target earlier in RPO) whose target
+  // does not dominate the source.
+  std::vector<std::vector<BasicBlock *>> BackEdges(RPO.size());
+  for (unsigned I = 0, E = RPO.size(); I != E; ++I) {
+    BasicBlock *BB = RPO[I];
+    for (unsigned S = 0, NS = BB->getNumSuccessors(); S != NS; ++S) {
+      BasicBlock *Succ = BB->getSuccessor(S);
+      int SuccIdx = DT.getRPONumber(Succ);
+      if (SuccIdx < 0 || static_cast<unsigned>(SuccIdx) > I)
         continue;
-      if (It->second <= RPOIndex[BB]) {
-        if (DT.dominates(Succ, BB))
-          BackEdges[Succ].push_back(BB);
-        else
-          Irreducible = true;
-      }
+      if (DT.dominates(Succ, BB))
+        BackEdges[SuccIdx].push_back(BB);
+      else
+        Irreducible = true;
     }
   }
   if (Irreducible)
     return;
 
-  // Build a loop per header, in RPO order of the headers (BackEdges is a
-  // pointer-keyed map; iterating it directly would order loops — and thus
-  // every pass that walks them — by allocation address). Blocks = header +
+  // Build a loop per header, in RPO order of the headers. Blocks = header +
   // backward closure of latches, sorted into RPO afterwards so getBlocks()
   // iteration is deterministic program order.
-  for (BasicBlock *Header : RPO) {
-    auto BEIt = BackEdges.find(Header);
-    if (BEIt == BackEdges.end())
+  auto ByRPO = [&](BasicBlock *A, BasicBlock *B) {
+    return DT.getRPONumber(A) < DT.getRPONumber(B);
+  };
+  for (unsigned H = 0, E = RPO.size(); H != E; ++H) {
+    if (BackEdges[H].empty())
       continue;
     auto L = std::make_unique<Loop>();
+    BasicBlock *Header = RPO[H];
     L->Header = Header;
-    L->Latches = BEIt->second;
-    L->BlockSet.insert(Header);
+    L->Latches = std::move(BackEdges[H]);
+    L->BlockSet.assign(NumBlocks, false);
+    L->BlockSet[Header->getNumber()] = true;
+    L->Blocks.push_back(Header);
     std::vector<BasicBlock *> Work(L->Latches.begin(), L->Latches.end());
     while (!Work.empty()) {
       BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (!L->BlockSet.insert(BB).second)
+      if (L->BlockSet[BB->getNumber()])
         continue;
-      for (BasicBlock *Pred : BB->predecessors())
-        if (DT.isReachable(Pred) && Pred != Header)
+      L->BlockSet[BB->getNumber()] = true;
+      L->Blocks.push_back(BB);
+      for (BasicBlock *Pred : DT.predecessors(BB))
+        if (Pred != Header)
           Work.push_back(Pred);
     }
-    L->Blocks.assign(L->BlockSet.begin(), L->BlockSet.end());
-    std::sort(L->Blocks.begin(), L->Blocks.end(),
-              [&](BasicBlock *A, BasicBlock *B) {
-                return RPOIndex.find(A)->second < RPOIndex.find(B)->second;
-              });
+    std::sort(L->Blocks.begin(), L->Blocks.end(), ByRPO);
     Loops.push_back(std::move(L));
   }
 
   // Nesting: loop A is inside loop B iff B contains A's header and A != B.
   // Sort by block count so parents (larger) are matched after children;
   // ties break by header RPO index, never by pointer.
-  std::vector<Loop *> BydSize;
+  std::vector<Loop *> BySize;
   for (auto &L : Loops)
-    BydSize.push_back(L.get());
-  std::sort(BydSize.begin(), BydSize.end(), [&](Loop *A, Loop *B) {
+    BySize.push_back(L.get());
+  std::sort(BySize.begin(), BySize.end(), [&](Loop *A, Loop *B) {
     if (A->Blocks.size() != B->Blocks.size())
       return A->Blocks.size() < B->Blocks.size();
-    return RPOIndex[A->Header] < RPOIndex[B->Header];
+    return ByRPO(A->Header, B->Header);
   });
-  for (unsigned I = 0, E = BydSize.size(); I != E; ++I) {
-    Loop *Inner = BydSize[I];
+  for (unsigned I = 0, E = BySize.size(); I != E; ++I) {
+    Loop *Inner = BySize[I];
     for (unsigned J = I + 1; J != E; ++J) {
-      Loop *Outer = BydSize[J];
+      Loop *Outer = BySize[J];
       if (Outer->contains(Inner->Header) && Outer != Inner) {
         Inner->Parent = Outer;
         Outer->SubLoops.push_back(Inner);
@@ -97,32 +96,33 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
       TopLevel.push_back(L.get());
 
   // Innermost-loop map: assign smaller loops first, never overwrite.
-  for (Loop *L : BydSize)
+  BlockMap.assign(NumBlocks, nullptr);
+  for (Loop *L : BySize)
     for (BasicBlock *BB : L->Blocks)
-      BlockMap.try_emplace(BB, L);
+      if (!BlockMap[BB->getNumber()])
+        BlockMap[BB->getNumber()] = L;
 
   // Preheaders, entering blocks, exits.
   for (auto &L : Loops) {
-    for (BasicBlock *Pred : L->Header->predecessors()) {
-      if (!DT.isReachable(Pred) || L->contains(Pred))
-        continue;
-      L->Entering.push_back(Pred);
-    }
+    for (BasicBlock *Pred : DT.predecessors(L->Header))
+      if (!L->contains(Pred))
+        L->Entering.push_back(Pred);
     if (L->Entering.size() == 1 &&
-        L->Entering.front()->successors().size() == 1)
+        L->Entering.front()->getNumSuccessors() == 1)
       L->Preheader = L->Entering.front();
 
     // Blocks are in RPO, so Exiting and Exits come out in deterministic
     // discovery order (first-seen wins for the deduplicated exit list).
-    std::set<BasicBlock *> ExitSet;
     for (BasicBlock *BB : L->Blocks) {
       bool IsExiting = false;
-      for (BasicBlock *Succ : BB->successors()) {
-        if (!L->contains(Succ)) {
-          IsExiting = true;
-          if (ExitSet.insert(Succ).second)
-            L->Exits.push_back(Succ);
-        }
+      for (unsigned S = 0, NS = BB->getNumSuccessors(); S != NS; ++S) {
+        BasicBlock *Succ = BB->getSuccessor(S);
+        if (L->contains(Succ))
+          continue;
+        IsExiting = true;
+        if (std::find(L->Exits.begin(), L->Exits.end(), Succ) ==
+            L->Exits.end())
+          L->Exits.push_back(Succ);
       }
       if (IsExiting)
         L->Exiting.push_back(BB);

@@ -11,6 +11,10 @@
 /// retreating edge that is not a back edge are flagged irreducible; the
 /// Gated SSA front-end rejects those, matching the paper (§5.1).
 ///
+/// Membership lives in vectors indexed by BasicBlock::getNumber(). A query
+/// for a block of another function checks the block's parent first, so it
+/// answers "not in any loop" as for any block outside the loops.
+///
 /// Every order this analysis exposes — loop discovery, block membership,
 /// exiting/exit lists, nesting ties — is derived from the CFG's RPO, never
 /// from pointer values. Passes iterate these lists to decide where hoisted
@@ -23,14 +27,13 @@
 #ifndef LLVMMD_ANALYSIS_LOOPINFO_H
 #define LLVMMD_ANALYSIS_LOOPINFO_H
 
-#include <map>
+#include "ir/BasicBlock.h"
+
 #include <memory>
-#include <set>
 #include <vector>
 
 namespace llvmmd {
 
-class BasicBlock;
 class DominatorTree;
 class Function;
 
@@ -44,7 +47,10 @@ public:
   /// values.
   const std::vector<BasicBlock *> &getBlocks() const { return Blocks; }
   bool contains(const BasicBlock *BB) const {
-    return BlockSet.count(const_cast<BasicBlock *>(BB)) != 0;
+    if (!BB || BB->getParent() != Header->getParent())
+      return false;
+    unsigned N = BB->getNumber();
+    return N < BlockSet.size() && BlockSet[N];
   }
   unsigned getDepth() const {
     unsigned D = 1;
@@ -70,15 +76,23 @@ public:
   /// Out-of-loop successors of exiting blocks (deduplicated).
   const std::vector<BasicBlock *> &getExitBlocks() const { return Exits; }
 
-  /// Registers a freshly created block (e.g. a preheader) as a member of
-  /// this loop and all enclosing loops, keeping membership queries correct
-  /// for transformations that run after the block was inserted. Appended at
-  /// the end of the block list: insertion order is program order, so the
-  /// list stays deterministic.
-  void addBlock(BasicBlock *BB) {
-    for (Loop *L = this; L; L = L->Parent)
-      if (L->BlockSet.insert(BB).second)
-        L->Blocks.push_back(BB);
+  /// Records \p Pre, a block just inserted to receive every loop-entering
+  /// edge, as the loop's preheader and only entering block. It becomes a
+  /// member of every enclosing loop (not of this one), appended at the end
+  /// of their block lists: insertion order is program order, so the lists
+  /// stay deterministic.
+  void addPreheader(BasicBlock *Pre) {
+    Preheader = Pre;
+    Entering.assign(1, Pre);
+    unsigned N = Pre->getNumber();
+    for (Loop *L = Parent; L; L = L->Parent) {
+      if (N >= L->BlockSet.size())
+        L->BlockSet.resize(N + 1);
+      if (!L->BlockSet[N]) {
+        L->BlockSet[N] = true;
+        L->Blocks.push_back(Pre);
+      }
+    }
   }
 
 private:
@@ -87,7 +101,7 @@ private:
   Loop *Parent = nullptr;
   std::vector<Loop *> SubLoops;
   std::vector<BasicBlock *> Blocks; ///< RPO order; see getBlocks()
-  std::set<BasicBlock *> BlockSet;  ///< membership mirror of Blocks
+  std::vector<bool> BlockSet; ///< membership mirror of Blocks, by number
   std::vector<BasicBlock *> Latches;
   BasicBlock *Preheader = nullptr;
   std::vector<BasicBlock *> Entering;
@@ -101,8 +115,9 @@ public:
 
   /// Innermost loop containing \p BB, or null.
   Loop *getLoopFor(const BasicBlock *BB) const {
-    auto It = BlockMap.find(const_cast<BasicBlock *>(BB));
-    return It == BlockMap.end() ? nullptr : It->second;
+    if (!BB || BB->getParent() != &F || BB->getNumber() >= BlockMap.size())
+      return nullptr;
+    return BlockMap[BB->getNumber()];
   }
 
   bool isLoopHeader(const BasicBlock *BB) const {
@@ -120,9 +135,10 @@ public:
   bool isIrreducible() const { return Irreducible; }
 
 private:
+  const Function &F;
   std::vector<std::unique_ptr<Loop>> Loops;
   std::vector<Loop *> TopLevel;
-  std::map<BasicBlock *, Loop *> BlockMap;
+  std::vector<Loop *> BlockMap; ///< block number -> innermost loop, or null
   bool Irreducible = false;
 };
 

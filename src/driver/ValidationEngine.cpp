@@ -6,6 +6,7 @@
 
 #include "driver/ValidationEngine.h"
 
+#include "analysis/FunctionAnalyses.h"
 #include "ir/Cloning.h"
 #include "ir/Module.h"
 #include "opt/Pass.h"
@@ -418,20 +419,22 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
   }
 
   // Stepwise: run each pass individually, snapshotting after every one
-  // that changes the function, and validate consecutive snapshots.
+  // that changes the function, and validate consecutive snapshots. The
+  // passes share one analysis cache, as under PassManager::run.
   S.SnapshotModules[Fi] = std::make_unique<Module>(
       S.Orig->getContext(), F->getName() + ".snapshots");
   Module &Snapshots = *S.SnapshotModules[Fi];
   const Function *Prev = Orig;
   uint64_t PrevFp = E.FingerprintOrig;
   const auto &Passes = PM.passes();
+  FunctionAnalyses FA;
   E.Steps.reserve(Passes.size());
   for (size_t Pi = 0; Pi < Passes.size(); ++Pi) {
     StepReport St;
     St.Pass = Passes[Pi]->getName();
     uint64_t PassStartUs = traceNowUs();
     PhaseTimer PassTimer;
-    St.Changed = Passes[Pi]->run(*F);
+    St.Changed = Passes[Pi]->run(*F, FA);
     if (S.PassTimesUs)
       S.PassTimesUs[Pi].fetch_add(PassTimer.elapsedUs(),
                                   std::memory_order_relaxed);

@@ -125,8 +125,8 @@ const Loop *outermostLoopNotContaining(const LoopInfo &LI,
 unsigned countExitEdges(const Loop &L) {
   unsigned N = 0;
   for (const BasicBlock *BB : L.getBlocks())
-    for (const BasicBlock *Succ : BB->successors())
-      if (!L.contains(Succ))
+    for (unsigned S = 0, E = BB->getNumSuccessors(); S != E; ++S)
+      if (!L.contains(BB->getSuccessor(S)))
         ++N;
   return N;
 }
@@ -157,9 +157,7 @@ GatingAnalysis::computeEdgePredicate(const BasicBlock *From,
       GateFactory &GF = GA.Factory;
       const LoopInfo &LI = *GA.LI;
       const GateExpr *Acc = GF.getFalse();
-      for (const BasicBlock *P : BB->predecessors()) {
-        if (!GA.DT->isReachable(P))
-          continue;
+      for (const BasicBlock *P : GA.DT->predecessors(BB)) {
         if (isBackEdge(LI, P, BB))
           continue;
         // Does this edge leave a loop that does not contain BB?
@@ -241,28 +239,23 @@ const GateExpr *GatingAnalysis::getStayCondition(const Loop &L,
 
 std::pair<const BasicBlock *, const BasicBlock *>
 GatingAnalysis::getPrimaryExitEdge(const Loop &L) const {
-  std::map<const BasicBlock *, unsigned> RPOIndex;
-  unsigned I = 0;
-  for (const BasicBlock *BB : DT->getRPO())
-    RPOIndex[BB] = I++;
   const BasicBlock *BestFrom = nullptr;
   const BasicBlock *BestTo = nullptr;
   unsigned BestKey = ~0u;
   for (const BasicBlock *BB : L.getBlocks()) {
-    auto It = RPOIndex.find(BB);
-    if (It == RPOIndex.end())
+    int Idx = DT->getRPONumber(BB);
+    if (Idx < 0)
       continue;
-    unsigned SuccIdx = 0;
-    for (const BasicBlock *Succ : BB->successors()) {
+    for (unsigned S = 0, E = BB->getNumSuccessors(); S != E; ++S) {
+      const BasicBlock *Succ = BB->getSuccessor(S);
       if (!L.contains(Succ)) {
-        unsigned Key = It->second * 4 + SuccIdx;
+        unsigned Key = static_cast<unsigned>(Idx) * 4 + S;
         if (Key < BestKey) {
           BestKey = Key;
           BestFrom = BB;
           BestTo = Succ;
         }
       }
-      ++SuccIdx;
     }
   }
   return {BestFrom, BestTo};

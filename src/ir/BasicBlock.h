@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A BasicBlock owns an ordered list of instructions terminated by exactly
-/// one terminator. Blocks are owned by their parent Function.
+/// one terminator. Blocks are owned by their parent Function, which numbers
+/// them in creation order; CFG analyses index dense vectors by that number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +42,12 @@ public:
 
   Function *getParent() const { return Parent; }
   void setParent(Function *F) { Parent = F; }
+
+  /// Unique within the parent's body: assigned by Function::createBlock
+  /// from a counter that only dropBody resets. Blocks are never renumbered
+  /// and erased blocks leave holes, so a number below
+  /// Function::getMaxBlockNumber() is not necessarily a live block.
+  unsigned getNumber() const { return Number; }
 
   iterator begin() { return Insts.begin(); }
   iterator end() { return Insts.end(); }
@@ -86,16 +93,27 @@ public:
     return Insts.back();
   }
 
+  /// Successor slots of the terminator (0 for ret/unreachable or an
+  /// unterminated block); a branch with both edges to one block has 2.
+  unsigned getNumSuccessors() const {
+    auto *Br = dyn_cast_or_null<BranchInst>(getTerminator());
+    return Br ? Br->getNumSuccessors() : 0;
+  }
+  BasicBlock *getSuccessor(unsigned I) const {
+    return cast<BranchInst>(getTerminator())->getSuccessor(I);
+  }
+
   /// Successor blocks via the terminator (empty for ret/unreachable).
   std::vector<BasicBlock *> successors() const {
     std::vector<BasicBlock *> Out;
-    if (auto *Br = dyn_cast_or_null<BranchInst>(getTerminator()))
-      for (unsigned I = 0, E = Br->getNumSuccessors(); I != E; ++I)
-        Out.push_back(Br->getSuccessor(I));
+    for (unsigned I = 0, E = getNumSuccessors(); I != E; ++I)
+      Out.push_back(getSuccessor(I));
     return Out;
   }
 
-  /// Predecessor blocks, computed by scanning the parent function.
+  /// Predecessor blocks in function block order, each once, unreachable
+  /// ones included. Every call scans the whole function, so hot callers
+  /// read DominatorTree::predecessors (the reachable ones) instead.
   std::vector<BasicBlock *> predecessors() const;
 
   /// First non-phi instruction position (phis must be grouped at the top).
@@ -119,8 +137,10 @@ public:
   }
 
 private:
+  friend class Function; // assigns Number
   std::string Name;
   Function *Parent = nullptr;
+  unsigned Number = 0;
   InstListType Insts;
 };
 

@@ -95,13 +95,19 @@ public:
     return Blocks.front();
   }
 
-  /// Appends a new block with the given name and returns it.
+  /// Appends a new block with the given name and the next block number,
+  /// and returns it.
   BasicBlock *createBlock(std::string Name) {
     auto *BB = BodyArena.create<BasicBlock>(std::move(Name));
     BB->setParent(this);
+    BB->Number = NextBlockNumber++;
     Blocks.push_back(BB);
     return BB;
   }
+
+  /// One past the largest number createBlock has handed out in this body:
+  /// the size of a vector indexed by BasicBlock::getNumber().
+  unsigned getMaxBlockNumber() const { return NextBlockNumber; }
 
   /// Unlinks \p BB and releases its instructions' operand uses. The block's
   /// storage stays in the body arena until dropBody. Instructions must
@@ -149,6 +155,7 @@ public:
       for (Instruction *I : *BB)
         I->dropAllReferences();
     Blocks.clear();
+    NextBlockNumber = 0;
     BodyArena.reset();
   }
 
@@ -162,6 +169,7 @@ private:
   std::vector<Argument *> Args;
   Arena BodyArena{4096};
   BlockListType Blocks;
+  unsigned NextBlockNumber = 0;
   MemoryEffect Effect = MemoryEffect::ReadWrite;
 };
 

@@ -221,13 +221,9 @@ std::vector<BasicBlock *> BasicBlock::predecessors() const {
   std::vector<BasicBlock *> Out;
   if (!Parent)
     return Out;
-  // Terminators are read in place so the scan allocates nothing per block.
   for (BasicBlock *BB : Parent->blocks()) {
-    auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
-    if (!Br)
-      continue;
-    for (unsigned I = 0, E = Br->getNumSuccessors(); I != E; ++I) {
-      if (Br->getSuccessor(I) == this) {
+    for (unsigned I = 0, E = BB->getNumSuccessors(); I != E; ++I) {
+      if (BB->getSuccessor(I) == this) {
         Out.push_back(BB);
         break;
       }

@@ -28,7 +28,7 @@ class DSEPass : public FunctionPass {
 public:
   const char *getName() const override { return "dse"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &) override {
     if (F.isDeclaration())
       return false;
     AliasAnalysis AA(F);

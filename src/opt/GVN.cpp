@@ -20,6 +20,7 @@
 
 #include "analysis/AliasAnalysis.h"
 #include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "ir/Module.h"
 #include "opt/Local.h"
 
@@ -57,17 +58,18 @@ class GVNPass : public FunctionPass {
 public:
   const char *getName() const override { return "gvn"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     Changed = false;
     ValueNumbers.clear();
     NextVN = 0;
     AliasAnalysis AA(F);
-    DominatorTree DT(F);
+    std::shared_ptr<const DominatorTree> DT = FA.domTree(F);
 
     // Preorder walk with scoped tables implemented as undo logs.
-    processBlock(F, DT, AA, DT.getRPO().empty() ? nullptr : DT.getRPO()[0]);
+    processBlock(F, *DT, AA,
+                 DT->getRPO().empty() ? nullptr : DT->getRPO()[0]);
     Changed |= removeDeadInstructions(F) > 0;
     return Changed;
   }

@@ -30,7 +30,7 @@ class InstCombinePass : public FunctionPass {
 public:
   const char *getName() const override { return "instcombine"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &) override {
     if (F.isDeclaration())
       return false;
     Context &Ctx = F.getParent()->getContext();

@@ -18,7 +18,7 @@
 #include "opt/Pass.h"
 
 #include "analysis/AliasAnalysis.h"
-#include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 #include "opt/LoopUtils.h"
@@ -34,16 +34,15 @@ class LICMPass : public FunctionPass {
 public:
   const char *getName() const override { return "licm"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
-    DominatorTree DT(F);
-    LoopInfo LI(F, DT);
-    if (LI.isIrreducible())
+    std::shared_ptr<LoopInfo> LI = FA.loopInfo(F);
+    if (LI->isIrreducible())
       return false;
     AliasAnalysis AA(F);
     bool Changed = false;
-    for (Loop *L : LI.getLoopsInnermostFirst())
+    for (Loop *L : LI->getLoopsInnermostFirst())
       Changed |= processLoop(F, *L, AA);
     return Changed;
   }

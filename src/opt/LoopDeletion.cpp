@@ -16,7 +16,7 @@
 
 #include "opt/Pass.h"
 
-#include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 #include "opt/Local.h"
@@ -32,20 +32,19 @@ class LoopDeletionPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-deletion"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
-    // Deleting a loop invalidates the analyses; recompute and retry until
-    // nothing more can be deleted.
+    // Deleting a loop edits the CFG, so the cache rebuilds the analyses;
+    // retry until nothing more can be deleted.
     bool Progress = true;
     while (Progress) {
       Progress = false;
-      DominatorTree DT(F);
-      LoopInfo LI(F, DT);
-      if (LI.isIrreducible())
+      std::shared_ptr<LoopInfo> LI = FA.loopInfo(F);
+      if (LI->isIrreducible())
         return Changed;
-      for (Loop *L : LI.getLoopsInnermostFirst()) {
+      for (Loop *L : LI->getLoopsInnermostFirst()) {
         if (tryDelete(F, *L)) {
           Changed = true;
           Progress = true;

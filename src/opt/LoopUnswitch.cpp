@@ -16,6 +16,7 @@
 #include "opt/Pass.h"
 
 #include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Cloning.h"
 #include "ir/Module.h"
@@ -33,20 +34,19 @@ class LoopUnswitchPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-unswitch"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
     // Unswitch at most a few times per function to bound code growth
     // (LLVM uses a size threshold; we use a count).
     for (unsigned Round = 0; Round < 2; ++Round) {
-      DominatorTree DT(F);
-      LoopInfo LI(F, DT);
-      if (LI.isIrreducible())
+      std::shared_ptr<LoopInfo> LI = FA.loopInfo(F);
+      if (LI->isIrreducible())
         return Changed;
       bool Did = false;
-      for (Loop *L : LI.getLoopsInnermostFirst()) {
-        if (tryUnswitch(F, *L)) {
+      for (Loop *L : LI->getLoopsInnermostFirst()) {
+        if (tryUnswitch(F, FA, *L)) {
           Changed = true;
           Did = true;
           break; // analyses stale
@@ -79,7 +79,7 @@ private:
   /// Rewrites uses of loop-defined values outside \p L to go through φs in
   /// the unique exit block. Returns false when the loop has several exit
   /// blocks or a value does not dominate the exit (we stay conservative).
-  bool promoteExitUsesToPhis(Function &F, Loop &L) {
+  bool promoteExitUsesToPhis(Function &F, FunctionAnalyses &FA, Loop &L) {
     if (L.getExitBlocks().size() != 1)
       return false;
     BasicBlock *Exit = L.getExitBlocks().front();
@@ -91,7 +91,7 @@ private:
     BasicBlock *Exiting = L.getExitingBlocks().front();
     if (Exit->predecessors().size() != 1)
       return false; // a φ here would need entries for unrelated edges
-    DominatorTree DT(F);
+    std::shared_ptr<const DominatorTree> DT = FA.domTree(F);
 
     for (BasicBlock *BB : L.getBlocks()) {
       for (Instruction *I : *BB) {
@@ -108,7 +108,7 @@ private:
         }
         if (OutsideUsers.empty())
           continue;
-        if (!DT.dominates(BB, Exiting))
+        if (!DT->dominates(BB, Exiting))
           return false;
         auto *P = I->getFunction()->bodyArena().create<PhiNode>(I->getType());
         P->setName(I->getName() + ".lcssa");
@@ -121,7 +121,7 @@ private:
     return true;
   }
 
-  bool tryUnswitch(Function &F, Loop &L) {
+  bool tryUnswitch(Function &F, FunctionAnalyses &FA, Loop &L) {
     // Bound duplication cost.
     size_t LoopSize = 0;
     for (BasicBlock *BB : L.getBlocks())
@@ -135,7 +135,7 @@ private:
     if (!loopValuesEscapeOnlyViaExitPhis(L)) {
       // Try to reroute direct outside uses through exit-block φs (a
       // single-exit mini-LCSSA), which makes the duplication patchable.
-      if (!promoteExitUsesToPhis(F, L))
+      if (!promoteExitUsesToPhis(F, FA, L))
         return false;
     }
     BasicBlock *Preheader = ensurePreheader(F, L);

@@ -54,9 +54,7 @@ BasicBlock *llvmmd::ensurePreheader(Function &F, Loop &L) {
         Br->setSuccessor(I, Pre);
   }
 
-  // The preheader lives in every loop enclosing L (but not in L itself).
-  if (Loop *Parent = L.getParent())
-    Parent->addBlock(Pre);
+  L.addPreheader(Pre);
   return Pre;
 }
 

@@ -22,8 +22,9 @@ class Value;
 
 /// Ensures \p L has a dedicated preheader: a block whose single successor is
 /// the header and which receives every loop-entering edge. Creates one
-/// (updating header phis) if needed. Returns the preheader, or null if the
-/// loop has no entering edges (dead loop).
+/// (updating header phis) if needed and records it in \p L, so a second call
+/// returns it. Returns the preheader, or null if the loop has no entering
+/// edges (dead loop).
 BasicBlock *ensurePreheader(Function &F, Loop &L);
 
 /// True if \p V is defined outside \p L (constants, arguments, globals, and

@@ -6,6 +6,7 @@
 
 #include "opt/Pass.h"
 
+#include "analysis/FunctionAnalyses.h"
 #include "ir/Module.h"
 
 #include <sstream>
@@ -94,21 +95,30 @@ std::unique_ptr<PassManager> PassManager::clone() const {
   return PM;
 }
 
+bool FunctionPass::run(Function &F) {
+  FunctionAnalyses FA;
+  return run(F, FA);
+}
+
 bool PassManager::run(Function &F) {
   bool Changed = false;
   if (ChangeCounts.size() != Passes.size())
     ChangeCounts.assign(Passes.size(), 0);
+  FunctionAnalyses FA;
   for (unsigned I = 0, E = Passes.size(); I != E; ++I) {
-    if (Passes[I]->run(F)) {
+    if (Passes[I]->run(F, FA)) {
       ++ChangeCounts[I];
       Changed = true;
     }
   }
+  Builds.DomTrees += FA.getDomTreeBuilds();
+  Builds.LoopInfos += FA.getLoopInfoBuilds();
   return Changed;
 }
 
 bool PassManager::run(Module &M) {
   ChangeCounts.assign(Passes.size(), 0);
+  Builds = {};
   bool Changed = false;
   for (Function *F : M.definedFunctions())
     Changed |= run(*F);

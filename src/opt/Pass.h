@@ -7,7 +7,9 @@
 /// \file
 /// The optimizer driver: function passes, a sequential pass manager, and a
 /// registry that builds the paper's pipeline from a comma-separated string
-/// ("adce,gvn,sccp,licm,loop-deletion,loop-unswitch,dse").
+/// ("adce,gvn,sccp,licm,loop-deletion,loop-unswitch,dse"). The passes of
+/// one function's pipeline share one FunctionAnalyses, so a dominator tree
+/// or loop info is built once per CFG state instead of once per pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 namespace llvmmd {
 
 class Function;
+class FunctionAnalyses;
 class Module;
 
 /// A transformation over one function.
@@ -30,8 +33,12 @@ public:
 
   virtual const char *getName() const = 0;
 
-  /// Transforms \p F in place; returns true iff something changed.
-  virtual bool run(Function &F) = 0;
+  /// Transforms \p F in place; returns true iff something changed. CFG
+  /// analyses come from \p FA, the cache of \p F's pipeline.
+  virtual bool run(Function &F, FunctionAnalyses &FA) = 0;
+
+  /// Runs this pass alone, with a cache that lives for this call.
+  bool run(Function &F);
 };
 
 /// Creates a pass by its pipeline name; null for unknown names. Known:
@@ -67,7 +74,8 @@ public:
   /// Cheap: no pass objects are constructed.
   bool isClonable() const;
 
-  /// Runs the pipeline on one function; returns true iff any pass changed it.
+  /// Runs the pipeline on one function, with one analysis cache for all of
+  /// its passes; returns true iff any pass changed it.
   bool run(Function &F);
 
   /// Runs the pipeline on every defined function.
@@ -77,6 +85,15 @@ public:
   /// each pass reported transforming. Used by the per-optimization figures.
   const std::vector<unsigned> &getChangeCounts() const { return ChangeCounts; }
 
+  /// Dominator trees and loop infos the passes built during the last
+  /// run(Module&). A deterministic measure of analysis work: the same on
+  /// every machine.
+  struct AnalysisBuilds {
+    unsigned DomTrees = 0;
+    unsigned LoopInfos = 0;
+  };
+  const AnalysisBuilds &getAnalysisBuilds() const { return Builds; }
+
   const std::vector<std::unique_ptr<FunctionPass>> &passes() const {
     return Passes;
   }
@@ -84,6 +101,7 @@ public:
 private:
   std::vector<std::unique_ptr<FunctionPass>> Passes;
   std::vector<unsigned> ChangeCounts;
+  AnalysisBuilds Builds;
 };
 
 /// The paper's evaluation pipeline (§5.1).

@@ -333,7 +333,9 @@ private:
 class SCCPPass : public FunctionPass {
 public:
   const char *getName() const override { return "sccp"; }
-  bool run(Function &F) override { return SCCPSolver(F).run(); }
+  bool run(Function &F, FunctionAnalyses &) override {
+    return SCCPSolver(F).run();
+  }
 };
 
 } // namespace

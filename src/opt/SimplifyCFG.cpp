@@ -24,7 +24,7 @@ class SimplifyCFGPass : public FunctionPass {
 public:
   const char *getName() const override { return "simplifycfg"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;

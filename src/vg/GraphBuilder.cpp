@@ -188,9 +188,7 @@ private:
     const LoopInfo &LI = GA.getLoopInfo();
     const Loop *L = LI.getLoopFor(BB);
     std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
-    for (const BasicBlock *P : BB->predecessors()) {
-      if (!DT.isReachable(P))
-        continue;
+    for (const BasicBlock *P : DT.predecessors(BB)) {
       if (InitOnly && L && L->contains(P))
         continue; // skip latches
       auto It = MemOut.find(P);

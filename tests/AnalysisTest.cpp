@@ -9,6 +9,7 @@
 #include "analysis/AliasAnalysis.h"
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Cloning.h"
 #include "opt/Pass.h"
@@ -169,7 +170,8 @@ std::set<const BasicBlock *> reachableWithout(const Function &F,
 
 /// Checks predecessors(), getIDom and dominates on every block pair of
 /// \p F against the definitions: predecessors are the blocks whose
-/// terminator names the block, in function order; A dominates B when B is
+/// terminator names the block, in function order, and the dominator tree's
+/// are the reachable ones among them; A dominates B when B is
 /// reachable and removing A makes it unreachable (or A == B); the idom is
 /// the strict dominator every other strict dominator dominates.
 void expectDominatorsMatchReference(const Function &F) {
@@ -194,6 +196,12 @@ void expectDominatorsMatchReference(const Function &F) {
     }
     EXPECT_EQ(B->predecessors(), WantPreds) << B->getName();
     EXPECT_EQ(DT.isReachable(B), Reachable.count(B) != 0) << B->getName();
+    std::vector<BasicBlock *> WantReachablePreds;
+    if (Reachable.count(B))
+      for (BasicBlock *P : WantPreds)
+        if (Reachable.count(P))
+          WantReachablePreds.push_back(P);
+    EXPECT_EQ(DT.predecessors(B), WantReachablePreds) << B->getName();
 
     const BasicBlock *WantIDom = nullptr;
     for (const BasicBlock *D : Blocks) {
@@ -211,6 +219,47 @@ void expectDominatorsMatchReference(const Function &F) {
       EXPECT_EQ(DT.dominates(A, B), RefDominates(A, B))
           << A->getName() << " dom " << B->getName();
   }
+}
+
+/// Expects \p Got, a dominator tree from a FunctionAnalyses cache, to equal
+/// one built fresh: RPO, and each block's idom and reachable predecessors.
+void expectSameDomTree(const Function &F, const DominatorTree &Got) {
+  DominatorTree Want(F);
+  EXPECT_EQ(Got.getRPO(), Want.getRPO());
+  for (const BasicBlock *BB : F.blocks()) {
+    EXPECT_EQ(Got.getIDom(BB), Want.getIDom(BB)) << BB->getName();
+    EXPECT_EQ(Got.predecessors(BB), Want.predecessors(BB)) << BB->getName();
+  }
+}
+
+/// Expects \p Got, a loop info from a FunctionAnalyses cache, to equal one
+/// built fresh, loop by loop in innermost-first order.
+void expectSameLoopInfo(const Function &F, const LoopInfo &Got) {
+  DominatorTree DT(F);
+  LoopInfo Want(F, DT);
+  ASSERT_EQ(Got.isIrreducible(), Want.isIrreducible());
+  std::vector<Loop *> GotLoops = Got.getLoopsInnermostFirst();
+  std::vector<Loop *> WantLoops = Want.getLoopsInnermostFirst();
+  ASSERT_EQ(GotLoops.size(), WantLoops.size());
+  auto HeaderOf = [](const Loop *L) {
+    return L ? L->getHeader() : nullptr;
+  };
+  for (size_t I = 0; I < GotLoops.size(); ++I) {
+    const Loop &G = *GotLoops[I];
+    const Loop &W = *WantLoops[I];
+    SCOPED_TRACE(W.getHeader()->getName());
+    EXPECT_EQ(G.getHeader(), W.getHeader());
+    EXPECT_EQ(G.getBlocks(), W.getBlocks());
+    EXPECT_EQ(G.getLatches(), W.getLatches());
+    EXPECT_EQ(G.getPreheader(), W.getPreheader());
+    EXPECT_EQ(G.getEntering(), W.getEntering());
+    EXPECT_EQ(G.getExitingBlocks(), W.getExitingBlocks());
+    EXPECT_EQ(G.getExitBlocks(), W.getExitBlocks());
+    EXPECT_EQ(HeaderOf(G.getParent()), HeaderOf(W.getParent()));
+  }
+  for (const BasicBlock *BB : F.blocks())
+    EXPECT_EQ(HeaderOf(Got.getLoopFor(BB)), HeaderOf(Want.getLoopFor(BB)))
+        << BB->getName();
 }
 
 } // namespace
@@ -248,25 +297,158 @@ k:
   EXPECT_TRUE(DT.dominates(J, K));
   EXPECT_FALSE(DT.dominates(Dead, K));
   EXPECT_FALSE(DT.dominates(Dead, Dead));
+  EXPECT_EQ(DT.predecessors(K), std::vector<BasicBlock *>{J});
+  EXPECT_EQ(DT.predecessors(J), std::vector<BasicBlock *>{Entry});
+  EXPECT_TRUE(DT.predecessors(Dead).empty());
   expectDominatorsMatchReference(*F);
 }
 
-TEST(Dominators, MatchBruteForceOnPaperSuite) {
-  // Every function of the 12 paper profiles, before and after the paper
-  // pipeline: the optimizer's CFG edits (unswitching, deletion, SCCP and
-  // SimplifyCFG folds) reach shapes the generator alone does not.
-  for (const BenchmarkProfile &P : getPaperSuite()) {
-    SCOPED_TRACE(P.Name);
-    Context Ctx;
-    auto Orig = generateBenchmark(Ctx, P);
-    auto Opt = cloneModule(*Orig);
-    PassManager PM;
-    PM.parsePipeline(getPaperPipeline());
-    PM.run(*Opt);
-    for (const Module *M : {Orig.get(), Opt.get()})
-      for (const Function *F : M->definedFunctions())
-        expectDominatorsMatchReference(*F);
+TEST(Dominators, BlocksOfAnotherFunctionAnswerAsUnreachable) {
+  // Both functions number their blocks from 0, so each block of @g shares
+  // its number with a block of @f; the analyses of @f must still not see
+  // @g's blocks as their own.
+  Context Ctx;
+  auto M = parseOrDie(Ctx, std::string(LoopSrc) + R"(
+define i32 @g(i32 %n) {
+entry:
+  br label %h
+h:
+  %i = phi i32 [ 0, %entry ], [ %i2, %h ]
+  %i2 = add i32 %i, 1
+  %c = icmp slt i32 %i2, %n
+  br i1 %c, label %h, label %x
+x:
+  ret i32 %i2
+}
+)");
+  Function *F = M->getFunction("f");
+  Function *G = M->getFunction("g");
+  DominatorTree DT(*F);
+  LoopInfo LI(*F, DT);
+  Loop *L = LI.getTopLevelLoops().front();
+  for (BasicBlock *BB : G->blocks()) {
+    SCOPED_TRACE(BB->getName());
+    EXPECT_FALSE(DT.isReachable(BB));
+    EXPECT_EQ(DT.getRPONumber(BB), -1);
+    EXPECT_EQ(DT.getIDom(BB), nullptr);
+    EXPECT_FALSE(DT.dominates(F->getEntryBlock(), BB));
+    EXPECT_FALSE(DT.dominates(BB, BB));
+    EXPECT_TRUE(DT.predecessors(BB).empty());
+    EXPECT_TRUE(DT.getChildren(BB).empty());
+    EXPECT_EQ(LI.getLoopFor(BB), nullptr);
+    EXPECT_FALSE(LI.isLoopHeader(BB));
+    EXPECT_FALSE(L->contains(BB));
   }
+}
+
+TEST(Dominators, MatchBruteForceOnPaperSuite) {
+  // Every function of the 12 paper profiles, before and after a pipeline:
+  // the optimizer's CFG edits (unswitching, deletion, SCCP and SimplifyCFG
+  // folds) reach shapes the generator alone does not. The passes run one
+  // at a time on one FunctionAnalyses, as in PassManager::run; after each
+  // pass the cache must hand out analyses equal to fresh ones, which is
+  // what its CFG key promises.
+  for (const char *Pipeline : {getPaperPipeline(), "instcombine,simplifycfg"}) {
+    SCOPED_TRACE(Pipeline);
+    for (const BenchmarkProfile &P : getPaperSuite()) {
+      SCOPED_TRACE(P.Name);
+      Context Ctx;
+      auto Orig = generateBenchmark(Ctx, P);
+      auto Opt = cloneModule(*Orig);
+      PassManager PM;
+      ASSERT_TRUE(PM.parsePipeline(Pipeline));
+      for (Function *F : Opt->definedFunctions()) {
+        SCOPED_TRACE(F->getName());
+        FunctionAnalyses FA;
+        for (const auto &Pass : PM.passes()) {
+          SCOPED_TRACE(Pass->getName());
+          Pass->run(*F, FA);
+          expectSameDomTree(*F, *FA.domTree(*F));
+          expectSameLoopInfo(*F, *FA.loopInfo(*F));
+        }
+      }
+      for (const Module *M : {Orig.get(), Opt.get()})
+        for (const Function *F : M->definedFunctions())
+          expectDominatorsMatchReference(*F);
+
+      // Then the edit a constant fold makes, on every branch in turn: the
+      // branch keeps its first successor. The dead side often keeps other
+      // predecessors, so often only the branch's second successor changes.
+      for (Function *F : Opt->definedFunctions()) {
+        SCOPED_TRACE(F->getName());
+        FunctionAnalyses FA;
+        FA.loopInfo(*F);
+        for (BasicBlock *BB : F->blocks()) {
+          auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
+          if (!Br || !Br->isConditional())
+            continue;
+          Br->makeUnconditional(Br->getSuccessor(0));
+          expectSameDomTree(*F, *FA.domTree(*F));
+          expectSameLoopInfo(*F, *FA.loopInfo(*F));
+        }
+      }
+    }
+  }
+}
+
+TEST(FunctionAnalyses, ReusesUntilTheCFGChanges) {
+  Context Ctx;
+  auto M = parseOrDie(Ctx, NestedLoopSrc);
+  Function *F = M->getFunction("f");
+  FunctionAnalyses FA;
+  std::shared_ptr<LoopInfo> LI = FA.loopInfo(*F);
+  std::shared_ptr<const DominatorTree> DT = FA.domTree(*F);
+  EXPECT_EQ(FA.getDomTreeBuilds(), 1u);
+  EXPECT_EQ(FA.getLoopInfoBuilds(), 1u);
+
+  // An instruction edit leaves the CFG alone: the same analyses again.
+  BasicBlock *IB = blockNamed(F, "ib");
+  Instruction *Add = IB->front();
+  IB->remove(Add);
+  IB->insert(IB->begin(), Add);
+  EXPECT_EQ(FA.domTree(*F), DT);
+  EXPECT_EQ(FA.loopInfo(*F), LI);
+
+  // Each kind of CFG edit re-keys the cache; the old handles stay usable.
+  auto ExpectRebuilt = [&](const char *Edit) {
+    SCOPED_TRACE(Edit);
+    unsigned Builds = FA.getDomTreeBuilds();
+    std::shared_ptr<const DominatorTree> NewDT = FA.domTree(*F);
+    EXPECT_EQ(FA.getDomTreeBuilds(), Builds + 1);
+    expectSameDomTree(*F, *NewDT);
+    expectSameLoopInfo(*F, *FA.loopInfo(*F));
+    EXPECT_FALSE(DT->getRPO().empty());
+    EXPECT_FALSE(LI->getTopLevelLoops().empty());
+  };
+  BasicBlock *OH = blockNamed(F, "oh");
+  BasicBlock *IH = blockNamed(F, "ih");
+  BasicBlock *OL = blockNamed(F, "ol");
+  BasicBlock *Done = blockNamed(F, "done");
+  auto *IHBr = cast<BranchInst>(IH->getTerminator());
+  IHBr->setSuccessor(1, Done);
+  ExpectRebuilt("second successor");
+  IHBr->setSuccessor(1, OL);
+  ExpectRebuilt("second successor back");
+  BasicBlock *Extra = F->createBlock("extra");
+  ExpectRebuilt("createBlock");
+  Extra->append(F->bodyArena().create<BranchInst>(OH, Ctx.getVoidTy()));
+  ExpectRebuilt("terminator append");
+  IHBr->setSuccessor(0, Extra);
+  ExpectRebuilt("first successor");
+  IHBr->makeUnconditional(Extra);
+  ExpectRebuilt("makeUnconditional");
+  std::vector<BasicBlock *> Order(F->blocks().rbegin(), F->blocks().rend());
+  std::rotate(Order.begin(), std::find(Order.begin(), Order.end(),
+                                       F->getEntryBlock()),
+              Order.end());
+  F->reorderBlocks(Order);
+  ExpectRebuilt("reorderBlocks");
+  Extra->erase(Extra->getTerminator());
+  ExpectRebuilt("terminator erase");
+  IHBr->makeUnconditional(OL);
+  ExpectRebuilt("makeUnconditional back");
+  F->eraseBlock(Extra);
+  ExpectRebuilt("eraseBlock");
 }
 
 TEST(LoopInfoTest, SimpleLoop) {

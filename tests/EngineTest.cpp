@@ -56,7 +56,9 @@ BenchmarkProfile smallProfile() {
 class BugInjectorPass : public FunctionPass {
 public:
   const char *getName() const override { return "bug-inject"; }
-  bool run(Function &F) override { return !injectBug(F, 42).empty(); }
+  bool run(Function &F, FunctionAnalyses &) override {
+    return !injectBug(F, 42).empty();
+  }
 };
 
 } // namespace
