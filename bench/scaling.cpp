@@ -12,8 +12,10 @@
 //
 // Per-layer cases time one layer over the whole 12-profile paper suite:
 // the optimizer pipeline (BM_PaperPipeline, which also reports the
-// dominator trees and loop infos its passes built) and, on the optimized
-// functions, the dominator tree, loop info and gating analysis.
+// dominator trees and loop infos its passes built), on the optimized
+// functions, the dominator tree, loop info and gating analysis, and, on
+// the value graphs of the suite's pairs, the normalizer (BM_Normalize) and
+// one sharing pass (BM_MaximizeSharing).
 //
 // After the microbenchmarks run, a whole-suite engine pass is emitted as
 // BENCH_scaling.json through the engine's JSON reporter (with timing).
@@ -26,6 +28,7 @@
 #include "analysis/LoopInfo.h"
 #include "driver/VerdictStore.h"
 #include "gated/GatedSSA.h"
+#include "normalize/Normalizer.h"
 #include "vg/GraphBuilder.h"
 
 #include <benchmark/benchmark.h>
@@ -34,6 +37,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 
 using namespace llvmmd;
 
@@ -228,6 +232,91 @@ void BM_Gating(benchmark::State &State) {
   State.counters["supported"] = Supported;
 }
 BENCHMARK(BM_Gating)->Unit(benchmark::kMicrosecond);
+
+/// One suite pair's value graph as the normalizer receives it: the
+/// original function and its paper-pipeline copy built into one table,
+/// with their state-pointer roots still apart.
+struct PairGraph {
+  std::unique_ptr<ValueGraph> G;
+  std::vector<NodeId> Roots;
+  const Module *Original;
+};
+
+/// The graphs of every suite pair that construction alone does not prove
+/// equal (validatePair's path into normalizeToFixpoint).
+std::vector<PairGraph> buildSuitePairGraphs() {
+  const PaperSuite &S = paperSuite();
+  std::vector<PairGraph> Out;
+  for (size_t I = 0; I < S.Orig.size(); ++I)
+    for (const Function *F : S.Orig[I]->definedFunctions()) {
+      const Function *O = S.Opt[I]->getFunction(F->getName());
+      if (!O || O->getFunctionType() != F->getFunctionType())
+        continue;
+      PairGraph P{std::make_unique<ValueGraph>(), {}, S.Orig[I].get()};
+      BuildResult A = buildValueGraph(*P.G, *F);
+      if (!A.Supported)
+        continue;
+      BuildResult B = buildValueGraph(*P.G, *O);
+      if (!B.Supported || P.G->find(A.Ret) == P.G->find(B.Ret))
+        continue;
+      P.Roots = {A.Ret, B.Ret};
+      Out.push_back(std::move(P));
+    }
+  return Out;
+}
+
+/// normalizeToFixpoint over every suite pair that needs it, with the
+/// default rules; graph construction and teardown are untimed. The round,
+/// rewrite and merge counters are the same on every machine.
+void BM_Normalize(benchmark::State &State) {
+  NormalizeStats Total;
+  size_t Pairs = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::vector<PairGraph> Graphs = buildSuitePairGraphs();
+    State.ResumeTiming();
+    Total = {};
+    for (PairGraph &P : Graphs) {
+      RuleConfig Rules;
+      Rules.M = P.Original;
+      Total += normalizeToFixpoint(*P.G, P.Roots, Rules);
+    }
+    benchmark::DoNotOptimize(Total);
+    State.PauseTiming();
+    Pairs = Graphs.size();
+    Graphs.clear();
+    State.ResumeTiming();
+  }
+  State.counters["pairs"] = static_cast<double>(Pairs);
+  State.counters["rounds"] = Total.Iterations;
+  State.counters["rewrites"] = Total.Rewrites;
+  State.counters["merges"] = Total.SharingMerges;
+}
+BENCHMARK(BM_Normalize)->Unit(benchmark::kMillisecond);
+
+/// One sharing pass over each of the same freshly built pair graphs.
+void BM_MaximizeSharing(benchmark::State &State) {
+  unsigned Merges = 0;
+  size_t Nodes = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::vector<PairGraph> Graphs = buildSuitePairGraphs();
+    State.ResumeTiming();
+    Merges = 0;
+    for (PairGraph &P : Graphs)
+      Merges += P.G->maximizeSharing();
+    benchmark::DoNotOptimize(Merges);
+    State.PauseTiming();
+    Nodes = 0;
+    for (const PairGraph &P : Graphs)
+      Nodes += P.G->size();
+    Graphs.clear();
+    State.ResumeTiming();
+  }
+  State.counters["nodes"] = static_cast<double>(Nodes);
+  State.counters["merges"] = Merges;
+}
+BENCHMARK(BM_MaximizeSharing)->Unit(benchmark::kMillisecond);
 
 /// Whole-module batch validation through the engine at 1..N threads: the
 /// throughput path the driver subsystem owns. The verdict cache is disabled

@@ -10,7 +10,7 @@
 #include "ir/Module.h"
 
 #include <algorithm>
-#include <set>
+#include <map>
 
 using namespace llvmmd;
 
@@ -26,9 +26,10 @@ public:
   void sweep(const std::vector<NodeId> &Roots) {
     GraphRoots = Roots;
     computeLive(Roots);
-    // Iterate over a snapshot of live roots; rewrites may add nodes (they
-    // are processed next sweep).
-    std::vector<NodeId> Work(Live.begin(), Live.end());
+    // Iterate over a snapshot of live roots in ascending id order;
+    // rewrites may add nodes (they are processed next sweep).
+    std::vector<NodeId> Work = Live;
+    std::sort(Work.begin(), Work.end());
     for (NodeId N : Work) {
       if (G.find(N) != N)
         continue; // already merged away this sweep
@@ -57,17 +58,19 @@ private:
 
   void computeLive(const std::vector<NodeId> &Roots) {
     Live.clear();
-    std::vector<NodeId> WorkStack;
+    Visited.clear();
+    Stack.clear();
     for (NodeId R : Roots)
-      WorkStack.push_back(G.find(R));
-    while (!WorkStack.empty()) {
-      NodeId N = WorkStack.back();
-      WorkStack.pop_back();
-      if (!Live.insert(N).second)
+      Stack.push_back(G.find(R));
+    while (!Stack.empty()) {
+      NodeId N = Stack.back();
+      Stack.pop_back();
+      if (!Visited.insert(N))
         continue;
+      Live.push_back(N);
       for (NodeId Op : G.node(N).Ops)
         if (Op != InvalidNode)
-          WorkStack.push_back(G.find(Op));
+          Stack.push_back(G.find(Op));
     }
     LiveStamp = G.getMergeCount();
   }
@@ -526,7 +529,7 @@ private:
         // stay condition seen symbolically contains the μ streams; evaluate
         // it at the first iteration by substituting every μ by its initial
         // value (η nodes are opaque: they belong to other loops).
-        if (auto First = firstIterValue(Cond, 0); First && *First == 0)
+        if (auto First = firstIterValue(Cond); First && *First == 0)
           return rewrite(Rule::EtaRule7FirstIter, N, Init);
         // Rule (8): μ(x, x) — the value never varies.
         if (Init == Next)
@@ -617,11 +620,72 @@ private:
 
   /// Evaluates \p N at a loop's first iteration: μ nodes contribute their
   /// initial value, constants themselves, pure integer ops fold; anything
-  /// else (η, loads, calls, params) is unknown.
-  std::optional<int64_t> firstIterValue(NodeId N, unsigned Depth) {
-    if (Depth > 64)
+  /// else (η, loads, calls, params) is unknown. Recursion deeper than
+  /// FirstIterMaxDepth is unknown too.
+  std::optional<int64_t> firstIterValue(NodeId N) {
+    if (++FirstIterQuery == 0) {
+      FirstIterSlots.assign(FirstIterSlots.size(), FirstIterSlot());
+      FirstIterQuery = 1;
+    }
+    // The query creates no nodes, so the slots stay put during it.
+    if (FirstIterSlots.size() < G.size())
+      FirstIterSlots.resize(G.size());
+    unsigned Height;
+    return firstIterAt(N, 0, Height);
+  }
+
+  static constexpr unsigned FirstIterMaxDepth = 64;
+
+  /// One memo slot of firstIterValue per node, valid while Query matches
+  /// the current query. Unknown is absorbing: an unknown operand makes
+  /// every node above it unknown, up to the query itself. So a node found
+  /// unknown, or reached again while still being evaluated (a cycle, which
+  /// the recursion would follow to the cap), answers unknown wherever it is
+  /// reached. A node known with cone height H (its longest followed operand
+  /// path) is known at depth D iff D + H is within the cap. The memo thus
+  /// answers exactly what the unmemoized recursion answered, in time
+  /// linear in the cone instead of exponential in shared operands.
+  struct FirstIterSlot {
+    uint32_t Query = 0;
+    bool Known = false;
+    uint8_t Height = 0;
+    int64_t Value = 0;
+  };
+
+  std::optional<int64_t> firstIterAt(NodeId N, unsigned Depth,
+                                     unsigned &Height) {
+    if (Depth > FirstIterMaxDepth)
       return std::nullopt;
     N = G.find(N);
+    FirstIterSlot &S = FirstIterSlots[N];
+    if (S.Query == FirstIterQuery) {
+      if (!S.Known || Depth + S.Height > FirstIterMaxDepth)
+        return std::nullopt;
+      Height = S.Height;
+      return S.Value;
+    }
+    S.Query = FirstIterQuery;
+    S.Known = false;
+    Height = 0;
+    std::optional<int64_t> R = firstIterEval(N, Depth, Height);
+    if (R) {
+      S.Known = true;
+      S.Height = static_cast<uint8_t>(Height);
+      S.Value = *R;
+    }
+    return R;
+  }
+
+  /// One step of firstIterAt: evaluates \p N's operands one level deeper
+  /// and raises \p Height to one above the highest of them.
+  std::optional<int64_t> firstIterEval(NodeId N, unsigned Depth,
+                                       unsigned &Height) {
+    auto Operand = [&](NodeId Op) {
+      unsigned H = 0;
+      std::optional<int64_t> V = firstIterAt(Op, Depth + 1, H);
+      Height = std::max(Height, H + 1);
+      return V;
+    };
     const Node &Nd = G.node(N);
     switch (Nd.Kind) {
     case NodeKind::ConstInt:
@@ -629,13 +693,13 @@ private:
     case NodeKind::Mu:
       if (Nd.Ops[0] == InvalidNode)
         return std::nullopt;
-      return firstIterValue(Nd.Ops[0], Depth + 1);
+      return Operand(Nd.Ops[0]);
     case NodeKind::Op: {
       if (!Nd.Ty || !Nd.Ty->isInteger())
         return std::nullopt;
       if (Nd.Op == Opcode::ICmp && Nd.Ops.size() == 2) {
-        auto A = firstIterValue(Nd.Ops[0], Depth + 1);
-        auto B = firstIterValue(Nd.Ops[1], Depth + 1);
+        auto A = Operand(Nd.Ops[0]);
+        auto B = Operand(Nd.Ops[1]);
         if (!A || !B)
           return std::nullopt;
         Type *OpTy = G.node(G.find(Nd.Ops[0])).Ty;
@@ -647,15 +711,15 @@ private:
                    : 0;
       }
       if (isIntBinaryOp(Nd.Op) && Nd.Ops.size() == 2) {
-        auto A = firstIterValue(Nd.Ops[0], Depth + 1);
-        auto B = firstIterValue(Nd.Ops[1], Depth + 1);
+        auto A = Operand(Nd.Ops[0]);
+        auto B = Operand(Nd.Ops[1]);
         if (!A || !B)
           return std::nullopt;
         auto R = foldIntBinary(Nd.Op, *A, *B, Nd.Ty->getBitWidth());
         return R ? std::optional<int64_t>(*R) : std::nullopt;
       }
       if (isCastOp(Nd.Op) && Nd.Ops.size() == 1) {
-        auto A = firstIterValue(Nd.Ops[0], Depth + 1);
+        auto A = Operand(Nd.Ops[0]);
         Type *SrcTy = G.node(G.find(Nd.Ops[0])).Ty;
         if (!A || !SrcTy || !SrcTy->isInteger())
           return std::nullopt;
@@ -681,20 +745,21 @@ private:
   /// Returns (gamma, c, trueVal, falseVal) via out-params.
   bool findInvariantGamma(NodeId Mu, NodeId &GammaOut, NodeId &CondOut,
                           NodeId &TrueOut, NodeId &FalseOut) {
-    std::set<NodeId> Seen;
-    std::vector<NodeId> Work{G.operand(Mu, 1)};
+    Visited.clear();
+    unsigned NumSeen = 0;
+    Stack.assign(1, G.operand(Mu, 1));
     std::vector<NodeId> Candidates;
-    while (!Work.empty()) {
-      NodeId N = G.find(Work.back());
-      Work.pop_back();
-      if (!Seen.insert(N).second || Seen.size() > 512)
+    while (!Stack.empty()) {
+      NodeId N = G.find(Stack.back());
+      Stack.pop_back();
+      if (!Visited.insert(N) || ++NumSeen > 512)
         continue;
       const Node &Nd = G.node(N);
       if (Nd.Kind == NodeKind::Gamma && Nd.Ops.size() == 4)
         Candidates.push_back(N);
       for (NodeId Op : Nd.Ops)
         if (Op != InvalidNode)
-          Work.push_back(Op);
+          Stack.push_back(Op);
     }
     std::sort(Candidates.begin(), Candidates.end());
     for (NodeId N : Candidates) {
@@ -742,18 +807,19 @@ private:
   /// True if \p Target is reachable from \p From over current roots.
   bool reaches(NodeId From, NodeId Target) {
     Target = G.find(Target);
-    std::set<NodeId> Seen;
-    std::vector<NodeId> Work{G.find(From)};
-    while (!Work.empty()) {
-      NodeId N = G.find(Work.back());
-      Work.pop_back();
+    Visited.clear();
+    unsigned NumSeen = 0;
+    Stack.assign(1, G.find(From));
+    while (!Stack.empty()) {
+      NodeId N = G.find(Stack.back());
+      Stack.pop_back();
       if (N == Target)
         return true;
-      if (!Seen.insert(N).second || Seen.size() > 2048)
+      if (!Visited.insert(N) || ++NumSeen > 2048)
         continue;
       for (NodeId Op : G.node(N).Ops)
         if (Op != InvalidNode)
-          Work.push_back(Op);
+          Stack.push_back(Op);
     }
     return false;
   }
@@ -1089,12 +1155,12 @@ private:
   /// disjoint from every pointer in \p PtrArgs and no opaque CallMem
   /// appears.
   bool muWritesDisjointFrom(NodeId Mu, const std::vector<NodeId> &PtrArgs) {
-    std::set<NodeId> Seen;
+    Visited.clear();
     std::vector<NodeId> Work{G.find(G.node(Mu).Ops[1])};
     while (!Work.empty()) {
       NodeId M = G.find(Work.back());
       Work.pop_back();
-      if (M == G.find(Mu) || !Seen.insert(M).second)
+      if (M == G.find(Mu) || !Visited.insert(M))
         continue;
       const Node &NM = G.node(M);
       switch (NM.Kind) {
@@ -1137,8 +1203,18 @@ private:
   ValueGraph &G;
   const RuleConfig &C;
   NormalizeStats &Stats;
-  std::set<NodeId> Live;
+  /// The live nodes in discovery order. Only the sweep depends on an
+  /// order, and it sorts its own snapshot; the liveness rules ask whether
+  /// any live node qualifies.
+  std::vector<NodeId> Live;
   std::vector<NodeId> GraphRoots;
+  /// Visited set of the engine's walks (liveness, reaches, the invariant-γ
+  /// search, the μ memory walk) and work stack of the first three; no walk
+  /// runs inside another, and the graph's own queries keep their own set.
+  NodeSet Visited;
+  std::vector<NodeId> Stack;
+  std::vector<FirstIterSlot> FirstIterSlots;
+  uint32_t FirstIterQuery = 0;
   unsigned LiveStamp = 0;
   Type *BoolTy = nullptr;
   /// The rule the last rewrite() applied.

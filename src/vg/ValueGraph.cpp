@@ -139,18 +139,44 @@ bool ValueGraph::nodeEquals(const Node &A, const Node &B) {
   return scalarFieldsEqual(A, B) && A.Ops == B.Ops;
 }
 
+NodeId ValueGraph::addNode(Node N, uint64_t Key) {
+  NodeId Id = static_cast<NodeId>(Nodes.size());
+  Nodes.push_back(std::move(N));
+  Parent.push_back(Id);
+  InternHash.push_back(Key);
+  return Id;
+}
+
+void ValueGraph::growHashCons() {
+  HashCons.assign(std::max<size_t>(64, 2 * HashCons.size()), InvalidNode);
+  const size_t Mask = HashCons.size() - 1;
+  for (NodeId Id = 0; Id < Nodes.size(); ++Id) {
+    if (Nodes[Id].Kind == NodeKind::Mu)
+      continue;
+    size_t Slot = InternHash[Id] & Mask;
+    while (HashCons[Slot] != InvalidNode)
+      Slot = (Slot + 1) & Mask;
+    HashCons[Slot] = Id;
+  }
+}
+
 NodeId ValueGraph::intern(Node N) {
   // Canonicalize operand references before keying.
   for (NodeId &Op : N.Ops)
     Op = find(Op);
-  std::vector<NodeId> &Bucket = HashCons[hashNode(N)];
-  for (NodeId Candidate : Bucket)
-    if (nodeEquals(Nodes[Candidate], N))
+  const uint64_t Key = hashNode(N);
+  if (2 * (HashConsCount + 1) > HashCons.size())
+    growHashCons();
+  const size_t Mask = HashCons.size() - 1;
+  size_t Slot = Key & Mask;
+  for (; HashCons[Slot] != InvalidNode; Slot = (Slot + 1) & Mask) {
+    NodeId Candidate = HashCons[Slot];
+    if (InternHash[Candidate] == Key && nodeEquals(Nodes[Candidate], N))
       return find(Candidate);
-  NodeId Id = static_cast<NodeId>(Nodes.size());
-  Nodes.push_back(std::move(N));
-  Parent.push_back(Id);
-  Bucket.push_back(Id);
+  }
+  NodeId Id = addNode(std::move(N), Key);
+  HashCons[Slot] = Id;
+  ++HashConsCount;
   return Id;
 }
 
@@ -256,10 +282,7 @@ NodeId ValueGraph::makeMu(Type *Ty) {
   N.Kind = NodeKind::Mu;
   N.Ty = Ty;
   N.Ops = {InvalidNode, InvalidNode};
-  NodeId Id = static_cast<NodeId>(Nodes.size());
-  Nodes.push_back(std::move(N));
-  Parent.push_back(Id);
-  return Id; // deliberately not hash-consed
+  return addNode(std::move(N), 0); // deliberately not hash-consed
 }
 
 void ValueGraph::setMuOperands(NodeId Mu, NodeId Init, NodeId Next) {
@@ -357,48 +380,65 @@ void ValueGraph::canonicalizeOrders() {
   }
 }
 
+void ValueGraph::collectUses(UseIndex &U) const {
+  U.Roots.clear();
+  for (NodeId I = 0; I < Nodes.size(); ++I)
+    if (find(I) == I)
+      U.Roots.push_back(I);
+  U.Begin.assign(Nodes.size() + 1, 0);
+  for (NodeId I : U.Roots)
+    for (NodeId Op : Nodes[I].Ops)
+      if (Op != InvalidNode)
+        ++U.Begin[find(Op) + 1];
+  std::partial_sum(U.Begin.begin(), U.Begin.end(), U.Begin.begin());
+  U.Uses.resize(U.Begin.back());
+  std::vector<unsigned> Fill(U.Begin.begin(), U.Begin.end() - 1);
+  for (NodeId I : U.Roots) {
+    const std::vector<NodeId> &Ops = Nodes[I].Ops;
+    for (unsigned K = 0, E = Ops.size(); K != E; ++K)
+      if (Ops[K] != InvalidNode)
+        U.Uses[Fill[find(Ops[K])]++] = {I, K};
+  }
+}
+
 unsigned ValueGraph::maximizeSharing() {
-  // Initial partition of the live roots: head payload (kind, op, pred,
-  // type, scalars, arity), bucketed by the same structural hash the
-  // hash-cons table uses; collisions resolve by field equality.
-  std::vector<NodeId> Roots;
+  // The roots and their users: whose signature may change when one moves.
+  UseIndex U;
+  collectUses(U);
+  const std::vector<NodeId> &Roots = U.Roots;
+
+  // Initial partition of the roots: head payload (kind, op, pred, type,
+  // scalars, arity). Sorting (head hash, id) pairs groups equal hashes
+  // with ids ascending; collisions resolve by field equality, and each
+  // root first points at the least id of its head.
   std::vector<unsigned> Class(Nodes.size(), 0);
   unsigned NumClasses = 0;
   {
-    std::unordered_map<uint64_t, std::vector<NodeId>> Heads;
-    for (NodeId I = 0; I < Nodes.size(); ++I) {
-      if (find(I) != I)
-        continue;
-      Roots.push_back(I);
-      const Node &N = Nodes[I];
-      std::vector<NodeId> &Bucket = Heads[hashNodeHead(N)];
-      auto Rep = std::find_if(Bucket.begin(), Bucket.end(), [&](NodeId R) {
-        return scalarFieldsEqual(Nodes[R], N) &&
-               Nodes[R].Ops.size() == N.Ops.size();
-      });
-      if (Rep != Bucket.end()) {
-        Class[I] = Class[*Rep];
-      } else {
-        Class[I] = NumClasses++;
-        Bucket.push_back(I);
+    std::vector<std::pair<uint64_t, NodeId>> Heads;
+    for (NodeId I : Roots)
+      Heads.emplace_back(hashNodeHead(Nodes[I]), I);
+    std::sort(Heads.begin(), Heads.end());
+    std::vector<NodeId> Reps;
+    for (size_t S = 0, E; S < Heads.size(); S = E) {
+      Reps.clear();
+      for (E = S; E < Heads.size() && Heads[E].first == Heads[S].first; ++E) {
+        NodeId I = Heads[E].second;
+        const Node &N = Nodes[I];
+        auto Rep = std::find_if(Reps.begin(), Reps.end(), [&](NodeId R) {
+          return scalarFieldsEqual(Nodes[R], N) &&
+                 Nodes[R].Ops.size() == N.Ops.size();
+        });
+        if (Rep != Reps.end()) {
+          Class[I] = *Rep;
+        } else {
+          Class[I] = I;
+          Reps.push_back(I);
+        }
       }
     }
-  }
-
-  // Users of each root (CSR): whose signature may change when it moves.
-  std::vector<unsigned> UserBegin(Nodes.size() + 1, 0);
-  for (NodeId I : Roots)
-    for (NodeId Op : Nodes[I].Ops)
-      if (Op != InvalidNode)
-        ++UserBegin[find(Op) + 1];
-  std::partial_sum(UserBegin.begin(), UserBegin.end(), UserBegin.begin());
-  std::vector<NodeId> Users(UserBegin.back());
-  {
-    std::vector<unsigned> Fill(UserBegin.begin(), UserBegin.end() - 1);
+    // Number the classes in node order; a class's least id comes first.
     for (NodeId I : Roots)
-      for (NodeId Op : Nodes[I].Ops)
-        if (Op != InvalidNode)
-          Users[Fill[find(Op)]++] = I;
+      Class[I] = Class[I] == I ? NumClasses++ : Class[Class[I]];
   }
 
   // Each class is the range [Begin, End) of Elems.
@@ -508,9 +548,8 @@ unsigned ValueGraph::maximizeSharing() {
     for (auto It = Runs.begin(); It != Runs.end(); ++It)
       if (It != Largest)
         for (unsigned K = It->first; K < It->second; ++K)
-          for (unsigned U = UserBegin[Elems[K]]; U < UserBegin[Elems[K] + 1];
-               ++U)
-            Push(Class[Users[U]]);
+          for (unsigned X = U.Begin[Elems[K]]; X < U.Begin[Elems[K] + 1]; ++X)
+            Push(Class[U.Uses[X].first]);
   }
 
   // Merge each class into its smallest id, for determinism.
@@ -535,12 +574,12 @@ unsigned ValueGraph::maximizeSharing() {
 //===----------------------------------------------------------------------===//
 
 bool ValueGraph::coneContainsMu(NodeId Id) const {
-  std::set<NodeId> Seen;
+  Visited.clear();
   std::vector<NodeId> Work{find(Id)};
   while (!Work.empty()) {
     NodeId N = Work.back();
     Work.pop_back();
-    if (!Seen.insert(N).second)
+    if (!Visited.insert(N))
       continue;
     const Node &Nd = Nodes[N];
     if (Nd.Kind == NodeKind::Mu)
@@ -556,57 +595,55 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
   // Pointers *derived* from the allocation (GEPs, and γ/μ/η selections that
   // may yield it) are tracked transitively; the allocation escapes when any
   // derived pointer is stored as a value, passed to a call, or returned.
-  std::set<NodeId> Derived{find(Alloc)};
+  UseIndex U;
+  collectUses(U);
+  Visited.clear();
   std::vector<NodeId> Work{find(Alloc)};
+  Visited.insert(Work.back());
   auto Derive = [&](NodeId N) {
-    if (Derived.insert(N).second)
+    if (Visited.insert(N))
       Work.push_back(N);
   };
   while (!Work.empty()) {
     NodeId Target = Work.back();
     Work.pop_back();
-    for (NodeId I = 0; I < Nodes.size(); ++I) {
-      if (find(I) != I)
-        continue;
+    for (unsigned X = U.Begin[Target]; X < U.Begin[Target + 1]; ++X) {
+      auto [I, K] = U.Uses[X];
       const Node &N = Nodes[I];
-      for (unsigned K = 0, E = N.Ops.size(); K != E; ++K) {
-        if (N.Ops[K] == InvalidNode || find(N.Ops[K]) != Target)
-          continue;
-        switch (N.Kind) {
-        case NodeKind::Load:
-          if (K != 0)
-            return false; // used as a memory state?! treat as escape
-          break;
-        case NodeKind::Store:
-          if (K != 1)
-            return false; // stored as a value: escapes
-          break;
-        case NodeKind::AllocMem:
-          break;
-        case NodeKind::Op:
-          if (N.Op == Opcode::GEP && K == 0) {
-            Derive(I);
-            break;
-          }
-          if (N.Op == Opcode::ICmp)
-            break; // address comparisons do not publish the pointer
-          return false;
-        case NodeKind::Gamma:
-          // The γ result may be this pointer; track it. Condition slots
-          // (even indices) cannot hold a pointer.
-          if (K % 2 == 1)
-            Derive(I);
-          break;
-        case NodeKind::Mu:
+      switch (N.Kind) {
+      case NodeKind::Load:
+        if (K != 0)
+          return false; // used as a memory state?! treat as escape
+        break;
+      case NodeKind::Store:
+        if (K != 1)
+          return false; // stored as a value: escapes
+        break;
+      case NodeKind::AllocMem:
+        break;
+      case NodeKind::Op:
+        if (N.Op == Opcode::GEP && K == 0) {
           Derive(I);
           break;
-        case NodeKind::Eta:
-          if (K == 1)
-            Derive(I);
-          break;
-        default:
-          return false; // calls, returns, anything else: escape
         }
+        if (N.Op == Opcode::ICmp)
+          break; // address comparisons do not publish the pointer
+        return false;
+      case NodeKind::Gamma:
+        // The γ result may be this pointer; track it. Condition slots
+        // (even indices) cannot hold a pointer.
+        if (K % 2 == 1)
+          Derive(I);
+        break;
+      case NodeKind::Mu:
+        Derive(I);
+        break;
+      case NodeKind::Eta:
+        if (K == 1)
+          Derive(I);
+        break;
+      default:
+        return false; // calls, returns, anything else: escape
       }
     }
   }
@@ -725,15 +762,17 @@ bool isIdentifiedVG(const Node &N) {
 /// All bases a pointer may resolve to, following GEPs and the selecting
 /// structure (γ branches, μ streams, η values). Returns false when the set
 /// is unbounded or contains something unanalyzable.
-bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out) {
-  std::set<NodeId> Seen;
+bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out,
+                   NodeSet &Seen) {
+  Seen.clear();
+  unsigned NumSeen = 0;
   std::vector<NodeId> Work{G.find(P)};
   while (!Work.empty()) {
     NodeId N = G.find(Work.back());
     Work.pop_back();
-    if (!Seen.insert(N).second)
+    if (!Seen.insert(N))
       continue;
-    if (Seen.size() > 64)
+    if (++NumSeen > 64)
       return false;
     const Node &Nd = G.node(N);
     switch (Nd.Kind) {
@@ -835,8 +874,8 @@ int ValueGraph::aliasPointers(NodeId P, NodeId Q, unsigned SizeP,
   // may *select* an allocation, so the non-escaping rule must look through
   // them rather than treat them as fresh objects.
   std::set<NodeId> BasesA, BasesB;
-  if (!possibleBases(*this, A.Base, BasesA) ||
-      !possibleBases(*this, B.Base, BasesB))
+  if (!possibleBases(*this, A.Base, BasesA, Visited) ||
+      !possibleBases(*this, B.Base, BasesB, Visited))
     return 1;
   for (NodeId PA : BasesA) {
     for (NodeId PB : BasesB) {

@@ -28,9 +28,9 @@
 #include "ir/Type.h"
 #include "support/Arena.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace llvmmd {
@@ -60,6 +60,33 @@ enum class NodeKind : uint8_t {
 };
 
 const char *getNodeKindName(NodeKind K);
+
+/// A set of node ids over a node-indexed stamp vector: insert and lookup
+/// are O(1), and clear() is O(1) (it starts a new epoch), so one instance
+/// serves every cone walk of a pass without reallocating. A walk that
+/// clears it must not run inside another walk over the same instance.
+class NodeSet {
+public:
+  void clear() {
+    if (++Epoch == 0) {
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
+    }
+  }
+  /// Adds \p N; false if it was already in the set.
+  bool insert(NodeId N) {
+    if (N >= Stamp.size())
+      Stamp.resize(std::max<size_t>(N + 1, 2 * Stamp.size()), 0);
+    if (Stamp[N] == Epoch)
+      return false;
+    Stamp[N] = Epoch;
+    return true;
+  }
+
+private:
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 1;
+};
 
 struct Node {
   NodeKind Kind;
@@ -148,6 +175,8 @@ public:
 
   /// True if the Alloc node \p Alloc is non-escaping in this graph: it is
   /// only used as a load/store/GEP address or for its AllocMem projection.
+  /// Every root counts as a user, live or not. One pass builds the uses of
+  /// all roots; the walk then visits only the uses of derived pointers.
   bool isNonEscapingAlloc(NodeId Alloc) const;
 
   /// Structural may-alias on pointer-valued nodes (the validator-side
@@ -169,6 +198,10 @@ public:
 
 private:
   NodeId intern(Node N);
+  /// Appends \p N with hash-cons key \p Key; returns its id.
+  NodeId addNode(Node N, uint64_t Key);
+  /// Doubles the hash-cons table, re-inserting the nodes oldest first.
+  void growHashCons();
 
   /// Structural hash of \p N over its (already canonicalized) operand list;
   /// the hash-cons key. Collisions are resolved by structural equality.
@@ -179,6 +212,16 @@ private:
   uint64_t hashNodeHead(const Node &N) const;
   /// Field-by-field structural equality against an interned node.
   static bool nodeEquals(const Node &A, const Node &B);
+
+  /// The roots, ascending, and the uses of each, grouped by used root
+  /// (CSR): the uses of root R are Uses[Begin[R] .. Begin[R + 1]), each a
+  /// (user, operand slot) pair, users ascending.
+  struct UseIndex {
+    std::vector<NodeId> Roots;
+    std::vector<unsigned> Begin;
+    std::vector<std::pair<NodeId, unsigned>> Uses;
+  };
+  void collectUses(UseIndex &U) const;
 
   /// Canonically re-sorts every Gamma's branches (by current roots) and
   /// commutative operators' operands.
@@ -204,11 +247,19 @@ private:
   };
   NodeTable Nodes;
   mutable std::vector<NodeId> Parent;
-  /// Structural hash -> candidate ids (collision bucket). Keys are frozen at
-  /// intern time, like the interned nodes' operand lists; later union-find
-  /// merges can make equal-shaped nodes miss, which maximizeSharing() cleans
-  /// up.
-  std::unordered_map<uint64_t, std::vector<NodeId>> HashCons;
+  /// Visited set of the const cone walks (coneContainsMu, the escape
+  /// query, the alias query's base walks); none of them nests another.
+  mutable NodeSet Visited;
+  /// The hash-cons table: node ids under open addressing with linear
+  /// probing, at most half full. A node's key is its structural hash,
+  /// frozen at intern time in InternHash like its operand list; later
+  /// union-find merges can make equal-shaped nodes miss, which
+  /// maximizeSharing() cleans up. Entries are never removed, so nodes with
+  /// one key lie along its probe sequence oldest first.
+  std::vector<NodeId> HashCons;
+  size_t HashConsCount = 0;
+  /// Key of each node, by id (0 for μ nodes, which are not hash-consed).
+  std::vector<uint64_t> InternHash;
   unsigned MergeCount = 0;
 };
 

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace llvmmd;
 
 namespace {
@@ -158,6 +160,73 @@ TEST_F(NormFixture, Rule7_FirstIterationGuardFolds) {
                          static_cast<uint8_t>(ICmpPred::SLT));
   NodeId Eta = G.getEta(I32, Guard, Mu);
   EXPECT_EQ(normalize(Eta, RS_EtaMu), Zero);
+}
+
+namespace {
+
+struct SquaringGuardRun {
+  bool Folded;
+  unsigned FirstIterFires;
+  double Seconds;
+};
+
+/// η over a loop whose stay condition is `t != 1`, where t is a chain of
+/// \p Depth squarings t' = t * t of the loop's μ (initial value 1). Every
+/// squaring uses its operand twice, so an unshared evaluation of the guard
+/// at the first iteration visits 2^Depth paths. The guard is false on
+/// entry at any depth, so rule (7) folds the η to the initial value when
+/// the chain fits the first-iteration evaluator's depth cap. With \p Outer
+/// set, the guard's operand is t * u instead, where u is \p Outer more
+/// squarings of t: t is then evaluated at depth 2 and again, through u, at
+/// depth Outer + 2.
+SquaringGuardRun runSquaringGuard(Context &Ctx, unsigned Depth,
+                                  unsigned Outer = 0) {
+  ValueGraph G;
+  Type *I32 = Ctx.getInt32Ty();
+  NodeId One = G.getConstInt(I32, 1);
+  NodeId Mu = G.makeMu(I32);
+  G.setMuOperands(Mu, One, G.getOp(Opcode::Add, I32, {Mu, One}));
+  NodeId T = Mu;
+  for (unsigned K = 0; K < Depth; ++K)
+    T = G.getOp(Opcode::Mul, I32, {T, T});
+  if (Outer) {
+    NodeId U = T;
+    for (unsigned K = 0; K < Outer; ++K)
+      U = G.getOp(Opcode::Mul, I32, {U, U});
+    T = G.getOp(Opcode::Mul, I32, {T, U});
+  }
+  NodeId Guard = G.getOp(Opcode::ICmp, Ctx.getInt1Ty(), {T, One},
+                         static_cast<uint8_t>(ICmpPred::NE));
+  NodeId Eta = G.getEta(I32, Guard, Mu);
+  RuleConfig C;
+  C.Mask = RS_EtaMu;
+  auto Start = std::chrono::steady_clock::now();
+  NormalizeStats S = normalizeToFixpoint(G, {Eta}, C);
+  std::chrono::duration<double> Took =
+      std::chrono::steady_clock::now() - Start;
+  return {G.find(Eta) == G.find(One), S.fires(RewriteRule::EtaRule7FirstIter),
+          Took.count()};
+}
+
+} // namespace
+
+TEST_F(NormFixture, Rule7_FirstIterationGuardOverSquaringChain) {
+  SquaringGuardRun Shallow = runSquaringGuard(Ctx, 3);
+  EXPECT_TRUE(Shallow.Folded);
+  EXPECT_EQ(Shallow.FirstIterFires, 1u);
+  SquaringGuardRun Deep = runSquaringGuard(Ctx, 40);
+  EXPECT_LT(Deep.Seconds, 1.0) << "shared operands are evaluated once";
+  EXPECT_EQ(Deep.Folded, Shallow.Folded);
+  EXPECT_EQ(Deep.FirstIterFires, Shallow.FirstIterFires);
+  // The depth cap (64) still holds: the guard sits at depth 0 and the μ's
+  // initial value at depth Depth + 2.
+  EXPECT_TRUE(runSquaringGuard(Ctx, 62).Folded);
+  EXPECT_FALSE(runSquaringGuard(Ctx, 63).Folded);
+  // A node known where it was first reached is still unknown where the
+  // cap cuts it off: t (cone height Depth + 1) is reached again at depth
+  // Outer + 2, so the guard folds only while Depth + Outer <= 61.
+  EXPECT_TRUE(runSquaringGuard(Ctx, 30, 31).Folded);
+  EXPECT_FALSE(runSquaringGuard(Ctx, 30, 32).Folded);
 }
 
 TEST_F(NormFixture, Rule8_ConstantMu) {

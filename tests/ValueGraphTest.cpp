@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace llvmmd;
 
 namespace {
@@ -253,6 +255,98 @@ TEST_F(GraphFixture, EscapeDetection) {
   NodeId Other = G.getAlloc(One, G.getAllocMem(Alloc), 8);
   G.getStore(Alloc, Other, G.getAllocMem(Alloc));
   EXPECT_FALSE(G.isNonEscapingAlloc(Alloc));
+
+  // Each case below gets an allocation of its own (allocations intern by
+  // element size, so a fresh size is a fresh node).
+  Type *Ptr = Ctx.getPtrTy();
+  Type *I64 = Ctx.getInt64Ty();
+  unsigned NextSize = 100;
+  auto Fresh = [&] { return G.getAlloc(One, Mem, NextSize++); };
+  auto Escapes = [&](NodeId A) { return !G.isNonEscapingAlloc(A); };
+  auto Call = [&](NodeId Arg) {
+    return G.getCall("publish", MemoryEffect::ReadWrite, nullptr, {Arg, Mem});
+  };
+  NodeId C = G.getParam(0, I1);
+  NodeId NotC = G.getOp(Opcode::Xor, I1, {C, G.getConstBool(I1, true)});
+  NodeId Null = G.getNull(Ptr);
+  NodeId Val = G.getConstInt(I32, 7);
+
+  // Derivation: a pointer derived through a GEP base, a γ value slot, μ or
+  // η slot 1 is the allocation. Used only as an address it does not
+  // escape; published, it does.
+  using Derivation = std::function<NodeId(NodeId)>;
+  std::vector<std::pair<const char *, Derivation>> Derivations = {
+      {"gep base",
+       [&](NodeId A) {
+         return G.getOp(Opcode::GEP, Ptr, {A, G.getConstInt(I64, 2)}, 0, 4);
+       }},
+      {"gamma value",
+       [&](NodeId A) { return G.getGamma(Ptr, {{C, A}, {NotC, Null}}); }},
+      {"mu",
+       [&](NodeId A) {
+         NodeId M = G.makeMu(Ptr);
+         G.setMuOperands(M, A, M);
+         return M;
+       }},
+      {"eta value", [&](NodeId A) { return G.getEta(Ptr, C, A); }},
+  };
+  for (auto &[Name, Derive] : Derivations) {
+    NodeId Kept = Fresh();
+    NodeId KeptPtr = Derive(Kept);
+    G.getLoad(I32, KeptPtr, Mem);
+    G.getStore(Val, KeptPtr, Mem);
+    EXPECT_FALSE(Escapes(Kept)) << Name << " used as an address";
+    NodeId Published = Fresh();
+    Call(Derive(Published));
+    EXPECT_TRUE(Escapes(Published)) << Name << " passed to a call";
+  }
+  // A γ condition slot or an η stay condition is not a derivation: the
+  // result is not the pointer, so publishing the result publishes nothing.
+  NodeId InCond = Fresh();
+  Call(G.getGamma(Ptr, {{InCond, Null}, {C, Null}}));
+  Call(G.getEta(Ptr, InCond, Null));
+  EXPECT_FALSE(Escapes(InCond));
+
+  // No escape: address comparisons and load/store addresses.
+  NodeId Compared = Fresh();
+  NodeId Cmp = G.getOp(Opcode::ICmp, I1, {Compared, Null},
+                       static_cast<uint8_t>(ICmpPred::EQ));
+  Call(Cmp);
+  EXPECT_FALSE(Escapes(Compared)) << "icmp does not derive the pointer";
+  NodeId Addressed = Fresh();
+  G.getLoad(I32, Addressed, Mem);
+  G.getStore(Val, Addressed, Mem);
+  EXPECT_FALSE(Escapes(Addressed));
+
+  // Escape: a call argument, a returned value, a stored value, and a
+  // load's memory slot.
+  NodeId Passed = Fresh();
+  Call(Passed);
+  EXPECT_TRUE(Escapes(Passed)) << "call";
+  NodeId Returned = Fresh();
+  G.getRet(Returned, Mem);
+  EXPECT_TRUE(Escapes(Returned)) << "ret";
+  NodeId Stored = Fresh();
+  G.getStore(Stored, G.getParam(1, Ptr), Mem);
+  EXPECT_TRUE(Escapes(Stored)) << "stored value";
+  NodeId AsMemory = Fresh();
+  G.getLoad(I32, G.getParam(1, Ptr), AsMemory);
+  EXPECT_TRUE(Escapes(AsMemory)) << "load memory slot";
+
+  // Every root counts as a user, live or not: a call that the function's
+  // return does not reach still publishes the pointer.
+  NodeId Unreached = Fresh();
+  NodeId Ret = G.getRet(G.getLoad(I32, Unreached, Mem), Mem);
+  Call(Unreached);
+  EXPECT_EQ(G.dump({Ret}).find("call"), std::string::npos);
+  EXPECT_TRUE(Escapes(Unreached));
+
+  // A user merged away is no longer a user.
+  NodeId MergedAway = Fresh();
+  NodeId Publish = Call(MergedAway);
+  EXPECT_TRUE(Escapes(MergedAway));
+  G.mergeInto(Publish, Call(G.getParam(1, Ptr)));
+  EXPECT_FALSE(Escapes(MergedAway));
 }
 
 TEST_F(GraphFixture, ConeContainsMu) {
