@@ -15,7 +15,8 @@
 // dominator trees and loop infos its passes built), on the optimized
 // functions, the dominator tree, loop info and gating analysis, and, on
 // the value graphs of the suite's pairs, the normalizer (BM_Normalize) and
-// one sharing pass (BM_MaximizeSharing).
+// one sharing pass (BM_MaximizeSharing). BM_ParseModule reads the printed
+// suite modules back through the module reader.
 //
 // After the microbenchmarks run, a whole-suite engine pass is emitted as
 // BENCH_scaling.json through the engine's JSON reporter (with timing).
@@ -28,6 +29,8 @@
 #include "analysis/LoopInfo.h"
 #include "driver/VerdictStore.h"
 #include "gated/GatedSSA.h"
+#include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "normalize/Normalizer.h"
 #include "vg/GraphBuilder.h"
 
@@ -165,6 +168,34 @@ void BM_PaperPipeline(benchmark::State &State) {
   State.counters["loop_infos"] = Builds.LoopInfos;
 }
 BENCHMARK(BM_PaperPipeline)->Unit(benchmark::kMillisecond);
+
+/// parseModule over the printed text of the 12 suite modules; reports
+/// bytes read per second and the functions read.
+void BM_ParseModule(benchmark::State &State) {
+  std::vector<std::string> Texts;
+  size_t Bytes = 0;
+  for (const auto &M : paperSuite().Orig) {
+    Texts.push_back(printModule(*M));
+    Bytes += Texts.back().size();
+  }
+  size_t Functions = 0;
+  for (auto _ : State) {
+    Context Ctx;
+    Functions = 0;
+    for (const std::string &T : Texts) {
+      ParseResult R = parseModule(Ctx, T);
+      if (!R) {
+        State.SkipWithError(R.Error.c_str());
+        return;
+      }
+      Functions += R.M->definedFunctions().size();
+      benchmark::DoNotOptimize(R.M.get());
+    }
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations() * Bytes));
+  State.counters["functions"] = static_cast<double>(Functions);
+}
+BENCHMARK(BM_ParseModule)->Unit(benchmark::kMillisecond);
 
 /// Dominator trees of every optimized suite function.
 void BM_DomTree(benchmark::State &State) {

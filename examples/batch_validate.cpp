@@ -8,14 +8,12 @@
 // parallel, and emit the report as text, CSV or JSON.
 //
 //   $ ./batch_validate [options] [SPEC...]
-//     SPEC               module spec: FILE (native mini-IR or real LLVM
-//                        .ll, detected by content), `-` for stdin, or
+//     SPEC               module spec: FILE (LLVM .ll text, including this
+//                        project's printed modules), `-` for stdin, or
 //                        profile:NAME for a generated Table-1 benchmark.
 //                        More than one spec validates the whole set as a
 //                        suite (one report per module plus a roll-up).
 //     --input SPEC       same as a positional spec
-//     --format F         force the inline/file format: auto|mini|llvm
-//                        (default auto = content sniffing)
 //     --profile NAME     generate the Table-1 profile NAME when no spec is
 //                        given (default: sjeng)
 //     --suite NAMES      comma-separated profile list, shorthand for
@@ -154,12 +152,12 @@ void printHelp() {
       "\n%s\n"
       "  More than one spec validates the whole set as one suite.\n"
       "  Run flags: --profile NAME, --suite NAMES, --pipeline P,\n"
-      "  --format auto|mini|llvm, --threads N, --stepwise, --all-rules,\n"
-      "  --rule-mask N, --revert, --triage, --triage-inputs N,\n"
-      "  --triage-reduce N, --resubmit N, --cache PATH, --cache-load PATH,\n"
-      "  --cache-save PATH, --expect-warm, --print-config-digest,\n"
-      "  --json [PATH], --csv [PATH], --timing, --trace PATH,\n"
-      "  --log-level debug|info|warn|error|off, --quiet, --help\n"
+      "  --threads N, --stepwise, --all-rules, --rule-mask N, --revert,\n"
+      "  --triage, --triage-inputs N, --triage-reduce N, --resubmit N,\n"
+      "  --cache PATH, --cache-load PATH, --cache-save PATH,\n"
+      "  --expect-warm, --print-config-digest, --json [PATH], --csv [PATH],\n"
+      "  --timing, --trace PATH, --log-level debug|info|warn|error|off,\n"
+      "  --quiet, --help\n"
       "  Exit status: 0 all validated, 2 some rejected, 3 --expect-warm\n"
       "  violated, 1 usage or I/O errors.\n",
       moduleSpecHelp());
@@ -171,7 +169,6 @@ int main(int argc, char **argv) {
   std::string ProfileName = "sjeng";
   std::string SuiteNames;
   std::vector<ModuleSpec> Specs;
-  ModuleFormat Format = ModuleFormat::Auto;
   std::string Pipeline = getPaperPipeline();
   std::string JsonPath, CsvPath;
   std::string CachePath;
@@ -222,13 +219,7 @@ int main(int argc, char **argv) {
       SuiteNames = argv[++I];
     else if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc)
       Specs.push_back(parseModuleSpec(argv[++I]));
-    else if (std::strcmp(argv[I], "--format") == 0 && I + 1 < argc) {
-      if (!parseModuleFormat(argv[++I], Format)) {
-        std::fprintf(stderr, "error: bad --format '%s' (auto|mini|llvm)\n",
-                     argv[I]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[I], "--pipeline") == 0 && I + 1 < argc)
+    else if (std::strcmp(argv[I], "--pipeline") == 0 && I + 1 < argc)
       Pipeline = argv[++I];
     else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       int V = std::atoi(argv[++I]);
@@ -378,8 +369,6 @@ int main(int argc, char **argv) {
   }
   if (Specs.empty())
     Specs.push_back(parseModuleSpec("profile:" + ProfileName));
-  for (ModuleSpec &S : Specs)
-    S.Format = Format;
 
   // Tracing is enabled for the whole run (load through report emission)
   // and flushed after the reports are out, so an I/O failure on the trace

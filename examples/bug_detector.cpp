@@ -17,11 +17,11 @@
 //    though a direct differential probe diverges (a triage defect — the
 //    probe corpus is the triage corpus, so this must not happen).
 //
-//   $ ./bug_detector [--input SPEC] [--format auto|mini|llvm] [num-trials]
+//   $ ./bug_detector [--input SPEC] [num-trials]
 //
 // The original module comes from the shared ModuleLoader: by default the
 // sjeng profile sized to num-trials functions; --input substitutes any
-// module spec (a mini-IR or .ll file, `-` for stdin, or profile:NAME).
+// module spec (a .ll file, `-` for stdin, or profile:NAME).
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,22 +43,14 @@ using namespace llvmmd;
 int main(int argc, char **argv) {
   unsigned Trials = 24;
   ModuleSpec Spec = parseModuleSpec("profile:sjeng");
-  ModuleFormat Format = ModuleFormat::Auto;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--help") == 0) {
-      std::printf("usage: bug_detector [--input SPEC] "
-                  "[--format auto|mini|llvm] [num-trials]\n\n%s",
+      std::printf("usage: bug_detector [--input SPEC] [num-trials]\n\n%s",
                   moduleSpecHelp());
       return 0;
     } else if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc)
       Spec = parseModuleSpec(argv[++I]);
-    else if (std::strcmp(argv[I], "--format") == 0 && I + 1 < argc) {
-      if (!parseModuleFormat(argv[++I], Format)) {
-        std::fprintf(stderr, "error: bad --format '%s' (auto|mini|llvm)\n",
-                     argv[I]);
-        return 1;
-      }
-    } else if (argv[I][0] != '-' || argv[I][1] == '\0') {
+    else if (argv[I][0] != '-' || argv[I][1] == '\0') {
       Trials = static_cast<unsigned>(std::atoi(argv[I]));
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", argv[I]);
@@ -66,7 +58,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  Spec.Format = Format;
   Spec.ProfileFnCount = Trials;
   Context Ctx;
   LoadResult Loaded = loadModule(Ctx, Spec);

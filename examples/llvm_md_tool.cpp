@@ -9,9 +9,10 @@
 //   $ ./llvm_md_tool [--input SPEC] [SPEC] [pipeline] [--all-rules]
 //                    [--stepwise]
 //
-// The module comes from the shared ModuleLoader: a mini-IR or real LLVM
-// .ll file (detected by content), `-` for stdin, or profile:NAME. With no
-// spec, a demo module is used. The default pipeline is the paper's:
+// The module comes from the shared ModuleLoader: an LLVM .ll file (real
+// `clang`/`opt` output or this project's printed modules), `-` for stdin,
+// or profile:NAME. With no spec, a demo module is used. The default
+// pipeline is the paper's:
 // adce,gvn,sccp,licm,loop-deletion,loop-unswitch,dse.
 //
 // Runs on the driver subsystem's ValidationEngine (parallel validation,
@@ -68,7 +69,6 @@ int main(int argc, char **argv) {
   Spec.From = ModuleSpec::Source::Inline;
   Spec.Value = DemoModule;
   Spec.Name = "input";
-  ModuleFormat Format = ModuleFormat::Auto;
   std::string Pipeline = getPaperPipeline();
   bool AllRules = false;
   bool Stepwise = false;
@@ -84,12 +84,6 @@ int main(int argc, char **argv) {
       Stepwise = true;
     } else if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc) {
       Spec = parseModuleSpec(argv[++I]);
-    } else if (std::strcmp(argv[I], "--format") == 0 && I + 1 < argc) {
-      if (!parseModuleFormat(argv[++I], Format)) {
-        std::fprintf(stderr, "error: bad --format '%s' (auto|mini|llvm)\n",
-                     argv[I]);
-        return 1;
-      }
     } else if (argv[I][0] != '-' &&
                (std::strchr(argv[I], ',') || createPass(argv[I]))) {
       Pipeline = argv[I];
@@ -101,7 +95,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  Spec.Format = Format;
   Context Ctx;
   LoadResult Loaded = loadModule(Ctx, Spec);
   if (!Loaded) {

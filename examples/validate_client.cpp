@@ -12,10 +12,8 @@
 //     SPEC               module spec: FILE, `-` (stdin) or profile:NAME —
 //                        the same --input grammar every llvm-md CLI takes;
 //                        file/stdin text is read locally and submitted
-//                        inline (real .ll is imported server-side)
+//                        inline (the server reads it as .ll)
 //     --input SPEC       same as a positional SPEC
-//     --format F         force inline text format: auto (default), mini,
-//                        llvm
 //     --connect PATH     unix-domain socket of the daemon
 //                        (default: llvmmd-serve.sock)
 //     --tcp HOST:PORT    connect over TCP instead
@@ -93,7 +91,6 @@ int main(int argc, char **argv) {
   bool WantStats = false, WantMetrics = false, WantShutdown = false;
   bool Quiet = false;
   unsigned FnCount = 0;
-  ModuleFormat Format = ModuleFormat::Auto;
   RuleConfig Rules;
 
   for (int I = 1; I < argc; ++I) {
@@ -102,11 +99,6 @@ int main(int argc, char **argv) {
       return 0;
     } else if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc) {
       Specs.push_back(parseModuleSpec(argv[++I]));
-    } else if (std::strcmp(argv[I], "--format") == 0 && I + 1 < argc) {
-      if (!parseModuleFormat(argv[++I], Format)) {
-        std::fprintf(stderr, "error: bad --format value '%s'\n", argv[I]);
-        return 1;
-      }
     } else if (std::strcmp(argv[I], "--connect") == 0 && I + 1 < argc) {
       UnixPath = argv[++I];
     } else if (std::strcmp(argv[I], "--tcp") == 0 && I + 1 < argc) {
@@ -158,8 +150,7 @@ int main(int argc, char **argv) {
 
   // Build the submission. --suite NAMES is shorthand for profile:NAME
   // specs; every other spec's text is read locally and submitted inline
-  // with the requested format byte (the server's ModuleLoader does the
-  // same sniff/import the batch CLI would do).
+  // (the server's ModuleLoader reads it the way the batch CLI would).
   SubmitPayload Req;
   if (!SuiteNames.empty()) {
     std::stringstream SS(SuiteNames);
@@ -184,9 +175,7 @@ int main(int argc, char **argv) {
     case ModuleSpec::Source::Stdin: {
       std::ostringstream SS;
       SS << std::cin.rdbuf();
-      M.Source = Format == ModuleFormat::MiniIR   ? SubmitInlineMini
-                 : Format == ModuleFormat::LLVMIR ? SubmitInlineLLVM
-                                                  : SubmitInlineAuto;
+      M.Source = SubmitInlineAuto;
       M.Name = "<stdin>";
       M.Text = SS.str();
       break;
@@ -200,9 +189,7 @@ int main(int argc, char **argv) {
       }
       std::ostringstream SS;
       SS << In.rdbuf();
-      M.Source = Format == ModuleFormat::MiniIR   ? SubmitInlineMini
-                 : Format == ModuleFormat::LLVMIR ? SubmitInlineLLVM
-                                                  : SubmitInlineAuto;
+      M.Source = SubmitInlineAuto;
       M.Name = Spec.Value;
       M.Text = SS.str();
       break;

@@ -19,34 +19,6 @@
 
 using namespace llvmmd;
 
-ModuleFormat llvmmd::detectModuleFormat(std::string_view Text) {
-  return looksLikeLLVMIR(Text) ? ModuleFormat::LLVMIR : ModuleFormat::MiniIR;
-}
-
-bool llvmmd::parseModuleFormat(const std::string &Name, ModuleFormat &Out) {
-  if (Name == "auto")
-    Out = ModuleFormat::Auto;
-  else if (Name == "mini")
-    Out = ModuleFormat::MiniIR;
-  else if (Name == "llvm")
-    Out = ModuleFormat::LLVMIR;
-  else
-    return false;
-  return true;
-}
-
-const char *llvmmd::moduleFormatName(ModuleFormat F) {
-  switch (F) {
-  case ModuleFormat::Auto:
-    return "auto";
-  case ModuleFormat::MiniIR:
-    return "mini";
-  case ModuleFormat::LLVMIR:
-    return "llvm";
-  }
-  return "auto";
-}
-
 ModuleSpec llvmmd::parseModuleSpec(const std::string &Spec) {
   ModuleSpec S;
   if (Spec == "-") {
@@ -65,10 +37,10 @@ ModuleSpec llvmmd::parseModuleSpec(const std::string &Spec) {
 
 const char *llvmmd::moduleSpecHelp() {
   return "  Module specs (positional arguments / --input values):\n"
-         "    FILE           load the file; real LLVM .ll input is detected\n"
-         "                   by content and routed through the import\n"
-         "                   frontend (unsupported constructs are rejected\n"
-         "                   per function, named in the report)\n"
+         "    FILE           load the file as LLVM .ll text (this tool's\n"
+         "                   printed modules are .ll too); a function the\n"
+         "                   reader cannot model or that fails the verifier\n"
+         "                   is rejected alone and named in the report\n"
          "    -              read one module's text from stdin\n"
          "    profile:NAME   generate the Table-1 benchmark profile NAME\n"
          "  A spec that cannot be loaded (unreadable file, parse error,\n"
@@ -77,8 +49,7 @@ const char *llvmmd::moduleSpecHelp() {
 
 namespace {
 
-/// Extracts the leading "line N" of a mini-parser diagnostic so both
-/// frontends report positions the same way.
+/// Extracts the leading "line N" of a reader diagnostic.
 unsigned parseErrorLine(const std::string &Error) {
   if (Error.rfind("line ", 0) != 0)
     return 0;
@@ -87,6 +58,7 @@ unsigned parseErrorLine(const std::string &Error) {
 
 bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
   std::string Text;
+  std::string_view Src = Text;
   std::string Name = Spec.Name;
 
   switch (Spec.From) {
@@ -101,7 +73,6 @@ bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
     LoadedModule LM;
     LM.M = generateBenchmark(Ctx, P);
     LM.Name = Name.empty() ? Spec.Value : Name;
-    LM.Format = ModuleFormat::MiniIR;
     Out.Modules.push_back(std::move(LM));
     return true;
   }
@@ -114,6 +85,7 @@ bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
     std::ostringstream SS;
     SS << In.rdbuf();
     Text = SS.str();
+    Src = Text;
     if (Name.empty())
       Name = Spec.Value;
     break;
@@ -122,48 +94,39 @@ bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
     std::ostringstream SS;
     SS << std::cin.rdbuf();
     Text = SS.str();
+    Src = Text;
     if (Name.empty())
       Name = "<stdin>";
     break;
   }
   case ModuleSpec::Source::Inline:
-    Text = Spec.Value;
+    Src = Spec.Value;
     break;
   }
 
-  ModuleFormat F = Spec.Format;
-  if (F == ModuleFormat::Auto)
-    F = detectModuleFormat(Text);
-
-  if (F == ModuleFormat::LLVMIR) {
-    LLImportResult IR = importLLModule(Ctx, Text, Name.empty() ? "module" : Name);
+  const std::string ModName = Name.empty() ? "module" : Name;
+  LoadedModule LM;
+  if (Spec.Format == ModuleFormat::MiniIR) {
+    ParseResult PR = parseModule(Ctx, Src, ModName);
+    if (!PR) {
+      Out.Error = ModName + ": " + PR.Error;
+      Out.ErrorLine = parseErrorLine(PR.Error);
+      return false;
+    }
+    LM.M = std::move(PR.M);
+  } else {
+    LLImportResult IR = importLLModule(Ctx, Src, ModName);
     if (!IR) {
-      Out.Error = (Name.empty() ? std::string("module") : Name) +
-                  ": line " + std::to_string(IR.ErrorLine) + ": " + IR.Error;
+      Out.Error = ModName + ": " + IR.Error;
       Out.ErrorLine = IR.ErrorLine;
       Out.ErrorCol = IR.ErrorCol;
       return false;
     }
-    LoadedModule LM;
     LM.M = std::move(IR.M);
-    LM.Name = LM.M->getName();
-    LM.Format = ModuleFormat::LLVMIR;
     for (const LLFunctionReject &R : IR.Rejected)
       LM.Unsupported.push_back({R.Function, R.Reason, R.Detail});
-    Out.Modules.push_back(std::move(LM));
-    return true;
   }
-
-  ParseResult PR = parseModule(Ctx, Text, Name.empty() ? "module" : Name);
-  if (!PR) {
-    Out.Error = (Name.empty() ? std::string("module") : Name) + ": " + PR.Error;
-    Out.ErrorLine = parseErrorLine(PR.Error);
-    return false;
-  }
-  LoadedModule LM;
-  LM.M = std::move(PR.M);
   LM.Name = LM.M->getName();
-  LM.Format = ModuleFormat::MiniIR;
   Out.Modules.push_back(std::move(LM));
   return true;
 }

@@ -8,14 +8,15 @@
 /// One module-loading entry point shared by every front door: the batch CLI,
 /// the validation server, the fleet path behind it, and the example tools.
 /// A ModuleSpec names where a module comes from (file, stdin, inline text,
-/// or a generated benchmark profile) and in which format; loadModules
-/// resolves each spec to a native Module, auto-detecting real LLVM `.ll`
-/// input by content and routing it through the `.ll` importer with its
-/// per-function unsupported accounting.
+/// or a generated benchmark profile); loadModules resolves each spec to a
+/// native Module. All module text, real `opt` output and this project's
+/// printed modules alike, goes through the one `.ll` reader
+/// (importLLModule), which verifies every function it builds and refuses
+/// the ones it cannot model or that are ill-formed, by name.
 ///
 /// Spec grammar (shared by every CLI's `--input` / positional arguments):
 ///
-///   FILE           load the file; format auto-detected by content
+///   FILE           load the file
 ///   -              read the module text from stdin
 ///   profile:NAME   generate the Table-1 benchmark profile NAME
 ///
@@ -28,7 +29,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace llvmmd {
@@ -36,23 +36,17 @@ namespace llvmmd {
 class Context;
 class Module;
 
-/// Wire-stable module text format selector. Auto sniffs by content:
-/// the mini-IR printer emits none of real LLVM's noise (target lines,
-/// attribute groups, metadata, `align` suffixes...), so text that looks
-/// like real `.ll` goes through the import frontend and everything else
-/// through the native parser.
+/// What loading does with a function the reader refuses. The three values
+/// are wire-stable (SubmitInline{Auto,Mini,LLVM}); every one reads the
+/// text with the same reader.
 enum class ModuleFormat : uint8_t {
+  /// Demote the function to a declaration and name it in Unsupported.
   Auto = 0,
+  /// Strict: the load fails with `line N: <reason>: <detail>`.
   MiniIR = 1,
+  /// Same as Auto.
   LLVMIR = 2,
 };
-
-/// Returns MiniIR or LLVMIR (never Auto) for the given module text.
-ModuleFormat detectModuleFormat(std::string_view Text);
-
-/// Parses "mini" / "llvm" / "auto" (as in `--format`); false on junk.
-bool parseModuleFormat(const std::string &Name, ModuleFormat &Out);
-const char *moduleFormatName(ModuleFormat F);
 
 /// One requested module: where it comes from and how to read it.
 struct ModuleSpec {
@@ -63,7 +57,7 @@ struct ModuleSpec {
   /// Module name override; empty derives it (file path, profile name,
   /// "<stdin>", or the name embedded in the text).
   std::string Name;
-  ModuleFormat Format = ModuleFormat::Auto;
+  ModuleFormat Format = ModuleFormat::Auto; ///< refusal policy
   /// Profile specs only: overrides the profile's FunctionCount (0 = keep).
   unsigned ProfileFnCount = 0;
 };
@@ -79,9 +73,8 @@ const char *moduleSpecHelp();
 struct LoadedModule {
   std::unique_ptr<Module> M;
   std::string Name;
-  ModuleFormat Format = ModuleFormat::MiniIR; ///< resolved, never Auto
-  /// Functions the `.ll` frontend refused (present in M as declarations),
-  /// with their named reason classes; empty for mini-IR and profiles.
+  /// Functions the reader refused (present in M as declarations), with
+  /// their named reason classes; empty for profiles and strict loads.
   std::vector<UnsupportedFunctionEntry> Unsupported;
 };
 

@@ -89,8 +89,8 @@ struct ValidationReport {
   unsigned Threads = 1;
   uint64_t WallMicroseconds = 0; ///< end-to-end engine wall time
   std::vector<FunctionReportEntry> Functions; ///< in module order
-  /// Functions the ingest frontend rejected, in textual order (empty for
-  /// native mini-IR and generated modules).
+  /// Functions the module reader rejected, in textual order (always empty
+  /// for generated modules).
   std::vector<UnsupportedFunctionEntry> UnsupportedFunctions;
 
   // Aggregates (derived, always consistent with Functions).

@@ -6,6 +6,8 @@
 
 #include "frontend/llvm/LLFrontend.h"
 #include "frontend/llvm/LLImporter.h"
+#include "ir/Parser.h"
+#include "ir/Verifier.h"
 
 #include <algorithm>
 #include <cctype>
@@ -32,6 +34,12 @@ LLImportResult LLImporter::run() {
     Res.ErrorCol = E.Col;
     return Res;
   }
+  // Attribute groups may follow the declarations that name them.
+  for (const auto &[F, Id] : GroupUses) {
+    auto It = GroupEffects.find(Id);
+    if (It != GroupEffects.end())
+      addMemoryEffect(F, It->second);
+  }
   for (PendingFn &PF : Pending) {
     Cur = PF.BodyBegin;
     try {
@@ -56,29 +64,6 @@ LLImportResult LLImporter::run() {
 //===----------------------------------------------------------------------===//
 // Token cursor
 //===----------------------------------------------------------------------===//
-
-const LLToken &LLImporter::tok(size_t Ahead) const {
-  size_t I = Cur + Ahead;
-  if (I >= Toks.size())
-    I = Toks.size() - 1; // Eof sentinel
-  return Toks[I];
-}
-
-void LLImporter::advance() {
-  if (Cur + 1 < Toks.size())
-    ++Cur;
-}
-
-bool LLImporter::isWord(const char *W) const {
-  return tok().Kind == LLTok::Word && tok().Text == W;
-}
-
-bool LLImporter::eatWord(const char *W) {
-  if (!isWord(W))
-    return false;
-  advance();
-  return true;
-}
 
 void LLImporter::expectTok(LLTok K, const char *What) {
   if (tok().Kind != K)
@@ -123,28 +108,13 @@ void LLImporter::reject(const char *Reason, std::string Detail) const {
 // Name sanitization
 //===----------------------------------------------------------------------===//
 
-std::string LLImporter::sanitizeName(const std::string &Name) {
-  std::string Out;
-  Out.reserve(Name.size());
-  for (char C : Name) {
-    if (std::isalnum(static_cast<unsigned char>(C)) || C == '_' || C == '.' ||
-        C == '$')
-      Out.push_back(C);
-    else
-      Out.push_back('_');
-  }
+std::string LLImporter::sanitizeName(std::string_view Name) {
+  std::string Out(Name);
+  for (char &C : Out)
+    if (!std::isalnum(static_cast<unsigned char>(C)) && C != '_' &&
+        C != '.' && C != '$')
+      C = '_';
   return Out;
-}
-
-std::string LLImporter::uniqueName(std::string Base,
-                                   std::set<std::string> &Used) {
-  if (Used.insert(Base).second)
-    return Base;
-  for (unsigned I = 1;; ++I) {
-    std::string Cand = Base + "." + std::to_string(I);
-    if (Used.insert(Cand).second)
-      return Cand;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,7 +126,7 @@ namespace {
 /// Module/global-level keywords that carry no meaning for the mini-IR and
 /// are skipped wherever they appear before the `global`/`constant` keyword
 /// or a function signature.
-bool isLinkageOrVisibilityWord(const std::string &W) {
+bool isLinkageOrVisibilityWord(std::string_view W) {
   static const char *Words[] = {
       "private",      "internal",       "external",   "extern_weak",
       "linkonce",     "linkonce_odr",   "weak",       "weak_odr",
@@ -187,19 +157,7 @@ void LLImporter::scanTopLevel() {
         continue;
       }
       if (T.Text == "attributes") {
-        // attributes #N = { ... }
-        advance();
-        expectTok(LLTok::AttrId, "'#N'");
-        expectTok(LLTok::Equals, "'='");
-        expectTok(LLTok::LBrace, "'{'");
-        unsigned Depth = 1;
-        while (Depth && tok().Kind != LLTok::Eof) {
-          if (tok().Kind == LLTok::LBrace)
-            ++Depth;
-          else if (tok().Kind == LLTok::RBrace)
-            --Depth;
-          advance();
-        }
+        parseAttributeGroup();
         continue;
       }
       if (T.Text == "declare") {
@@ -234,7 +192,7 @@ void LLImporter::scanTopLevel() {
 
 void LLImporter::parseGlobalDef() {
   unsigned Line = tok().Line;
-  std::string OrigName = tok().Text;
+  std::string_view OrigName = tok().Text;
   advance();
   expectTok(LLTok::Equals, "'='");
 
@@ -262,7 +220,7 @@ void LLImporter::parseGlobalDef() {
       }
       continue;
     }
-    fatal("expected 'global' or 'constant' for @" + OrigName);
+    fatal("expected 'global' or 'constant' for @" + std::string(OrigName));
   }
 
   // Type (one array level allowed) and initializer. Anything we cannot
@@ -332,12 +290,80 @@ void LLImporter::parseGlobalDef() {
   skipTrailingOnLine();
 
   if (GlobalByName.count(OrigName) || FnByName.count(OrigName))
-    fatal("redefinition of @" + OrigName);
-  std::string Name = uniqueName(sanitizeName(OrigName), UsedModuleNames);
-  GlobalByName[OrigName] = M->createGlobal(Ty.Ty, Name, Init, IsConstant);
+    fatal("redefinition of @" + std::string(OrigName));
+  GlobalByName[OrigName] = M->createGlobal(Ty.Ty, uniqueModuleName(OrigName),
+                                           Init, IsConstant);
 }
 
-std::string LLImporter::peekFunctionName() const {
+std::string LLImporter::uniqueModuleName(std::string_view OrigName) {
+  return uniqueName(sanitizeName(OrigName), OrigName, RenamedModuleNames,
+                    [&](const std::string &N) {
+                      auto F = FnByName.find(N);
+                      auto G = GlobalByName.find(N);
+                      return (F != FnByName.end() &&
+                              F->second->getName() == N) ||
+                             (G != GlobalByName.end() &&
+                              G->second->getName() == N);
+                    });
+}
+
+void LLImporter::parseAttributeGroup() {
+  advance(); // attributes
+  if (tok().Kind != LLTok::AttrId)
+    fatal("expected '#N'");
+  std::string_view Id = tok().Text;
+  advance();
+  expectTok(LLTok::Equals, "'='");
+  expectTok(LLTok::LBrace, "'{'");
+  MemoryEffect Effect = MemoryEffect::ReadWrite;
+  unsigned Depth = 1;
+  while (Depth && tok().Kind != LLTok::Eof) {
+    if (tok().Kind == LLTok::LBrace) {
+      ++Depth;
+    } else if (tok().Kind == LLTok::RBrace) {
+      --Depth;
+    } else if (Depth == 1) {
+      Effect = std::max(Effect, eatMemoryAttr());
+      continue;
+    }
+    advance();
+  }
+  GroupEffects[Id] = Effect;
+}
+
+MemoryEffect LLImporter::eatMemoryAttr() {
+  if (isWord("readonly") || isWord("readnone")) {
+    MemoryEffect E =
+        isWord("readonly") ? MemoryEffect::ReadOnly : MemoryEffect::ReadNone;
+    advance();
+    return E;
+  }
+  if (!isWord("memory") || tok(1).Kind != LLTok::LParen) {
+    advance();
+    return MemoryEffect::ReadWrite;
+  }
+  // Only an unqualified memory(read) / memory(none) says something about
+  // all memory; memory(argmem: read), memory(read, inaccessiblemem: write)
+  // and memory(write) leave the call clobbering.
+  MemoryEffect E = MemoryEffect::ReadWrite;
+  advance();
+  advance();
+  if (tok(1).Kind == LLTok::RParen && isWord("read"))
+    E = MemoryEffect::ReadOnly;
+  else if (tok(1).Kind == LLTok::RParen && isWord("none"))
+    E = MemoryEffect::ReadNone;
+  while (tok().Kind != LLTok::RParen && tok().Kind != LLTok::Eof)
+    advance();
+  expectTok(LLTok::RParen, "')'");
+  return E;
+}
+
+void LLImporter::addMemoryEffect(Function *F, MemoryEffect E) {
+  // ReadWrite < ReadOnly < ReadNone: keep the strongest attribute named.
+  F->setMemoryEffect(std::max(F->getMemoryEffect(), E));
+}
+
+std::string_view LLImporter::peekFunctionName() const {
   unsigned Line = tok().Line;
   for (size_t I = Cur; I < Toks.size() && Toks[I].Line == Line; ++I)
     if (Toks[I].Kind == LLTok::GlobalId)
@@ -347,7 +373,7 @@ std::string LLImporter::peekFunctionName() const {
 
 void LLImporter::parseFunctionHeader(bool IsDefine) {
   unsigned Line = tok().Line;
-  std::string OrigName = peekFunctionName();
+  std::string_view OrigName = peekFunctionName();
   advance(); // define / declare
 
   // A reject anywhere in the signature poisons the function, not the
@@ -392,7 +418,7 @@ void LLImporter::parseFunctionHeader(bool IsDefine) {
 
   Type *RetTy = nullptr;
   std::vector<Type *> Params;
-  std::vector<std::string> ParamNames;
+  std::vector<std::string_view> ParamNames;
   bool IsVararg = false;
   unsigned RejLine = Line;
   try {
@@ -422,7 +448,7 @@ void LLImporter::parseFunctionHeader(bool IsDefine) {
       }
       Type *P = parseType();
       skipParamAttrs();
-      std::string PName;
+      std::string_view PName;
       if (tok().Kind == LLTok::LocalId) {
         PName = tok().Text;
         advance();
@@ -453,10 +479,10 @@ void LLImporter::parseFunctionHeader(bool IsDefine) {
   }
 
   if (FnByName.count(OrigName) || GlobalByName.count(OrigName))
-    fatal("redefinition of @" + OrigName);
+    fatal("redefinition of @" + std::string(OrigName));
 
-  std::string Name = uniqueName(sanitizeName(OrigName), UsedModuleNames);
-  Function *F = M->createFunction(Ctx.getFunctionTy(RetTy, Params), Name);
+  Function *F = M->createFunction(Ctx.getFunctionTy(RetTy, Params),
+                                  uniqueModuleName(OrigName));
   FnByName[OrigName] = F;
 
   // Known libc declarations get the memory effects the optimizer's libc
@@ -479,11 +505,12 @@ void LLImporter::parseFunctionHeader(bool IsDefine) {
     // own printer round-trips too.
     unsigned EndLine = Toks[Cur - 1].Line;
     while (tok().Line == EndLine && tok().Kind != LLTok::Eof) {
-      if (tok().Kind == LLTok::Word && tok().Text == "readonly")
-        F->setMemoryEffect(MemoryEffect::ReadOnly);
-      else if (tok().Kind == LLTok::Word && tok().Text == "readnone")
-        F->setMemoryEffect(MemoryEffect::ReadNone);
-      advance();
+      if (tok().Kind == LLTok::AttrId) {
+        GroupUses.push_back({F, tok().Text});
+        advance();
+        continue;
+      }
+      addMemoryEffect(F, eatMemoryAttr());
     }
     return;
   }
@@ -503,7 +530,7 @@ void LLImporter::parseFunctionHeader(bool IsDefine) {
     advance();
   }
   if (tok().Kind == LLTok::Eof)
-    fatal("unterminated function body for @" + OrigName);
+    fatal("unterminated function body for @" + std::string(OrigName));
   size_t End = Cur;
   advance(); // consume '}'
 
@@ -526,10 +553,12 @@ void LLImporter::postProcessFunction(Body &B) {
 
   // Every referenced block must have been defined by a label.
   if (B.Order.size() != F->getNumBlocks()) {
+    B.Defined.resize(F->getMaxBlockNumber());
     for (const auto &[Name, BB] : B.Blocks)
-      if (std::find(B.Order.begin(), B.Order.end(), BB) == B.Order.end())
+      if (!B.Defined[BB->getNumber()])
         throw LLRejectErr{llreject::SyntaxError,
-                          "branch to undefined label '%" + Name + "'",
+                          "branch to undefined label '%" + std::string(Name) +
+                              "'",
                           B.PF->DefLine};
     throw LLRejectErr{llreject::SyntaxError, "undefined label",
                       B.PF->DefLine};
@@ -545,6 +574,13 @@ void LLImporter::postProcessFunction(Body &B) {
                         B.PF->DefLine};
 
   F->reorderBlocks(B.Order);
+
+  // The translation checks tokens, not the CFG: a phi in the wrong block or
+  // a use its definition does not dominate imports fine, and the passes
+  // downstream assume neither happens.
+  std::vector<std::string> Errors;
+  if (!verifyFunction(*F, Errors))
+    throw LLRejectErr{llreject::IllFormed, Errors.front(), B.PF->DefLine};
 }
 
 void LLImporter::resolveFixups(Body &B) {
@@ -552,11 +588,13 @@ void LLImporter::resolveFixups(Body &B) {
     auto It = B.Locals.find(Fix.Name);
     if (It == B.Locals.end())
       throw LLRejectErr{llreject::SyntaxError,
-                        "use of undefined value '%" + Fix.Name + "'",
+                        "use of undefined value '%" + std::string(Fix.Name) +
+                            "'",
                         Fix.Line};
     if (It->second->getType() != Fix.Ty)
       throw LLRejectErr{llreject::SyntaxError,
-                        "type mismatch resolving '%" + Fix.Name + "'",
+                        "type mismatch resolving '%" + std::string(Fix.Name) +
+                            "'",
                         Fix.Line};
     Fix.I->setOperand(Fix.OpIdx, It->second);
   }
@@ -594,8 +632,8 @@ void LLImporter::remapSwitchPhis(Body &B) {
 
 LLImportResult llvmmd::importLLModule(Context &Ctx, std::string_view Text,
                                       std::string ModuleName) {
-  // Adopt the "; ModuleID = '<name>'" header when the caller did not name
-  // the module, matching the native parser's convention.
+  // Adopt the printer's "; ModuleID = '<name>'" header when the caller did
+  // not name the module.
   if (ModuleName == "module") {
     constexpr std::string_view Tag = "; ModuleID = '";
     size_t Pos = Text.find(Tag);
@@ -620,20 +658,18 @@ LLImportResult llvmmd::importLLModule(Context &Ctx, std::string_view Text,
   return LLImporter(Ctx, std::move(Toks), std::move(ModuleName)).run();
 }
 
-bool llvmmd::looksLikeLLVMIR(std::string_view Text) {
-  // Markers real clang/opt output carries and the mini-IR printer never
-  // emits. Substring checks keep sniffing O(bytes) with no parsing.
-  static const char *Markers[] = {
-      "target datalayout", "target triple",   "source_filename",
-      "attributes #",      "!llvm.",          " dso_local ",
-      " noundef",          ", align ",        " nsw ",
-      " nuw ",             " inbounds ",      "zeroinitializer",
-      " x i",              " x float",        " x double",
-      "c\"",               " switch i",       "%struct.",
-      "%union.",           "%class.",         " poison",
-      " tail call ",       "local_unnamed_addr"};
-  for (const char *Mk : Markers)
-    if (Text.find(Mk) != std::string_view::npos)
-      return true;
-  return false;
+ParseResult llvmmd::parseModule(Context &Ctx, std::string_view Text,
+                                std::string ModuleName) {
+  LLImportResult IR = importLLModule(Ctx, Text, std::move(ModuleName));
+  ParseResult R;
+  if (!IR) {
+    R.Error = std::move(IR.Error);
+  } else if (!IR.Rejected.empty()) {
+    const LLFunctionReject &First = IR.Rejected.front();
+    R.Error = "line " + std::to_string(First.Line) + ": " + First.Reason +
+              ": " + First.Detail;
+  } else {
+    R.M = std::move(IR.M);
+  }
+  return R;
 }

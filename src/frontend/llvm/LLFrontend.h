@@ -5,21 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Public entry point of the `.ll`-subset importer: maps a practical subset
-/// of real LLVM IR (i1/i8/i16/i32/i64, float/double, pointers, gep, phi,
-/// br + switch-as-br, icmp/fcmp, binary ops, calls to known declarations,
-/// globals with scalar/array initializers) onto the native mini-IR.
+/// The one reader of module text: maps a practical subset of real LLVM IR
+/// (i1/i8/i16/i32/i64, float/double, pointers, gep, phi, br +
+/// switch-as-br, icmp/fcmp, binary ops, calls to known declarations,
+/// globals with scalar/array initializers) onto the native IR. The
+/// printer (ir/Printer.h) writes this subset, so printed modules read back
+/// through the same path as `clang`/`opt` output.
 ///
 /// Unsupported constructs are rejected **per function**: the offending
 /// function is demoted to a declaration and reported with a named reason
 /// class (see `llreject`), while the rest of the module imports and
-/// validates normally. Only malformed top-level structure fails the whole
-/// module, with a line/column diagnostic.
+/// validates normally. Every translated body is then run through
+/// verifyFunction, and one that fails is rejected as `ill-formed`, so no
+/// caller ever sees a body the passes cannot handle. Only malformed
+/// top-level structure fails the whole module, with a line/column
+/// diagnostic. parseModule (ir/Parser.h) is the strict form.
 ///
-/// Noise that real `clang`/`opt` output carries but the mini-IR does not
-/// model — `target` lines, `source_filename`, attribute groups, metadata,
-/// parameter/function attributes, `align`, `nsw`/`nuw`, fast-math flags —
-/// is tolerated and dropped.
+/// Noise that real `clang`/`opt` output carries but the native IR does not
+/// model — `target` lines, `source_filename`, metadata, parameter
+/// attributes, `align`, `nsw`/`nuw`, fast-math flags — is tolerated and
+/// dropped. Of function attributes only the memory effect of declarations
+/// is kept: `readonly`/`readnone` and LLVM 16's `memory(read)` /
+/// `memory(none)`, inline or through an `attributes #N` group.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +58,10 @@ inline constexpr const char *VarargsCall = "varargs-call";
 inline constexpr const char *UnsupportedCallee = "unsupported-callee";
 inline constexpr const char *UnsupportedConstant = "unsupported-constant";
 inline constexpr const char *SyntaxError = "syntax-error";
+/// Translated, but the verifier refuses the body (a phi that does not
+/// match its block's predecessors, a use its definition does not
+/// dominate, ...); the detail is the verifier's first message.
+inline constexpr const char *IllFormed = "ill-formed";
 } // namespace llreject
 
 /// One function the importer refused, with the reason class and a
@@ -81,13 +92,6 @@ struct LLImportResult {
 /// top-level problems in `Error`.
 LLImportResult importLLModule(Context &Ctx, std::string_view Text,
                               std::string ModuleName = "module");
-
-/// Content sniffer for format auto-detection: true when \p Text carries
-/// constructs only real LLVM IR emits (target lines, attribute groups,
-/// metadata, `align` suffixes, wrap flags, switch, array types, ...). The
-/// mini-IR printer produces none of these, so "not LLVM-looking" text is
-/// routed to the native parser.
-bool looksLikeLLVMIR(std::string_view Text);
 
 } // namespace llvmmd
 

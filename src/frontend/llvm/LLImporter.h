@@ -10,7 +10,8 @@
 ///
 ///   LLLexer.cpp         — tokenizer
 ///   LLFrontend.cpp      — module-structure parser + post-process pass +
-///                         the public importLLModule / looksLikeLLVMIR
+///                         verification + the public importLLModule /
+///                         parseModule
 ///   LLTypes.cpp         — type & constant translator
 ///   LLInstructions.cpp  — instruction translator (incl. switch-as-br
 ///                         lowering)
@@ -31,9 +32,11 @@
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 
-#include <map>
-#include <set>
+#include <deque>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace llvmmd {
@@ -54,10 +57,12 @@ struct LLFatalErr {
 
 class LLImporter {
 public:
+  /// \p Tokens are views into the module text, which must outlive the
+  /// importer: every name table below is keyed by views into it.
   LLImporter(Context &Ctx, std::vector<LLToken> Tokens,
              std::string ModuleName);
 
-  /// Runs both passes. Does not throw.
+  /// Runs both passes and verifies each translated body. Does not throw.
   LLImportResult run();
 
 private:
@@ -75,8 +80,8 @@ private:
   /// token range is translated in pass 2.
   struct PendingFn {
     Function *F = nullptr;
-    std::string OrigName;                  ///< .ll name (pre-sanitization)
-    std::vector<std::string> ArgNames;     ///< .ll argument names
+    std::string_view OrigName;             ///< .ll name (pre-sanitization)
+    std::vector<std::string_view> ArgNames; ///< .ll argument names
     size_t BodyBegin = 0;                  ///< first token inside the braces
     size_t BodyEnd = 0;                    ///< index of the closing '}'
     unsigned DefLine = 0;
@@ -85,22 +90,42 @@ private:
 
   /// .ll name -> native object (names are sanitized on creation, so module
   /// lookups by original name go through these maps).
-  std::map<std::string, Function *> FnByName;
-  std::map<std::string, GlobalVariable *> GlobalByName;
+  std::unordered_map<std::string_view, Function *> FnByName;
+  std::unordered_map<std::string_view, GlobalVariable *> GlobalByName;
   /// Declared/defined functions we could not model: callee name -> reason
   /// class to reject the *caller* with.
-  std::map<std::string, const char *> BadCallees;
-  std::set<std::string> UnsupportedGlobals;
-  std::set<std::string> UsedModuleNames; ///< sanitized global/function names
+  std::unordered_map<std::string_view, const char *> BadCallees;
+  std::unordered_set<std::string_view> UnsupportedGlobals;
+  /// `attributes #N = { ... }` -> the memory effect the group names, and
+  /// the declarations that reference a group (resolved after pass 1, so
+  /// groups may come after their uses).
+  std::unordered_map<std::string_view, MemoryEffect> GroupEffects;
+  std::vector<std::pair<Function *, std::string_view>> GroupUses;
+  /// Global/function names that differ from their .ll name (see
+  /// uniqueName).
+  std::unordered_set<std::string> RenamedModuleNames;
 
   //===--------------------------------------------------------------------===//
   // Token cursor helpers (LLFrontend.cpp)
   //===--------------------------------------------------------------------===//
 
-  const LLToken &tok(size_t Ahead = 0) const;
-  void advance();
-  bool isWord(const char *W) const;
-  bool eatWord(const char *W);
+  const LLToken &tok(size_t Ahead = 0) const {
+    size_t I = Cur + Ahead;
+    return Toks[I < Toks.size() ? I : Toks.size() - 1]; // Eof sentinel
+  }
+  void advance() {
+    if (Cur + 1 < Toks.size())
+      ++Cur;
+  }
+  bool isWord(std::string_view W) const {
+    return tok().Kind == LLTok::Word && tok().Text == W;
+  }
+  bool eatWord(std::string_view W) {
+    if (!isWord(W))
+      return false;
+    advance();
+    return true;
+  }
   void expectTok(LLTok K, const char *What); ///< fatal on mismatch
   void skipRestOfLine();
   /// Skips ", align 4, !tbaa !8 #2"-style trailer tokens on \p Line.
@@ -116,11 +141,18 @@ private:
   // Name sanitization (LLFrontend.cpp)
   //===--------------------------------------------------------------------===//
 
-  /// Restricts a .ll name to the mini-IR identifier charset ([A-Za-z0-9_.$])
-  /// and uniquifies against \p Used, so import -> print -> reparse
-  /// round-trips.
-  static std::string sanitizeName(const std::string &Name);
-  static std::string uniqueName(std::string Base, std::set<std::string> &Used);
+  /// Restricts a .ll name to the printable identifier charset
+  /// ([A-Za-z0-9_.$]), so import -> print -> reimport round-trips.
+  static std::string sanitizeName(std::string_view Name);
+  /// The first of \p Base, Base.1, Base.2, ... that no other object of
+  /// the scope is named. .ll names are unique per scope, so a name equal
+  /// to its own .ll name \p OrigName is free unless an earlier rename took
+  /// it: only renames are recorded, in \p Renamed. \p TakenAsIs(N) tells
+  /// whether an object of the scope kept the .ll name N verbatim.
+  template <typename TakenAsIsFn>
+  static std::string uniqueName(std::string Base, std::string_view OrigName,
+                                std::unordered_set<std::string> &Renamed,
+                                TakenAsIsFn TakenAsIs);
 
   //===--------------------------------------------------------------------===//
   // Pass 1: module structure (LLFrontend.cpp)
@@ -128,10 +160,19 @@ private:
 
   void scanTopLevel();
   void parseGlobalDef();
+  void parseAttributeGroup();
+  /// Consumes one function attribute and returns the memory effect it
+  /// names: `readonly` / `memory(read)` read, `readnone` / `memory(none)`
+  /// touch nothing; anything else returns ReadWrite.
+  MemoryEffect eatMemoryAttr();
+  /// Strengthens \p F's memory effect to at least \p E.
+  static void addMemoryEffect(Function *F, MemoryEffect E);
   void parseFunctionHeader(bool IsDefine);
   /// First @name on the current line (for diagnostics before the name is
   /// reached in grammar order).
-  std::string peekFunctionName() const;
+  std::string_view peekFunctionName() const;
+  /// uniqueName over the module's global and function names.
+  std::string uniqueModuleName(std::string_view OrigName);
 
   //===--------------------------------------------------------------------===//
   // Type & constant translator (LLTypes.cpp)
@@ -152,7 +193,7 @@ private:
   void skipParamAttrs();
   Constant *parseConstantLiteral(Type *Ty);
   Constant *zeroOf(Type *Ty);
-  int64_t parseIntText(const std::string &Text) const;
+  int64_t parseIntText(std::string_view Text) const;
 
   //===--------------------------------------------------------------------===//
   // Pass 2: instruction translator (LLInstructions.cpp)
@@ -160,15 +201,17 @@ private:
 
   struct Body {
     PendingFn *PF = nullptr;
-    std::map<std::string, Value *> Locals; ///< .ll name -> value
-    std::set<std::string> UsedValueNames;  ///< sanitized
-    std::map<std::string, BasicBlock *> Blocks; ///< .ll label -> block
-    std::set<std::string> UsedBlockNames;
+    std::unordered_map<std::string_view, Value *> Locals; ///< .ll name -> value
+    std::unordered_set<std::string> RenamedValues; ///< see uniqueName
+    std::unordered_map<std::string_view, BasicBlock *> Blocks; ///< .ll label
+    std::unordered_set<std::string> RenamedBlocks;
     std::vector<BasicBlock *> Order; ///< textual definition order
+    std::vector<bool> Defined;       ///< by block number: label seen
+    std::deque<std::string> AutoArgNames; ///< %0, %1, ... of unnamed args
     struct Fixup {
       Instruction *I;
       unsigned OpIdx;
-      std::string Name;
+      std::string_view Name;
       Type *Ty;
       unsigned Line;
     };
@@ -182,17 +225,23 @@ private:
     std::vector<SwitchLower> Switches;
   };
 
-  using DeferList = std::vector<std::pair<unsigned, std::string>>;
+  using DeferList = std::vector<std::pair<unsigned, std::string_view>>;
 
   void translateBody(PendingFn &PF);
-  BasicBlock *getOrCreateBlock(Body &B, const std::string &Name);
-  void defineLocal(Body &B, const std::string &Name, Value *V,
+  /// uniqueName over the body's block labels and value names; a generated
+  /// name passes an empty \p OrigName.
+  std::string uniqueBlockName(Body &B, std::string Base,
+                              std::string_view OrigName);
+  std::string uniqueValueName(Body &B, std::string Base,
+                              std::string_view OrigName, const Value *Self);
+  BasicBlock *getOrCreateBlock(Body &B, std::string_view Name);
+  void defineLocal(Body &B, std::string_view Name, Value *V,
                    bool Rename = true);
   Value *parseValueRef(Body &B, Type *Ty, DeferList *Defer, unsigned OpIdx);
   Value *parseTypedValue(Body &B, DeferList *Defer, unsigned OpIdx);
   void translateInstruction(Body &B, IRBuilder &Builder);
   Instruction *translateOpcode(Body &B, IRBuilder &Builder,
-                               const std::string &Op, DeferList &Defer,
+                               std::string_view Op, DeferList &Defer,
                                Value **AliasResult);
   Instruction *translateCall(Body &B, IRBuilder &Builder, DeferList &Defer);
   Instruction *translateGEP(Body &B, IRBuilder &Builder, DeferList &Defer);
@@ -208,6 +257,19 @@ private:
   void resolveFixups(Body &B);
   void remapSwitchPhis(Body &B);
 };
+
+template <typename TakenAsIsFn>
+std::string LLImporter::uniqueName(std::string Base, std::string_view OrigName,
+                                   std::unordered_set<std::string> &Renamed,
+                                   TakenAsIsFn TakenAsIs) {
+  if (Base == OrigName && !Renamed.count(Base))
+    return Base;
+  std::string Cand = Base;
+  for (unsigned I = 1; Renamed.count(Cand) || TakenAsIs(Cand); ++I)
+    Cand = Base + "." + std::to_string(I);
+  Renamed.insert(Cand);
+  return Cand;
+}
 
 } // namespace llvmmd
 

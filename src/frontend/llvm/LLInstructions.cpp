@@ -3,10 +3,10 @@
 // Part of the llvm-md project (PLDI 2011 value-graph validation repro).
 //
 // Pass 2 of the .ll importer: translates one function body's token range
-// into mini-IR instructions. Mirrors the mini parser's forward-reference
-// discipline (undef placeholder + fixup list resolved in post-processing)
-// and lowers `switch` to an icmp-eq/condbr chain, recording the edge remap
-// the phi post-process pass needs.
+// into native IR instructions. Forward references become undef
+// placeholders plus a fixup list resolved in post-processing, and `switch`
+// lowers to an icmp-eq/condbr chain, recording the edge remap the phi
+// post-process pass needs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,7 @@ namespace {
 /// Instruction-level flag words we drop: wrap/exactness flags, fast-math
 /// flags, and `inbounds`-style gep decorations. None of these words can
 /// start a type or an operand, so skipping them greedily is safe.
-bool isInstFlagWord(const std::string &W) {
+bool isInstFlagWord(std::string_view W) {
   static const char *Words[] = {
       "nuw",  "nsw",   "exact", "disjoint", "nneg",     "samesign",
       "fast", "nnan",  "ninf",  "nsz",      "arcp",     "contract",
@@ -36,8 +36,8 @@ bool isInstFlagWord(const std::string &W) {
 }
 
 /// Calling-convention words that may precede a call's return type.
-bool isCallConvWord(const std::string &W) {
-  if (W.size() > 2 && W.compare(W.size() - 2, 2, "cc") == 0)
+bool isCallConvWord(std::string_view W) {
+  if (W.size() > 2 && W.substr(W.size() - 2) == "cc")
     return true; // ccc, fastcc, coldcc, tailcc, swiftcc, webkit_jscc, ...
   return W == "cc"; // `cc 10` numbered conventions
 }
@@ -62,7 +62,7 @@ const IntOpEntry FloatOps[] = {
     {"fdiv", Opcode::FDiv},
 };
 
-bool lookupOp(const IntOpEntry (&Table)[13], const std::string &W,
+bool lookupOp(const IntOpEntry (&Table)[13], std::string_view W,
               Opcode &Out) {
   for (const auto &E : Table)
     if (W == E.Word) {
@@ -72,7 +72,7 @@ bool lookupOp(const IntOpEntry (&Table)[13], const std::string &W,
   return false;
 }
 
-bool lookupFloatOp(const std::string &W, Opcode &Out) {
+bool lookupFloatOp(std::string_view W, Opcode &Out) {
   for (const auto &E : FloatOps)
     if (W == E.Word) {
       Out = E.Op;
@@ -83,7 +83,7 @@ bool lookupFloatOp(const std::string &W, Opcode &Out) {
 
 /// Opcodes that exist in LLVM but are beyond the modeled subset. Named so
 /// the reject detail can quote them rather than claiming a syntax error.
-bool isKnownUnsupportedOpcode(const std::string &W) {
+bool isKnownUnsupportedOpcode(std::string_view W) {
   static const char *Words[] = {
       "frem",       "fptosi",    "fptoui",     "sitofp",      "uitofp",
       "ptrtoint",   "inttoptr",  "addrspacecast", "freeze",   "va_arg",
@@ -103,69 +103,96 @@ bool isKnownUnsupportedOpcode(const std::string &W) {
 // Body-local helpers
 //===----------------------------------------------------------------------===//
 
-BasicBlock *LLImporter::getOrCreateBlock(Body &B, const std::string &Name) {
+std::string LLImporter::uniqueBlockName(Body &B, std::string Base,
+                                        std::string_view OrigName) {
+  return uniqueName(std::move(Base), OrigName, B.RenamedBlocks,
+                    [&](const std::string &N) {
+                      auto It = B.Blocks.find(N);
+                      return It != B.Blocks.end() &&
+                             It->second->getName() == N;
+                    });
+}
+
+std::string LLImporter::uniqueValueName(Body &B, std::string Base,
+                                        std::string_view OrigName,
+                                        const Value *Self) {
+  return uniqueName(std::move(Base), OrigName, B.RenamedValues,
+                    [&](const std::string &N) {
+                      auto It = B.Locals.find(N);
+                      if (It == B.Locals.end() || It->second == Self)
+                        return false;
+                      const Value *V = It->second; // may alias a global
+                      return (isa<Instruction>(V) || isa<Argument>(V)) &&
+                             V->getName() == N;
+                    });
+}
+
+BasicBlock *LLImporter::getOrCreateBlock(Body &B, std::string_view Name) {
   auto It = B.Blocks.find(Name);
   if (It != B.Blocks.end())
     return It->second;
   std::string S = sanitizeName(Name);
-  // Mini block labels must start with a letter or '_' to survive a reparse
-  // (leading digits lex as numbers, leading '.' as a word-start edge case).
+  // Printed block labels must start with a letter or '_' to survive a
+  // reimport (leading digits lex as numbers, leading '.' as a word-start
+  // edge case).
   if (S.empty() || !(std::isalpha(static_cast<unsigned char>(S[0])) ||
                      S[0] == '_'))
     S = "bb" + S;
-  BasicBlock *BB = B.PF->F->createBlock(uniqueName(S, B.UsedBlockNames));
+  BasicBlock *BB =
+      B.PF->F->createBlock(uniqueBlockName(B, std::move(S), Name));
   B.Blocks.emplace(Name, BB);
   return BB;
 }
 
-void LLImporter::defineLocal(Body &B, const std::string &Name, Value *V,
+void LLImporter::defineLocal(Body &B, std::string_view Name, Value *V,
                              bool Rename) {
   if (!B.Locals.emplace(Name, V).second)
-    reject(llreject::SyntaxError, "redefinition of '%" + Name + "'");
+    reject(llreject::SyntaxError,
+           "redefinition of '%" + std::string(Name) + "'");
   if (!Rename)
     return; // alias of an already-named value; renaming would corrupt it
   std::string S = sanitizeName(Name);
   if (S.empty())
     S = "v";
-  V->setName(uniqueName(S, B.UsedValueNames));
+  V->setName(uniqueValueName(B, std::move(S), Name, V));
 }
 
 Value *LLImporter::parseValueRef(Body &B, Type *Ty, DeferList *Defer,
                                  unsigned OpIdx) {
   if (tok().Kind == LLTok::LocalId) {
-    std::string Name = tok().Text;
+    std::string_view Name = tok().Text;
     auto It = B.Locals.find(Name);
     if (It != B.Locals.end()) {
       if (It->second->getType() != Ty)
         reject(llreject::SyntaxError,
-               "type mismatch for '%" + Name + "'");
+               "type mismatch for '%" + std::string(Name) + "'");
       advance();
       return It->second;
     }
     if (!Defer)
-      reject(llreject::SyntaxError,
-             "forward reference '%" + Name + "' in an unsupported position");
+      reject(llreject::SyntaxError, "forward reference '%" +
+                                        std::string(Name) +
+                                        "' in an unsupported position");
     advance();
     Defer->push_back({OpIdx, Name});
     return Ctx.getUndef(Ty);
   }
   if (tok().Kind == LLTok::GlobalId) {
-    std::string Name = tok().Text;
-    if (!Ty->isPointer())
-      reject(llreject::UnsupportedConstant,
-             "global '@" + Name + "' used at non-pointer type");
+    std::string_view Name = tok().Text;
     auto GIt = GlobalByName.find(Name);
-    if (GIt != GlobalByName.end()) {
+    if (Ty->isPointer() && GIt != GlobalByName.end()) {
       advance();
       return GIt->second;
     }
+    const std::string At = "'@" + std::string(Name) + "'";
+    if (!Ty->isPointer())
+      reject(llreject::UnsupportedConstant,
+             "global " + At + " used at non-pointer type");
     if (UnsupportedGlobals.count(Name))
-      reject(llreject::UnsupportedConstant,
-             "use of unsupported global '@" + Name + "'");
+      reject(llreject::UnsupportedConstant, "use of unsupported global " + At);
     if (FnByName.count(Name) || BadCallees.count(Name))
-      reject(llreject::UnsupportedConstant,
-             "function address '@" + Name + "'");
-    reject(llreject::UnsupportedConstant, "unknown global '@" + Name + "'");
+      reject(llreject::UnsupportedConstant, "function address " + At);
+    reject(llreject::UnsupportedConstant, "unknown global " + At);
   }
   return parseConstantLiteral(Ty);
 }
@@ -195,9 +222,9 @@ void LLImporter::translateBody(PendingFn &PF) {
   // clang's unnamed %0/%1/... which number sequentially from 0).
   unsigned AutoNum = 0;
   for (unsigned I = 0; I < F->getNumArgs(); ++I) {
-    std::string Orig = PF.ArgNames[I];
+    std::string_view Orig = PF.ArgNames[I];
     if (Orig.empty())
-      Orig = std::to_string(AutoNum++);
+      Orig = B.AutoArgNames.emplace_back(std::to_string(AutoNum++));
     defineLocal(B, Orig, F->getArg(I));
   }
 
@@ -208,12 +235,15 @@ void LLImporter::translateBody(PendingFn &PF) {
     if ((tok().Kind == LLTok::Word || tok().Kind == LLTok::Int ||
          tok().Kind == LLTok::Str) &&
         tok(1).Kind == LLTok::Colon) {
-      std::string Label = tok().Text;
+      std::string_view Label = tok().Text;
       advance();
       advance();
       BasicBlock *BB = getOrCreateBlock(B, Label);
-      if (std::find(B.Order.begin(), B.Order.end(), BB) != B.Order.end())
-        reject(llreject::SyntaxError, "label '" + Label + "' defined twice");
+      B.Defined.resize(F->getMaxBlockNumber());
+      if (B.Defined[BB->getNumber()])
+        reject(llreject::SyntaxError,
+               "label '" + std::string(Label) + "' defined twice");
+      B.Defined[BB->getNumber()] = true;
       B.Order.push_back(BB);
       Builder.setInsertPoint(BB);
       continue;
@@ -221,7 +251,7 @@ void LLImporter::translateBody(PendingFn &PF) {
     if (!Builder.getInsertBlock()) {
       // Unlabeled entry block (clang numbers it; nothing may branch to it,
       // so it needs no Blocks-map entry).
-      BasicBlock *BB = F->createBlock(uniqueName("entry", B.UsedBlockNames));
+      BasicBlock *BB = F->createBlock(uniqueBlockName(B, "entry", {}));
       B.Order.push_back(BB);
       Builder.setInsertPoint(BB);
     }
@@ -232,7 +262,7 @@ void LLImporter::translateBody(PendingFn &PF) {
 
 void LLImporter::translateInstruction(Body &B, IRBuilder &Builder) {
   unsigned StartLine = tok().Line;
-  std::string ResultName;
+  std::string_view ResultName;
   bool HasResult = false;
   if (tok().Kind == LLTok::LocalId) {
     ResultName = tok().Text;
@@ -245,7 +275,7 @@ void LLImporter::translateInstruction(Body &B, IRBuilder &Builder) {
     advance();
   if (tok().Kind != LLTok::Word)
     fatal("expected opcode");
-  std::string Op = tok().Text;
+  std::string_view Op = tok().Text;
   unsigned OpLine = tok().Line;
   advance();
 
@@ -255,12 +285,13 @@ void LLImporter::translateInstruction(Body &B, IRBuilder &Builder) {
 
   if (Alias) {
     if (!HasResult)
-      reject(llreject::SyntaxError, "'" + Op + "' without a result name");
+      reject(llreject::SyntaxError,
+             "'" + std::string(Op) + "' without a result name");
     defineLocal(B, ResultName, Alias, /*Rename=*/false);
   } else if (HasResult) {
     if (!I || I->getType()->isVoid())
       reject(llreject::SyntaxError,
-             "void instruction '" + Op + "' with a result name");
+             "void instruction '" + std::string(Op) + "' with a result name");
     defineLocal(B, ResultName, I);
   }
   if (I)
@@ -276,7 +307,7 @@ void LLImporter::translateInstruction(Body &B, IRBuilder &Builder) {
 //===----------------------------------------------------------------------===//
 
 Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
-                                         const std::string &Op,
+                                         std::string_view Op,
                                          DeferList &Defer,
                                          Value **AliasResult) {
   auto skipFlags = [&] {
@@ -289,7 +320,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     skipFlags();
     Type *Ty = parseType();
     if (!Ty->isInteger())
-      reject(llreject::SyntaxError, "'" + Op + "' on non-integer type");
+      reject(llreject::SyntaxError,
+             "'" + std::string(Op) + "' on non-integer type");
     Value *L = parseValueRef(B, Ty, &Defer, 0);
     expectTok(LLTok::Comma, "','");
     Value *R = parseValueRef(B, Ty, &Defer, 1);
@@ -300,7 +332,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     skipFlags();
     Type *Ty = parseType();
     if (!Ty->isFloat())
-      reject(llreject::SyntaxError, "'" + Op + "' on non-float type");
+      reject(llreject::SyntaxError,
+             "'" + std::string(Op) + "' on non-float type");
     Value *L = parseValueRef(B, Ty, &Defer, 0);
     expectTok(LLTok::Comma, "','");
     Value *R = parseValueRef(B, Ty, &Defer, 1);
@@ -322,7 +355,7 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     skipFlags(); // samesign
     if (tok().Kind != LLTok::Word)
       fatal("expected icmp predicate");
-    std::string P = tok().Text;
+    std::string_view P = tok().Text;
     ICmpPred Pred;
     if (P == "eq")
       Pred = ICmpPred::EQ;
@@ -345,7 +378,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     else if (P == "uge")
       Pred = ICmpPred::UGE;
     else
-      reject(llreject::UnsupportedPredicate, "icmp predicate '" + P + "'");
+      reject(llreject::UnsupportedPredicate,
+             "icmp predicate '" + std::string(P) + "'");
     advance();
     Type *Ty = parseType();
     if (!Ty->isInteger() && !Ty->isPointer())
@@ -360,7 +394,7 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     skipFlags(); // fast-math flags
     if (tok().Kind != LLTok::Word)
       fatal("expected fcmp predicate");
-    std::string P = tok().Text;
+    std::string_view P = tok().Text;
     FCmpPred Pred;
     if (P == "oeq")
       Pred = FCmpPred::OEQ;
@@ -376,7 +410,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
       Pred = FCmpPred::OGE;
     else
       // ord/uno and the unordered u* family have no mini-IR counterpart.
-      reject(llreject::UnsupportedPredicate, "fcmp predicate '" + P + "'");
+      reject(llreject::UnsupportedPredicate,
+             "fcmp predicate '" + std::string(P) + "'");
     advance();
     Type *Ty = parseType();
     if (!Ty->isFloat())
@@ -395,7 +430,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
       fatal("expected 'to' in cast");
     Type *DstTy = parseType();
     if (!SrcTy->isInteger() || !DstTy->isInteger())
-      reject(llreject::SyntaxError, "'" + Op + "' on non-integer type");
+      reject(llreject::SyntaxError,
+             "'" + std::string(Op) + "' on non-integer type");
     Opcode CastOp = Op == "trunc"  ? Opcode::Trunc
                     : Op == "zext" ? Opcode::ZExt
                                    : Opcode::SExt;
@@ -413,7 +449,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
       fatal("expected 'to' in cast");
     Type *DstTy = parseType();
     if (Op != "bitcast" && (!SrcTy->isFloat() || !DstTy->isFloat()))
-      reject(llreject::SyntaxError, "'" + Op + "' on non-float type");
+      reject(llreject::SyntaxError,
+             "'" + std::string(Op) + "' on non-float type");
     if (SrcTy != DstTy)
       reject(llreject::UnsupportedInstruction,
              "bitcast between differently-represented types");
@@ -580,8 +617,8 @@ Instruction *LLImporter::translateOpcode(Body &B, IRBuilder &Builder,
     return Builder.createUnreachable();
 
   if (isKnownUnsupportedOpcode(Op))
-    reject(llreject::UnsupportedInstruction, "'" + Op + "'");
-  reject(llreject::SyntaxError, "unknown opcode '" + Op + "'");
+    reject(llreject::UnsupportedInstruction, "'" + std::string(Op) + "'");
+  reject(llreject::SyntaxError, "unknown opcode '" + std::string(Op) + "'");
 }
 
 //===----------------------------------------------------------------------===//
@@ -714,18 +751,19 @@ Instruction *LLImporter::translateCall(Body &B, IRBuilder &Builder,
 
   if (tok().Kind == LLTok::LocalId)
     reject(llreject::IndirectCall,
-           "indirect call through '%" + tok().Text + "'");
+           "indirect call through '%" + std::string(tok().Text) + "'");
   if (tok().Kind != LLTok::GlobalId)
     reject(llreject::UnsupportedCallee, "callee is not a function symbol");
-  std::string Name = tok().Text;
+  std::string_view Name = tok().Text;
   advance();
 
   auto BadIt = BadCallees.find(Name);
   if (BadIt != BadCallees.end())
-    reject(BadIt->second, "call to unsupported '@" + Name + "'");
+    reject(BadIt->second, "call to unsupported '@" + std::string(Name) + "'");
   auto FIt = FnByName.find(Name);
   if (FIt == FnByName.end())
-    reject(llreject::UnsupportedCallee, "undeclared function '@" + Name + "'");
+    reject(llreject::UnsupportedCallee,
+           "undeclared function '@" + std::string(Name) + "'");
   Function *Callee = FIt->second;
 
   expectTok(LLTok::LParen, "'('");
@@ -753,7 +791,7 @@ Instruction *LLImporter::translateCall(Body &B, IRBuilder &Builder,
         Mismatch = true;
   if (Mismatch)
     reject(llreject::UnsupportedCallee,
-           "signature mismatch calling '@" + Name + "'");
+           "signature mismatch calling '@" + std::string(Name) + "'");
 
   return static_cast<Instruction *>(
       Builder.createCall(Callee, std::move(Args)));
@@ -810,13 +848,13 @@ Instruction *LLImporter::translateSwitch(Body &B, IRBuilder &Builder,
     Builder.setInsertPoint(CurBB);
     Value *Cmp = Builder.createICmp(
         ICmpPred::EQ, Cond, Cases[I].first,
-        uniqueName("sw.cmp", B.UsedValueNames));
+        uniqueValueName(B, "sw.cmp", {}, nullptr));
     for (const auto &D : CondDefer)
       B.Fixups.push_back({static_cast<Instruction *>(Cmp), 0, D.second, Ty,
                           Toks[Cur ? Cur - 1 : 0].Line});
     BasicBlock *Next;
     if (I + 1 < Cases.size()) {
-      Next = F->createBlock(uniqueName("sw.next", B.UsedBlockNames));
+      Next = F->createBlock(uniqueBlockName(B, "sw.next", {}));
       B.Order.push_back(Next);
     } else {
       Next = Default;

@@ -12,16 +12,32 @@ using namespace llvmmd;
 
 namespace {
 
-/// Characters legal inside an unquoted LLVM identifier: [-a-zA-Z$._0-9].
+/// Character classes by byte: identifier characters [-a-zA-Z$._0-9] and
+/// word starts [a-zA-Z$._].
+enum : uint8_t { IdentChar = 1, WordStart = 2 };
+
+struct CharClassTable {
+  uint8_t Class[256] = {};
+  constexpr CharClassTable() {
+    for (unsigned C = 0; C < 256; ++C) {
+      bool Alpha = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+      bool Punct = C == '$' || C == '.' || C == '_';
+      if (Alpha || Punct || (C >= '0' && C <= '9') || C == '-')
+        Class[C] |= IdentChar;
+      if (Alpha || Punct)
+        Class[C] |= WordStart;
+    }
+  }
+};
+
+constexpr CharClassTable CharClasses;
+
 bool isLLIdentChar(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) || C == '-' ||
-         C == '$' || C == '.' || C == '_';
+  return CharClasses.Class[static_cast<unsigned char>(C)] & IdentChar;
 }
 
-/// Characters that may *start* an unquoted bare word: [a-zA-Z$._].
 bool isLLWordStart(char C) {
-  return std::isalpha(static_cast<unsigned char>(C)) || C == '$' ||
-         C == '.' || C == '_';
+  return CharClasses.Class[static_cast<unsigned char>(C)] & WordStart;
 }
 
 class LexState {
@@ -33,7 +49,7 @@ public:
     while (true) {
       skipWhitespaceAndComments();
       if (Pos >= Src.size()) {
-        emit(LLTok::Eof, "");
+        emit(LLTok::Eof, "", col());
         return true;
       }
       if (!lexOne()) {
@@ -55,13 +71,8 @@ private:
 
   unsigned col() const { return static_cast<unsigned>(Pos - LineStart) + 1; }
 
-  void emit(LLTok Kind, std::string Text, unsigned AtCol = 0) {
-    LLToken T;
-    T.Kind = Kind;
-    T.Text = std::move(Text);
-    T.Line = Line;
-    T.Col = AtCol ? AtCol : col();
-    Out.push_back(std::move(T));
+  void emit(LLTok Kind, std::string_view Text, unsigned AtCol) {
+    Out.push_back({Kind, Text, Line, AtCol});
   }
 
   void newline() {
@@ -87,25 +98,26 @@ private:
   }
 
   /// Lexes the identifier characters at Pos (no sigil handling).
-  std::string lexIdentTail() {
+  std::string_view lexIdentTail() {
     size_t Start = Pos;
     while (Pos < Src.size() && isLLIdentChar(Src[Pos]))
       ++Pos;
-    return std::string(Src.substr(Start, Pos - Start));
+    return Src.substr(Start, Pos - Start);
   }
 
   /// Lexes a quoted payload after the opening '"'. Returns false on an
   /// unterminated string.
-  bool lexQuoted(std::string &Text) {
+  bool lexQuoted(std::string_view &Text) {
+    size_t Start = Pos;
     while (Pos < Src.size()) {
       char C = Src[Pos];
       if (C == '"') {
+        Text = Src.substr(Start, Pos - Start);
         ++Pos;
         return true;
       }
       if (C == '\n') // strings never span lines in .ll
         break;
-      Text.push_back(C);
       ++Pos;
     }
     Err = "unterminated string literal";
@@ -131,7 +143,7 @@ private:
         Err = "malformed hexadecimal literal";
         return false;
       }
-      emit(LLTok::FloatHex, std::string(Src.substr(Start, Pos - Start)),
+      emit(LLTok::FloatHex, Src.substr(Start, Pos - Start),
            StartCol);
       return true;
     }
@@ -162,7 +174,7 @@ private:
       }
     }
     emit(IsFloat ? LLTok::Float : LLTok::Int,
-         std::string(Src.substr(Start, Pos - Start)), StartCol);
+         Src.substr(Start, Pos - Start), StartCol);
     return true;
   }
 
@@ -224,10 +236,10 @@ private:
       ++Pos;
       if (Pos < Src.size() && Src[Pos] == '"') {
         ++Pos;
-        std::string Text;
+        std::string_view Text;
         if (!lexQuoted(Text))
           return false;
-        emit(Kind, std::move(Text), StartCol);
+        emit(Kind, Text, StartCol);
         return true;
       }
       emit(Kind, lexIdentTail(), StartCol);
@@ -243,10 +255,10 @@ private:
       return true;
     case '"': {
       ++Pos;
-      std::string Text;
+      std::string_view Text;
       if (!lexQuoted(Text))
         return false;
-      emit(LLTok::Str, std::move(Text), StartCol);
+      emit(LLTok::Str, Text, StartCol);
       return true;
     }
     default:
@@ -265,10 +277,10 @@ private:
       return lexNumber(StartCol);
     if (C == 'c' && Pos + 1 < Src.size() && Src[Pos + 1] == '"') {
       Pos += 2;
-      std::string Text;
+      std::string_view Text;
       if (!lexQuoted(Text))
         return false;
-      emit(LLTok::CStr, std::move(Text), StartCol);
+      emit(LLTok::CStr, Text, StartCol);
       return true;
     }
     if (isLLWordStart(C)) {
@@ -296,6 +308,8 @@ bool llvmmd::lexLLText(std::string_view Src, std::vector<LLToken> &Out,
                        std::string &Error, unsigned &ErrLine,
                        unsigned &ErrCol) {
   Out.clear();
+  // Printed modules average a little over four bytes per token.
+  Out.reserve(Src.size() / 4 + 16);
   return LexState(Src, Out).run(Error, ErrLine, ErrCol);
 }
 

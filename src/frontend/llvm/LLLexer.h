@@ -52,9 +52,11 @@ enum class LLTok : uint8_t {
   Ellipsis,
 };
 
+/// One token. Text is a view into the lexed source (sigils and quotes
+/// stripped), so the source must outlive the tokens.
 struct LLToken {
   LLTok Kind = LLTok::Eof;
-  std::string Text;
+  std::string_view Text;
   unsigned Line = 1; ///< 1-based
   unsigned Col = 1;  ///< 1-based
 };

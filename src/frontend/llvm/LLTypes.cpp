@@ -12,6 +12,8 @@
 
 #include "frontend/llvm/LLImporter.h"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,7 +22,7 @@ using namespace llvmmd;
 namespace {
 
 /// Scalar .ll type keywords we refuse, mapped to the right reject class.
-bool isRejectedScalarTypeWord(const std::string &W) {
+bool isRejectedScalarTypeWord(std::string_view W) {
   static const char *Words[] = {"half",  "bfloat", "fp128",    "x86_fp80",
                                 "ppc_fp128", "x86_amx", "x86_mmx", "token",
                                 "metadata", "label", "opaque"};
@@ -31,7 +33,7 @@ bool isRejectedScalarTypeWord(const std::string &W) {
 }
 
 /// Parameter/return attributes (and their parenthesized forms) to skip.
-bool isParamAttrWord(const std::string &W) {
+bool isParamAttrWord(std::string_view W) {
   static const char *Words[] = {
       "noundef",    "nonnull",     "nocapture", "noalias",  "nofree",
       "readonly",   "readnone",    "writeonly", "signext",  "zeroext",
@@ -57,7 +59,7 @@ bool LLImporter::atTypeStart() const {
   case LLTok::LocalId:
     return true; // %struct.S — a (rejected) named type
   case LLTok::Word: {
-    const std::string &W = tok().Text;
+    std::string_view W = tok().Text;
     if (W == "void" || W == "float" || W == "double" || W == "ptr")
       return true;
     if (W.size() >= 2 && W[0] == 'i') {
@@ -81,11 +83,12 @@ Type *LLImporter::parseType() {
   case LLTok::LBrace:
     reject(llreject::AggregateType, "literal struct type");
   case LLTok::LocalId:
-    reject(llreject::AggregateType, "named type '%" + tok().Text + "'");
+    reject(llreject::AggregateType,
+           "named type '%" + std::string(tok().Text) + "'");
   case LLTok::LBracket:
     reject(llreject::AggregateType, "array type in scalar position");
   case LLTok::Word: {
-    const std::string &W = tok().Text;
+    std::string_view W = tok().Text;
     if (W == "void")
       Ty = Ctx.getVoidTy();
     else if (W == "float" || W == "double")
@@ -93,13 +96,15 @@ Type *LLImporter::parseType() {
     else if (W == "ptr")
       Ty = Ctx.getPtrTy();
     else if (W.size() >= 2 && W[0] == 'i') {
-      unsigned Bits = static_cast<unsigned>(std::atoi(W.c_str() + 1));
+      unsigned Bits = 0;
+      std::from_chars(W.data() + 1, W.data() + W.size(), Bits);
       if (Bits == 1 || Bits == 8 || Bits == 16 || Bits == 32 || Bits == 64)
         Ty = Ctx.getIntTy(Bits);
       else
-        reject(llreject::UnsupportedType, "integer type '" + W + "'");
+        reject(llreject::UnsupportedType,
+               "integer type '" + std::string(W) + "'");
     } else if (isRejectedScalarTypeWord(W)) {
-      reject(llreject::UnsupportedType, "type '" + W + "'");
+      reject(llreject::UnsupportedType, "type '" + std::string(W) + "'");
     }
     break;
   }
@@ -168,15 +173,17 @@ void LLImporter::skipParamAttrs() {
   }
 }
 
-int64_t LLImporter::parseIntText(const std::string &Text) const {
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Text.c_str(), &End, 10);
-  if (!End || *End != '\0')
-    fatal("malformed integer literal '" + Text + "'");
-  // Out-of-range literals saturate via strtoll; the mini-IR canonicalizes
-  // by sign extension anyway, so that is acceptable for an importer.
-  return static_cast<int64_t>(V);
+int64_t LLImporter::parseIntText(std::string_view Text) const {
+  int64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec == std::errc::result_out_of_range)
+    // Out-of-range literals saturate; the IR canonicalizes by sign
+    // extension anyway, so that is acceptable for an importer.
+    return Text[0] == '-' ? INT64_MIN : INT64_MAX;
+  if (Ec != std::errc() || Ptr != End)
+    fatal("malformed integer literal '" + std::string(Text) + "'");
+  return V;
 }
 
 Constant *LLImporter::zeroOf(Type *Ty) {
@@ -203,14 +210,14 @@ Constant *LLImporter::parseConstantLiteral(Type *Ty) {
   case LLTok::Float: {
     if (!Ty->isFloat())
       reject(llreject::UnsupportedConstant, "float literal for non-float");
-    double V = std::strtod(tok().Text.c_str(), nullptr);
+    double V = std::strtod(std::string(tok().Text).c_str(), nullptr);
     advance();
     return Ctx.getFloat(V);
   }
   case LLTok::FloatHex: {
     if (!Ty->isFloat())
       reject(llreject::UnsupportedConstant, "float literal for non-float");
-    const std::string &T = tok().Text; // 0x[KLMHR]?hexdigits
+    std::string T(tok().Text); // 0x[KLMHR]?hexdigits
     if (T.size() > 2 && !std::isxdigit(static_cast<unsigned char>(T[2])))
       reject(llreject::UnsupportedType,
              "extended-precision float literal '" + T + "'");
@@ -221,7 +228,7 @@ Constant *LLImporter::parseConstantLiteral(Type *Ty) {
     return Ctx.getFloat(V);
   }
   case LLTok::Word: {
-    const std::string &W = tok().Text;
+    std::string_view W = tok().Text;
     if (W == "true" || W == "false") {
       if (!Ty->isInteger() || Ty->getBitWidth() != 1)
         reject(llreject::UnsupportedConstant, "i1 literal for non-i1");
@@ -244,13 +251,15 @@ Constant *LLImporter::parseConstantLiteral(Type *Ty) {
       return zeroOf(Ty);
     }
     // getelementptr (...), bitcast (...), blockaddress(...), dso_local_equivalent...
-    reject(llreject::UnsupportedConstant, "constant expression '" + W + "'");
+    reject(llreject::UnsupportedConstant,
+           "constant expression '" + std::string(W) + "'");
   }
   case LLTok::GlobalId:
     // Handled by parseValueRef inside functions; in pure-literal positions
     // (global initializers) cross-global references are beyond the subset.
     reject(llreject::UnsupportedConstant,
-           "global reference '@" + tok().Text + "' in initializer");
+           "global reference '@" + std::string(tok().Text) +
+               "' in initializer");
   default:
     fatal("expected constant");
   }

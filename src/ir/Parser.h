@@ -1,13 +1,15 @@
-//===- Parser.h - Textual IR parser ------------------------------*- C++ -*-===//
+//===- Parser.h - Strict module reader --------------------------*- C++ -*-===//
 //
 // Part of the llvm-md project (PLDI 2011 value-graph validation repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parses the LLVM-flavoured textual IR produced by Printer.h. Forward
-/// references (phi back-edges, blocks defined later) are supported
-/// everywhere via a fixup pass, so block order in the text is unconstrained.
+/// The strict form of the one module reader (importLLModule, in
+/// frontend/llvm/LLFrontend.h): the same `.ll` text, printed modules and
+/// real `opt` output alike, but a function the reader refuses (outside the
+/// modeled subset, or ill-formed) fails the whole parse instead of being
+/// demoted to a declaration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,13 +28,16 @@ class Module;
 /// Result of a parse: a module on success, a diagnostic on failure.
 struct ParseResult {
   std::unique_ptr<Module> M;
+  /// "line N: <message>" for a malformed module, "line N: <reason>:
+  /// <detail>" for the first refused function.
   std::string Error;
 
   explicit operator bool() const { return M != nullptr; }
 };
 
 /// Parses a whole module. The returned module lives in \p Ctx, which must
-/// outlive it.
+/// outlive it; a "; ModuleID = '<name>'" header names the module when
+/// \p ModuleName is left at its default.
 ParseResult parseModule(Context &Ctx, std::string_view Text,
                         std::string ModuleName = "module");
 

@@ -10,9 +10,7 @@
 #include "ir/Module.h"
 #include "ir/Printer.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
+#include <vector>
 
 using namespace llvmmd;
 
@@ -41,9 +39,16 @@ private:
   void checkStructure() {
     if (F.isDeclaration())
       return;
-    std::set<const BasicBlock *> InFunction;
+    // Blocks by number, so membership and predecessor lists cost one
+    // pass instead of one whole-function scan per block.
+    std::vector<const BasicBlock *> ByNumber(F.getMaxBlockNumber(), nullptr);
     for (const auto &BB : F.blocks())
-      InFunction.insert(BB);
+      ByNumber[BB->getNumber()] = BB;
+    auto InFunction = [&](const BasicBlock *BB) {
+      return BB->getNumber() < ByNumber.size() &&
+             ByNumber[BB->getNumber()] == BB;
+    };
+    std::vector<std::vector<const BasicBlock *>> Preds(ByNumber.size());
 
     for (const auto &BB : F.blocks()) {
       if (BB->empty()) {
@@ -71,10 +76,16 @@ private:
           if (!Op)
             report("null operand in '" + BB->getName() + "'");
       }
-      for (const BasicBlock *Succ : BB->successors())
-        if (!InFunction.count(Succ))
+      for (const BasicBlock *Succ : BB->successors()) {
+        if (!InFunction(Succ)) {
           report("branch to block outside function from '" + BB->getName() +
                  "'");
+          continue;
+        }
+        auto &SuccPreds = Preds[Succ->getNumber()];
+        if (SuccPreds.empty() || SuccPreds.back() != BB)
+          SuccPreds.push_back(BB);
+      }
       if (const auto *Ret = dyn_cast<ReturnInst>(Term)) {
         Type *RetTy = F.getReturnType();
         if (RetTy->isVoid() != !Ret->hasReturnValue())
@@ -87,14 +98,14 @@ private:
 
     // Phi incoming sets must match predecessors exactly.
     for (const auto &BB : F.blocks()) {
-      std::vector<BasicBlock *> Preds = BB->predecessors();
+      const auto &BBPreds = Preds[BB->getNumber()];
       for (const PhiNode *P : BB->phis()) {
-        if (P->getNumIncoming() != Preds.size()) {
+        if (P->getNumIncoming() != BBPreds.size()) {
           report("phi in '" + BB->getName() +
                  "' has wrong number of incoming values");
           continue;
         }
-        for (BasicBlock *Pred : Preds)
+        for (const BasicBlock *Pred : BBPreds)
           if (P->getBlockIndex(Pred) < 0)
             report("phi in '" + BB->getName() + "' missing entry for '" +
                    Pred->getName() + "'");

@@ -161,22 +161,22 @@ struct HelloOkPayload {
   uint8_t TriageEnabled = 0;
 };
 
-/// Source/format selector of one submitted module. Wire-compatible with
-/// the original boolean "from profile" byte: 0 keeps its old meaning
-/// (inline text, format auto-detected — which is exactly what old clients
-/// sent) and 1 still means a generated profile; 2 and 3 pin the inline
-/// text's format explicitly.
+/// Source selector of one submitted module. Wire-compatible with the
+/// original boolean "from profile" byte: 0 keeps its old meaning (inline
+/// text) and 1 still means a generated profile. Inline text always goes
+/// through the one `.ll` reader; the inline codes pick only what happens
+/// to a function the reader refuses (ModuleFormat in ModuleLoader.h).
 enum SubmitSource : uint8_t {
-  SubmitInlineAuto = 0, ///< inline text, content-sniffed mini-IR vs .ll
+  SubmitInlineAuto = 0, ///< inline text; refused functions are demoted
   SubmitProfile = 1,    ///< server-generated benchmark profile
-  SubmitInlineMini = 2, ///< inline text, forced native mini-IR
-  SubmitInlineLLVM = 3, ///< inline text, forced LLVM .ll import
+  SubmitInlineMini = 2, ///< inline text; a refused function fails the job
+  SubmitInlineLLVM = 3, ///< inline text; same as SubmitInlineAuto
 };
 
 /// One module of a submission: either a named BenchmarkProfile the server
 /// generates (FunctionCount optionally overridden — tests and benchmarks
 /// shrink profiles this way) or inline IR text the server loads through
-/// the shared ModuleLoader (see SubmitSource for the format byte).
+/// the shared ModuleLoader (see SubmitSource for the refusal policy).
 struct SubmitModule {
   uint8_t Source = SubmitProfile;
   std::string Name;      ///< profile name, or module name for inline IR

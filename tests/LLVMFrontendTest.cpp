@@ -8,7 +8,7 @@
 //   - accepted-subset round-trips (import -> print -> reparse -> verify)
 //   - every named reject-reason class
 //   - per-function isolation (one bad function never sinks the module)
-//   - spec grammar / format sniffing of ModuleLoader
+//   - spec grammar of ModuleLoader, verification on load
 //   - the frozen fixture pair end to end through the ValidationEngine,
 //     with unsupported accounting present in the JSON report
 //
@@ -21,6 +21,8 @@
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "opt/Pass.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include "TestUtil.h"
 
@@ -56,8 +58,8 @@ std::unique_ptr<Module> importOrDie(Context &Ctx, const std::string &Text) {
   return std::move(R.M);
 }
 
-/// Full round-trip: import the .ll text, verify, print to mini-IR syntax,
-/// reparse with the native parser, verify again.
+/// Full round-trip: import the .ll text, verify, print, read the printed
+/// text back strictly, verify again.
 void roundTrip(const std::string &LL) {
   Context Ctx;
   std::unique_ptr<Module> M = importOrDie(Ctx, LL);
@@ -266,6 +268,78 @@ attributes #0 = { nounwind uwtable "target-cpu"="x86-64" }
   Function *F = M->getFunction("noisy");
   ASSERT_NE(F, nullptr);
   EXPECT_FALSE(F->isDeclaration());
+}
+
+//===----------------------------------------------------------------------===//
+// Memory effects of declarations: inline, through attribute groups, and the
+// LLVM 16 memory(...) spelling
+//===----------------------------------------------------------------------===//
+
+/// Imports \p LL and returns the memory effect of declaration \p Name.
+MemoryEffect declEffect(const std::string &LL, const char *Name) {
+  Context Ctx;
+  std::unique_ptr<Module> M = importOrDie(Ctx, LL);
+  Function *F = M ? M->getFunction(Name) : nullptr;
+  EXPECT_NE(F, nullptr) << Name;
+  return F ? F->getMemoryEffect() : MemoryEffect::ReadWrite;
+}
+
+TEST(LLVMFrontendTest, AttributeGroupAfterDeclaration) {
+  // What `opt` prints: the group comes at the end of the module.
+  EXPECT_EQ(declEffect(R"(
+declare i64 @my_len(ptr) #0
+
+attributes #0 = { nofree nounwind readonly willreturn }
+)",
+                       "my_len"),
+            MemoryEffect::ReadOnly);
+}
+
+TEST(LLVMFrontendTest, AttributeGroupBeforeDeclaration) {
+  EXPECT_EQ(declEffect(R"(
+attributes #1 = { nounwind readnone "frame-pointer"="all" }
+
+declare i32 @my_abs(i32) local_unnamed_addr #1
+)",
+                       "my_abs"),
+            MemoryEffect::ReadNone);
+}
+
+TEST(LLVMFrontendTest, MemoryAttributeInline) {
+  const char *LL = R"(
+declare i64 @reads(ptr) memory(read)
+declare i32 @pure(i32) nounwind memory(none)
+)";
+  EXPECT_EQ(declEffect(LL, "reads"), MemoryEffect::ReadOnly);
+  EXPECT_EQ(declEffect(LL, "pure"), MemoryEffect::ReadNone);
+}
+
+TEST(LLVMFrontendTest, MemoryAttributeInGroup) {
+  const char *LL = R"(
+declare i64 @reads(ptr) #0
+declare i32 @pure(i32) #1
+
+attributes #0 = { nounwind willreturn memory(read) }
+attributes #1 = { memory(none) nounwind }
+)";
+  EXPECT_EQ(declEffect(LL, "reads"), MemoryEffect::ReadOnly);
+  EXPECT_EQ(declEffect(LL, "pure"), MemoryEffect::ReadNone);
+}
+
+TEST(LLVMFrontendTest, UnknownGroupOrWriteEffectStaysClobbering) {
+  // Near misses: a group that is never defined, memory(write), and a
+  // location-qualified read say nothing about all of memory.
+  const char *LL = R"(
+declare i64 @nogroup(ptr) #7
+declare void @writes(ptr) memory(write)
+declare i64 @argread(ptr) #0
+declare void @plain(ptr) #1
+
+attributes #0 = { memory(argmem: read) }
+attributes #1 = { nounwind willreturn }
+)";
+  for (const char *Name : {"nogroup", "writes", "argread", "plain"})
+    EXPECT_EQ(declEffect(LL, Name), MemoryEffect::ReadWrite) << Name;
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,40 +556,8 @@ entry:
 }
 
 //===----------------------------------------------------------------------===//
-// Format sniffing + ModuleLoader spec grammar
+// ModuleLoader spec grammar
 //===----------------------------------------------------------------------===//
-
-TEST(LLVMFrontendTest, FormatSniffing) {
-  // Sniffing keys on noise real clang/opt output always carries and the
-  // mini-IR printer never emits — not on the (shared) instruction syntax.
-  EXPECT_EQ(detectModuleFormat("target triple = \"x86_64\"\n"),
-            ModuleFormat::LLVMIR);
-  EXPECT_EQ(detectModuleFormat("define dso_local i32 @f(i32 noundef %a) "
-                               "{\nentry:\n  ret i32 %a\n}\n"),
-            ModuleFormat::LLVMIR);
-  EXPECT_EQ(
-      detectModuleFormat("  %v = load i32, ptr @g, align 4\n"),
-      ModuleFormat::LLVMIR);
-  // Marker-free define syntax is the shared subset: treated as mini-IR.
-  EXPECT_EQ(detectModuleFormat(
-                "define i32 @f(i32 %a) {\nentry:\n  ret i32 %a\n}\n"),
-            ModuleFormat::MiniIR);
-  // What the mini printer emits must always sniff as mini.
-  Context Ctx;
-  std::unique_ptr<Module> M = testutil::parseOrDie(Ctx, R"(
-define i32 @f(i32 %a) {
-entry:
-  %v = add i32 %a, 1
-  ret i32 %v
-}
-)");
-  std::string Mini = printModule(*M);
-  EXPECT_EQ(detectModuleFormat(Mini), ModuleFormat::MiniIR);
-  EXPECT_FALSE(looksLikeLLVMIR(Mini));
-  // Both fixtures sniff as real LLVM IR.
-  EXPECT_TRUE(looksLikeLLVMIR(readFileOrDie(fixturePath("kernels_O0.ll"))));
-  EXPECT_TRUE(looksLikeLLVMIR(readFileOrDie(fixturePath("kernels_opt.ll"))));
-}
 
 TEST(LLVMFrontendTest, SpecGrammarParsing) {
   ModuleSpec S1 = parseModuleSpec("tests/x.ll");
@@ -530,7 +572,7 @@ TEST(LLVMFrontendTest, SpecGrammarParsing) {
   EXPECT_EQ(S3.Value, "gcc");
 }
 
-TEST(LLVMFrontendTest, LoaderAutoDetectsBothFormats) {
+TEST(LLVMFrontendTest, LoaderReadsClangAndPrintedTextAndProfiles) {
   Context Ctx;
   ModuleSpec LL;
   LL.From = ModuleSpec::Source::Inline;
@@ -539,7 +581,6 @@ TEST(LLVMFrontendTest, LoaderAutoDetectsBothFormats) {
   LoadResult R1 = loadModule(Ctx, LL);
   ASSERT_TRUE(static_cast<bool>(R1)) << R1.Error;
   ASSERT_EQ(R1.Modules.size(), 1u);
-  EXPECT_EQ(R1.Modules[0].Format, ModuleFormat::LLVMIR);
 
   ModuleSpec Mini;
   Mini.From = ModuleSpec::Source::Inline;
@@ -547,13 +588,11 @@ TEST(LLVMFrontendTest, LoaderAutoDetectsBothFormats) {
                "ret i32 %v\n}\n";
   LoadResult R2 = loadModule(Ctx, Mini);
   ASSERT_TRUE(static_cast<bool>(R2)) << R2.Error;
-  EXPECT_EQ(R2.Modules[0].Format, ModuleFormat::MiniIR);
 
   ModuleSpec Prof = parseModuleSpec("profile:gcc");
   Prof.ProfileFnCount = 4;
   LoadResult R3 = loadModule(Ctx, Prof);
   ASSERT_TRUE(static_cast<bool>(R3)) << R3.Error;
-  EXPECT_EQ(R3.Modules[0].Format, ModuleFormat::MiniIR);
   EXPECT_TRUE(R3.Modules[0].Unsupported.empty());
 }
 
@@ -592,6 +631,49 @@ TEST(LLVMFrontendTest, LoaderStopsAtFirstError) {
   EXPECT_EQ(R.Modules.size(), 1u);
 }
 
+TEST(LLVMFrontendTest, LoaderRefusesIllFormedBodies) {
+  // Printed sjeng with two lines of sjeng_f10 exchanged: a loop-header phi
+  // lands in the preheader and an `and` lands above the header's other
+  // phi. Every token is still valid, so only the verifier sees it, and the
+  // passes assume well-formed input (LoopDeletion crashes on this body).
+  Context Ctx;
+  std::string Text = printModule(*generateBenchmark(Ctx, getProfile("sjeng")));
+  const std::string Phi =
+      "  %i.3 = phi i32 [ 0, %exit14 ], [ %inc.3, %latch17 ]\n";
+  const std::string And = "  %n.2 = and i32 %arg0, 15\n";
+  size_t P = Text.find(Phi);
+  ASSERT_NE(P, std::string::npos);
+  size_t A = Text.rfind(And, P); // the same function's `and`
+  ASSERT_NE(A, std::string::npos);
+  Text = Text.substr(0, A) + Phi +
+         Text.substr(A + And.size(), P - A - And.size()) + And +
+         Text.substr(P + Phi.size());
+
+  ModuleSpec Spec;
+  Spec.From = ModuleSpec::Source::Inline;
+  Spec.Value = Text;
+  LoadResult R = loadModule(Ctx, Spec);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
+  const LoadedModule &LM = R.Modules[0];
+  ASSERT_EQ(LM.Unsupported.size(), 1u);
+  EXPECT_EQ(LM.Unsupported[0].Function, "sjeng_f10");
+  EXPECT_EQ(LM.Unsupported[0].Reason, llreject::IllFormed);
+  EXPECT_TRUE(LM.M->getFunction("sjeng_f10")->isDeclaration());
+  expectVerified(*LM.M);
+  // What is left optimizes and validates.
+  EngineConfig Cfg;
+  Cfg.Threads = 1;
+  ValidationEngine Engine(Cfg);
+  EXPECT_EQ(Engine.run(*LM.M, getPaperPipeline()).Report.total(), 11u);
+
+  // The strict policy fails the load instead, naming the line.
+  Spec.Format = ModuleFormat::MiniIR;
+  LoadResult Strict = loadModule(Ctx, Spec);
+  EXPECT_FALSE(static_cast<bool>(Strict));
+  EXPECT_NE(Strict.Error.find("ill-formed"), std::string::npos) << Strict.Error;
+  EXPECT_GT(Strict.ErrorLine, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Frozen fixture pair end to end
 //===----------------------------------------------------------------------===//
@@ -608,7 +690,6 @@ TEST(LLVMFrontendTest, FixturePairValidatesEndToEnd) {
 
   // Both fixtures carry exactly one function outside the subset: to_int.
   for (const LoadedModule &LM : Loaded.Modules) {
-    EXPECT_EQ(LM.Format, ModuleFormat::LLVMIR);
     ASSERT_EQ(LM.Unsupported.size(), 1u);
     EXPECT_EQ(LM.Unsupported[0].Function, "to_int");
     EXPECT_EQ(LM.Unsupported[0].Reason, llreject::UnsupportedInstruction);
@@ -651,7 +732,7 @@ TEST(LLVMFrontendTest, FixturePairValidatesEndToEnd) {
 
 TEST(LLVMFrontendTest, FixtureRoundTripsThroughPrinter) {
   // The O0 fixture (minus its known to_int reject) must survive
-  // import -> print -> native reparse -> verify.
+  // import -> print -> strict reparse -> verify.
   Context Ctx;
   LLImportResult R =
       importLLModule(Ctx, readFileOrDie(fixturePath("kernels_O0.ll")));

@@ -200,11 +200,11 @@ TEST(Printer, UnnamedValuesGetStableNames) {
 
 class WorkloadRoundTrip : public ::testing::TestWithParam<const char *> {};
 
+// Every function of every suite profile reads back through the one reader
+// and prints identically.
 TEST_P(WorkloadRoundTrip, PrintParsePrintFixpoint) {
   Context Ctx;
-  BenchmarkProfile P = getProfile(GetParam());
-  P.FunctionCount = std::min(P.FunctionCount, 6u);
-  auto M = generateBenchmark(Ctx, P);
+  auto M = generateBenchmark(Ctx, getProfile(GetParam()));
   expectVerified(*M);
   std::string P1 = printModule(*M);
   auto M2 = parseOrDie(Ctx, P1);
