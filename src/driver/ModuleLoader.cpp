@@ -56,6 +56,37 @@ unsigned parseErrorLine(const std::string &Error) {
   return static_cast<unsigned>(std::atoi(Error.c_str() + 5));
 }
 
+/// Reads one module's text, refusing per \p Format; \p Name is the
+/// module name; empty leaves it to the text's ModuleID header.
+bool loadText(Context &Ctx, std::string_view Src, const std::string &Name,
+              ModuleFormat Format, LoadResult &Out) {
+  const std::string ModName = Name.empty() ? "module" : Name;
+  LoadedModule LM;
+  if (Format == ModuleFormat::MiniIR) {
+    ParseResult PR = parseModule(Ctx, Src, ModName);
+    if (!PR) {
+      Out.Error = ModName + ": " + PR.Error;
+      Out.ErrorLine = parseErrorLine(PR.Error);
+      return false;
+    }
+    LM.M = std::move(PR.M);
+  } else {
+    LLImportResult IR = importLLModule(Ctx, Src, ModName);
+    if (!IR) {
+      Out.Error = ModName + ": " + IR.Error;
+      Out.ErrorLine = IR.ErrorLine;
+      Out.ErrorCol = IR.ErrorCol;
+      return false;
+    }
+    LM.M = std::move(IR.M);
+    for (const LLFunctionReject &R : IR.Rejected)
+      LM.Unsupported.push_back({R.Function, R.Reason, R.Detail});
+  }
+  LM.Name = LM.M->getName();
+  Out.Modules.push_back(std::move(LM));
+  return true;
+}
+
 bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
   std::string Text;
   std::string_view Src = Text;
@@ -103,32 +134,7 @@ bool loadOne(Context &Ctx, const ModuleSpec &Spec, LoadResult &Out) {
     Src = Spec.Value;
     break;
   }
-
-  const std::string ModName = Name.empty() ? "module" : Name;
-  LoadedModule LM;
-  if (Spec.Format == ModuleFormat::MiniIR) {
-    ParseResult PR = parseModule(Ctx, Src, ModName);
-    if (!PR) {
-      Out.Error = ModName + ": " + PR.Error;
-      Out.ErrorLine = parseErrorLine(PR.Error);
-      return false;
-    }
-    LM.M = std::move(PR.M);
-  } else {
-    LLImportResult IR = importLLModule(Ctx, Src, ModName);
-    if (!IR) {
-      Out.Error = ModName + ": " + IR.Error;
-      Out.ErrorLine = IR.ErrorLine;
-      Out.ErrorCol = IR.ErrorCol;
-      return false;
-    }
-    LM.M = std::move(IR.M);
-    for (const LLFunctionReject &R : IR.Rejected)
-      LM.Unsupported.push_back({R.Function, R.Reason, R.Detail});
-  }
-  LM.Name = LM.M->getName();
-  Out.Modules.push_back(std::move(LM));
-  return true;
+  return loadText(Ctx, Src, Name, Spec.Format, Out);
 }
 
 } // namespace
@@ -144,6 +150,14 @@ LoadResult llvmmd::loadModules(Context &Ctx,
 
 LoadResult llvmmd::loadModule(Context &Ctx, const ModuleSpec &Spec) {
   return loadModules(Ctx, {Spec});
+}
+
+LoadResult llvmmd::loadModuleText(Context &Ctx, std::string_view Text,
+                                  const std::string &Name,
+                                  ModuleFormat Format) {
+  LoadResult Out;
+  loadText(Ctx, Text, Name, Format, Out);
+  return Out;
 }
 
 void llvmmd::attachUnsupported(ValidationReport &Report,

@@ -29,6 +29,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace llvmmd {
@@ -94,6 +95,12 @@ LoadResult loadModules(Context &Ctx, const std::vector<ModuleSpec> &Specs);
 
 /// Single-spec convenience wrapper over loadModules.
 LoadResult loadModule(Context &Ctx, const ModuleSpec &Spec);
+
+/// Loads one module from \p Text, which need only outlive the call: what
+/// an Inline spec does, without first copying the text into the spec.
+/// \p Name as for ModuleSpec::Name.
+LoadResult loadModuleText(Context &Ctx, std::string_view Text,
+                          const std::string &Name, ModuleFormat Format);
 
 /// Attaches a loaded module's unsupported-function accounting to its
 /// validation report (sets Report.UnsupportedFunctions).

@@ -665,7 +665,11 @@ ParseResult llvmmd::parseModule(Context &Ctx, std::string_view Text,
   if (!IR) {
     R.Error = std::move(IR.Error);
   } else if (!IR.Rejected.empty()) {
-    const LLFunctionReject &First = IR.Rejected.front();
+    const LLFunctionReject &First = *std::min_element(
+        IR.Rejected.begin(), IR.Rejected.end(),
+        [](const LLFunctionReject &A, const LLFunctionReject &B) {
+          return A.Line < B.Line;
+        });
     R.Error = "line " + std::to_string(First.Line) + ": " + First.Reason +
               ": " + First.Detail;
   } else {

@@ -77,7 +77,8 @@ struct LLImportResult {
   /// The imported module; rejected functions are present as declarations
   /// so calls to them stay well-formed. Null only on a module-level error.
   std::unique_ptr<Module> M;
-  /// Per-function rejections, in textual order.
+  /// Per-function rejections: those of signatures first, then those of
+  /// bodies, each in textual order.
   std::vector<LLFunctionReject> Rejected;
   /// Module-level diagnostic when !M.
   std::string Error;

@@ -16,11 +16,6 @@ using namespace llvmmd;
 // GateFactory
 //===----------------------------------------------------------------------===//
 
-const GateExpr *GateFactory::intern(GateExpr E) {
-  Pool.push_back(std::make_unique<GateExpr>(E));
-  return Pool.back().get();
-}
-
 const GateExpr *GateFactory::makeCond(Value *C) {
   return intern({GateExpr::Kind::Cond, C, nullptr, nullptr});
 }
@@ -87,6 +82,11 @@ GatingAnalysis::GatingAnalysis(const Function &F) : F(F) {
 
 namespace {
 
+/// The PredCache key of \p BB's predicate relative to \p Root.
+uint64_t predKey(const BasicBlock *Root, const BasicBlock *BB) {
+  return (uint64_t(Root->getNumber()) + 1) << 32 | BB->getNumber();
+}
+
 /// True if Pred -> Succ is a back edge (Succ is the header of a loop that
 /// contains Pred).
 bool isBackEdge(const LoopInfo &LI, const BasicBlock *Pred,
@@ -147,13 +147,12 @@ GatingAnalysis::computeEdgePredicate(const BasicBlock *From,
     const GateExpr *blockPred(const BasicBlock *BB) {
       if (BB == Root)
         return GA.Factory.getTrue();
-      auto Key = std::make_pair(Root, BB);
-      auto It = GA.PredCache.find(Key);
-      if (It != GA.PredCache.end())
-        return It->second;
+      const uint64_t Key = predKey(Root, BB);
+      if (const GateExpr *const *Hit = GA.PredCache.find(Key))
+        return *Hit;
       // Seed the cache to break accidental cycles (should not occur on
       // reducible forward graphs, but stay safe).
-      GA.PredCache[Key] = GA.Factory.getFalse();
+      GA.PredCache.set(Key, GA.Factory.getFalse());
       GateFactory &GF = GA.Factory;
       const LoopInfo &LI = *GA.LI;
       const GateExpr *Acc = GF.getFalse();
@@ -186,7 +185,7 @@ GatingAnalysis::computeEdgePredicate(const BasicBlock *From,
         Acc = GF.makeOr(
             Acc, GF.makeAnd(blockPred(P), edgeCondition(GF, P, BB)));
       }
-      GA.PredCache[Key] = Acc;
+      GA.PredCache.set(Key, Acc);
       return Acc;
     }
   };

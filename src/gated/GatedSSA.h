@@ -32,8 +32,9 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "support/Arena.h"
+#include "support/FlatMap.h"
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,10 +66,10 @@ public:
   const GateExpr *makeOr(const GateExpr *A, const GateExpr *B);
 
 private:
-  const GateExpr *intern(GateExpr E);
+  const GateExpr *intern(GateExpr E) { return Pool.create<GateExpr>(E); }
   GateExpr TrueExpr{GateExpr::Kind::True, nullptr, nullptr, nullptr};
   GateExpr FalseExpr{GateExpr::Kind::False, nullptr, nullptr, nullptr};
-  std::vector<std::unique_ptr<GateExpr>> Pool;
+  Arena Pool{1024};
 };
 
 /// Gating facts for one function.
@@ -120,10 +121,9 @@ private:
   std::unique_ptr<DominatorTree> DT;
   std::unique_ptr<LoopInfo> LI;
   GateFactory Factory;
-  // Cache of block predicates relative to a root: (root, block) -> expr.
-  std::map<std::pair<const BasicBlock *, const BasicBlock *>,
-           const GateExpr *>
-      PredCache;
+  /// Cache of block predicates relative to a root, keyed by the (root,
+  /// block) numbers.
+  FlatMap<const GateExpr *> PredCache;
 };
 
 } // namespace llvmmd

@@ -29,7 +29,7 @@ class Module;
 struct ParseResult {
   std::unique_ptr<Module> M;
   /// "line N: <message>" for a malformed module, "line N: <reason>:
-  /// <detail>" for the first refused function.
+  /// <detail>" for the refusal that comes first in the text.
   std::string Error;
 
   explicit operator bool() const { return M != nullptr; }

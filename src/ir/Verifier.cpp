@@ -9,6 +9,7 @@
 #include "analysis/Dominators.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
+#include "support/FlatMap.h"
 
 #include <vector>
 
@@ -117,51 +118,56 @@ private:
     if (F.isDeclaration())
       return;
     DominatorTree DT(F);
+    // The instructions the walk has passed: a same-block operand must be
+    // among them when its user is checked.
+    FlatMap<bool> Passed;
+    Passed.reserve(F.getInstructionCount());
     for (const auto &BB : F.blocks()) {
       if (!DT.isReachable(BB))
         continue;
       for (const Instruction *I : *BB) {
-        if (const auto *P = dyn_cast<PhiNode>(I)) {
-          for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
-            const auto *Def = dyn_cast<Instruction>(P->getIncomingValue(K));
-            if (!Def)
-              continue;
-            if (!DT.isReachable(P->getIncomingBlock(K)))
-              continue;
-            if (!DT.dominates(Def->getParent(), P->getIncomingBlock(K)))
-              report("phi incoming value does not dominate edge in '" +
-                     BB->getName() + "'");
-          }
-          continue;
-        }
-        for (const Value *Op : I->operands()) {
-          const auto *Def = dyn_cast<Instruction>(Op);
-          if (!Def)
-            continue;
-          if (!DT.isReachable(Def->getParent())) {
-            report("use of instruction from unreachable block in '" +
-                   BB->getName() + "'");
-            continue;
-          }
-          if (Def->getParent() == BB) {
-            // Same block: def must come first.
-            bool Found = false;
-            for (const Instruction *J : *BB) {
-              if (J == Def) {
-                Found = true;
-                break;
-              }
-              if (J == I)
-                break;
-            }
-            if (!Found)
-              report("use before def of '" + Def->getName() + "' in '" +
-                     BB->getName() + "'");
-          } else if (!DT.dominates(Def->getParent(), BB)) {
-            report("definition of '" + Def->getName() +
-                   "' does not dominate use in '" + BB->getName() + "'");
-          }
-        }
+        if (const auto *P = dyn_cast<PhiNode>(I))
+          checkPhi(DT, P);
+        else
+          checkOperands(DT, I, Passed);
+        Passed.set(flatKey(I), true);
+      }
+    }
+  }
+
+  void checkPhi(const DominatorTree &DT, const PhiNode *P) {
+    for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
+      const auto *Def = dyn_cast<Instruction>(P->getIncomingValue(K));
+      if (!Def)
+        continue;
+      if (!DT.isReachable(P->getIncomingBlock(K)))
+        continue;
+      if (!DT.dominates(Def->getParent(), P->getIncomingBlock(K)))
+        report("phi incoming value does not dominate edge in '" +
+               P->getParent()->getName() + "'");
+    }
+  }
+
+  void checkOperands(const DominatorTree &DT, const Instruction *I,
+                     const FlatMap<bool> &Passed) {
+    const BasicBlock *BB = I->getParent();
+    for (const Value *Op : I->operands()) {
+      const auto *Def = dyn_cast<Instruction>(Op);
+      if (!Def)
+        continue;
+      if (!DT.isReachable(Def->getParent())) {
+        report("use of instruction from unreachable block in '" +
+               BB->getName() + "'");
+        continue;
+      }
+      if (Def->getParent() == BB) {
+        // Same block: def must come first.
+        if (!Passed.find(flatKey(Def)))
+          report("use before def of '" + Def->getName() + "' in '" +
+                 BB->getName() + "'");
+      } else if (!DT.dominates(Def->getParent(), BB)) {
+        report("definition of '" + Def->getName() +
+               "' does not dominate use in '" + BB->getName() + "'");
       }
     }
   }

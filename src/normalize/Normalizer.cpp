@@ -10,7 +10,6 @@
 #include "ir/Module.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace llvmmd;
 
@@ -35,6 +34,7 @@ public:
         continue; // already merged away this sweep
       size_t Nodes = G.size();
       unsigned Merges = G.getMergeCount();
+      ++Stats.NodesVisited;
       if (!applyRules(N))
         continue;
       if (G.size() == Nodes && G.getMergeCount() == Merges) {
@@ -742,7 +742,8 @@ private:
 
   /// Finds a two-branch γ inside the cone of \p Mu whose branch conditions
   /// are {c, ¬c} with c independent of the loop (no path back to Mu).
-  /// Returns (gamma, c, trueVal, falseVal) via out-params.
+  /// Returns (gamma, c, trueVal, falseVal) via out-params; on success the
+  /// μ's ancestors are in Ancestors.
   bool findInvariantGamma(NodeId Mu, NodeId &GammaOut, NodeId &CondOut,
                           NodeId &TrueOut, NodeId &FalseOut) {
     Visited.clear();
@@ -762,6 +763,7 @@ private:
           Stack.push_back(Op);
     }
     std::sort(Candidates.begin(), Candidates.end());
+    bool HaveMuAncestors = false;
     for (NodeId N : Candidates) {
       const Node &Nd = G.node(N);
       NodeId C1 = G.find(Nd.Ops[0]), V1 = G.find(Nd.Ops[1]);
@@ -793,7 +795,12 @@ private:
       }
       // The condition must not depend on the loop (and must not be
       // trivially constant, which PhiSimplify would handle).
-      if (reaches(Cond, Mu))
+      if (!HaveMuAncestors) {
+        Ancestors.clear();
+        addAncestors(Mu);
+        HaveMuAncestors = true;
+      }
+      if (Ancestors.contains(Cond))
         continue;
       GammaOut = N;
       CondOut = Cond;
@@ -804,37 +811,37 @@ private:
     return false;
   }
 
-  /// True if \p Target is reachable from \p From over current roots.
-  bool reaches(NodeId From, NodeId Target) {
-    Target = G.find(Target);
-    Visited.clear();
-    unsigned NumSeen = 0;
-    Stack.assign(1, G.find(From));
+  /// Adds every root from which \p Id is reachable, \p Id included, to
+  /// Ancestors: one upward walk over the use lists.
+  void addAncestors(NodeId Id) {
+    NodeId Root = G.find(Id);
+    if (!Ancestors.insert(Root))
+      return;
+    Stack.assign(1, Root);
     while (!Stack.empty()) {
-      NodeId N = G.find(Stack.back());
+      NodeId N = Stack.back();
       Stack.pop_back();
-      if (N == Target)
-        return true;
-      if (!Visited.insert(N) || ++NumSeen > 2048)
-        continue;
-      for (NodeId Op : G.node(N).Ops)
-        if (Op != InvalidNode)
-          Stack.push_back(Op);
+      G.forEachUser(N, [&](NodeId U) {
+        if (Ancestors.insert(U))
+          Stack.push_back(U);
+      });
     }
-    return false;
   }
 
   /// Clones the cone of \p N substituting γ \p Gamma by \p Repl; nodes that
-  /// cannot reach either the γ or the μ \p Mu are shared, not cloned.
+  /// cannot reach either the γ or the μ \p Mu (not in Ancestors) are
+  /// shared, not cloned. \p Memo has one slot per node that existed when
+  /// the unswitch began, NotCloned until that node is visited; only those
+  /// nodes are ever looked up, as cloning merges nothing.
   NodeId cloneSubst(NodeId N, NodeId Gamma, NodeId Repl, NodeId Mu,
-                    std::map<NodeId, NodeId> &Memo) {
+                    std::vector<NodeId> &Memo) {
     N = G.find(N);
     if (N == G.find(Gamma))
       return cloneSubst(Repl, Gamma, Repl, Mu, Memo);
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
-    if (!reaches(N, Gamma) && !reaches(N, Mu)) {
+    assert(N < Memo.size() && "clone lookup of a node made by the clone");
+    if (Memo[N] != NotCloned)
+      return Memo[N];
+    if (!Ancestors.contains(N)) {
       Memo[N] = N; // invariant: share
       return N;
     }
@@ -919,7 +926,9 @@ private:
            FV = InvalidNode;
     if (!findInvariantGamma(Mu, Gamma, C2, TV, FV))
       return 0;
-    std::map<NodeId, NodeId> MemoT, MemoF;
+    addAncestors(Gamma);
+    MemoT.assign(G.size(), NotCloned);
+    MemoF.assign(G.size(), NotCloned);
     Type *EtaTy = G.node(N).Ty;
     NodeId CondT = cloneSubst(Cond, Gamma, TV, Mu, MemoT);
     NodeId MuT = cloneSubst(Mu, Gamma, TV, Mu, MemoT);
@@ -1208,11 +1217,17 @@ private:
   /// any live node qualifies.
   std::vector<NodeId> Live;
   std::vector<NodeId> GraphRoots;
-  /// Visited set of the engine's walks (liveness, reaches, the invariant-γ
-  /// search, the μ memory walk) and work stack of the first three; no walk
-  /// runs inside another, and the graph's own queries keep their own set.
+  /// Visited set of the engine's walks (liveness, the invariant-γ search,
+  /// the μ memory walk) and work stack of the first two and the ancestor
+  /// walk; no walk runs inside another, and the graph's own queries keep
+  /// their own set.
   NodeSet Visited;
   std::vector<NodeId> Stack;
+  /// The roots that reach the μ or the γ of the unswitch in progress.
+  NodeSet Ancestors;
+  /// cloneSubst's memo of each polarity, by node id.
+  static constexpr NodeId NotCloned = InvalidNode - 1;
+  std::vector<NodeId> MemoT, MemoF;
   std::vector<FirstIterSlot> FirstIterSlots;
   uint32_t FirstIterQuery = 0;
   unsigned LiveStamp = 0;
@@ -1255,6 +1270,8 @@ NormalizeStats &NormalizeStats::operator+=(const NormalizeStats &O) {
   SharingMerges += O.SharingMerges;
   Iterations += O.Iterations;
   NoProgressFires += O.NoProgressFires;
+  NodesVisited += O.NodesVisited;
+  SharingExamined += O.SharingExamined;
   BudgetExhausted |= O.BudgetExhausted;
   for (unsigned R = 0; R < NumRewriteRules; ++R)
     RuleFires[R] += O.RuleFires[R];
@@ -1267,7 +1284,7 @@ NormalizeStats llvmmd::normalizeGraph(ValueGraph &G,
   NormalizeStats Stats;
   Stats.Iterations = 1;
   RuleEngine(G, Config, Stats).sweep(Roots);
-  Stats.SharingMerges = G.maximizeSharing();
+  Stats.SharingMerges = G.maximizeSharing(&Stats.SharingExamined);
   return Stats;
 }
 

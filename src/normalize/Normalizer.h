@@ -37,6 +37,11 @@ struct NormalizeStats {
   /// Rule applications that changed nothing (a rewrite into the node's own
   /// class). Any such fire is a rule cycle in the making; it must stay 0.
   unsigned NoProgressFires = 0;
+  /// Work counters, kept out of reports: the nodes the rule sweeps
+  /// examined, and the roots that entered the sharing passes' initial
+  /// partitions.
+  unsigned NodesVisited = 0;
+  unsigned SharingExamined = 0;
   /// normalizeToFixpoint hit RuleConfig::MaxIterations with the roots
   /// still apart and the graph still changing.
   bool BudgetExhausted = false;

@@ -553,14 +553,11 @@ ValidationServer::materializeModule(const SubmitModule &M, Context &JobCtx,
     GenCache.emplace(std::move(Key), std::move(LR.Modules.front().M));
     return Result;
   }
-  ModuleSpec Spec;
-  Spec.From = ModuleSpec::Source::Inline;
-  Spec.Value = M.Text;
-  Spec.Name = M.Name.empty() ? "module" : M.Name;
-  Spec.Format = M.Source == SubmitInlineMini   ? ModuleFormat::MiniIR
-                : M.Source == SubmitInlineLLVM ? ModuleFormat::LLVMIR
-                                               : ModuleFormat::Auto;
-  LoadResult LR = loadModule(JobCtx, Spec);
+  LoadResult LR = loadModuleText(
+      JobCtx, M.Text, M.Name,
+      M.Source == SubmitInlineMini   ? ModuleFormat::MiniIR
+      : M.Source == SubmitInlineLLVM ? ModuleFormat::LLVMIR
+                                     : ModuleFormat::Auto);
   if (!LR) {
     // LR.Error leads with the module name and the loader's line/column
     // diagnostic, which is exactly what the Error frame should carry.

@@ -8,8 +8,7 @@
 
 #include "gated/GatedSSA.h"
 #include "ir/Module.h"
-
-#include <map>
+#include "support/FlatMap.h"
 
 using namespace llvmmd;
 
@@ -27,6 +26,8 @@ public:
       return R;
     }
 
+    ValueMap.reserve(F.getInstructionCount());
+    MemOut.assign(F.getMaxBlockNumber(), InvalidNode);
     const DominatorTree &DT = GA.getDomTree();
     for (const BasicBlock *BB : DT.getRPO()) {
       if (!processBlock(BB)) {
@@ -81,12 +82,12 @@ private:
       fail("unsupported value kind");
       return InvalidNode;
     }
-    auto It = ValueMap.find(I);
-    if (It == ValueMap.end()) {
+    const NodeId *Def = ValueMap.find(flatKey(I));
+    if (!Def) {
       fail("use of unevaluated value (non-SSA input?)");
       return InvalidNode;
     }
-    NodeId Id = It->second;
+    NodeId Id = *Def;
     const LoopInfo &LI = GA.getLoopInfo();
     for (const Loop *L = LI.getLoopFor(I->getParent());
          L && !L->contains(UserBB); L = L->getParent())
@@ -172,8 +173,7 @@ private:
       // μ over memory; iteration side patched later.
       NodeId Mu = G.makeMu(nullptr);
       NodeId Init = mergeEdges(BB, /*InitOnly=*/true);
-      PendingMemMus.push_back({BB, Mu});
-      MuInit[Mu] = Init;
+      PendingMemMus.push_back({BB, Mu, Init});
       return Mu;
     }
     // Ordinary join (or effect-free loop header: latch memory equals the
@@ -191,10 +191,9 @@ private:
     for (const BasicBlock *P : DT.predecessors(BB)) {
       if (InitOnly && L && L->contains(P))
         continue; // skip latches
-      auto It = MemOut.find(P);
-      if (It == MemOut.end())
+      if (MemOut[P->getNumber()] == InvalidNode)
         continue; // back edge (patched later) — cannot happen for non-headers
-      NodeId M = wrapMemAcrossLoops(It->second, P, BB);
+      NodeId M = wrapMemAcrossLoops(MemOut[P->getNumber()], P, BB);
       Incoming.emplace_back(P, M);
     }
     if (Incoming.empty()) {
@@ -233,7 +232,7 @@ private:
       NodeId Id = IsHeader ? buildLoopPhi(P, *L) : buildGatedPhi(P);
       if (Id == InvalidNode)
         return false;
-      ValueMap[P] = Id;
+      define(P, Id);
     }
 
     for (const Instruction *I : *BB) {
@@ -242,7 +241,7 @@ private:
       if (!evalInstruction(I, BB, Mem))
         return false;
     }
-    MemOut[BB] = Mem;
+    MemOut[BB->getNumber()] = Mem;
     return true;
   }
 
@@ -292,8 +291,7 @@ private:
                       ? InitBranches.front().second
                       : G.getGamma(P->getType(), InitBranches);
     NodeId Mu = G.makeMu(P->getType());
-    MuInit[Mu] = Init;
-    PendingValueMus.push_back({P, Mu});
+    PendingValueMus.push_back({P, Mu, Init});
     return Mu;
   }
 
@@ -305,8 +303,8 @@ private:
       NodeId L = evalUse(C->getLHS(), BB), R = evalUse(C->getRHS(), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::ICmp, I->getType(), {L, R},
-                            static_cast<uint8_t>(C->getPred()));
+      define(I, G.getOp(Opcode::ICmp, I->getType(), {L, R},
+                        static_cast<uint8_t>(C->getPred())));
       return true;
     }
     case Opcode::FCmp: {
@@ -314,8 +312,8 @@ private:
       NodeId L = evalUse(C->getLHS(), BB), R = evalUse(C->getRHS(), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::FCmp, I->getType(), {L, R},
-                            static_cast<uint8_t>(C->getPred()));
+      define(I, G.getOp(Opcode::FCmp, I->getType(), {L, R},
+                        static_cast<uint8_t>(C->getPred())));
       return true;
     }
     case Opcode::Trunc:
@@ -324,7 +322,7 @@ private:
       NodeId S = evalUse(I->getOperand(0), BB);
       if (S == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(I->getOpcode(), I->getType(), {S});
+      define(I, G.getOp(I->getOpcode(), I->getType(), {S}));
       return true;
     }
     case Opcode::Select: {
@@ -337,7 +335,7 @@ private:
       Type *BoolTy = Ctx.getInt1Ty();
       NodeId NotC =
           G.getOp(Opcode::Xor, BoolTy, {C, G.getConstBool(BoolTy, true)});
-      ValueMap[I] = G.getGamma(I->getType(), {{C, T}, {NotC, E}});
+      define(I, G.getGamma(I->getType(), {{C, T}, {NotC, E}}));
       return true;
     }
     case Opcode::Alloca: {
@@ -347,7 +345,7 @@ private:
         return false;
       NodeId Alloc =
           G.getAlloc(Count, Mem, A->getAllocatedType()->getStoreSize());
-      ValueMap[I] = Alloc;
+      define(I, Alloc);
       Mem = G.getAllocMem(Alloc);
       return true;
     }
@@ -356,7 +354,7 @@ private:
       NodeId P = evalUse(Ld->getPointer(), BB);
       if (P == InvalidNode)
         return false;
-      ValueMap[I] = G.getLoad(I->getType(), P, Mem);
+      define(I, G.getLoad(I->getType(), P, Mem));
       return true;
     }
     case Opcode::Store: {
@@ -374,8 +372,8 @@ private:
       NodeId Idx = evalUse(GEP->getIndex(), BB);
       if (B == InvalidNode || Idx == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::GEP, I->getType(), {B, Idx}, 0,
-                            GEP->getElementType()->getStoreSize());
+      define(I, G.getOp(Opcode::GEP, I->getType(), {B, Idx}, 0,
+                        GEP->getElementType()->getStoreSize()));
       return true;
     }
     case Opcode::Call: {
@@ -396,7 +394,7 @@ private:
       NodeId C = G.getCall(Callee->getName(), Callee->getMemoryEffect(),
                            I->getType(), std::move(Ops));
       if (!I->getType()->isVoid())
-        ValueMap[I] = C;
+        define(I, C);
       if (Callee->mayWriteMemory())
         Mem = G.getCallMem(C);
       return true;
@@ -421,7 +419,7 @@ private:
       NodeId R = evalUse(I->getOperand(1), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(I->getOpcode(), I->getType(), {L, R});
+      define(I, G.getOp(I->getOpcode(), I->getType(), {L, R}));
       return true;
     }
     }
@@ -432,7 +430,7 @@ private:
   //===------------------------------------------------------------------===//
 
   void patchMus() {
-    for (auto &[P, Mu] : PendingValueMus) {
+    for (auto &[P, Mu, Init] : PendingValueMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(P->getParent());
       assert(L && "pending mu outside loop");
       std::vector<std::pair<NodeId, NodeId>> LatchBranches;
@@ -454,18 +452,18 @@ private:
       NodeId Next = LatchBranches.size() == 1
                         ? LatchBranches.front().second
                         : G.getGamma(P->getType(), LatchBranches);
-      G.setMuOperands(Mu, MuInit[Mu], Next);
+      G.setMuOperands(Mu, Init, Next);
     }
-    for (auto &[Header, Mu] : PendingMemMus) {
+    for (auto &[Header, Mu, Init] : PendingMemMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(Header);
       assert(L && L->getHeader() == Header && "bad pending memory mu");
       std::vector<std::pair<NodeId, NodeId>> LatchBranches;
       for (const BasicBlock *Latch : L->getLatches()) {
-        auto It = MemOut.find(Latch);
-        if (It == MemOut.end())
+        NodeId M = MemOut[Latch->getNumber()];
+        if (M == InvalidNode)
           continue;
         NodeId C = gateToNode(GA.getLatchGate(Latch, Header), Header);
-        LatchBranches.emplace_back(C, It->second);
+        LatchBranches.emplace_back(C, M);
       }
       if (LatchBranches.empty()) {
         fail("memory mu without latch state");
@@ -474,8 +472,12 @@ private:
       NodeId Next = LatchBranches.size() == 1
                         ? LatchBranches.front().second
                         : G.getGamma(nullptr, LatchBranches);
-      G.setMuOperands(Mu, MuInit[Mu], Next);
+      G.setMuOperands(Mu, Init, Next);
     }
+  }
+
+  void define(const Instruction *I, NodeId Id) {
+    ValueMap.set(flatKey(I), Id);
   }
 
   void fail(const std::string &Why) {
@@ -487,11 +489,21 @@ private:
   const Function &F;
   Context &Ctx;
   GatingAnalysis GA;
-  std::map<const Value *, NodeId> ValueMap;
-  std::map<const BasicBlock *, NodeId> MemOut;
-  std::map<NodeId, NodeId> MuInit;
-  std::vector<std::pair<const PhiNode *, NodeId>> PendingValueMus;
-  std::vector<std::pair<const BasicBlock *, NodeId>> PendingMemMus;
+  /// Node of each evaluated instruction, sized once from the function's
+  /// instruction count.
+  FlatMap<NodeId> ValueMap;
+  /// Memory state leaving each evaluated block, by block number;
+  /// InvalidNode until the block is processed.
+  std::vector<NodeId> MemOut;
+  /// μ nodes whose iteration side is patched after the body, with their
+  /// initial values: one per loop-header φ and per memory-writing loop.
+  template <typename Key> struct PendingMu {
+    const Key *At;
+    NodeId Mu;
+    NodeId Init;
+  };
+  std::vector<PendingMu<PhiNode>> PendingValueMus;
+  std::vector<PendingMu<BasicBlock>> PendingMemMus;
   NodeId RetNode = InvalidNode;
   std::string Failure;
 };

@@ -83,6 +83,27 @@ void ValueGraph::mergeInto(NodeId From, NodeId Into) {
     return;
   Parent[A] = B;
   ++MergeCount;
+  // Splice A's use list onto B's.
+  UseList &Src = Users[A], &Dst = Users[B];
+  if (Src.Head == NoUse)
+    return;
+  if (Dst.Head == NoUse)
+    Dst.Head = Src.Head;
+  else
+    UseEntries[Dst.Tail].Next = Src.Head;
+  Dst.Tail = Src.Tail;
+  Src = UseList();
+}
+
+void ValueGraph::addUse(NodeId Used, NodeId User) {
+  const uint32_t E = static_cast<uint32_t>(UseEntries.size());
+  UseEntries.push_back({User, NoUse});
+  UseList &L = Users[find(Used)];
+  if (L.Head == NoUse)
+    L.Head = E;
+  else
+    UseEntries[L.Tail].Next = E;
+  L.Tail = E;
 }
 
 size_t ValueGraph::countRoots() const {
@@ -141,9 +162,13 @@ bool ValueGraph::nodeEquals(const Node &A, const Node &B) {
 
 NodeId ValueGraph::addNode(Node N, uint64_t Key) {
   NodeId Id = static_cast<NodeId>(Nodes.size());
-  Nodes.push_back(std::move(N));
   Parent.push_back(Id);
   InternHash.push_back(Key);
+  Users.emplace_back();
+  for (NodeId Op : N.Ops)
+    if (Op != InvalidNode)
+      addUse(Op, Id);
+  Nodes.push_back(std::move(N));
   return Id;
 }
 
@@ -288,8 +313,11 @@ NodeId ValueGraph::makeMu(Type *Ty) {
 void ValueGraph::setMuOperands(NodeId Mu, NodeId Init, NodeId Next) {
   Node &N = Nodes[find(Mu)];
   assert(N.Kind == NodeKind::Mu && "not a mu node");
+  assert(N.Ops[0] == InvalidNode && "mu operands set twice");
   N.Ops[0] = find(Init);
   N.Ops[1] = find(Next);
+  addUse(N.Ops[0], find(Mu));
+  addUse(N.Ops[1], find(Mu));
 }
 
 NodeId ValueGraph::getAlloc(NodeId Count, NodeId MemIn, unsigned ElemSize) {
@@ -380,32 +408,13 @@ void ValueGraph::canonicalizeOrders() {
   }
 }
 
-void ValueGraph::collectUses(UseIndex &U) const {
-  U.Roots.clear();
+unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
+  std::vector<NodeId> Roots;
   for (NodeId I = 0; I < Nodes.size(); ++I)
     if (find(I) == I)
-      U.Roots.push_back(I);
-  U.Begin.assign(Nodes.size() + 1, 0);
-  for (NodeId I : U.Roots)
-    for (NodeId Op : Nodes[I].Ops)
-      if (Op != InvalidNode)
-        ++U.Begin[find(Op) + 1];
-  std::partial_sum(U.Begin.begin(), U.Begin.end(), U.Begin.begin());
-  U.Uses.resize(U.Begin.back());
-  std::vector<unsigned> Fill(U.Begin.begin(), U.Begin.end() - 1);
-  for (NodeId I : U.Roots) {
-    const std::vector<NodeId> &Ops = Nodes[I].Ops;
-    for (unsigned K = 0, E = Ops.size(); K != E; ++K)
-      if (Ops[K] != InvalidNode)
-        U.Uses[Fill[find(Ops[K])]++] = {I, K};
-  }
-}
-
-unsigned ValueGraph::maximizeSharing() {
-  // The roots and their users: whose signature may change when one moves.
-  UseIndex U;
-  collectUses(U);
-  const std::vector<NodeId> &Roots = U.Roots;
+      Roots.push_back(I);
+  if (Examined)
+    *Examined = static_cast<unsigned>(Roots.size());
 
   // Initial partition of the roots: head payload (kind, op, pred, type,
   // scalars, arity). Sorting (head hash, id) pairs groups equal hashes
@@ -548,8 +557,7 @@ unsigned ValueGraph::maximizeSharing() {
     for (auto It = Runs.begin(); It != Runs.end(); ++It)
       if (It != Largest)
         for (unsigned K = It->first; K < It->second; ++K)
-          for (unsigned X = U.Begin[Elems[K]]; X < U.Begin[Elems[K] + 1]; ++X)
-            Push(Class[U.Uses[X].first]);
+          forEachUser(Elems[K], [&](NodeId U) { Push(Class[U]); });
   }
 
   // Merge each class into its smallest id, for determinism.
@@ -595,8 +603,6 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
   // Pointers *derived* from the allocation (GEPs, and γ/μ/η selections that
   // may yield it) are tracked transitively; the allocation escapes when any
   // derived pointer is stored as a value, passed to a call, or returned.
-  UseIndex U;
-  collectUses(U);
   Visited.clear();
   std::vector<NodeId> Work{find(Alloc)};
   Visited.insert(Work.back());
@@ -604,50 +610,52 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
     if (Visited.insert(N))
       Work.push_back(N);
   };
-  while (!Work.empty()) {
+  // False if user I's operand slot K holding the pointer lets it escape.
+  // A user met twice re-derives nothing, so repeats are harmless.
+  auto UseKeepsPrivate = [&](NodeId I, unsigned K) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
+    case NodeKind::Load:
+      return K == 0; // used as a memory state?! treat as escape
+    case NodeKind::Store:
+      return K == 1; // stored as a value: escapes
+    case NodeKind::AllocMem:
+      return true;
+    case NodeKind::Op:
+      if (N.Op == Opcode::GEP && K == 0) {
+        Derive(I);
+        return true;
+      }
+      return N.Op == Opcode::ICmp; // address comparisons do not publish it
+    case NodeKind::Gamma:
+      // The γ result may be this pointer; track it. Condition slots
+      // (even indices) cannot hold a pointer.
+      if (K % 2 == 1)
+        Derive(I);
+      return true;
+    case NodeKind::Mu:
+      Derive(I);
+      return true;
+    case NodeKind::Eta:
+      if (K == 1)
+        Derive(I);
+      return true;
+    default:
+      return false; // calls, returns, anything else: escape
+    }
+  };
+  bool Private = true;
+  while (Private && !Work.empty()) {
     NodeId Target = Work.back();
     Work.pop_back();
-    for (unsigned X = U.Begin[Target]; X < U.Begin[Target + 1]; ++X) {
-      auto [I, K] = U.Uses[X];
-      const Node &N = Nodes[I];
-      switch (N.Kind) {
-      case NodeKind::Load:
-        if (K != 0)
-          return false; // used as a memory state?! treat as escape
-        break;
-      case NodeKind::Store:
-        if (K != 1)
-          return false; // stored as a value: escapes
-        break;
-      case NodeKind::AllocMem:
-        break;
-      case NodeKind::Op:
-        if (N.Op == Opcode::GEP && K == 0) {
-          Derive(I);
-          break;
-        }
-        if (N.Op == Opcode::ICmp)
-          break; // address comparisons do not publish the pointer
-        return false;
-      case NodeKind::Gamma:
-        // The γ result may be this pointer; track it. Condition slots
-        // (even indices) cannot hold a pointer.
-        if (K % 2 == 1)
-          Derive(I);
-        break;
-      case NodeKind::Mu:
-        Derive(I);
-        break;
-      case NodeKind::Eta:
-        if (K == 1)
-          Derive(I);
-        break;
-      default:
-        return false; // calls, returns, anything else: escape
-      }
-    }
+    forEachUser(Target, [&](NodeId I) {
+      const std::vector<NodeId> &Ops = Nodes[I].Ops;
+      for (unsigned K = 0, E = Ops.size(); K != E && Private; ++K)
+        if (Ops[K] != InvalidNode && find(Ops[K]) == Target)
+          Private = UseKeepsPrivate(I, K);
+    });
   }
-  return true;
+  return Private;
 }
 
 std::string ValueGraph::dumpDot(const std::vector<NodeId> &Roots) const {

@@ -82,6 +82,10 @@ public:
     Stamp[N] = Epoch;
     return true;
   }
+  /// True if \p N was inserted since the last clear().
+  bool contains(NodeId N) const {
+    return N < Stamp.size() && Stamp[N] == Epoch;
+  }
 
 private:
   std::vector<uint32_t> Stamp;
@@ -156,6 +160,15 @@ public:
     return find(node(Id).Ops[I]);
   }
 
+  /// Calls \p F(User) for every root that holds the class of \p Id in an
+  /// operand slot, live or not. A user holding the class in several slots
+  /// may come more than once.
+  template <typename Fn> void forEachUser(NodeId Id, Fn &&F) const {
+    for (uint32_t E = Users[find(Id)].Head; E != NoUse; E = UseEntries[E].Next)
+      if (NodeId U = UseEntries[E].User; find(U) == U)
+        F(U);
+  }
+
   //===------------------------------------------------------------------===//
   // Sharing maximization
   //===------------------------------------------------------------------===//
@@ -163,8 +176,9 @@ public:
   /// Merges every pair of bisimilar live nodes: same head payload and,
   /// recursively, bisimilar operands (commutative operands and γ branches
   /// in any order). One call reaches the fixpoint: a second call returns 0
-  /// unless the graph changed in between. Returns the number of merges.
-  unsigned maximizeSharing();
+  /// unless the graph changed in between. Returns the number of merges;
+  /// \p Examined, if given, receives the number of roots partitioned.
+  unsigned maximizeSharing(unsigned *Examined = nullptr);
 
   //===------------------------------------------------------------------===//
   // Cone queries used by rewrite rules
@@ -175,8 +189,8 @@ public:
 
   /// True if the Alloc node \p Alloc is non-escaping in this graph: it is
   /// only used as a load/store/GEP address or for its AllocMem projection.
-  /// Every root counts as a user, live or not. One pass builds the uses of
-  /// all roots; the walk then visits only the uses of derived pointers.
+  /// Every root counts as a user, live or not. The walk visits only the
+  /// use lists of the allocation and the pointers derived from it.
   bool isNonEscapingAlloc(NodeId Alloc) const;
 
   /// Structural may-alias on pointer-valued nodes (the validator-side
@@ -213,15 +227,8 @@ private:
   /// Field-by-field structural equality against an interned node.
   static bool nodeEquals(const Node &A, const Node &B);
 
-  /// The roots, ascending, and the uses of each, grouped by used root
-  /// (CSR): the uses of root R are Uses[Begin[R] .. Begin[R + 1]), each a
-  /// (user, operand slot) pair, users ascending.
-  struct UseIndex {
-    std::vector<NodeId> Roots;
-    std::vector<unsigned> Begin;
-    std::vector<std::pair<NodeId, unsigned>> Uses;
-  };
-  void collectUses(UseIndex &U) const;
+  /// Appends \p User to the use list of \p Used's class.
+  void addUse(NodeId Used, NodeId User);
 
   /// Canonically re-sorts every Gamma's branches (by current roots) and
   /// commutative operators' operands.
@@ -260,6 +267,23 @@ private:
   size_t HashConsCount = 0;
   /// Key of each node, by id (0 for μ nodes, which are not hash-consed).
   std::vector<uint64_t> InternHash;
+  /// The use lists: for each root, a singly linked list of the nodes that
+  /// took an operand in its class, kept in flat arrays. addNode and
+  /// setMuOperands append one entry per operand slot; mergeInto splices
+  /// the merged root's list onto its new root's in O(1). Operand lists
+  /// only change by re-sorting within their classes, so an entry whose
+  /// user is still a root names a real use; forEachUser skips the users
+  /// merged away since.
+  static constexpr uint32_t NoUse = ~uint32_t(0);
+  struct UseList {
+    uint32_t Head = NoUse, Tail = NoUse;
+  };
+  struct UseEntry {
+    NodeId User;
+    uint32_t Next;
+  };
+  std::vector<UseList> Users; ///< by node id; meaningful for roots
+  std::vector<UseEntry> UseEntries;
   unsigned MergeCount = 0;
 };
 

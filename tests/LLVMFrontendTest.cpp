@@ -389,6 +389,35 @@ entry:
   EXPECT_NE(R.Detail.find("fptosi"), std::string::npos);
 }
 
+TEST(LLVMFrontendTest, StrictParseReportsTheFirstRefusalInTheText) {
+  // The body refusal comes first in the text, but the importer finds the
+  // varargs signature while scanning, before it reads any body.
+  const char *Text = R"(define i32 @c(double %x) {
+entry:
+  %v = fptosi double %x to i32
+  ret i32 %v
+}
+
+define i32 @v(i32 %a, ...) {
+entry:
+  ret i32 %a
+}
+)";
+  Context Ctx;
+  LLImportResult IR = importLLModule(Ctx, Text);
+  ASSERT_EQ(IR.Rejected.size(), 2u);
+  EXPECT_EQ(IR.Rejected[0].Reason, llreject::VarargsCall);
+  EXPECT_EQ(IR.Rejected[0].Line, 7u);
+  ParseResult R = parseModule(Ctx, Text);
+  EXPECT_FALSE(static_cast<bool>(R));
+  EXPECT_EQ(R.Error.rfind("line 3: " +
+                              std::string(llreject::UnsupportedInstruction) +
+                              ": ",
+                          0),
+            0u)
+      << R.Error;
+}
+
 TEST(LLVMFrontendTest, RejectUnsupportedPredicate) {
   // Unordered fcmp predicates are outside the subset.
   expectSingleReject(R"(

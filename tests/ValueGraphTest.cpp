@@ -6,10 +6,19 @@
 
 #include "vg/ValueGraph.h"
 
+#include "ir/Cloning.h"
 #include "ir/Context.h"
+#include "ir/Module.h"
+#include "normalize/Normalizer.h"
+#include "opt/Pass.h"
+#include "support/Hashing.h"
+#include "vg/GraphBuilder.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 using namespace llvmmd;
@@ -387,4 +396,176 @@ TEST_F(GraphFixture, DumpDotRendersCone) {
   (void)Unrelated;
   std::string Dot2 = G.dumpDot({Eta});
   EXPECT_EQ(Dot2.find("mul"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Use lists
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The distinct users forEachUser reports for \p Id, ascending.
+std::vector<NodeId> listedUsers(const ValueGraph &G, NodeId Id) {
+  std::vector<NodeId> Users;
+  G.forEachUser(Id, [&](NodeId U) { Users.push_back(U); });
+  std::sort(Users.begin(), Users.end());
+  Users.erase(std::unique(Users.begin(), Users.end()), Users.end());
+  return Users;
+}
+
+/// Every root's users by a scan of all roots' operands, ascending.
+std::vector<std::vector<NodeId>> scannedUsers(const ValueGraph &G) {
+  std::vector<std::vector<NodeId>> Users(G.size());
+  for (NodeId I = 0; I < G.size(); ++I) {
+    if (G.find(I) != I)
+      continue;
+    for (NodeId Op : G.node(I).Ops)
+      if (Op != InvalidNode &&
+          (Users[G.find(Op)].empty() || Users[G.find(Op)].back() != I))
+        Users[G.find(Op)].push_back(I);
+  }
+  return Users;
+}
+
+/// isNonEscapingAlloc restated as a fixpoint over every root's operand
+/// slots, without use lists.
+bool scannedNonEscaping(const ValueGraph &G, NodeId Alloc) {
+  std::vector<char> Derived(G.size(), 0);
+  Derived[G.find(Alloc)] = 1;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (NodeId I = 0; I < G.size(); ++I) {
+      if (G.find(I) != I)
+        continue;
+      const Node &N = G.node(I);
+      for (unsigned K = 0; K < N.Ops.size(); ++K) {
+        if (N.Ops[K] == InvalidNode || !Derived[G.find(N.Ops[K])])
+          continue;
+        bool Derives = false;
+        switch (N.Kind) {
+        case NodeKind::Load:
+          if (K != 0)
+            return false;
+          break;
+        case NodeKind::Store:
+          if (K != 1)
+            return false;
+          break;
+        case NodeKind::AllocMem:
+          break;
+        case NodeKind::Op:
+          if (N.Op == Opcode::GEP && K == 0)
+            Derives = true;
+          else if (N.Op != Opcode::ICmp)
+            return false;
+          break;
+        case NodeKind::Gamma:
+          Derives = K % 2 == 1;
+          break;
+        case NodeKind::Mu:
+          Derives = true;
+          break;
+        case NodeKind::Eta:
+          Derives = K == 1;
+          break;
+        default:
+          return false;
+        }
+        if (Derives && !Derived[I])
+          Derived[I] = Changed = true;
+      }
+    }
+  }
+  return true;
+}
+
+} // namespace
+
+TEST_F(GraphFixture, UseListsSpliceOnMerge) {
+  NodeId A = G.getParam(0, I32), B = G.getParam(1, I32);
+  NodeId NegA = G.getOp(Opcode::Sub, I32, {G.getConstInt(I32, 0), A});
+  NodeId NegB = G.getOp(Opcode::Sub, I32, {G.getConstInt(I32, 0), B});
+  NodeId SumB = G.getOp(Opcode::Add, I32, {B, G.getConstInt(I32, 1)});
+  EXPECT_EQ(listedUsers(G, A), std::vector<NodeId>{NegA});
+  G.mergeInto(B, A);
+  // B's users now use A's class, and the list of B's old root is A's.
+  EXPECT_EQ(listedUsers(G, A), (std::vector<NodeId>{NegA, NegB, SumB}));
+  EXPECT_EQ(listedUsers(G, B), listedUsers(G, A));
+  // A user merged away is no longer listed; its class's root is.
+  G.mergeInto(NegB, NegA);
+  EXPECT_EQ(listedUsers(G, A), (std::vector<NodeId>{NegA, SumB}));
+}
+
+TEST_F(GraphFixture, UseListsTakeMuOperands) {
+  NodeId Init = G.getParam(0, I32);
+  NodeId Mu = G.makeMu(I32);
+  EXPECT_TRUE(listedUsers(G, Init).empty()) << "an unset μ uses nothing";
+  NodeId Next = G.getOp(Opcode::Add, I32, {Mu, G.getConstInt(I32, 1)});
+  G.setMuOperands(Mu, Init, Next);
+  EXPECT_EQ(listedUsers(G, Init), std::vector<NodeId>{Mu});
+  EXPECT_EQ(listedUsers(G, Next), std::vector<NodeId>{Mu});
+  EXPECT_EQ(listedUsers(G, Mu), std::vector<NodeId>{Next});
+}
+
+TEST_F(GraphFixture, UseListsNameAUserOfOneClassInTwoSlots) {
+  NodeId A = G.getParam(0, I32), B = G.getParam(1, I32);
+  NodeId Twice = G.getOp(Opcode::Mul, I32, {A, A});
+  NodeId Both = G.getOp(Opcode::Sub, I32, {A, B});
+  G.mergeInto(B, A);
+  std::vector<NodeId> Seen;
+  G.forEachUser(A, [&](NodeId U) { Seen.push_back(U); });
+  EXPECT_EQ(std::count(Seen.begin(), Seen.end(), Twice), 2);
+  EXPECT_EQ(std::count(Seen.begin(), Seen.end(), Both), 2);
+  EXPECT_EQ(listedUsers(G, A), (std::vector<NodeId>{Twice, Both}));
+  // The escape walk follows both slots of a two-slot user.
+  NodeId Mem = G.getInitialMem();
+  NodeId Alloc = G.getAlloc(G.getConstInt(Ctx.getInt64Ty(), 1), Mem, 4);
+  G.getStore(Alloc, Alloc, Mem);
+  EXPECT_FALSE(G.isNonEscapingAlloc(Alloc)) << "stored as its own value";
+}
+
+TEST(UseListSuiteTest, ListsAndEscapesMatchAScanOnEverySuitePair) {
+  unsigned Answers[2] = {0, 0}; // escaping, non-escaping
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    Context Ctx;
+    auto Orig = generateBenchmark(Ctx, P);
+    auto Opt = cloneModule(*Orig);
+    PassManager PM;
+    PM.parsePipeline(getPaperPipeline());
+    PM.run(*Opt);
+    for (unsigned Mask : {unsigned(RS_Paper), unsigned(RS_All)}) {
+      RuleConfig RC;
+      RC.Mask = Mask;
+      RC.M = Orig.get();
+      unsigned Allocs = 0;
+      for (const Function *F : Orig->definedFunctions()) {
+        const Function *FO = Opt->getFunction(F->getName());
+        if (!FO || fingerprintFunction(*F) == fingerprintFunction(*FO))
+          continue;
+        ValueGraph G;
+        BuildResult A = buildValueGraph(G, *F);
+        BuildResult B = buildValueGraph(G, *FO);
+        if (!A.Supported || !B.Supported)
+          continue;
+        normalizeToFixpoint(G, {A.Ret, B.Ret}, RC);
+        SCOPED_TRACE(P.Name + " " + F->getName() +
+                     (Mask == RS_All ? " RS_All" : " RS_Paper"));
+        std::vector<std::vector<NodeId>> Want = scannedUsers(G);
+        for (NodeId I = 0; I < G.size(); ++I) {
+          if (G.find(I) != I)
+            continue;
+          ASSERT_EQ(listedUsers(G, I), Want[I]) << "users of n" << I;
+          if (G.node(I).Kind == NodeKind::Alloc) {
+            ++Allocs;
+            bool NonEscaping = G.isNonEscapingAlloc(I);
+            EXPECT_EQ(NonEscaping, scannedNonEscaping(G, I)) << "alloc n" << I;
+            ++Answers[NonEscaping];
+          }
+        }
+      }
+      EXPECT_GT(Allocs, 0u) << P.Name << " exercises the escape query";
+    }
+  }
+  EXPECT_GT(Answers[0], 0u);
+  EXPECT_GT(Answers[1], 0u);
 }

@@ -121,6 +121,36 @@ TEST(Verifier, UseBeforeDefInBlock) {
   EXPECT_NE(Errors[0].find("use before def"), std::string::npos);
 }
 
+TEST(Verifier, LongBlockIsCheckedInOneWalk) {
+  // A chain of adds in one block: each uses the one before it. The
+  // same-block check is a lookup in the instructions already passed, so
+  // this stays linear in the block's length.
+  Context Ctx;
+  Module M(Ctx);
+  Type *I32 = Ctx.getInt32Ty();
+  Function *F = M.createFunction(Ctx.getFunctionTy(I32, {I32}), "f");
+  BasicBlock *Entry = F->createBlock("entry");
+  IRBuilder B(Ctx);
+  B.setInsertPoint(Entry);
+  const unsigned N = 6000;
+  std::vector<Instruction *> Chain;
+  Value *Prev = F->getArg(0);
+  for (unsigned K = 0; K < N; ++K) {
+    Prev = B.createAdd(Prev, Ctx.getInt32(1), "x" + std::to_string(K));
+    Chain.push_back(cast<Instruction>(Prev));
+  }
+  B.createRet(Prev);
+  EXPECT_TRUE(verify(F).empty());
+
+  // Hoisting x3000 to the block's start puts its use of x2999 before the
+  // definition; its own user x3001 still follows it.
+  Entry->remove(Chain[3000]);
+  Entry->insert(Entry->begin(), Chain[3000]);
+  EXPECT_EQ(verify(F), std::vector<std::string>{
+                           "function 'f': use before def of 'x2999' in "
+                           "'entry'"});
+}
+
 TEST(Verifier, UseNotDominatedAcrossBlocks) {
   std::string Error = firstVerifierError(R"(
 define i32 @f(i1 %c) {
