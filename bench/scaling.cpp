@@ -16,7 +16,9 @@
 // functions, the dominator tree, loop info and gating analysis, and, on
 // the value graphs of the suite's pairs, the normalizer (BM_Normalize) and
 // one sharing pass (BM_MaximizeSharing). BM_ParseModule reads the printed
-// suite modules back through the module reader.
+// suite modules back through the module reader. The warm path has one
+// case per layer: BM_CloneModule, BM_OptimizePass/<pass> for each paper
+// pass, and BM_Fingerprint.
 //
 // After the microbenchmarks run, a whole-suite engine pass is emitted as
 // BENCH_scaling.json through the engine's JSON reporter (with timing).
@@ -26,12 +28,14 @@
 #include "Harness.h"
 
 #include "analysis/Dominators.h"
+#include "analysis/FunctionAnalyses.h"
 #include "analysis/LoopInfo.h"
 #include "driver/VerdictStore.h"
 #include "gated/GatedSSA.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "normalize/Normalizer.h"
+#include "support/Hashing.h"
 #include "vg/GraphBuilder.h"
 
 #include <benchmark/benchmark.h>
@@ -39,7 +43,6 @@
 #include <cassert>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 
 using namespace llvmmd;
@@ -168,6 +171,80 @@ void BM_PaperPipeline(benchmark::State &State) {
   State.counters["loop_infos"] = Builds.LoopInfos;
 }
 BENCHMARK(BM_PaperPipeline)->Unit(benchmark::kMillisecond);
+
+/// One paper pass (pipeline position \p Pass) over every suite function as
+/// the passes before it left it. Each function keeps one FunctionAnalyses
+/// across its passes, as in PassManager::run. Only the pass is timed.
+void BM_OptimizePass(benchmark::State &State, size_t Pass) {
+  PassManager PM;
+  PM.parsePipeline(getPaperPipeline());
+  const auto &Passes = PM.passes();
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::vector<std::unique_ptr<Module>> Clones;
+    std::vector<Function *> Functions;
+    for (const auto &M : paperSuite().Orig) {
+      Clones.push_back(cloneModule(*M));
+      for (Function *F : Clones.back()->definedFunctions())
+        Functions.push_back(F);
+    }
+    std::vector<FunctionAnalyses> Analyses(Functions.size());
+    for (size_t I = 0; I != Functions.size(); ++I)
+      for (size_t P = 0; P != Pass; ++P)
+        Passes[P]->run(*Functions[I], Analyses[I]);
+    State.ResumeTiming();
+    for (size_t I = 0; I != Functions.size(); ++I)
+      Passes[Pass]->run(*Functions[I], Analyses[I]);
+    State.PauseTiming();
+    Analyses.clear();
+    Clones.clear();
+    State.ResumeTiming();
+  }
+}
+
+/// Registers BM_OptimizePass/<pass> for each paper pass. The set-up of an
+/// iteration (clone, earlier passes) dwarfs a late pass, so the iteration
+/// count is fixed rather than grown to a minimum timed duration.
+const bool OptimizePassBenchmarks = [] {
+  PassManager PM;
+  PM.parsePipeline(getPaperPipeline());
+  for (size_t P = 0; P != PM.size(); ++P)
+    benchmark::RegisterBenchmark(
+        (std::string("BM_OptimizePass/") + PM.passes()[P]->getName()).c_str(),
+        BM_OptimizePass, P)
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(20);
+  return true;
+}();
+
+/// cloneModule over the 12 suite modules (freeing the clones is untimed).
+void BM_CloneModule(benchmark::State &State) {
+  size_t Instructions = 0;
+  for (auto _ : State) {
+    std::vector<std::unique_ptr<Module>> Clones;
+    for (const auto &M : paperSuite().Orig)
+      Clones.push_back(cloneModule(*M));
+    State.PauseTiming();
+    Instructions = 0;
+    for (const auto &M : Clones)
+      for (const Function *F : M->definedFunctions())
+        Instructions += F->getInstructionCount();
+    Clones.clear();
+    State.ResumeTiming();
+  }
+  State.counters["instructions"] = static_cast<double>(Instructions);
+}
+BENCHMARK(BM_CloneModule)->Unit(benchmark::kMillisecond);
+
+/// fingerprintFunction over every optimized suite function.
+void BM_Fingerprint(benchmark::State &State) {
+  const auto &Functions = paperSuite().OptFunctions;
+  for (auto _ : State)
+    for (const Function *F : Functions)
+      benchmark::DoNotOptimize(fingerprintFunction(*F));
+  State.counters["functions"] = static_cast<double>(Functions.size());
+}
+BENCHMARK(BM_Fingerprint)->Unit(benchmark::kMicrosecond);
 
 /// parseModule over the printed text of the 12 suite modules; reports
 /// bytes read per second and the functions read.
@@ -442,8 +519,7 @@ void BM_SnapshotReclone(benchmark::State &State) {
   const Function *Src = Pristine->definedFunctions().front();
   for (auto _ : State) {
     F->dropBody();
-    std::map<const Value *, Value *> VMap;
-    cloneFunctionBody(*Src, *F, VMap);
+    cloneFunctionBody(*Src, *F);
     remapModuleReferences(*F, *M);
     benchmark::DoNotOptimize(F);
   }

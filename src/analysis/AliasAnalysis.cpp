@@ -16,7 +16,10 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
     return;
   // An alloca escapes if its address (or a GEP of it) is stored anywhere,
   // passed to a call, or returned. We run a small fixpoint over the
-  // "address-of" dataflow: derived = {alloca} closed under GEP.
+  // "address-of" dataflow: derived = {alloca} closed under GEP. A GEP has
+  // one base, so the derived pointers form one tree per alloca and one
+  // seen set serves them all.
+  FlatMap<bool> Seen;
   for (const auto &BB : F.blocks()) {
     for (const Instruction *I : *BB) {
       const auto *AI = dyn_cast<AllocaInst>(I);
@@ -24,7 +27,7 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
         continue;
       bool Escapes = false;
       std::vector<const Value *> Work{AI};
-      std::set<const Value *> Seen{AI};
+      Seen.insert(flatKey(AI));
       while (!Work.empty() && !Escapes) {
         const Value *V = Work.back();
         Work.pop_back();
@@ -41,7 +44,7 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
               Escapes = true;
             break;
           case Opcode::GEP:
-            if (Seen.insert(UI).second)
+            if (Seen.insert(flatKey(UI)))
               Work.push_back(UI);
             break;
           case Opcode::ICmp:
@@ -64,7 +67,7 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
         }
       }
       if (!Escapes)
-        NonEscaping.insert(AI);
+        NonEscaping.insert(flatKey(AI));
     }
   }
 }
@@ -120,8 +123,8 @@ AliasResult AliasAnalysis::alias(const Value *PtrA, unsigned SizeA,
     return AliasResult::NoAlias;
 
   // A non-escaping alloca cannot alias anything not derived from it.
-  if ((isa<AllocaInst>(A.Base) && NonEscaping.count(A.Base)) ||
-      (isa<AllocaInst>(B.Base) && NonEscaping.count(B.Base)))
+  if ((isa<AllocaInst>(A.Base) && isNonEscapingAlloca(A.Base)) ||
+      (isa<AllocaInst>(B.Base) && isNonEscapingAlloca(B.Base)))
     return AliasResult::NoAlias;
 
   return AliasResult::MayAlias;

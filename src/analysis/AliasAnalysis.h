@@ -17,10 +17,10 @@
 #ifndef LLVMMD_ANALYSIS_ALIASANALYSIS_H
 #define LLVMMD_ANALYSIS_ALIASANALYSIS_H
 
+#include "support/FlatMap.h"
+
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 
 namespace llvmmd {
 
@@ -48,7 +48,7 @@ public:
   /// True if \p V is an alloca whose address never escapes the function
   /// (not stored, not passed to calls, not returned).
   bool isNonEscapingAlloca(const Value *V) const {
-    return NonEscaping.count(V) != 0;
+    return NonEscaping.contains(flatKey(V));
   }
 
   /// Decomposes \p Ptr into (base, constant byte offset) through GEP chains
@@ -64,7 +64,7 @@ public:
   static bool isIdentifiedObject(const Value *V);
 
 private:
-  std::set<const Value *> NonEscaping;
+  FlatMap<bool> NonEscaping;
 };
 
 } // namespace llvmmd

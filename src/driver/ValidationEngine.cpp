@@ -20,7 +20,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <map>
 
 using namespace llvmmd;
 
@@ -45,8 +44,7 @@ ValidationResult identicalSkipResult() {
 /// the same Context).
 void restoreBody(const Function &Src, Function &Dst, Module &DstModule) {
   Dst.dropBody();
-  std::map<const Value *, Value *> VMap;
-  cloneFunctionBody(Src, Dst, VMap);
+  cloneFunctionBody(Src, Dst);
   remapModuleReferences(Dst, DstModule);
 }
 
@@ -453,8 +451,7 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
       } else {
         Function *Snap = Snapshots.createFunction(
             F->getFunctionType(), F->getName() + ".s" + std::to_string(Pi));
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*F, *Snap, VMap);
+        cloneFunctionBody(*F, *Snap);
         E.Steps.push_back(std::move(St));
         S.PerFn[Fi].push_back({PrevFp, Fp, Prev, Snap, static_cast<int>(Pi)});
         S.SnapChains[Fi].push_back({static_cast<int>(Pi), Snap});
@@ -541,12 +538,11 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
     S.Stepwise = Stepwise;
     S.Report = &R;
     S.Defined = S.Opt->definedFunctions();
-    S.Origs.reserve(S.Defined.size());
-    for (Function *F : S.Defined) {
-      const Function *Orig = M.getFunction(F->getName());
-      assert(Orig && "function lost during cloning");
-      S.Origs.push_back(Orig);
-    }
+    // cloneModule keeps the function order, so the clones pair with the
+    // originals by position.
+    std::vector<Function *> Origs = M.definedFunctions();
+    S.Origs.assign(Origs.begin(), Origs.end());
+    assert(S.Origs.size() == S.Defined.size() && "function lost in cloning");
     S.SnapshotModules.resize(S.Defined.size());
     S.SnapChains.resize(S.Defined.size());
     S.PerFn.resize(S.Defined.size());

@@ -11,215 +11,253 @@
 
 using namespace llvmmd;
 
-Instruction *llvmmd::cloneInstruction(const Instruction *I, Arena &A) {
+namespace {
+
+/// Copies \p I into \p A with every operand passed through \p Map and every
+/// block reference (phi incoming blocks, branch successors) through
+/// \p MapBlock.
+template <typename MapFn, typename BlockFn>
+Instruction *copyInstruction(const Instruction *I, Arena &A, MapFn &&Map,
+                             BlockFn &&MapBlock) {
   switch (I->getOpcode()) {
   case Opcode::ICmp: {
     const auto *C = cast<ICmpInst>(I);
-    return A.create<ICmpInst>(C->getPred(), C->getLHS(), C->getRHS(), C->getType());
+    return A.create<ICmpInst>(C->getPred(), Map(C->getLHS()),
+                              Map(C->getRHS()), C->getType());
   }
   case Opcode::FCmp: {
     const auto *C = cast<FCmpInst>(I);
-    return A.create<FCmpInst>(C->getPred(), C->getLHS(), C->getRHS(), C->getType());
+    return A.create<FCmpInst>(C->getPred(), Map(C->getLHS()),
+                              Map(C->getRHS()), C->getType());
   }
   case Opcode::Trunc:
   case Opcode::ZExt:
   case Opcode::SExt: {
     const auto *C = cast<CastInst>(I);
-    return A.create<CastInst>(C->getOpcode(), C->getSrc(), C->getType());
+    return A.create<CastInst>(C->getOpcode(), Map(C->getSrc()), C->getType());
   }
   case Opcode::Select: {
     const auto *S = cast<SelectInst>(I);
-    return A.create<SelectInst>(S->getCondition(), S->getTrueValue(),
-                          S->getFalseValue());
+    return A.create<SelectInst>(Map(S->getCondition()), Map(S->getTrueValue()),
+                                Map(S->getFalseValue()));
   }
   case Opcode::Alloca: {
     const auto *AI = cast<AllocaInst>(I);
-    return A.create<AllocaInst>(AI->getAllocatedType(), AI->getCount(),
+    return A.create<AllocaInst>(AI->getAllocatedType(), Map(AI->getCount()),
                                 AI->getType());
   }
   case Opcode::Load: {
     const auto *L = cast<LoadInst>(I);
-    return A.create<LoadInst>(L->getType(), L->getPointer());
+    return A.create<LoadInst>(L->getType(), Map(L->getPointer()));
   }
   case Opcode::Store: {
     const auto *S = cast<StoreInst>(I);
-    return A.create<StoreInst>(S->getStoredValue(), S->getPointer(), S->getType());
+    return A.create<StoreInst>(Map(S->getStoredValue()), Map(S->getPointer()),
+                               S->getType());
   }
   case Opcode::GEP: {
     const auto *G = cast<GEPInst>(I);
-    return A.create<GEPInst>(G->getElementType(), G->getBase(), G->getIndex(),
-                       G->getType());
+    return A.create<GEPInst>(G->getElementType(), Map(G->getBase()),
+                             Map(G->getIndex()), G->getType());
   }
   case Opcode::Call: {
     const auto *C = cast<CallInst>(I);
     std::vector<Value *> Args;
-    for (unsigned A = 0, E = C->getNumArgs(); A != E; ++A)
-      Args.push_back(C->getArg(A));
-    return A.create<CallInst>(C->getCallee(), std::move(Args), C->getType());
+    Args.reserve(C->getNumArgs());
+    for (unsigned K = 0, E = C->getNumArgs(); K != E; ++K)
+      Args.push_back(Map(C->getArg(K)));
+    return A.create<CallInst>(cast<Function>(Map(C->getCallee())),
+                              std::move(Args), C->getType());
   }
   case Opcode::Phi: {
     const auto *P = cast<PhiNode>(I);
     auto *NP = A.create<PhiNode>(P->getType());
     for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K)
-      NP->addIncoming(P->getIncomingValue(K), P->getIncomingBlock(K));
+      NP->addIncoming(Map(P->getIncomingValue(K)),
+                      MapBlock(P->getIncomingBlock(K)));
     return NP;
   }
   case Opcode::Br: {
     const auto *B = cast<BranchInst>(I);
     if (B->isConditional())
-      return A.create<BranchInst>(B->getCondition(), B->getSuccessor(0),
-                            B->getSuccessor(1), B->getType());
-    return A.create<BranchInst>(B->getSuccessor(0), B->getType());
+      return A.create<BranchInst>(Map(B->getCondition()),
+                                  MapBlock(B->getSuccessor(0)),
+                                  MapBlock(B->getSuccessor(1)), B->getType());
+    return A.create<BranchInst>(MapBlock(B->getSuccessor(0)), B->getType());
   }
   case Opcode::Ret: {
     const auto *R = cast<ReturnInst>(I);
-    return A.create<ReturnInst>(R->getReturnValue(), R->getType());
+    return A.create<ReturnInst>(Map(R->getReturnValue()), R->getType());
   }
   case Opcode::Unreachable:
     return A.create<UnreachableInst>(I->getType());
   default:
     assert(I->isBinaryOp() && "unhandled opcode in cloneInstruction");
-    return A.create<BinaryOperator>(I->getOpcode(), I->getOperand(0),
-                              I->getOperand(1));
+    return A.create<BinaryOperator>(I->getOpcode(), Map(I->getOperand(0)),
+                                    Map(I->getOperand(1)));
   }
 }
 
-void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst,
-                               std::map<const Value *, Value *> &VMap) {
-  assert(Dst.getNumBlocks() == 0 && "destination already has a body");
-  Arena &A = Dst.bodyArena();
-  for (unsigned I = 0, E = Src.getNumArgs(); I != E; ++I) {
-    VMap[Src.getArg(I)] = Dst.getArg(I);
-    Dst.getArg(I)->setName(Src.getArg(I)->getName());
-  }
-  std::map<const BasicBlock *, BasicBlock *> BMap;
-  for (const BasicBlock *BB : Src.blocks())
-    BMap[BB] = Dst.createBlock(BB->getName());
+/// Clones blocks of one source function, building each copy from operands
+/// that are already mapped. A use of a cloned instruction that has no copy
+/// yet (a phi's back-edge value, or a use above its definition in block
+/// order) is built against an undef placeholder and patched by finish()
+/// once every copy exists, so the source function is only ever read.
+class BodyCloner {
+public:
+  BodyCloner(const Function &Src, ValueMap &VMap)
+      : Src(Src), VMap(VMap), BlockMap(Src.getMaxBlockNumber(), nullptr) {}
 
-  auto MapValue = [&](Value *V) -> Value * {
-    auto It = VMap.find(V);
-    return It == VMap.end() ? V : It->second;
+  void addBlock(const BasicBlock *BB, BasicBlock *NewBB) {
+    BlockMap[BB->getNumber()] = NewBB;
+  }
+
+  /// Appends copies of \p BB's instructions to its mapped block, each named
+  /// after its source plus \p Suffix.
+  void cloneInstructions(const BasicBlock *BB, const std::string &Suffix) {
+    BasicBlock *NewBB = BlockMap[BB->getNumber()];
+    Arena &A = NewBB->getParent()->bodyArena();
+    auto Map = [this](Value *V) { return map(V); };
+    auto MapBlock = [this](BasicBlock *B) { return mapBlock(B); };
+    for (const Instruction *I : *BB) {
+      Instruction *NI = copyInstruction(I, A, Map, MapBlock);
+      if (Pending) {
+        for (unsigned K = 0, E = I->getNumOperands(); K != E; ++K)
+          if (isPending(I->getOperand(K)))
+            Fixups.push_back({NI, K, I->getOperand(K)});
+        Pending = 0;
+      }
+      if (I->hasName())
+        NI->setName(I->getName() + Suffix);
+      NewBB->append(NI);
+      VMap.set(flatKey(I), NI);
+    }
+  }
+
+  /// Replaces every placeholder with the copy it stands for.
+  void finish() {
+    for (const Fixup &F : Fixups) {
+      Value *const *New = VMap.find(flatKey(F.Src));
+      assert(New && "forward reference to a value that was never cloned");
+      F.User->setOperand(F.OpIdx, *New);
+    }
+  }
+
+private:
+  struct Fixup {
+    Instruction *User;
+    unsigned OpIdx;
+    const Value *Src;
   };
 
-  for (const BasicBlock *BB : Src.blocks()) {
-    BasicBlock *NewBB = BMap[BB];
-    for (const Instruction *I : *BB) {
-      Instruction *NI = cloneInstruction(I, A);
-      NI->setName(I->getName());
-      NewBB->append(NI);
-      VMap[I] = NI;
-    }
+  BasicBlock *mappedBlock(const BasicBlock *BB) const {
+    if (BB->getParent() != &Src || BB->getNumber() >= BlockMap.size())
+      return nullptr;
+    return BlockMap[BB->getNumber()];
   }
 
-  // Remap operands, phi blocks and branch successors.
-  for (const BasicBlock *BB : Src.blocks()) {
-    BasicBlock *NewBB = BMap[BB];
-    for (Instruction *NI : *NewBB) {
-      for (unsigned OpI = 0, E = NI->getNumOperands(); OpI != E; ++OpI)
-        NI->setOperand(OpI, MapValue(NI->getOperand(OpI)));
-      if (auto *P = dyn_cast<PhiNode>(NI)) {
-        for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
-          auto It = BMap.find(P->getIncomingBlock(K));
-          assert(It != BMap.end() && "phi references unknown block");
-          P->setIncomingBlock(K, It->second);
-        }
-      } else if (auto *Br = dyn_cast<BranchInst>(NI)) {
-        for (unsigned SuccI = 0, E = Br->getNumSuccessors(); SuccI != E;
-             ++SuccI) {
-          auto It = BMap.find(Br->getSuccessor(SuccI));
-          assert(It != BMap.end() && "branch references unknown block");
-          Br->setSuccessor(SuccI, It->second);
-        }
-      }
-    }
+  BasicBlock *mapBlock(BasicBlock *BB) const {
+    BasicBlock *New = mappedBlock(BB);
+    return New ? New : BB;
   }
+
+  /// True if \p V is an instruction of a block being cloned whose copy
+  /// does not exist yet.
+  bool isPending(const Value *V) const {
+    const auto *I = dyn_cast_or_null<Instruction>(V);
+    return I && I->getParent() && mappedBlock(I->getParent()) &&
+           !VMap.contains(flatKey(I));
+  }
+
+  Value *map(Value *V) {
+    if (!V)
+      return V;
+    if (Value *const *New = VMap.find(flatKey(V)))
+      return *New;
+    if (!isPending(V))
+      return V;
+    ++Pending;
+    return Src.getParent()->getContext().getUndef(V->getType());
+  }
+
+  const Function &Src;
+  ValueMap &VMap;
+  /// Copy of each source block, indexed by block number.
+  std::vector<BasicBlock *> BlockMap;
+  std::vector<Fixup> Fixups;
+  /// Placeholders handed out for the instruction being copied.
+  unsigned Pending = 0;
+};
+
+/// cloneFunctionBody into a caller-sized \p VMap.
+void cloneBody(const Function &Src, Function &Dst, ValueMap &VMap) {
+  assert(Dst.getNumBlocks() == 0 && "destination already has a body");
+  for (unsigned I = 0, E = Src.getNumArgs(); I != E; ++I) {
+    VMap.set(flatKey(Src.getArg(I)), Dst.getArg(I));
+    Dst.getArg(I)->setName(Src.getArg(I)->getName());
+  }
+  BodyCloner C(Src, VMap);
+  for (const BasicBlock *BB : Src.blocks())
+    C.addBlock(BB, Dst.createBlock(BB->getName()));
+  for (const BasicBlock *BB : Src.blocks())
+    C.cloneInstructions(BB, "");
+  C.finish();
+}
+
+} // namespace
+
+Instruction *llvmmd::cloneInstruction(const Instruction *I, Arena &A) {
+  return copyInstruction(
+      I, A, [](Value *V) { return V; }, [](BasicBlock *BB) { return BB; });
+}
+
+void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst,
+                               ValueMap *VMap) {
+  ValueMap Local;
+  ValueMap &Map = VMap ? *VMap : Local;
+  Map.reserve(Src.getNumArgs() + Src.getInstructionCount());
+  cloneBody(Src, Dst, Map);
 }
 
 std::vector<BasicBlock *>
 llvmmd::cloneBlocks(Function &F, const std::vector<BasicBlock *> &Blocks,
-                    std::map<const Value *, Value *> &VMap,
-                    std::map<const BasicBlock *, BasicBlock *> &BMap,
-                    const std::string &Suffix) {
-  Arena &A = F.bodyArena();
+                    ValueMap &VMap, const std::string &Suffix) {
+  BodyCloner C(F, VMap);
   std::vector<BasicBlock *> NewBlocks;
+  NewBlocks.reserve(Blocks.size());
   for (BasicBlock *BB : Blocks) {
-    BasicBlock *NewBB = F.createBlock(BB->getName() + Suffix);
-    BMap[BB] = NewBB;
-    NewBlocks.push_back(NewBB);
+    NewBlocks.push_back(F.createBlock(BB->getName() + Suffix));
+    C.addBlock(BB, NewBlocks.back());
   }
-  for (BasicBlock *BB : Blocks) {
-    BasicBlock *NewBB = BMap[BB];
-    for (const Instruction *I : *BB) {
-      Instruction *NI = cloneInstruction(I, A);
-      if (I->hasName())
-        NI->setName(I->getName() + Suffix);
-      NewBB->append(NI);
-      VMap[I] = NI;
-    }
-  }
-  auto MapValue = [&](Value *V) -> Value * {
-    auto It = VMap.find(V);
-    return It == VMap.end() ? V : It->second;
-  };
-  for (BasicBlock *NewBB : NewBlocks) {
-    for (Instruction *NI : *NewBB) {
-      for (unsigned OpI = 0, E = NI->getNumOperands(); OpI != E; ++OpI)
-        NI->setOperand(OpI, MapValue(NI->getOperand(OpI)));
-      if (auto *P = dyn_cast<PhiNode>(NI)) {
-        for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
-          auto It = BMap.find(P->getIncomingBlock(K));
-          if (It != BMap.end())
-            P->setIncomingBlock(K, It->second);
-        }
-      } else if (auto *Br = dyn_cast<BranchInst>(NI)) {
-        for (unsigned SuccI = 0, E = Br->getNumSuccessors(); SuccI != E;
-             ++SuccI) {
-          auto It = BMap.find(Br->getSuccessor(SuccI));
-          if (It != BMap.end())
-            Br->setSuccessor(SuccI, It->second);
-        }
-      }
-    }
-  }
+  for (BasicBlock *BB : Blocks)
+    C.cloneInstructions(BB, Suffix);
+  C.finish();
   return NewBlocks;
 }
 
 std::unique_ptr<Module> llvmmd::cloneModule(const Module &M) {
   auto New = std::make_unique<Module>(M.getContext(), M.getName());
-  std::map<const Value *, Value *> VMap;
+  // One map holds globals, functions and every body's values, so an
+  // operand is remapped by one lookup whatever it refers to.
+  size_t NumValues = M.globals().size() + M.functions().size();
+  for (const Function *F : M.functions())
+    NumValues += F->getNumArgs() + F->getInstructionCount();
+  ValueMap VMap;
+  VMap.reserve(NumValues);
 
-  for (const GlobalVariable *G : M.globals()) {
-    GlobalVariable *NG = New->createGlobal(G->getValueType(), G->getName(),
-                                           G->getInitializer(),
-                                           G->isConstantGlobal());
-    VMap[G] = NG;
-  }
+  for (const GlobalVariable *G : M.globals())
+    VMap.set(flatKey(G),
+             New->createGlobal(G->getValueType(), G->getName(),
+                               G->getInitializer(), G->isConstantGlobal()));
   for (const Function *F : M.functions()) {
     Function *NF = New->createFunction(F->getFunctionType(), F->getName());
     NF->setMemoryEffect(F->getMemoryEffect());
-    VMap[F] = NF;
+    VMap.set(flatKey(F), NF);
   }
-  for (const Function *F : M.functions()) {
-    if (F->isDeclaration())
-      continue;
-    Function *NF = New->getFunction(F->getName());
-    cloneFunctionBody(*F, *NF, VMap);
-    // Remap globals and callees.
-    for (BasicBlock *BB : NF->blocks()) {
-      for (Instruction *I : *BB) {
-        for (unsigned OpI = 0, E = I->getNumOperands(); OpI != E; ++OpI) {
-          auto It = VMap.find(I->getOperand(OpI));
-          if (It != VMap.end())
-            I->setOperand(OpI, It->second);
-        }
-        if (auto *Call = dyn_cast<CallInst>(I)) {
-          Function *NewCallee = New->getFunction(Call->getCallee()->getName());
-          assert(NewCallee && "callee not cloned");
-          Call->setCallee(NewCallee);
-        }
-      }
-    }
-  }
+  const std::vector<Function *> &NewFunctions = New->functions();
+  for (size_t I = 0, E = NewFunctions.size(); I != E; ++I)
+    if (!M.functions()[I]->isDeclaration())
+      cloneBody(*M.functions()[I], *NewFunctions[I], VMap);
   return New;
 }
 

@@ -9,12 +9,17 @@
 /// optimizing so the validator can compare against the untouched original;
 /// loop unswitching clones loop bodies within one function.
 ///
+/// A clone only reads its source: every copy is built from operands that
+/// are already mapped, so no source value's use list ever sees the copy.
+/// Threads may therefore clone one shared module concurrently.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_IR_CLONING_H
 #define LLVMMD_IR_CLONING_H
 
-#include <map>
+#include "support/FlatMap.h"
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,14 +33,19 @@ class Instruction;
 class Module;
 class Value;
 
+/// Old-to-new value mapping of a clone, keyed by flatKey(old value).
+using ValueMap = FlatMap<Value *>;
+
 /// Deep-copies \p M into a fresh module in the same Context. Globals keep
-/// their names; function bodies are cloned instruction by instruction.
+/// their names; function bodies are cloned instruction by instruction, and
+/// the clone's functions come in \p M's order.
 std::unique_ptr<Module> cloneModule(const Module &M);
 
 /// Clones \p Src's body into \p Dst (which must have the same signature and
-/// an empty body). \p VMap receives the old-to-new value mapping.
+/// an empty body). If \p VMap is given, it receives the old-to-new mapping
+/// of arguments and instructions.
 void cloneFunctionBody(const Function &Src, Function &Dst,
-                       std::map<const Value *, Value *> &VMap);
+                       ValueMap *VMap = nullptr);
 
 /// Re-points \p F's global-variable operands and call targets at
 /// \p DstModule's same-named entities. The fixup every cross-module body
@@ -45,14 +55,15 @@ void cloneFunctionBody(const Function &Src, Function &Dst,
 void remapModuleReferences(Function &F, Module &DstModule);
 
 /// Clones \p Blocks (all in \p F) appending " \p Suffix"-named copies to
-/// \p F. Operands, phi incoming blocks and branch targets referring to
-/// cloned values/blocks are remapped; external references are left as is
-/// (the caller fixes up phi entries from predecessors outside the set).
-std::vector<BasicBlock *>
-cloneBlocks(Function &F, const std::vector<BasicBlock *> &Blocks,
-            std::map<const Value *, Value *> &VMap,
-            std::map<const BasicBlock *, BasicBlock *> &BMap,
-            const std::string &Suffix);
+/// \p F, and returns them in the order of \p Blocks. Operands, phi incoming
+/// blocks and branch targets referring to cloned values/blocks are
+/// remapped; external references are left as is (the caller fixes up phi
+/// entries from predecessors outside the set). \p VMap receives the
+/// old-to-new mapping of the cloned instructions.
+std::vector<BasicBlock *> cloneBlocks(Function &F,
+                                      const std::vector<BasicBlock *> &Blocks,
+                                      ValueMap &VMap,
+                                      const std::string &Suffix);
 
 /// Clones one instruction into \p A (normally the destination function's
 /// body arena) with identical operands (not remapped) and no parent. Phi

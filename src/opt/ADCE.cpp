@@ -14,8 +14,8 @@
 #include "opt/Pass.h"
 
 #include "ir/Module.h"
+#include "support/FlatMap.h"
 
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -30,10 +30,11 @@ public:
     if (F.isDeclaration())
       return false;
 
-    std::set<Instruction *> Live;
+    FlatMap<bool> Live;
+    Live.reserve(F.getInstructionCount());
     std::vector<Instruction *> Worklist;
     auto MarkLive = [&](Instruction *I) {
-      if (Live.insert(I).second)
+      if (Live.insert(flatKey(I)))
         Worklist.push_back(I);
     };
 
@@ -56,7 +57,7 @@ public:
     std::vector<std::pair<BasicBlock *, Instruction *>> Dead;
     for (const auto &BB : F.blocks())
       for (Instruction *I : *BB)
-        if (!Live.count(I))
+        if (!Live.contains(flatKey(I)))
           Dead.push_back({BB, I});
     if (Dead.empty())
       return false;

@@ -23,9 +23,9 @@
 #include "analysis/FunctionAnalyses.h"
 #include "ir/Module.h"
 #include "opt/Local.h"
+#include "support/FlatMap.h"
 
-#include <map>
-#include <optional>
+#include <algorithm>
 #include <vector>
 
 using namespace llvmmd;
@@ -41,17 +41,87 @@ struct ExprKey {
   Type *Extra = nullptr;   // GEP element type
   std::vector<unsigned> Operands;
 
-  bool operator<(const ExprKey &O) const {
-    if (Op != O.Op)
-      return Op < O.Op;
-    if (Pred != O.Pred)
-      return Pred < O.Pred;
-    if (Ty != O.Ty)
-      return Ty < O.Ty;
-    if (Extra != O.Extra)
-      return Extra < O.Extra;
-    return Operands < O.Operands;
+  uint64_t hash() const {
+    uint64_t H = hashCombine(static_cast<uint64_t>(Op), Pred);
+    H = hashCombine(H, flatKey(Ty));
+    H = hashCombine(H, flatKey(Extra));
+    for (unsigned VN : Operands)
+      H = hashCombine(H, VN);
+    return H;
   }
+};
+
+/// The scoped expression table. Each distinct key gets one entry for the
+/// whole run, reached through a FlatMap from its hash (entries sharing a
+/// hash chain through Next) and holding its operands in one pool. Leaving
+/// a scope restores the values it overwrote; a null value is an absent
+/// key.
+class ExprTable {
+public:
+  Value *lookup(const ExprKey &K) const {
+    int E = findEntry(K, K.hash());
+    return E < 0 ? nullptr : Entries[E].V;
+  }
+
+  /// Maps \p K to \p V until the scope that is open now is left.
+  void insertScoped(const ExprKey &K, Value *V) {
+    uint64_t H = K.hash();
+    int E = findEntry(K, H);
+    if (E < 0) {
+      const uint32_t *Head = Heads.find(H | 1);
+      Entries.push_back({K.Op, K.Pred, K.Ty, K.Extra,
+                         static_cast<uint32_t>(OperandPool.size()),
+                         static_cast<uint32_t>(K.Operands.size()), nullptr,
+                         Head ? *Head : 0});
+      OperandPool.insert(OperandPool.end(), K.Operands.begin(),
+                         K.Operands.end());
+      E = static_cast<int>(Entries.size() - 1);
+      Heads.set(H | 1, static_cast<uint32_t>(E + 1));
+    }
+    UndoLog.emplace_back(E, Entries[E].V);
+    Entries[E].V = V;
+  }
+
+  /// The scope mark to pass to leaveScope.
+  size_t enterScope() const { return UndoLog.size(); }
+
+  void leaveScope(size_t Mark) {
+    while (UndoLog.size() > Mark) {
+      Entries[UndoLog.back().first].V = UndoLog.back().second;
+      UndoLog.pop_back();
+    }
+  }
+
+private:
+  struct Entry {
+    Opcode Op;
+    uint8_t Pred;
+    Type *Ty;
+    Type *Extra;
+    uint32_t OpBegin, OpCount;
+    Value *V;
+    /// One past the index of the next entry with the same hash, or 0.
+    uint32_t Next;
+  };
+
+  int findEntry(const ExprKey &K, uint64_t H) const {
+    const uint32_t *Head = Heads.find(H | 1);
+    for (uint32_t I = Head ? *Head : 0; I; I = Entries[I - 1].Next) {
+      const Entry &E = Entries[I - 1];
+      if (E.Op == K.Op && E.Pred == K.Pred && E.Ty == K.Ty &&
+          E.Extra == K.Extra && E.OpCount == K.Operands.size() &&
+          std::equal(K.Operands.begin(), K.Operands.end(),
+                     OperandPool.begin() + E.OpBegin))
+        return static_cast<int>(I - 1);
+    }
+    return -1;
+  }
+
+  std::vector<Entry> Entries;
+  std::vector<unsigned> OperandPool;
+  /// Keyed by hash | 1 (FlatMap keys are nonzero).
+  FlatMap<uint32_t> Heads;
+  std::vector<std::pair<int, Value *>> UndoLog;
 };
 
 class GVNPass : public FunctionPass {
@@ -62,8 +132,11 @@ public:
     if (F.isDeclaration())
       return false;
     Changed = false;
-    ValueNumbers.clear();
+    ValueNumbers = FlatMap<unsigned>();
+    ValueNumbers.reserve(F.getNumArgs() + F.getInstructionCount());
     NextVN = 0;
+    Table = ExprTable();
+    UniquePreds.clear();
     AliasAnalysis AA(F);
     std::shared_ptr<const DominatorTree> DT = FA.domTree(F);
 
@@ -76,24 +149,27 @@ public:
 
 private:
   unsigned getVN(Value *V) {
-    auto It = ValueNumbers.find(V);
-    if (It != ValueNumbers.end())
-      return It->second;
-    unsigned VN = NextVN++;
-    ValueNumbers[V] = VN;
-    return VN;
+    if (const unsigned *VN = ValueNumbers.find(flatKey(V)))
+      return *VN;
+    ValueNumbers.set(flatKey(V), NextVN);
+    return NextVN++;
   }
 
-  std::optional<ExprKey> makeKey(Instruction *I) {
-    ExprKey K;
+  /// Fills \p K with \p I's expression key; false if \p I is not a pure
+  /// expression.
+  bool makeKey(Instruction *I, ExprKey &K) {
     K.Op = I->getOpcode();
+    K.Pred = 0;
+    K.Extra = nullptr;
+    K.Operands.clear();
     K.Ty = I->getType();
     if (I->isBinaryOp()) {
       unsigned A = getVN(I->getOperand(0)), B = getVN(I->getOperand(1));
       if (isCommutativeOp(I->getOpcode()) && B < A)
         std::swap(A, B);
-      K.Operands = {A, B};
-      return K;
+      K.Operands.push_back(A);
+      K.Operands.push_back(B);
+      return true;
     }
     switch (I->getOpcode()) {
     case Opcode::ICmp: {
@@ -106,14 +182,16 @@ private:
         P = swapPred(P);
       }
       K.Pred = static_cast<uint8_t>(P);
-      K.Operands = {A, B};
-      return K;
+      K.Operands.push_back(A);
+      K.Operands.push_back(B);
+      return true;
     }
     case Opcode::FCmp: {
       auto *Cmp = cast<FCmpInst>(I);
       K.Pred = static_cast<uint8_t>(Cmp->getPred());
-      K.Operands = {getVN(Cmp->getLHS()), getVN(Cmp->getRHS())};
-      return K;
+      K.Operands.push_back(getVN(Cmp->getLHS()));
+      K.Operands.push_back(getVN(Cmp->getRHS()));
+      return true;
     }
     case Opcode::Trunc:
     case Opcode::ZExt:
@@ -121,33 +199,35 @@ private:
     case Opcode::Select:
       for (Value *Op : I->operands())
         K.Operands.push_back(getVN(Op));
-      return K;
+      return true;
     case Opcode::GEP: {
       auto *G = cast<GEPInst>(I);
       K.Extra = G->getElementType();
-      K.Operands = {getVN(G->getBase()), getVN(G->getIndex())};
-      return K;
+      K.Operands.push_back(getVN(G->getBase()));
+      K.Operands.push_back(getVN(G->getIndex()));
+      return true;
     }
     case Opcode::Call: {
       auto *C = cast<CallInst>(I);
       // Only calls that neither read nor write memory are pure expressions.
       if (!C->getCallee()->isReadNone())
-        return std::nullopt;
+        return false;
       K.Extra = reinterpret_cast<Type *>(C->getCallee());
       for (Value *Op : I->operands())
         K.Operands.push_back(getVN(Op));
-      return K;
+      return true;
     }
     default:
-      return std::nullopt;
+      return false;
     }
   }
 
   void replaceAndErase(Instruction *I, Value *Repl) {
     // Keep value numbers coherent: the replacement inherits the number.
-    auto It = ValueNumbers.find(I);
-    if (It != ValueNumbers.end() && !ValueNumbers.count(Repl))
-      ValueNumbers[Repl] = It->second;
+    if (const unsigned *VN = ValueNumbers.find(flatKey(I))) {
+      unsigned N = *VN;
+      ValueNumbers.insert(flatKey(Repl), N);
+    }
     I->replaceAllUsesWith(Repl);
     I->getParent()->erase(I);
     Changed = true;
@@ -166,26 +246,44 @@ private:
     return GV->getInitializer();
   }
 
+  /// The one predecessor of \p BB, or null if it has none or several
+  /// (unreachable predecessors count, as in BasicBlock::predecessors). GVN
+  /// leaves the CFG alone, so the table is built once per run, on the
+  /// first query.
+  BasicBlock *uniquePredecessor(BasicBlock *BB) {
+    Function &F = *BB->getParent();
+    if (UniquePreds.empty()) {
+      std::vector<unsigned> NumPreds(F.getMaxBlockNumber(), 0);
+      UniquePreds.assign(F.getMaxBlockNumber(), nullptr);
+      for (BasicBlock *Pred : F.blocks())
+        for (unsigned K = 0, E = Pred->getNumSuccessors(); K != E; ++K) {
+          BasicBlock *Succ = Pred->getSuccessor(K);
+          if (K == 1 && Succ == Pred->getSuccessor(0))
+            continue;
+          ++NumPreds[Succ->getNumber()];
+          UniquePreds[Succ->getNumber()] = Pred;
+        }
+      for (unsigned N = 0, E = NumPreds.size(); N != E; ++N)
+        if (NumPreds[N] != 1)
+          UniquePreds[N] = nullptr;
+    }
+    return UniquePreds[BB->getNumber()];
+  }
+
   /// Searches for an available value for load (Ptr, Ty) starting just above
-  /// \p From in its block and walking unique-predecessor chains upward.
-  /// Knows that memset fills a region with a byte (libc knowledge, another
-  /// of the paper's false-alarm sources).
-  Value *findAvailableLoadValue(Instruction *From, Value *Ptr, Type *Ty,
+  /// \p From (at \p Pos in its block) and walking unique-predecessor chains
+  /// upward. Knows that memset fills a region with a byte (libc knowledge,
+  /// another of the paper's false-alarm sources).
+  Value *findAvailableLoadValue(Instruction *From, BasicBlock::iterator Pos,
+                                Value *Ptr, Type *Ty,
                                 const AliasAnalysis &AA) {
     unsigned Budget = 256;
     BasicBlock *BB = From->getParent();
-    // Position of From within BB.
-    std::vector<Instruction *> Insts(BB->begin(), BB->end());
-    int Start = -1;
-    for (int I = static_cast<int>(Insts.size()) - 1; I >= 0; --I)
-      if (Insts[I] == From) {
-        Start = I - 1;
-        break;
-      }
+    BasicBlock::iterator It = Pos;
     unsigned Size = Ty->getStoreSize();
     while (true) {
-      for (int I = Start; I >= 0 && Budget; --I, --Budget) {
-        Instruction *Cand = Insts[I];
+      for (; It != BB->begin() && Budget; --Budget) {
+        Instruction *Cand = *--It;
         if (auto *St = dyn_cast<StoreInst>(Cand)) {
           AliasResult AR = AA.alias(St->getPointer(),
                                     St->getStoredValue()->getType()->getStoreSize(),
@@ -236,12 +334,10 @@ private:
       }
       if (!Budget)
         return nullptr;
-      std::vector<BasicBlock *> Preds = BB->predecessors();
-      if (Preds.size() != 1)
+      BB = uniquePredecessor(BB);
+      if (!BB)
         return nullptr;
-      BB = Preds.front();
-      Insts.assign(BB->begin(), BB->end());
-      Start = static_cast<int>(Insts.size()) - 1;
+      It = BB->end();
     }
   }
 
@@ -255,60 +351,64 @@ private:
       size_t UndoMark = 0;
     };
     std::vector<Frame> Stack;
-    Stack.push_back({Root, 0, UndoLog.size()});
+    Stack.push_back({Root, 0, Table.enterScope()});
     visitBlock(F, AA, Root);
     while (!Stack.empty()) {
       Frame &Top = Stack.back();
       const auto &Kids = DT.getChildren(Top.BB);
       if (Top.NextChild < Kids.size()) {
         BasicBlock *Child = Kids[Top.NextChild++];
-        Stack.push_back({Child, 0, UndoLog.size()});
+        Stack.push_back({Child, 0, Table.enterScope()});
         visitBlock(F, AA, Child);
         continue;
       }
-      // Unwind scope.
-      while (UndoLog.size() > Top.UndoMark) {
-        auto &[Key, Prev] = UndoLog.back();
-        if (Prev)
-          Table[Key] = Prev;
-        else
-          Table.erase(Key);
-        UndoLog.pop_back();
-      }
+      Table.leaveScope(Top.UndoMark);
       Stack.pop_back();
     }
-  }
-
-  void insertScoped(const ExprKey &K, Value *V) {
-    auto It = Table.find(K);
-    UndoLog.emplace_back(K, It == Table.end() ? nullptr : It->second);
-    Table[K] = V;
   }
 
   void visitBlock(Function &F, const AliasAnalysis &AA, BasicBlock *BB) {
     Context &Ctx = F.getParent()->getContext();
 
     // φ coalescing: two φs over identical (block, VN) incoming sets merge.
-    std::vector<PhiNode *> Phis = BB->phis();
-    std::map<std::vector<std::pair<BasicBlock *, unsigned>>, PhiNode *>
-        PhiTable;
-    for (PhiNode *P : Phis) {
+    // A φ's key is its sorted (block number, VN) pairs; the first φ with a
+    // key stays in the table. Each iteration steps past the instruction it
+    // may erase.
+    PhiKeys.clear();
+    PhiTable.clear();
+    auto It = BB->begin();
+    for (; It != BB->end() && (*It)->isPhi();) {
+      auto *P = cast<PhiNode>(*It++);
       if (Value *Simpl = simplifyInstruction(P, Ctx)) {
         replaceAndErase(P, Simpl);
         continue;
       }
-      std::vector<std::pair<BasicBlock *, unsigned>> Key;
+      uint32_t Begin = static_cast<uint32_t>(PhiKeys.size());
       for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K)
-        Key.emplace_back(P->getIncomingBlock(K),
-                         getVN(P->getIncomingValue(K)));
-      std::sort(Key.begin(), Key.end());
-      auto [It, Inserted] = PhiTable.try_emplace(Key, P);
-      if (!Inserted && It->second->getType() == P->getType())
-        replaceAndErase(P, It->second);
+        PhiKeys.push_back(
+            uint64_t(P->getIncomingBlock(K)->getNumber()) << 32 |
+            getVN(P->getIncomingValue(K)));
+      std::sort(PhiKeys.begin() + Begin, PhiKeys.end());
+      auto Same = std::find_if(
+          PhiTable.begin(), PhiTable.end(), [&](const PhiEntry &E) {
+            return E.End - E.Begin == PhiKeys.size() - Begin &&
+                   std::equal(PhiKeys.begin() + E.Begin,
+                              PhiKeys.begin() + E.End,
+                              PhiKeys.begin() + Begin);
+          });
+      if (Same == PhiTable.end()) {
+        PhiTable.push_back(
+            {Begin, static_cast<uint32_t>(PhiKeys.size()), P});
+        continue;
+      }
+      PhiKeys.resize(Begin);
+      if (Same->P->getType() == P->getType())
+        replaceAndErase(P, Same->P);
     }
 
-    std::vector<Instruction *> Insts(BB->getFirstNonPhi(), BB->end());
-    for (Instruction *I : Insts) {
+    while (It != BB->end()) {
+      BasicBlock::iterator Pos = It;
+      Instruction *I = *It++;
       if (Value *Simpl = simplifyInstruction(I, Ctx)) {
         replaceAndErase(I, Simpl);
         continue;
@@ -318,29 +418,38 @@ private:
           replaceAndErase(Ld, Folded);
           continue;
         }
-        if (Value *Avail =
-                findAvailableLoadValue(Ld, Ld->getPointer(), Ld->getType(), AA)) {
+        if (Value *Avail = findAvailableLoadValue(
+                Ld, Pos, Ld->getPointer(), Ld->getType(), AA)) {
           replaceAndErase(Ld, Avail);
         }
         continue;
       }
-      auto Key = makeKey(I);
-      if (!Key)
+      if (!makeKey(I, Key))
         continue;
-      auto It = Table.find(*Key);
-      if (It != Table.end()) {
-        replaceAndErase(I, It->second);
+      if (Value *Avail = Table.lookup(Key)) {
+        replaceAndErase(I, Avail);
         continue;
       }
-      insertScoped(*Key, I);
+      Table.insertScoped(Key, I);
     }
   }
 
+  /// A φ already in visitBlock's table: its key is PhiKeys[Begin, End).
+  struct PhiEntry {
+    uint32_t Begin, End;
+    PhiNode *P;
+  };
+
   bool Changed = false;
-  std::map<Value *, unsigned> ValueNumbers;
+  FlatMap<unsigned> ValueNumbers;
   unsigned NextVN = 0;
-  std::map<ExprKey, Value *> Table;
-  std::vector<std::pair<ExprKey, Value *>> UndoLog;
+  ExprTable Table;
+  /// Unique predecessor of each block by number; see uniquePredecessor.
+  std::vector<BasicBlock *> UniquePreds;
+  /// Scratch reused across instructions and blocks.
+  ExprKey Key;
+  std::vector<uint64_t> PhiKeys;
+  std::vector<PhiEntry> PhiTable;
 };
 
 } // namespace

@@ -22,8 +22,8 @@
 #include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 #include "opt/LoopUtils.h"
+#include "support/FlatMap.h"
 
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -66,12 +66,12 @@ private:
       }
     }
 
-    std::set<const Instruction *> Hoisted;
+    FlatMap<bool> Hoisted;
     auto IsInvariantOperand = [&](const Value *V) {
       if (isDefinedOutsideLoop(V, L))
         return true;
       const auto *I = dyn_cast<Instruction>(V);
-      return I && Hoisted.count(I) != 0;
+      return I && Hoisted.contains(flatKey(I));
     };
 
     bool Changed = false;
@@ -81,7 +81,7 @@ private:
       for (BasicBlock *BB : L.getBlocks()) {
         std::vector<Instruction *> Insts(BB->begin(), BB->end());
         for (Instruction *I : Insts) {
-          if (Hoisted.count(I))
+          if (Hoisted.contains(flatKey(I)))
             continue;
           if (!canHoist(I, L, AA, Stores, HasWriterCall))
             continue;
@@ -98,7 +98,7 @@ private:
           auto Pos = Preheader->end();
           --Pos; // before the branch
           Preheader->insert(Pos, I);
-          Hoisted.insert(I);
+          Hoisted.insert(flatKey(I));
           Progress = true;
           Changed = true;
         }

@@ -10,8 +10,6 @@
 #include "ir/Folding.h"
 #include "ir/Module.h"
 
-#include <set>
-
 using namespace llvmmd;
 
 Constant *llvmmd::constantFoldInstruction(Instruction *I, Context &Ctx) {
@@ -236,12 +234,13 @@ void llvmmd::removePhiEntriesFor(BasicBlock *BB, BasicBlock *Pred) {
 unsigned llvmmd::removeUnreachableBlocks(Function &F) {
   if (F.isDeclaration())
     return 0;
-  std::set<BasicBlock *> Reachable;
+  // Indexed by block number.
+  std::vector<uint8_t> Reachable(F.getMaxBlockNumber(), 0);
   for (BasicBlock *BB : reachableBlocks(F))
-    Reachable.insert(BB);
+    Reachable[BB->getNumber()] = 1;
   std::vector<BasicBlock *> Dead;
   for (const auto &BB : F.blocks())
-    if (!Reachable.count(BB))
+    if (!Reachable[BB->getNumber()])
       Dead.push_back(BB);
   if (Dead.empty())
     return 0;
@@ -249,7 +248,7 @@ unsigned llvmmd::removeUnreachableBlocks(Function &F) {
   // Remove phi entries in reachable blocks that came from dead blocks.
   for (BasicBlock *BB : Dead)
     for (BasicBlock *Succ : BB->successors())
-      if (Reachable.count(Succ))
+      if (Reachable[Succ->getNumber()])
         removePhiEntriesFor(Succ, BB);
 
   // Break references out of dead blocks, then delete them.

@@ -23,9 +23,6 @@
 #include "opt/Local.h"
 #include "opt/LoopUtils.h"
 
-#include <map>
-#include <set>
-
 using namespace llvmmd;
 
 namespace {
@@ -144,9 +141,13 @@ private:
 
     // Clone the loop body.
     std::vector<BasicBlock *> Body(L.getBlocks().begin(), L.getBlocks().end());
-    std::map<const Value *, Value *> VMap;
-    std::map<const BasicBlock *, BasicBlock *> BMap;
-    cloneBlocks(F, Body, VMap, BMap, ".us");
+    // BMap holds each body block's copy by block number.
+    std::vector<BasicBlock *> BMap(F.getMaxBlockNumber(), nullptr);
+    ValueMap VMap;
+    VMap.reserve(LoopSize);
+    std::vector<BasicBlock *> Clones = cloneBlocks(F, Body, VMap, ".us");
+    for (size_t I = 0; I != Body.size(); ++I)
+      BMap[Body[I]->getNumber()] = Clones[I];
 
     // Patch exit-block phis: each loop entry gains a twin from the clone.
     for (BasicBlock *Exit : L.getExitBlocks()) {
@@ -157,16 +158,15 @@ private:
           if (!L.contains(In))
             continue;
           Value *V = P->getIncomingValue(K);
-          auto VIt = VMap.find(V);
-          Value *ClonedV = VIt == VMap.end() ? V : VIt->second;
-          P->addIncoming(ClonedV, BMap.at(In));
+          Value *const *ClonedV = VMap.find(flatKey(V));
+          P->addIncoming(ClonedV ? *ClonedV : V, BMap[In->getNumber()]);
         }
       }
     }
 
     // Original keeps the true side; the clone keeps the false side.
     Value *Cond = Br->getCondition();
-    auto *ClonedBr = cast<BranchInst>(VMap.at(Br));
+    auto *ClonedBr = cast<BranchInst>(*VMap.find(flatKey(Br)));
     BasicBlock *TrueBB = Br->getSuccessor(0);
     BasicBlock *FalseBB = Br->getSuccessor(1);
     removePhiEntriesFor(FalseBB, Br->getParent());
@@ -177,7 +177,7 @@ private:
 
     // The preheader now dispatches on the invariant condition.
     BasicBlock *Header = L.getHeader();
-    auto *ClonedHeader = BMap.at(Header);
+    BasicBlock *ClonedHeader = BMap[Header->getNumber()];
     auto *PreBr = cast<BranchInst>(Preheader->getTerminator());
     Preheader->erase(PreBr);
     Preheader->append(F.bodyArena().create<BranchInst>(

@@ -18,9 +18,8 @@
 #include "ir/Folding.h"
 #include "ir/Module.h"
 #include "opt/Local.h"
+#include "support/FlatMap.h"
 
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -44,6 +43,9 @@ public:
   bool run() {
     if (F.isDeclaration())
       return false;
+    Values.reserve(F.getInstructionCount());
+    ExecutableBlocks.assign(F.getMaxBlockNumber(), 0);
+    ExecutableEdges.assign(F.getMaxBlockNumber(), 0);
     markBlockExecutable(F.getEntryBlock());
     solve();
     return rewrite();
@@ -61,21 +63,19 @@ private:
     }
     if (isa<Argument>(V))
       return {LatticeValue::State::Overdefined, nullptr};
-    auto It = Values.find(V);
-    return It == Values.end() ? LatticeValue() : It->second;
+    const LatticeValue *LV = Values.find(flatKey(V));
+    return LV ? *LV : LatticeValue();
   }
 
   void markOverdefined(Instruction *I) {
-    LatticeValue &LV = Values[I];
-    if (LV.isOverdefined())
+    if (getLattice(I).isOverdefined())
       return;
-    LV.S = LatticeValue::State::Overdefined;
-    LV.C = nullptr;
+    Values.set(flatKey(I), {LatticeValue::State::Overdefined, nullptr});
     InstWorklist.push_back(I);
   }
 
   void markConstant(Instruction *I, Constant *C) {
-    LatticeValue &LV = Values[I];
+    LatticeValue LV = getLattice(I);
     if (LV.isConst() && LV.C == C)
       return;
     if (LV.isOverdefined())
@@ -84,28 +84,49 @@ private:
       markOverdefined(I);
       return;
     }
-    LV.S = LatticeValue::State::Const;
-    LV.C = C;
+    Values.set(flatKey(I), {LatticeValue::State::Const, C});
     InstWorklist.push_back(I);
   }
 
+  bool isExecutable(const BasicBlock *BB) const {
+    return ExecutableBlocks[BB->getNumber()];
+  }
+
   void markBlockExecutable(BasicBlock *BB) {
-    if (!ExecutableBlocks.insert(BB).second)
+    if (isExecutable(BB))
       return;
+    ExecutableBlocks[BB->getNumber()] = 1;
     BlockWorklist.push_back(BB);
   }
 
+  /// Bit K of ExecutableEdges[From] stands for From's successor slot K.
+  /// Both slots of a branch with both edges to one block go live together,
+  /// so an edge is live when any slot naming its target is.
+  uint8_t edgeBits(BasicBlock *From, BasicBlock *To) const {
+    uint8_t Bits = 0;
+    for (unsigned K = 0, E = From->getNumSuccessors(); K != E; ++K)
+      if (From->getSuccessor(K) == To)
+        Bits |= 1u << K;
+    return Bits;
+  }
+
   void markEdgeExecutable(BasicBlock *From, BasicBlock *To) {
-    if (!ExecutableEdges.insert({From, To}).second)
+    uint8_t &Live = ExecutableEdges[From->getNumber()];
+    uint8_t Bits = edgeBits(From, To);
+    if ((Live & Bits) == Bits)
       return;
+    Live |= Bits;
     markBlockExecutable(To);
     // Re-evaluate phis in To: a new edge may add information.
-    for (PhiNode *P : To->phis())
-      visit(P);
+    for (Instruction *I : *To) {
+      if (!I->isPhi())
+        break;
+      visit(I);
+    }
   }
 
   bool isEdgeExecutable(BasicBlock *From, BasicBlock *To) const {
-    return ExecutableEdges.count({From, To}) != 0;
+    return ExecutableEdges[From->getNumber()] & edgeBits(From, To);
   }
 
   void solve() {
@@ -121,14 +142,14 @@ private:
         InstWorklist.pop_back();
         for (User *U : I->users())
           if (auto *UI = dyn_cast<Instruction>(U))
-            if (ExecutableBlocks.count(UI->getParent()))
+            if (isExecutable(UI->getParent()))
               visit(UI);
       }
     }
   }
 
   void visit(Instruction *I) {
-    if (!ExecutableBlocks.count(I->getParent()))
+    if (!isExecutable(I->getParent()))
       return;
     switch (I->getOpcode()) {
     case Opcode::Phi:
@@ -200,7 +221,8 @@ private:
   void visitFoldable(Instruction *I) {
     // Gather operand lattices.
     bool AnyUnknown = false, AnyOverdef = false;
-    std::vector<Constant *> Ops;
+    std::vector<Constant *> &Ops = FoldOps;
+    Ops.clear();
     for (Value *Op : I->operands()) {
       LatticeValue LV = getLattice(Op);
       if (LV.isUnknown())
@@ -284,10 +306,10 @@ private:
   bool rewrite() {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
-      if (!ExecutableBlocks.count(BB))
+      if (!isExecutable(BB))
         continue;
-      std::vector<Instruction *> Insts(BB->begin(), BB->end());
-      for (Instruction *I : Insts) {
+      for (auto It = BB->begin(); It != BB->end();) {
+        Instruction *I = *It++;
         LatticeValue LV = getLattice(I);
         if (!LV.isConst() || I->getType()->isVoid())
           continue;
@@ -298,7 +320,7 @@ private:
     }
     // Fold branches along non-executable edges.
     for (const auto &BB : F.blocks()) {
-      if (!ExecutableBlocks.count(BB))
+      if (!isExecutable(BB))
         continue;
       auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
       if (!Br || !Br->isConditional())
@@ -323,11 +345,14 @@ private:
 
   Function &F;
   Context &Ctx;
-  std::map<Value *, LatticeValue> Values;
-  std::set<BasicBlock *> ExecutableBlocks;
-  std::set<std::pair<BasicBlock *, BasicBlock *>> ExecutableEdges;
+  FlatMap<LatticeValue> Values;
+  /// Indexed by block number.
+  std::vector<uint8_t> ExecutableBlocks;
+  std::vector<uint8_t> ExecutableEdges;
   std::vector<BasicBlock *> BlockWorklist;
   std::vector<Instruction *> InstWorklist;
+  /// visitFoldable's operand constants, kept to reuse the allocation.
+  std::vector<Constant *> FoldOps;
 };
 
 class SCCPPass : public FunctionPass {

@@ -61,6 +61,23 @@ public:
     S.Value = Value;
   }
 
+  /// Inserts \p Key with \p Value unless \p Key is present, in which case
+  /// its value is left as it is. Returns whether \p Key was inserted.
+  bool insert(uint64_t Key, V Value = V()) {
+    assert(Key && "key 0 marks an empty slot");
+    if (2 * (Count + 1) > Slots.size())
+      reserve(Count + 1);
+    Slot &S = Slots[slotOf(Key)];
+    if (S.Key)
+      return false;
+    S.Key = Key;
+    S.Value = Value;
+    ++Count;
+    return true;
+  }
+
+  bool contains(uint64_t Key) const { return find(Key) != nullptr; }
+
 private:
   struct Slot {
     uint64_t Key = 0;

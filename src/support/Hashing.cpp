@@ -9,9 +9,10 @@
 #include "ir/Function.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
+#include "support/FlatMap.h"
 
 #include <cstring>
-#include <unordered_map>
+#include <vector>
 
 using namespace llvmmd;
 
@@ -31,11 +32,9 @@ uint64_t hashType(const Type *Ty) { return hashTypeShape(Ty); }
 /// Mixes one operand reference into \p H. Instructions and arguments use
 /// their dense per-function number; constants hash by value, globals and
 /// functions by name.
-uint64_t hashOperand(uint64_t H, const Value *V,
-                     const std::unordered_map<const Value *, uint64_t> &Num) {
-  auto It = Num.find(V);
-  if (It != Num.end())
-    return hashCombine(hashCombine(H, 0x01), It->second);
+uint64_t hashOperand(uint64_t H, const Value *V, const FlatMap<uint64_t> &Num) {
+  if (const uint64_t *N = Num.find(flatKey(V)))
+    return hashCombine(hashCombine(H, 0x01), *N);
   switch (V->getKind()) {
   case ValueKind::ConstantInt:
     H = hashCombine(H, 0x02);
@@ -78,21 +77,26 @@ uint64_t llvmmd::fingerprintFunction(const Function &F) {
     return H;
 
   // Pass 1: dense numbering of blocks, arguments and instructions, so
-  // forward references (phis) hash consistently.
-  std::unordered_map<const Value *, uint64_t> Num;
-  std::unordered_map<const BasicBlock *, uint64_t> BlockNum;
+  // forward references (phis) hash consistently. Blocks are looked up by
+  // block number; a block outside the body numbers 0.
+  FlatMap<uint64_t> Num;
+  Num.reserve(F.getNumArgs() + F.getInstructionCount());
+  std::vector<uint64_t> BlockNums(F.getMaxBlockNumber(), 0);
+  auto BlockNum = [&](const BasicBlock *BB) -> uint64_t {
+    return BB->getParent() == &F ? BlockNums[BB->getNumber()] : 0;
+  };
   uint64_t NextNum = 1;
   for (unsigned I = 0, E = F.getNumArgs(); I != E; ++I)
-    Num.emplace(F.getArg(I), NextNum++);
+    Num.set(flatKey(F.getArg(I)), NextNum++);
   for (const auto &BB : F.blocks()) {
-    BlockNum.emplace(BB, NextNum++);
+    BlockNums[BB->getNumber()] = NextNum++;
     for (const Instruction *I : *BB)
-      Num.emplace(I, NextNum++);
+      Num.set(flatKey(I), NextNum++);
   }
 
   // Pass 2: hash every instruction in block order.
   for (const auto &BB : F.blocks()) {
-    H = hashCombine(H, BlockNum[BB]);
+    H = hashCombine(H, BlockNum(BB));
     for (const Instruction *I : *BB) {
       H = hashCombine(H, static_cast<uint64_t>(I->getOpcode()));
       H = hashCombine(H, hashType(I->getType()));
@@ -113,10 +117,10 @@ uint64_t llvmmd::fingerprintFunction(const Function &F) {
             H, static_cast<uint64_t>(Call->getCallee()->getMemoryEffect()));
       } else if (const auto *Phi = dyn_cast<PhiNode>(I)) {
         for (unsigned PI = 0, PE = Phi->getNumIncoming(); PI != PE; ++PI)
-          H = hashCombine(H, BlockNum[Phi->getIncomingBlock(PI)]);
+          H = hashCombine(H, BlockNum(Phi->getIncomingBlock(PI)));
       } else if (const auto *Br = dyn_cast<BranchInst>(I)) {
         for (unsigned SI = 0, SE = Br->getNumSuccessors(); SI != SE; ++SI)
-          H = hashCombine(H, BlockNum[Br->getSuccessor(SI)]);
+          H = hashCombine(H, BlockNum(Br->getSuccessor(SI)));
       }
     }
   }

@@ -13,7 +13,6 @@
 #include "support/Hashing.h"
 #include "validator/Validator.h"
 
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -189,8 +188,7 @@ std::unique_ptr<Module> llvmmd::extractFunctionModule(const Module &Src,
     if (Cur->isDeclaration() || !Cloned.insert(Cur).second)
       continue;
     Function *Dst = M->getFunction(Cur->getName());
-    std::map<const Value *, Value *> VMap;
-    cloneFunctionBody(*Cur, *Dst, VMap);
+    cloneFunctionBody(*Cur, *Dst);
     // Collect source-module callees before the remap points them away.
     for (const auto &BB : Dst->blocks())
       for (Instruction *I : *BB)

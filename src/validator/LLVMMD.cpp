@@ -11,7 +11,6 @@
 #include "opt/Pass.h"
 
 #include <chrono>
-#include <map>
 
 using namespace llvmmd;
 
@@ -33,19 +32,8 @@ std::unique_ptr<Module> llvmmd::runLLVMMD(const Module &M, PassManager &PM,
       if (!FR.Validated) {
         // `replace fo by fi in output` — revert to the original body.
         F->dropBody();
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*Orig, *F, VMap);
-        // Remap cross-module references (globals, callees).
-        for (const auto &BB : F->blocks()) {
-          for (Instruction *I : *BB) {
-            for (unsigned OpI = 0, E = I->getNumOperands(); OpI != E; ++OpI) {
-              if (auto *GV = dyn_cast<GlobalVariable>(I->getOperand(OpI)))
-                I->setOperand(OpI, Out->getGlobal(GV->getName()));
-            }
-            if (auto *Call = dyn_cast<CallInst>(I))
-              Call->setCallee(Out->getFunction(Call->getCallee()->getName()));
-          }
-        }
+        cloneFunctionBody(*Orig, *F);
+        remapModuleReferences(*F, *Out);
         FR.Reverted = true;
       }
     }

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -168,16 +167,14 @@ TEST(ArenaTest, DropBodyAndRecloneReusesTheSlab) {
   // cycle primes the slab, the body arena must stop growing.
   F->dropBody();
   EXPECT_TRUE(F->isDeclaration());
-  std::map<const Value *, Value *> VMap;
-  cloneFunctionBody(*Pristine->getFunction("f"), *F, VMap);
+  cloneFunctionBody(*Pristine->getFunction("f"), *F);
   remapModuleReferences(*F, *M);
   size_t WarmReserved = F->bodyArena().bytesReserved();
   EXPECT_EQ(printModule(*M), Expected);
 
   for (int Cycle = 0; Cycle < 10; ++Cycle) {
     F->dropBody();
-    std::map<const Value *, Value *> CycleMap;
-    cloneFunctionBody(*Pristine->getFunction("f"), *F, CycleMap);
+    cloneFunctionBody(*Pristine->getFunction("f"), *F);
     remapModuleReferences(*F, *M);
     EXPECT_EQ(printModule(*M), Expected) << "cycle " << Cycle;
     EXPECT_EQ(F->bodyArena().bytesReserved(), WarmReserved)
@@ -213,8 +210,7 @@ TEST(ArenaTest, EightThreadsMutateTheirOwnModulesInIsolation) {
         auto Clone = cloneModule(*R.M);
         Function *F = Clone->getFunction("f");
         F->dropBody();
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*R.M->getFunction("f"), *F, VMap);
+        cloneFunctionBody(*R.M->getFunction("f"), *F);
         remapModuleReferences(*F, *Clone);
         if (printModule(*Clone) != Expected) {
           Failures[T] = "round " + std::to_string(Round) +
@@ -232,6 +228,49 @@ TEST(ArenaTest, EightThreadsMutateTheirOwnModulesInIsolation) {
     Th.join();
   for (unsigned T = 0; T < Threads; ++T)
     EXPECT_TRUE(Failures[T].empty()) << "thread " << T << ": " << Failures[T];
+}
+
+TEST(ArenaTest, ConcurrentClonesOfOneModuleLeaveItUntouched) {
+  // Cloning only reads its source, so threads may clone one shared module
+  // at once (triage clones callees out of the module it is validating).
+  // Every clone must print like a serial one, and no source use list may
+  // change, not even for a moment: under TSan a copy that passes through a
+  // source value's use list is a data race.
+  Context Ctx;
+  BenchmarkProfile P = getProfile("sqlite");
+  P.FunctionCount = 12;
+  const std::unique_ptr<const Module> M = generateBenchmark(Ctx, P);
+  auto UseCounts = [&] {
+    std::vector<size_t> Counts;
+    for (const Function *F : M->definedFunctions()) {
+      for (unsigned I = 0, E = F->getNumArgs(); I != E; ++I)
+        Counts.push_back(F->getArg(I)->getNumUses());
+      for (const BasicBlock *BB : F->blocks())
+        for (const Instruction *I : *BB)
+          Counts.push_back(I->getNumUses());
+    }
+    return Counts;
+  };
+  const std::vector<size_t> UsesBefore = UseCounts();
+  const std::string Expected = printModule(*cloneModule(*M));
+
+  constexpr unsigned Threads = 4;
+  std::vector<std::string> Failures(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (int Round = 0; Round < 5; ++Round)
+        if (printModule(*cloneModule(*M)) != Expected) {
+          Failures[T] = "round " + std::to_string(Round) +
+                        ": clone differs from a serial clone";
+          return;
+        }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    EXPECT_TRUE(Failures[T].empty()) << "thread " << T << ": " << Failures[T];
+  EXPECT_EQ(UseCounts(), UsesBefore);
 }
 
 TEST(ArenaTest, ModuleTeardownIsSafeAfterHeavyChurn) {

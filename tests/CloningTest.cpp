@@ -140,17 +140,16 @@ x:
   for (const auto &BB : F->blocks())
     if (BB->getName() == "h" || BB->getName() == "b")
       LoopBlocks.push_back(BB);
-  std::map<const Value *, Value *> VMap;
-  std::map<const BasicBlock *, BasicBlock *> BMap;
-  auto Clones = cloneBlocks(*F, LoopBlocks, VMap, BMap, ".c");
+  ValueMap VMap;
+  auto Clones = cloneBlocks(*F, LoopBlocks, VMap, ".c");
   ASSERT_EQ(Clones.size(), 2u);
   // The cloned latch branches to the cloned header, not the original.
-  BasicBlock *ClonedB = BMap.at(LoopBlocks[1]);
+  BasicBlock *ClonedB = Clones[1];
   auto *Br = cast<BranchInst>(ClonedB->getTerminator());
-  EXPECT_EQ(Br->getSuccessor(0), BMap.at(LoopBlocks[0]));
+  EXPECT_EQ(Br->getSuccessor(0), Clones[0]);
   // The cloned phi keeps its external entry (from `entry`) unmapped and
   // remaps the latch entry.
-  auto *ClonedPhi = cast<PhiNode>(BMap.at(LoopBlocks[0])->front());
+  auto *ClonedPhi = cast<PhiNode>(Clones[0]->front());
   bool SawEntry = false, SawClonedLatch = false;
   for (unsigned K = 0; K < ClonedPhi->getNumIncoming(); ++K) {
     SawEntry |= ClonedPhi->getIncomingBlock(K)->getName() == "entry";
@@ -159,7 +158,8 @@ x:
   EXPECT_TRUE(SawEntry);
   EXPECT_TRUE(SawClonedLatch);
   // The cloned add uses the cloned phi.
-  auto *ClonedAdd = cast<Instruction>(VMap.at(
-      *std::next(LoopBlocks[1]->begin(), 0)));
-  EXPECT_EQ(ClonedAdd->getOperand(0), VMap.at(LoopBlocks[0]->front()));
+  auto *ClonedAdd =
+      cast<Instruction>(*VMap.find(flatKey(LoopBlocks[1]->front())));
+  EXPECT_EQ(ClonedAdd->getOperand(0),
+            *VMap.find(flatKey(LoopBlocks[0]->front())));
 }

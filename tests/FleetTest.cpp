@@ -188,6 +188,30 @@ bool eventually(const std::function<bool()> &Pred, unsigned TimeoutMs = 30000) {
   return Pred();
 }
 
+/// Stops worker \p W (SIGSTOP) so the job it holds stays live however fast
+/// the engine runs, and resumes it (SIGCONT) on resume() or destruction.
+/// A fleet that holds a worker turns its health ping off: the ping would
+/// time out on the stopped worker and restart it.
+class HeldWorker {
+public:
+  HeldWorker(FleetRouter &Router, unsigned W) : Pid(Router.workers()->pid(W)) {
+    Held = Pid > 0 && ::kill(Pid, SIGSTOP) == 0;
+  }
+  ~HeldWorker() { resume(); }
+
+  bool held() const { return Held; }
+
+  void resume() {
+    if (Held)
+      ::kill(Pid, SIGCONT);
+    Held = false;
+  }
+
+private:
+  pid_t Pid;
+  bool Held;
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -244,16 +268,22 @@ TEST(FleetTest, HandshakeRejectsConfigDigestMismatch) {
 
 TEST(FleetTest, DuplicateConcurrentSubmissionsRunEngineOnce) {
   FleetDir D("dedup");
-  FleetRouter Router(smallFleetConfig(D, 1));
+  FleetConfig FC = smallFleetConfig(D, 1);
+  FC.HealthPing = false; // see HeldWorker
+  FleetRouter Router(std::move(FC));
   std::string Error;
   ASSERT_TRUE(Router.start(&Error)) << Error;
 
-  // Occupy the only worker with a long job so the next submission is
-  // deterministically still queued (= live in the table) when its
-  // duplicate arrives.
+  // Occupy the only worker with a job, then hold the worker once that job
+  // streams, so the next submission is deterministically still live in
+  // the table when its duplicate arrives, however short the jobs are.
   ServerClient Busy;
   ASSERT_TRUE(attach(Busy, D.Sock));
   ASSERT_TRUE(Busy.submit(profileSubmission("sqlite", 24)));
+  ASSERT_TRUE(eventually(
+      [&] { return Router.tableStats().FramesFanned >= 1; }));
+  HeldWorker Hold(Router, 0);
+  ASSERT_TRUE(Hold.held());
 
   SubmitPayload Shared = profileSubmission("hmmer", 8);
   ServerClient First;
@@ -270,6 +300,7 @@ TEST(FleetTest, DuplicateConcurrentSubmissionsRunEngineOnce) {
   ASSERT_TRUE(Second.submit(Shared, &SecondAcc, nullptr, &SecondDedup));
   EXPECT_TRUE(SecondDedup);
   EXPECT_EQ(SecondAcc.JobId, FirstAcc.JobId);
+  Hold.resume();
 
   // Both subscribers get the complete stream, byte for byte.
   std::string SuiteA, SuiteB;
@@ -292,13 +323,21 @@ TEST(FleetTest, DuplicateConcurrentSubmissionsRunEngineOnce) {
 
 TEST(FleetTest, SubscribeJoinsRunningJobWithFullStream) {
   FleetDir D("subscribe");
-  FleetRouter Router(smallFleetConfig(D, 1));
+  FleetConfig FC = smallFleetConfig(D, 1);
+  FC.HealthPing = false; // see HeldWorker
+  FleetRouter Router(std::move(FC));
   std::string Error;
   ASSERT_TRUE(Router.start(&Error)) << Error;
 
+  // Hold the only worker once the busy job streams (as in the dedup test),
+  // so the next job is still in flight when the watcher attaches.
   ServerClient Busy;
   ASSERT_TRUE(attach(Busy, D.Sock));
   ASSERT_TRUE(Busy.submit(profileSubmission("sqlite", 24)));
+  ASSERT_TRUE(eventually(
+      [&] { return Router.tableStats().FramesFanned >= 1; }));
+  HeldWorker Hold(Router, 0);
+  ASSERT_TRUE(Hold.held());
 
   ServerClient Submitter;
   ASSERT_TRUE(attach(Submitter, D.Sock));
@@ -311,6 +350,7 @@ TEST(FleetTest, SubscribeJoinsRunningJobWithFullStream) {
   JobIdPayload Info;
   ASSERT_TRUE(Watcher.subscribe(Acc.JobId, &Info));
   EXPECT_EQ(Info.JobId, Acc.JobId);
+  Hold.resume();
 
   std::string SuiteA, SuiteB;
   JobDonePayload DoneA, DoneB;
@@ -424,9 +464,12 @@ TEST(FleetTest, AttemptBudgetExhaustionFailsJobWithWorkerLost) {
   // Kill only once response frames are streaming: a worker lost *before*
   // the submit goes through costs no attempt (the dispatcher's link
   // retry rides out the restart) — the budget is only spent on a stream
-  // that dies mid-flight.
+  // that dies mid-flight. The worker is held from the first fanned frame
+  // to the kill, so the rest of the stream cannot get out in between.
   ASSERT_TRUE(eventually(
       [&] { return Router.tableStats().FramesFanned >= 1; }));
+  HeldWorker Hold(Router, 0);
+  ASSERT_TRUE(Hold.held());
   ASSERT_TRUE(Router.workers()->killWorker(0));
 
   ErrorPayload E;
