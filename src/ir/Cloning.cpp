@@ -211,12 +211,10 @@ Instruction *llvmmd::cloneInstruction(const Instruction *I, Arena &A) {
       I, A, [](Value *V) { return V; }, [](BasicBlock *BB) { return BB; });
 }
 
-void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst,
-                               ValueMap *VMap) {
-  ValueMap Local;
-  ValueMap &Map = VMap ? *VMap : Local;
-  Map.reserve(Src.getNumArgs() + Src.getInstructionCount());
-  cloneBody(Src, Dst, Map);
+void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst) {
+  ValueMap VMap;
+  VMap.reserve(Src.getNumArgs() + Src.getInstructionCount());
+  cloneBody(Src, Dst, VMap);
 }
 
 std::vector<BasicBlock *>

@@ -42,10 +42,8 @@ using ValueMap = FlatMap<Value *>;
 std::unique_ptr<Module> cloneModule(const Module &M);
 
 /// Clones \p Src's body into \p Dst (which must have the same signature and
-/// an empty body). If \p VMap is given, it receives the old-to-new mapping
-/// of arguments and instructions.
-void cloneFunctionBody(const Function &Src, Function &Dst,
-                       ValueMap *VMap = nullptr);
+/// an empty body).
+void cloneFunctionBody(const Function &Src, Function &Dst);
 
 /// Re-points \p F's global-variable operands and call targets at
 /// \p DstModule's same-named entities. The fixup every cross-module body

@@ -136,6 +136,9 @@ public:
     ValueNumbers.reserve(F.getNumArgs() + F.getInstructionCount());
     NextVN = 0;
     Table = ExprTable();
+    PhiKeys.clear();
+    PhiTable.clear();
+    PhiHeads = FlatMap<uint32_t>();
     UniquePreds.clear();
     AliasAnalysis AA(F);
     std::shared_ptr<const DominatorTree> DT = FA.domTree(F);
@@ -372,10 +375,8 @@ private:
 
     // φ coalescing: two φs over identical (block, VN) incoming sets merge.
     // A φ's key is its sorted (block number, VN) pairs; the first φ with a
-    // key stays in the table. Each iteration steps past the instruction it
-    // may erase.
-    PhiKeys.clear();
-    PhiTable.clear();
+    // key in this block stays in the table. Each iteration steps past the
+    // instruction it may erase.
     auto It = BB->begin();
     for (; It != BB->end() && (*It)->isPhi();) {
       auto *P = cast<PhiNode>(*It++);
@@ -389,16 +390,16 @@ private:
             uint64_t(P->getIncomingBlock(K)->getNumber()) << 32 |
             getVN(P->getIncomingValue(K)));
       std::sort(PhiKeys.begin() + Begin, PhiKeys.end());
-      auto Same = std::find_if(
-          PhiTable.begin(), PhiTable.end(), [&](const PhiEntry &E) {
-            return E.End - E.Begin == PhiKeys.size() - Begin &&
-                   std::equal(PhiKeys.begin() + E.Begin,
-                              PhiKeys.begin() + E.End,
-                              PhiKeys.begin() + Begin);
-          });
-      if (Same == PhiTable.end()) {
-        PhiTable.push_back(
-            {Begin, static_cast<uint32_t>(PhiKeys.size()), P});
+      uint64_t H = BB->getNumber();
+      for (size_t K = Begin, E = PhiKeys.size(); K != E; ++K)
+        H = hashCombine(H, PhiKeys[K]);
+      const PhiEntry *Same = findPhi(BB->getNumber(), Begin, H);
+      if (!Same) {
+        const uint32_t *Head = PhiHeads.find(H | 1);
+        PhiTable.push_back({BB->getNumber(), Begin,
+                            static_cast<uint32_t>(PhiKeys.size()), P,
+                            Head ? *Head : 0});
+        PhiHeads.set(H | 1, static_cast<uint32_t>(PhiTable.size()));
         continue;
       }
       PhiKeys.resize(Begin);
@@ -434,11 +435,30 @@ private:
     }
   }
 
-  /// A φ already in visitBlock's table: its key is PhiKeys[Begin, End).
+  /// A φ already in visitBlock's table: a φ of block number Block whose
+  /// key is PhiKeys[Begin, End).
   struct PhiEntry {
+    unsigned Block;
     uint32_t Begin, End;
     PhiNode *P;
+    /// One past the index of the next entry with the same hash, or 0.
+    uint32_t Next;
   };
+
+  /// The entry of block \p Block whose key equals PhiKeys[Begin, end) and
+  /// hashes to \p H, or null. Each block is visited once per run, so an
+  /// entry of another block (whose φ may be gone) is never returned.
+  const PhiEntry *findPhi(unsigned Block, uint32_t Begin, uint64_t H) const {
+    const uint32_t *Head = PhiHeads.find(H | 1);
+    for (uint32_t I = Head ? *Head : 0; I; I = PhiTable[I - 1].Next) {
+      const PhiEntry &E = PhiTable[I - 1];
+      if (E.Block == Block && E.End - E.Begin == PhiKeys.size() - Begin &&
+          std::equal(PhiKeys.begin() + E.Begin, PhiKeys.begin() + E.End,
+                     PhiKeys.begin() + Begin))
+        return &E;
+    }
+    return nullptr;
+  }
 
   bool Changed = false;
   FlatMap<unsigned> ValueNumbers;
@@ -448,8 +468,11 @@ private:
   std::vector<BasicBlock *> UniquePreds;
   /// Scratch reused across instructions and blocks.
   ExprKey Key;
+  /// The φ table of the run: keys pooled in PhiKeys, entries reached
+  /// from a FlatMap of key hashes (keyed by hash | 1) as in ExprTable.
   std::vector<uint64_t> PhiKeys;
   std::vector<PhiEntry> PhiTable;
+  FlatMap<uint32_t> PhiHeads;
 };
 
 } // namespace
