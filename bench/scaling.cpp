@@ -518,9 +518,7 @@ void BM_SnapshotReclone(benchmark::State &State) {
   Function *F = M->definedFunctions().front();
   const Function *Src = Pristine->definedFunctions().front();
   for (auto _ : State) {
-    F->dropBody();
-    cloneFunctionBody(*Src, *F);
-    remapModuleReferences(*F, *M);
+    replaceFunctionBody(*Src, *F);
     benchmark::DoNotOptimize(F);
   }
   State.counters["instructions"] =

@@ -631,4 +631,12 @@ run_bv --suite sqlite,hmmer --threads 1 --quiet --json "$BUILD_DIR/check_s1.json
 run_bv --suite sqlite,hmmer --threads 8 --quiet --json "$BUILD_DIR/check_s8.json"
 cmp "$BUILD_DIR/check_s1.json" "$BUILD_DIR/check_s8.json"
 
+# Same for stepwise revert: every optimizer thread shares one pipeline,
+# and the snapshot revert must not depend on which thread ran a function.
+run_bv --profile sqlite --stepwise --revert --threads 1 --quiet \
+  --json "$BUILD_DIR/check_r1.json"
+run_bv --profile sqlite --stepwise --revert --threads 8 --quiet \
+  --json "$BUILD_DIR/check_r8.json"
+cmp "$BUILD_DIR/check_r1.json" "$BUILD_DIR/check_r8.json"
+
 echo "check.sh: OK"

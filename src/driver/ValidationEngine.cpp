@@ -39,15 +39,6 @@ ValidationResult identicalSkipResult() {
   return R;
 }
 
-/// Replaces \p Dst's body with a clone of \p Src's, remapping global and
-/// callee references into \p DstModule (Src may live in another module of
-/// the same Context).
-void restoreBody(const Function &Src, Function &Dst, Module &DstModule) {
-  Dst.dropBody();
-  cloneFunctionBody(Src, Dst);
-  remapModuleReferences(Dst, DstModule);
-}
-
 uint64_t nowMicroseconds(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - Start)
@@ -175,13 +166,15 @@ struct ValidationEngine::BatchState {
 /// the same memory.
 struct ValidationEngine::ModuleRunState {
   const Module *Orig = nullptr;
-  Module *Opt = nullptr;
+  const Module *Opt = nullptr;
   bool Stepwise = false;
   /// Stepwise: shared per-pass wall-time accumulators (one slot per
   /// pipeline pass, owned by runModules). Concurrent optimize tasks
   /// fetch_add relaxed; read after the phase barrier.
   std::atomic<uint64_t> *PassTimesUs = nullptr;
   std::vector<Function *> Defined;
+  /// The original of each function; null when it has none (only in
+  /// validateModules).
   std::vector<const Function *> Origs;
   /// Stepwise: one snapshot module per function (same Context as the input)
   /// so concurrent tasks never append functions to a shared module. Alive
@@ -200,6 +193,33 @@ struct ValidationEngine::ModuleRunState {
   };
   std::vector<std::vector<PendingPair>> PerFn;
   ValidationReport *Report = nullptr;
+
+  /// Whole-pipeline slot of function \p Fi, whose fingerprints are set:
+  /// an identical pair is validated on the spot, any other is queued.
+  void queueWholePair(size_t Fi, const Function *Opt) {
+    FunctionReportEntry &E = Report->Functions[Fi];
+    if (E.FingerprintOpt == E.FingerprintOrig) {
+      E.SkippedIdentical = true;
+      E.Validated = true;
+      E.Result = identicalSkipResult();
+      return;
+    }
+    PerFn[Fi].push_back(
+        {E.FingerprintOrig, E.FingerprintOpt, Origs[Fi], Opt, -1});
+  }
+};
+
+struct ValidationEngine::RunClock {
+  explicit RunClock(const EngineCacheStats &S)
+      : Misses(S.Misses), Hits(S.Hits), WarmHits(S.WarmHits),
+        SkippedIdentical(S.SkippedIdentical), TriageMisses(S.TriageMisses) {}
+
+  std::chrono::steady_clock::time_point Start =
+      std::chrono::steady_clock::now();
+  /// Engine counters when the run began; the metrics get the deltas.
+  uint64_t Misses, Hits, WarmHits, SkippedIdentical, TriageMisses;
+  uint64_t OptimizeUs = 0, ValidateUs = 0, StepwiseUs = 0, TriageUs = 0,
+           RevertUs = 0;
 };
 
 ValidationEngine::ValidationEngine(EngineConfig Config)
@@ -257,57 +277,6 @@ bool ValidationEngine::saveCache(std::string *Error) {
   Stats.StoreSaveMicroseconds += Timer.elapsedUs();
   CacheDirty = false;
   return true;
-}
-
-std::vector<std::pair<unsigned, size_t>> ValidationEngine::resolveTriageCache(
-    const std::vector<std::pair<unsigned, size_t>> &Candidates,
-    const std::vector<ValidationReport *> &Reports,
-    const std::vector<uint64_t> &Digests,
-    const std::vector<uint64_t> &OptionDigests) {
-  std::vector<std::pair<unsigned, size_t>> Leftover;
-  Leftover.reserve(Candidates.size());
-  for (auto [Mi, Fi] : Candidates) {
-    FunctionReportEntry &E = Reports[Mi]->Functions[Fi];
-    // The options digest is part of the key, not just a validity stamp:
-    // two modules sharing a rejected pair but mining different corpus
-    // biases must hold separate entries, or they would evict each other
-    // every run and never reach 100% triage replay.
-    CacheKey Key{E.FingerprintOrig, E.FingerprintOpt,
-                 hashCombine(Digests[Mi], OptionDigests[Mi])};
-    if (Cfg.UseCache) {
-      auto It = TriageCache.find(Key);
-      const StoredTriage *Hit = It != TriageCache.end() ? &It->second
-                                : Store ? Store->lookupTriage(Key)
-                                        : nullptr;
-      // Digest equality re-checked as defense in depth against a
-      // hashCombine collision: a mismatched entry is inert, never wrong.
-      if (Hit && Hit->OptionsDigest == OptionDigests[Mi]) {
-        E.Triage = Hit->Result;
-        ++Stats.TriageHits;
-        Stats.TriageWarmHits += It == TriageCache.end();
-        continue;
-      }
-    }
-    Leftover.emplace_back(Mi, Fi);
-  }
-  return Leftover;
-}
-
-void ValidationEngine::memoizeTriage(
-    const std::vector<std::pair<unsigned, size_t>> &Tasks,
-    const std::vector<ValidationReport *> &Reports,
-    const std::vector<uint64_t> &Digests,
-    const std::vector<uint64_t> &OptionDigests) {
-  Stats.TriageMisses += Tasks.size();
-  if (!Cfg.UseCache)
-    return;
-  for (auto [Mi, Fi] : Tasks) {
-    const FunctionReportEntry &E = Reports[Mi]->Functions[Fi];
-    CacheKey Key{E.FingerprintOrig, E.FingerprintOpt,
-                 hashCombine(Digests[Mi], OptionDigests[Mi])};
-    TriageCache[Key] = StoredTriage{OptionDigests[Mi], E.Triage};
-  }
-  CacheDirty |= !Tasks.empty();
 }
 
 void ValidationEngine::scheduleValidation(BatchState &B, unsigned Mod,
@@ -386,12 +355,80 @@ void ValidationEngine::executeBatch(
   }
 }
 
+void ValidationEngine::triageRejected(std::vector<ModuleRunState> &States,
+                                      const BatchState &B) {
+  // Resolve the corpus bias once per module (mining walks every
+  // instruction) and hand the resolved value to each triagePair via a
+  // per-module options copy, instead of letting every pair re-mine the
+  // module. The options digest folds the same bias in, so cached entries
+  // can never replay across a bias change.
+  std::vector<TriageOptions> ModOpts(States.size(), Cfg.Triage);
+  std::vector<uint64_t> OptionDigests;
+  OptionDigests.reserve(States.size());
+  for (size_t Mi = 0; Mi < States.size(); ++Mi) {
+    ModOpts[Mi].Bias = resolveCorpusBias(Cfg.Triage, *States[Mi].Orig);
+    OptionDigests.push_back(triageOptionsDigest(Cfg.Triage, ModOpts[Mi].Bias));
+  }
+  // The options digest is part of the key, not just a validity stamp: two
+  // modules sharing a rejected pair but mining different corpus biases
+  // must hold separate entries, or they would evict each other every run
+  // and never reach 100% triage replay.
+  auto KeyOf = [&](unsigned Mi, const FunctionReportEntry &E) {
+    return CacheKey{E.FingerprintOrig, E.FingerprintOpt,
+                    hashCombine(B.ConfigDigests[Mi], OptionDigests[Mi])};
+  };
+
+  // Replay cached results; the rest become tasks in submission order.
+  std::vector<std::pair<unsigned, size_t>> Tasks;
+  for (size_t Mi = 0; Mi < States.size(); ++Mi) {
+    ModuleRunState &S = States[Mi];
+    for (size_t Fi = 0; Fi < S.Defined.size(); ++Fi) {
+      FunctionReportEntry &E = S.Report->Functions[Fi];
+      if (!E.Transformed || E.Validated || !S.Origs[Fi])
+        continue;
+      if (Cfg.UseCache) {
+        CacheKey Key = KeyOf(Mi, E);
+        auto It = TriageCache.find(Key);
+        const StoredTriage *Hit = It != TriageCache.end() ? &It->second
+                                  : Store ? Store->lookupTriage(Key)
+                                          : nullptr;
+        // Digest equality re-checked as defense in depth against a
+        // hashCombine collision: a mismatched entry is inert, never wrong.
+        if (Hit && Hit->OptionsDigest == OptionDigests[Mi]) {
+          E.Triage = Hit->Result;
+          ++Stats.TriageHits;
+          Stats.TriageWarmHits += It == TriageCache.end();
+          continue;
+        }
+      }
+      Tasks.emplace_back(static_cast<unsigned>(Mi), Fi);
+    }
+  }
+
+  Pool.parallelFor(Tasks.size(), [&](size_t I) {
+    auto [Mi, Fi] = Tasks[I];
+    ModuleRunState &S = States[Mi];
+    TriagePair TP{S.Orig, S.Origs[Fi], S.Opt, S.Defined[Fi]};
+    S.Report->Functions[Fi].Triage =
+        triagePair(TP, B.ModuleRules[Mi], ModOpts[Mi]);
+  });
+
+  Stats.TriageMisses += Tasks.size();
+  if (!Cfg.UseCache)
+    return;
+  for (auto [Mi, Fi] : Tasks) {
+    const FunctionReportEntry &E = States[Mi].Report->Functions[Fi];
+    TriageCache[KeyOf(Mi, E)] = StoredTriage{OptionDigests[Mi], E.Triage};
+  }
+  CacheDirty |= !Tasks.empty();
+}
+
 //===----------------------------------------------------------------------===//
 // Optimize phase (one task per function, runs on the pool)
 //===----------------------------------------------------------------------===//
 
 void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
-                                        PassManager &PM) {
+                                        const PassManager &PM) {
   Function *F = S.Defined[Fi];
   const Function *Orig = S.Origs[Fi];
   FunctionReportEntry &E = S.Report->Functions[Fi];
@@ -405,14 +442,7 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
       return;
     }
     E.FingerprintOpt = fingerprintFunction(*F);
-    if (E.FingerprintOpt == E.FingerprintOrig) {
-      E.SkippedIdentical = true;
-      E.Validated = true;
-      E.Result = identicalSkipResult();
-      return;
-    }
-    S.PerFn[Fi].push_back(
-        {E.FingerprintOrig, E.FingerprintOpt, Orig, F, -1});
+    S.queueWholePair(Fi, F);
     return;
   }
 
@@ -481,7 +511,7 @@ EngineRun ValidationEngine::run(const Module &M, const std::string &Pipeline) {
   return Run;
 }
 
-EngineRun ValidationEngine::run(const Module &M, PassManager &PM) {
+EngineRun ValidationEngine::run(const Module &M, const PassManager &PM) {
   std::string Name;
   for (const auto &P : PM.passes()) {
     if (!Name.empty())
@@ -504,14 +534,39 @@ SuiteRun ValidationEngine::runSuite(const std::vector<const Module *> &Modules,
   return runModules(Modules, Pipeline, PM);
 }
 
+void ValidationEngine::initModule(ModuleRunState &S, BatchState &B,
+                                  ValidationReport &R, const Module &Orig,
+                                  const Module &Opt,
+                                  const std::string &Pipeline,
+                                  bool Stepwise) {
+  R.ModuleName = Opt.getName();
+  R.Pipeline = Pipeline;
+  R.RuleMask = Cfg.Rules.Mask;
+  R.Stepwise = Stepwise;
+  R.Threads = Pool.getThreadCount();
+
+  S.Orig = &Orig;
+  S.Opt = &Opt;
+  S.Stepwise = Stepwise;
+  S.Report = &R;
+  S.Defined = Opt.definedFunctions();
+  S.Origs.resize(S.Defined.size());
+  S.SnapshotModules.resize(S.Defined.size());
+  S.SnapChains.resize(S.Defined.size());
+  S.PerFn.resize(S.Defined.size());
+  R.Functions.resize(S.Defined.size());
+
+  RuleConfig MR = Cfg.Rules;
+  MR.M = &Orig;
+  B.ModuleRules.push_back(MR);
+  B.ConfigDigests.push_back(cacheConfigDigest(Orig));
+}
+
 SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
                                       const std::string &PipelineName,
-                                      PassManager &ProtoPM) {
-  auto Start = std::chrono::steady_clock::now();
+                                      const PassManager &PM) {
+  RunClock Clock(Stats);
   const bool Stepwise = Cfg.Granularity == ValidationGranularity::PerPass;
-  const uint64_t HitsBefore = Stats.Hits, WarmBefore = Stats.WarmHits,
-                 SkipBefore = Stats.SkippedIdentical,
-                 TriageBefore = Stats.TriageMisses;
 
   SuiteRun SR;
   SR.Report.Pipeline = PipelineName;
@@ -523,43 +578,22 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
   BatchState B;
   std::vector<ModuleRunState> States(Mods.size());
   for (size_t Mi = 0; Mi < Mods.size(); ++Mi) {
-    const Module &M = *Mods[Mi];
-    ValidationReport &R = SR.Report.Modules[Mi];
-    R.ModuleName = M.getName();
-    R.Pipeline = PipelineName;
-    R.RuleMask = Cfg.Rules.Mask;
-    R.Stepwise = Stepwise;
-    R.Threads = Pool.getThreadCount();
-
-    SR.Optimized.push_back(cloneModule(M));
+    SR.Optimized.push_back(cloneModule(*Mods[Mi]));
     ModuleRunState &S = States[Mi];
-    S.Orig = &M;
-    S.Opt = SR.Optimized.back().get();
-    S.Stepwise = Stepwise;
-    S.Report = &R;
-    S.Defined = S.Opt->definedFunctions();
+    initModule(S, B, SR.Report.Modules[Mi], *Mods[Mi], *SR.Optimized.back(),
+               PipelineName, Stepwise);
     // cloneModule keeps the function order, so the clones pair with the
     // originals by position.
-    std::vector<Function *> Origs = M.definedFunctions();
+    std::vector<Function *> Origs = Mods[Mi]->definedFunctions();
+    assert(Origs.size() == S.Defined.size() && "function lost in cloning");
     S.Origs.assign(Origs.begin(), Origs.end());
-    assert(S.Origs.size() == S.Defined.size() && "function lost in cloning");
-    S.SnapshotModules.resize(S.Defined.size());
-    S.SnapChains.resize(S.Defined.size());
-    S.PerFn.resize(S.Defined.size());
-    R.Functions.resize(S.Defined.size());
-
-    RuleConfig MR = Cfg.Rules;
-    MR.M = &M;
-    B.ModuleRules.push_back(MR);
-    B.ConfigDigests.push_back(cacheConfigDigest(M));
   }
 
   //===--------------------------------------------------------------------===//
   // Phase 1 (parallel): optimize, fingerprint, snapshot. Every (module,
   // function) task is independent: passes mutate only their function and
-  // intern constants through the lock-striped Context. Each task owns a
-  // PassManager clone; when the pipeline contains a pass the registry
-  // cannot rebuild, fall back to a sequential loop over the caller's.
+  // intern constants through the lock-striped Context, and every task runs
+  // the one shared \p PM, which no run writes.
   //===--------------------------------------------------------------------===//
 
   std::vector<std::pair<size_t, size_t>> Tasks;
@@ -569,158 +603,36 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
 
   // Stepwise runs time each pass individually into these shared slots;
   // the whole-pipeline path accounts only the phase total below.
-  const size_t NumPasses = ProtoPM.passes().size();
-  std::vector<std::atomic<uint64_t>> PassTimesUs(Stepwise ? NumPasses : 0);
+  std::vector<std::atomic<uint64_t>> PassTimesUs(Stepwise ? PM.size() : 0);
   if (Stepwise)
     for (ModuleRunState &S : States)
       S.PassTimesUs = PassTimesUs.data();
 
-  uint64_t OptimizeUs = 0, ValidateUs = 0, StepwiseUs = 0, TriageUs = 0,
-           RevertUs = 0;
   {
     PhaseTimer Timer;
     TraceSpan Span("optimize", "engine");
-    if (ProtoPM.isClonable()) {
-      Pool.parallelFor(Tasks.size(), [&](size_t T) {
-        auto [Mi, Fi] = Tasks[T];
-        std::unique_ptr<PassManager> PM = ProtoPM.clone();
-        optimizeFunction(States[Mi], Fi, *PM);
-      });
-    } else {
-      for (auto [Mi, Fi] : Tasks)
-        optimizeFunction(States[Mi], Fi, ProtoPM);
-    }
-    OptimizeUs = Timer.elapsedUs();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Phase 2 (sequential, deterministic order): account skips, resolve the
-  // cache, deduplicate pairs, then validate the batch in parallel.
-  //===--------------------------------------------------------------------===//
-
-  std::vector<ValidationReport *> Reports;
-  Reports.reserve(States.size());
-  for (size_t Mi = 0; Mi < States.size(); ++Mi)
-    Reports.push_back(States[Mi].Report);
-
-  for (size_t Mi = 0; Mi < States.size(); ++Mi) {
-    ModuleRunState &S = States[Mi];
-    for (size_t Fi = 0; Fi < S.Defined.size(); ++Fi) {
-      const FunctionReportEntry &E = S.Report->Functions[Fi];
-      Stats.SkippedIdentical += E.SkippedIdentical;
-      for (const StepReport &St : E.Steps)
-        Stats.SkippedIdentical += St.SkippedIdentical;
-      for (const ModuleRunState::PendingPair &P : S.PerFn[Fi])
-        scheduleValidation(B, static_cast<unsigned>(Mi), P.FpA, P.FpB, P.A,
-                           P.B, Fi, P.Step);
-    }
-  }
-
-  {
-    PhaseTimer Timer;
-    TraceSpan Span("validate", "engine",
-                   std::to_string(B.Jobs.size()) + " pairs");
-    executeBatch(B, Reports);
-    ValidateUs = Timer.elapsedUs();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Phase 3 (sequential): synthesize stepwise verdicts and attribute guilt.
-  //===--------------------------------------------------------------------===//
-
-  if (Stepwise) {
-    PhaseTimer Timer;
-    TraceSpan Span("stepwise_synthesis", "engine");
-    for (size_t Mi = 0; Mi < States.size(); ++Mi) {
-      for (FunctionReportEntry &E : States[Mi].Report->Functions) {
-        if (!E.Transformed)
-          continue;
-        ValidationResult Sum;
-        Sum.Validated = true;
-        for (const StepReport &St : E.Steps) {
-          if (!St.Changed)
-            continue;
-          Sum.Rewrites += St.Result.Rewrites;
-          Sum.SharingMerges += St.Result.SharingMerges;
-          Sum.GraphNodes += St.Result.GraphNodes;
-          Sum.LiveNodes = St.Result.LiveNodes;
-          Sum.Iterations += St.Result.Iterations;
-          Sum.Microseconds += St.Result.Microseconds;
-          if (!St.Validated && Sum.Validated) {
-            Sum.Validated = false;
-            Sum.Unsupported = St.Result.Unsupported;
-            Sum.Reason = "step '" + St.Pass + "': " +
-                         (St.Result.Reason.empty() ? "alarm" : St.Result.Reason);
-            E.GuiltyPass = St.Pass;
-          }
-        }
-        E.Validated = Sum.Validated;
-        E.Result = std::move(Sum);
-      }
-    }
-    StepwiseUs = Timer.elapsedUs();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Phase 4 (parallel): triage every rejected pair. Must precede the
-  // revert phase, which overwrites the failing optimized bodies. Tasks are
-  // collected in deterministic submission order and each writes only its
-  // own report entry; triagePair itself is a pure function of the pair and
-  // the configuration, so reports stay byte-identical for any thread
-  // count. Scratch modules intern through the lock-striped Context, the
-  // same isolation argument as the optimize phase.
-  //===--------------------------------------------------------------------===//
-
-  if (Cfg.Triage.Enabled) {
-    PhaseTimer Timer;
-    TraceSpan Span("triage", "engine");
-    std::vector<std::pair<unsigned, size_t>> Candidates;
-    // Resolve the corpus bias once per module (mining walks every
-    // instruction) and hand the resolved value to each triagePair via a
-    // per-module options copy, instead of letting every pair re-mine the
-    // module. The options digest folds the same bias in, so cached
-    // entries can never replay across a bias change.
-    std::vector<TriageOptions> ModOpts(States.size(), Cfg.Triage);
-    std::vector<uint64_t> OptionDigests;
-    OptionDigests.reserve(States.size());
-    for (size_t Mi = 0; Mi < States.size(); ++Mi) {
-      ModOpts[Mi].Bias = resolveCorpusBias(Cfg.Triage, *States[Mi].Orig);
-      OptionDigests.push_back(
-          triageOptionsDigest(Cfg.Triage, ModOpts[Mi].Bias));
-      const ValidationReport &R = *States[Mi].Report;
-      for (size_t Fi = 0; Fi < R.Functions.size(); ++Fi) {
-        const FunctionReportEntry &E = R.Functions[Fi];
-        if (E.Transformed && !E.Validated)
-          Candidates.emplace_back(static_cast<unsigned>(Mi), Fi);
-      }
-    }
-    std::vector<std::pair<unsigned, size_t>> TriageTasks =
-        resolveTriageCache(Candidates, Reports, B.ConfigDigests,
-                           OptionDigests);
-    Pool.parallelFor(TriageTasks.size(), [&](size_t I) {
-      auto [Mi, Fi] = TriageTasks[I];
-      ModuleRunState &S = States[Mi];
-      TriagePair TP{S.Orig, S.Origs[Fi], S.Opt, S.Defined[Fi]};
-      Reports[Mi]->Functions[Fi].Triage =
-          triagePair(TP, B.ModuleRules[Mi], ModOpts[Mi]);
+    Pool.parallelFor(Tasks.size(), [&](size_t T) {
+      optimizeFunction(States[Tasks[T].first], Tasks[T].second, PM);
     });
-    memoizeTriage(TriageTasks, Reports, B.ConfigDigests, OptionDigests);
-    TriageUs = Timer.elapsedUs();
+    Clock.OptimizeUs = Timer.elapsedUs();
   }
+
+  // Phases 2-4: validate, stepwise synthesis, triage. Triage must precede
+  // the revert phase, which overwrites the failing optimized bodies.
+  validatePending(States, B, Stepwise, Clock);
 
   //===--------------------------------------------------------------------===//
   // Phase 5: revert failures. Targets are resolved sequentially; the
   // re-cloning runs one task per function on the pool.
   //===--------------------------------------------------------------------===//
 
-  /// One revert task: re-clone the certified body \p Src over \p Dst in
-  /// \p DstModule. Targets are resolved sequentially; the cloning itself is
-  /// scheduled per function on the pool (tasks touch disjoint functions and
-  /// intern through the lock-striped Context, same argument as phase 1).
+  /// One revert task: re-clone the certified body \p Src over \p Dst.
+  /// Targets are resolved sequentially; the cloning itself is scheduled per
+  /// function on the pool (tasks touch disjoint functions and intern
+  /// through the lock-striped Context, same argument as phase 1).
   struct RevertTask {
     const Function *Src = nullptr;
     Function *Dst = nullptr;
-    Module *DstModule = nullptr;
   };
   std::vector<RevertTask> Reverts;
 
@@ -750,25 +662,122 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
             if (StepIdx < Guilty)
               Target = Snap;
         }
-        Reverts.push_back({Target, S.Defined[Fi], S.Opt});
+        Reverts.push_back({Target, S.Defined[Fi]});
         E.Reverted = true;
       }
     }
   }
 
   Pool.parallelFor(Reverts.size(), [&](size_t I) {
-    restoreBody(*Reverts[I].Src, *Reverts[I].Dst, *Reverts[I].DstModule);
+    replaceFunctionBody(*Reverts[I].Src, *Reverts[I].Dst);
   });
-  RevertUs = RevertTimer.elapsedUs();
+  Clock.RevertUs = RevertTimer.elapsedUs();
   if (traceEnabled())
     traceCompleteEvent("revert", "engine", RevertStartUs,
                        traceNowUs() - RevertStartUs);
 
+  finishRun(SR, Clock);
+  for (size_t Pi = 0; Pi < PassTimesUs.size(); ++Pi) {
+    uint64_t Us = PassTimesUs[Pi].load(std::memory_order_relaxed);
+    const std::string &Pass = PM.passes()[Pi]->getName();
+    accumulatePassTime(Stats.PassMicroseconds, Pass, Us);
+    SR.Report.PhaseMicroseconds.emplace_back("pass:" + Pass, Us);
+  }
+  return SR;
+}
+
+void ValidationEngine::validatePending(std::vector<ModuleRunState> &States,
+                                       BatchState &B, bool Stepwise,
+                                       RunClock &Clock) {
+  //===--------------------------------------------------------------------===//
+  // Phase 2 (sequential, deterministic order): account skips, resolve the
+  // cache, deduplicate pairs, then validate the batch in parallel.
+  //===--------------------------------------------------------------------===//
+
+  std::vector<ValidationReport *> Reports;
+  Reports.reserve(States.size());
+  for (size_t Mi = 0; Mi < States.size(); ++Mi) {
+    ModuleRunState &S = States[Mi];
+    Reports.push_back(S.Report);
+    for (size_t Fi = 0; Fi < S.Defined.size(); ++Fi) {
+      const FunctionReportEntry &E = S.Report->Functions[Fi];
+      Stats.SkippedIdentical += E.SkippedIdentical;
+      for (const StepReport &St : E.Steps)
+        Stats.SkippedIdentical += St.SkippedIdentical;
+      for (const ModuleRunState::PendingPair &P : S.PerFn[Fi])
+        scheduleValidation(B, static_cast<unsigned>(Mi), P.FpA, P.FpB, P.A,
+                           P.B, Fi, P.Step);
+    }
+  }
+
+  {
+    PhaseTimer Timer;
+    TraceSpan Span("validate", "engine",
+                   std::to_string(B.Jobs.size()) + " pairs");
+    executeBatch(B, Reports);
+    Clock.ValidateUs = Timer.elapsedUs();
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Phase 3 (sequential): synthesize stepwise verdicts and attribute guilt.
+  //===--------------------------------------------------------------------===//
+
+  if (Stepwise) {
+    PhaseTimer Timer;
+    TraceSpan Span("stepwise_synthesis", "engine");
+    for (ValidationReport *R : Reports) {
+      for (FunctionReportEntry &E : R->Functions) {
+        if (!E.Transformed)
+          continue;
+        ValidationResult Sum;
+        Sum.Validated = true;
+        for (const StepReport &St : E.Steps) {
+          if (!St.Changed)
+            continue;
+          Sum.Rewrites += St.Result.Rewrites;
+          Sum.SharingMerges += St.Result.SharingMerges;
+          Sum.GraphNodes += St.Result.GraphNodes;
+          Sum.LiveNodes = St.Result.LiveNodes;
+          Sum.Iterations += St.Result.Iterations;
+          Sum.Microseconds += St.Result.Microseconds;
+          if (!St.Validated && Sum.Validated) {
+            Sum.Validated = false;
+            Sum.Unsupported = St.Result.Unsupported;
+            Sum.Reason = "step '" + St.Pass + "': " +
+                         (St.Result.Reason.empty() ? "alarm" : St.Result.Reason);
+            E.GuiltyPass = St.Pass;
+          }
+        }
+        E.Validated = Sum.Validated;
+        E.Result = std::move(Sum);
+      }
+    }
+    Clock.StepwiseUs = Timer.elapsedUs();
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Phase 4 (parallel): triage every rejected pair. Tasks are collected in
+  // deterministic submission order and each writes only its own report
+  // entry; triagePair itself is a pure function of the pair and the
+  // configuration, so reports stay byte-identical for any thread count.
+  // Scratch modules intern through the lock-striped Context, the same
+  // isolation argument as the optimize phase.
+  //===--------------------------------------------------------------------===//
+
+  if (Cfg.Triage.Enabled) {
+    PhaseTimer Timer;
+    TraceSpan Span("triage", "engine");
+    triageRejected(States, B);
+    Clock.TriageUs = Timer.elapsedUs();
+  }
+}
+
+void ValidationEngine::finishRun(SuiteRun &SR, const RunClock &Clock) {
   uint64_t StoreSaveBeforeUs = Stats.StoreSaveMicroseconds;
   if (!Cfg.CachePath.empty() && Cfg.CacheSave && CacheDirty)
     saveCache();
 
-  SR.Report.WallMicroseconds = nowMicroseconds(Start);
+  SR.Report.WallMicroseconds = nowMicroseconds(Clock.Start);
   // Suite phases interleave across modules on one pool, so end-to-end wall
   // time is not attributable per module; only a single-module run owns it.
   // (Per-module validationMicroseconds() remains meaningful either way.)
@@ -779,128 +788,59 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
   // publish this run's breakdown on the report (emitters expose it only
   // behind IncludeTiming), and feed the process metrics registry. None of
   // this touches verdict-bearing fields.
-  Stats.OptimizeMicroseconds += OptimizeUs;
-  Stats.ValidateMicroseconds += ValidateUs;
-  Stats.StepwiseMicroseconds += StepwiseUs;
-  Stats.TriageMicroseconds += TriageUs;
-  Stats.RevertMicroseconds += RevertUs;
+  Stats.OptimizeMicroseconds += Clock.OptimizeUs;
+  Stats.ValidateMicroseconds += Clock.ValidateUs;
+  Stats.StepwiseMicroseconds += Clock.StepwiseUs;
+  Stats.TriageMicroseconds += Clock.TriageUs;
+  Stats.RevertMicroseconds += Clock.RevertUs;
   SR.Report.PhaseMicroseconds = {
-      {"optimize", OptimizeUs},
-      {"validate", ValidateUs},
-      {"stepwise_synthesis", StepwiseUs},
-      {"triage", TriageUs},
-      {"revert", RevertUs},
+      {"optimize", Clock.OptimizeUs},
+      {"validate", Clock.ValidateUs},
+      {"stepwise_synthesis", Clock.StepwiseUs},
+      {"triage", Clock.TriageUs},
+      {"revert", Clock.RevertUs},
       {"store_save", Stats.StoreSaveMicroseconds - StoreSaveBeforeUs},
   };
-  for (size_t Pi = 0; Pi < PassTimesUs.size(); ++Pi) {
-    uint64_t Us = PassTimesUs[Pi].load(std::memory_order_relaxed);
-    const std::string &Pass = ProtoPM.passes()[Pi]->getName();
-    accumulatePassTime(Stats.PassMicroseconds, Pass, Us);
-    SR.Report.PhaseMicroseconds.emplace_back("pass:" + Pass, Us);
-  }
 
   EngineMetrics &EM = engineMetrics();
-  EM.PairsValidated.add(B.Jobs.size());
-  EM.CacheHits.add(Stats.Hits - HitsBefore);
-  EM.WarmHits.add(Stats.WarmHits - WarmBefore);
-  EM.SkippedIdentical.add(Stats.SkippedIdentical - SkipBefore);
-  EM.TriageRuns.add(Stats.TriageMisses - TriageBefore);
+  EM.PairsValidated.add(Stats.Misses - Clock.Misses);
+  EM.CacheHits.add(Stats.Hits - Clock.Hits);
+  EM.WarmHits.add(Stats.WarmHits - Clock.WarmHits);
+  EM.SkippedIdentical.add(Stats.SkippedIdentical - Clock.SkippedIdentical);
+  EM.TriageRuns.add(Stats.TriageMisses - Clock.TriageMisses);
   EM.RunUs.observe(SR.Report.WallMicroseconds);
-  return SR;
 }
 
 ValidationReport ValidationEngine::validateModules(const Module &Original,
                                                    const Module &Optimized) {
-  auto Start = std::chrono::steady_clock::now();
-  ValidationReport Report;
-  Report.ModuleName = Optimized.getName();
-  Report.Pipeline = "(external)";
-  Report.RuleMask = Cfg.Rules.Mask;
-  Report.Stepwise = false;
-  Report.Threads = Pool.getThreadCount();
-
+  RunClock Clock(Stats);
+  SuiteRun SR;
+  SR.Report.Modules.resize(1);
   BatchState B;
-  B.ConfigDigests.push_back(cacheConfigDigest(Original));
-  RuleConfig Rules = Cfg.Rules;
-  Rules.M = &Original;
-  B.ModuleRules.push_back(Rules);
+  std::vector<ModuleRunState> States(1);
+  ModuleRunState &S = States.front();
+  initModule(S, B, SR.Report.Modules.front(), Original, Optimized,
+             "(external)", /*Stepwise=*/false);
 
-  std::vector<Function *> Defined = Optimized.definedFunctions();
-  /// Original-side counterparts (null when absent), kept for the triage
-  /// phase below.
-  std::vector<const Function *> Counterparts(Defined.size(), nullptr);
-  for (size_t Fi = 0; Fi < Defined.size(); ++Fi) {
-    const Function *F = Defined[Fi];
+  for (size_t Fi = 0; Fi < S.Defined.size(); ++Fi) {
+    const Function *F = S.Defined[Fi];
     const Function *Orig = Original.getFunction(F->getName());
-    FunctionReportEntry E;
+    FunctionReportEntry &E = S.Report->Functions[Fi];
     E.Name = F->getName();
     E.FingerprintOpt = fingerprintFunction(*F);
     if (!Orig || Orig->isDeclaration()) {
       E.Transformed = true;
       E.Result.Unsupported = true;
       E.Result.Reason = "no original function of this name";
-      Report.Functions.push_back(std::move(E));
       continue;
     }
+    S.Origs[Fi] = Orig;
     E.FingerprintOrig = fingerprintFunction(*Orig);
-    if (E.FingerprintOrig == E.FingerprintOpt) {
-      E.SkippedIdentical = true;
-      E.Validated = true;
-      E.Result = identicalSkipResult();
-      ++Stats.SkippedIdentical;
-      Report.Functions.push_back(std::move(E));
-      continue;
-    }
-    E.Transformed = true;
-    Counterparts[Fi] = Orig;
-    Report.Functions.push_back(std::move(E));
-    scheduleValidation(B, 0, Report.Functions.back().FingerprintOrig,
-                       Report.Functions.back().FingerprintOpt, Orig, F, Fi,
-                       -1);
+    E.Transformed = E.FingerprintOrig != E.FingerprintOpt;
+    S.queueWholePair(Fi, F);
   }
 
-  std::vector<ValidationReport *> Reports{&Report};
-  {
-    PhaseTimer Timer;
-    TraceSpan Span("validate", "engine",
-                   std::to_string(B.Jobs.size()) + " pairs");
-    executeBatch(B, Reports);
-    Stats.ValidateMicroseconds += Timer.elapsedUs();
-  }
-  engineMetrics().PairsValidated.add(B.Jobs.size());
-
-  // Triage every rejected pair, exactly like the optimize-and-validate
-  // path: deterministic task order, one report slot per task, cached
-  // results replayed instead of re-interpreted.
-  if (Cfg.Triage.Enabled) {
-    PhaseTimer Timer;
-    TraceSpan Span("triage", "engine");
-    std::vector<std::pair<unsigned, size_t>> Candidates;
-    for (size_t Fi = 0; Fi < Defined.size(); ++Fi) {
-      const FunctionReportEntry &E = Report.Functions[Fi];
-      if (E.Transformed && !E.Validated && Counterparts[Fi])
-        Candidates.emplace_back(0u, Fi);
-    }
-    // Bias resolved once (not per pair) and passed down, as in runModules.
-    TriageOptions ModOpts = Cfg.Triage;
-    ModOpts.Bias = resolveCorpusBias(Cfg.Triage, Original);
-    std::vector<uint64_t> OptionDigests{
-        triageOptionsDigest(Cfg.Triage, ModOpts.Bias)};
-    std::vector<std::pair<unsigned, size_t>> TriageTasks =
-        resolveTriageCache(Candidates, Reports, B.ConfigDigests,
-                           OptionDigests);
-    Pool.parallelFor(TriageTasks.size(), [&](size_t I) {
-      size_t Fi = TriageTasks[I].second;
-      TriagePair TP{&Original, Counterparts[Fi], &Optimized, Defined[Fi]};
-      Report.Functions[Fi].Triage = triagePair(TP, Rules, ModOpts);
-    });
-    memoizeTriage(TriageTasks, Reports, B.ConfigDigests, OptionDigests);
-    Stats.TriageMicroseconds += Timer.elapsedUs();
-  }
-
-  if (!Cfg.CachePath.empty() && Cfg.CacheSave && CacheDirty)
-    saveCache();
-  Report.WallMicroseconds = nowMicroseconds(Start);
-  engineMetrics().RunUs.observe(Report.WallMicroseconds);
-  return Report;
+  validatePending(States, B, /*Stepwise=*/false, Clock);
+  finishRun(SR, Clock);
+  return std::move(SR.Report.Modules.front());
 }

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch validation subsystem. Where `validatePair` proves one function
-/// pair and `runLLVMMD` loops over a module synchronously, the
+/// The batch validation subsystem and the repo's one `llvm-md` driver (the
+/// paper's §2 loop: optimize, validate every function pair, revert what
+/// fails). Where `validatePair` proves one function pair, the
 /// ValidationEngine owns throughput: it optimizes a module, schedules every
 /// independent (original, optimized) pair across a work-stealing thread
 /// pool, skips structurally identical pairs in O(1) via function
@@ -21,14 +22,12 @@
 ///    attributed to the specific guilty pass.
 ///
 /// Both phases run on the pool. The *optimization* phase parallelizes per
-/// function: each optimizer task gets its own PassManager clone (passes
-/// carry scratch state) and interns constants through the lock-striped
-/// Context concurrently. The *validation* phase parallelizes per pair.
-/// Scheduling, cache interaction and report aggregation stay sequential and
-/// in deterministic submission order, so reports are byte-identical for any
-/// thread count. Pipelines containing passes the registry cannot rebuild
-/// (caller-assembled pass objects without a registered name) fall back to
-/// sequential optimization on the caller's PassManager.
+/// function: every optimizer task runs the caller's one PassManager, which
+/// no run writes (passes keep no state between runs), and interns
+/// constants through the lock-striped Context concurrently. The
+/// *validation* phase parallelizes per pair. Scheduling, cache interaction
+/// and report aggregation stay sequential and in deterministic submission
+/// order, so reports are byte-identical for any thread count.
 ///
 /// `runSuite` shards the engine over a whole suite of modules: every
 /// (module, function) optimize task and every validation pair is scheduled
@@ -163,7 +162,7 @@ public:
 
   /// Same, over a caller-assembled pass manager (e.g. one containing
   /// passes that have no pipeline name).
-  EngineRun run(const Module &M, PassManager &PM);
+  EngineRun run(const Module &M, const PassManager &PM);
 
   /// Validates a whole suite in one batch: every module is cloned and
   /// optimized with \p Pipeline, all (module, function) work is scheduled
@@ -262,35 +261,40 @@ private:
   void executeBatch(BatchState &B,
                     const std::vector<ValidationReport *> &Reports);
 
+  /// One run's start, its phase wall times, and the engine counters when
+  /// it began; defined in the implementation.
+  struct RunClock;
+
+  /// Binds \p S and \p R to the module pair (\p Orig, \p Opt) and adds the
+  /// module's rules and cache digest to \p B.
+  void initModule(ModuleRunState &S, BatchState &B, ValidationReport &R,
+                  const Module &Orig, const Module &Opt,
+                  const std::string &Pipeline, bool Stepwise);
+
   /// Optimizes, fingerprints and snapshots one function of one module;
   /// thread-safe against itself on other functions.
-  void optimizeFunction(ModuleRunState &S, size_t Fi, PassManager &PM);
+  void optimizeFunction(ModuleRunState &S, size_t Fi, const PassManager &PM);
 
-  /// The shared engine core: run every module through optimize + validate
-  /// as one batch over the pool. When \p ProtoPM is registry-constructible
-  /// (its clone() returns non-null), each optimizer task runs its own
-  /// clone in parallel; otherwise \p ProtoPM itself runs the functions
-  /// sequentially in submission order.
+  /// The engine core: run every module through optimize + validate as one
+  /// batch over the pool, every optimizer task on \p PM.
   SuiteRun runModules(const std::vector<const Module *> &Modules,
-                      const std::string &PipelineName, PassManager &ProtoPM);
+                      const std::string &PipelineName, const PassManager &PM);
 
-  /// Replays cached triage results into \p Candidates' report entries and
-  /// returns the (Mod, Fn) subset that still needs triagePair, preserving
-  /// the deterministic submission order. \p Digests are the per-module
-  /// CacheKey::Config values, \p OptionDigests the per-module
-  /// triageOptionsDigest values.
-  std::vector<std::pair<unsigned, size_t>> resolveTriageCache(
-      const std::vector<std::pair<unsigned, size_t>> &Candidates,
-      const std::vector<ValidationReport *> &Reports,
-      const std::vector<uint64_t> &Digests,
-      const std::vector<uint64_t> &OptionDigests);
+  /// The phases runModules and validateModules share: schedule every
+  /// pending pair, validate the batch, synthesize stepwise verdicts (with
+  /// \p Stepwise) and triage the rejected pairs.
+  void validatePending(std::vector<ModuleRunState> &States, BatchState &B,
+                       bool Stepwise, RunClock &Clock);
 
-  /// Memoizes freshly computed triage results for \p Tasks (the
-  /// resolveTriageCache leftovers, now filled in).
-  void memoizeTriage(const std::vector<std::pair<unsigned, size_t>> &Tasks,
-                     const std::vector<ValidationReport *> &Reports,
-                     const std::vector<uint64_t> &Digests,
-                     const std::vector<uint64_t> &OptionDigests);
+  /// Triages every rejected pair that has an original, replaying cached
+  /// results and memoizing new ones.
+  void triageRejected(std::vector<ModuleRunState> &States,
+                      const BatchState &B);
+
+  /// The end of every run: saves a dirty cache, then publishes the run's
+  /// timings and counters (engine stats, \p SR's phase breakdown, the
+  /// metrics registry).
+  void finishRun(SuiteRun &SR, const RunClock &Clock);
 
   EngineConfig Cfg;
   ThreadPool Pool;

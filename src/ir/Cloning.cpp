@@ -105,8 +105,11 @@ Instruction *copyInstruction(const Instruction *I, Arena &A, MapFn &&Map,
 /// once every copy exists, so the source function is only ever read.
 class BodyCloner {
 public:
-  BodyCloner(const Function &Src, ValueMap &VMap)
-      : Src(Src), VMap(VMap), BlockMap(Src.getMaxBlockNumber(), nullptr) {}
+  /// With \p DstModule set, globals and functions the map does not know yet
+  /// are looked up there by name and memoized.
+  BodyCloner(const Function &Src, ValueMap &VMap, Module *DstModule = nullptr)
+      : Src(Src), VMap(VMap), DstModule(DstModule),
+        BlockMap(Src.getMaxBlockNumber(), nullptr) {}
 
   void addBlock(const BasicBlock *BB, BasicBlock *NewBB) {
     BlockMap[BB->getNumber()] = NewBB;
@@ -174,14 +177,29 @@ private:
       return V;
     if (Value *const *New = VMap.find(flatKey(V)))
       return *New;
+    if (DstModule && (isa<GlobalVariable>(V) || isa<Function>(V)))
+      return mapByName(V);
     if (!isPending(V))
       return V;
     ++Pending;
     return Src.getParent()->getContext().getUndef(V->getType());
   }
 
+  /// \p V's same-named entity in DstModule.
+  Value *mapByName(Value *V) {
+    Value *New;
+    if (isa<Function>(V))
+      New = DstModule->getFunction(V->getName());
+    else
+      New = DstModule->getGlobal(V->getName());
+    assert(New && "global or callee missing from destination module");
+    VMap.set(flatKey(V), New);
+    return New;
+  }
+
   const Function &Src;
   ValueMap &VMap;
+  Module *DstModule;
   /// Copy of each source block, indexed by block number.
   std::vector<BasicBlock *> BlockMap;
   std::vector<Fixup> Fixups;
@@ -189,14 +207,16 @@ private:
   unsigned Pending = 0;
 };
 
-/// cloneFunctionBody into a caller-sized \p VMap.
-void cloneBody(const Function &Src, Function &Dst, ValueMap &VMap) {
+/// cloneFunctionBody into a caller-sized \p VMap, mapping globals and
+/// callees into \p DstModule when it is set.
+void cloneBody(const Function &Src, Function &Dst, ValueMap &VMap,
+               Module *DstModule = nullptr) {
   assert(Dst.getNumBlocks() == 0 && "destination already has a body");
   for (unsigned I = 0, E = Src.getNumArgs(); I != E; ++I) {
     VMap.set(flatKey(Src.getArg(I)), Dst.getArg(I));
     Dst.getArg(I)->setName(Src.getArg(I)->getName());
   }
-  BodyCloner C(Src, VMap);
+  BodyCloner C(Src, VMap, DstModule);
   for (const BasicBlock *BB : Src.blocks())
     C.addBlock(BB, Dst.createBlock(BB->getName()));
   for (const BasicBlock *BB : Src.blocks())
@@ -215,6 +235,13 @@ void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst) {
   ValueMap VMap;
   VMap.reserve(Src.getNumArgs() + Src.getInstructionCount());
   cloneBody(Src, Dst, VMap);
+}
+
+void llvmmd::replaceFunctionBody(const Function &Src, Function &Dst) {
+  Dst.dropBody();
+  ValueMap VMap;
+  VMap.reserve(Src.getNumArgs() + Src.getInstructionCount());
+  cloneBody(Src, Dst, VMap, Dst.getParent());
 }
 
 std::vector<BasicBlock *>
@@ -257,22 +284,4 @@ std::unique_ptr<Module> llvmmd::cloneModule(const Module &M) {
     if (!M.functions()[I]->isDeclaration())
       cloneBody(*M.functions()[I], *NewFunctions[I], VMap);
   return New;
-}
-
-void llvmmd::remapModuleReferences(Function &F, Module &DstModule) {
-  for (BasicBlock *BB : F.blocks()) {
-    for (Instruction *I : *BB) {
-      for (unsigned OpI = 0, E = I->getNumOperands(); OpI != E; ++OpI)
-        if (auto *GV = dyn_cast<GlobalVariable>(I->getOperand(OpI))) {
-          GlobalVariable *NG = DstModule.getGlobal(GV->getName());
-          assert(NG && "global missing from destination module");
-          I->setOperand(OpI, NG);
-        }
-      if (auto *Call = dyn_cast<CallInst>(I)) {
-        Function *NF = DstModule.getFunction(Call->getCallee()->getName());
-        assert(NF && "callee missing from destination module");
-        Call->setCallee(NF);
-      }
-    }
-  }
 }

@@ -42,15 +42,15 @@ using ValueMap = FlatMap<Value *>;
 std::unique_ptr<Module> cloneModule(const Module &M);
 
 /// Clones \p Src's body into \p Dst (which must have the same signature and
-/// an empty body).
+/// an empty body). Operands outside the body, such as globals and callees,
+/// are copied verbatim.
 void cloneFunctionBody(const Function &Src, Function &Dst);
 
-/// Re-points \p F's global-variable operands and call targets at
-/// \p DstModule's same-named entities. The fixup every cross-module body
-/// clone needs (the engine's revert phase, triage's scratch extraction):
-/// cloneFunctionBody copies operands verbatim, so they still reference the
-/// source module until remapped.
-void remapModuleReferences(Function &F, Module &DstModule);
+/// Replaces \p Dst's body with a clone of \p Src's (same signature; \p Src
+/// may live in another module of the same Context). Globals and callees
+/// are mapped to \p Dst's module by name, each distinct one looked up
+/// once: the engine's revert phase and triage's function extraction.
+void replaceFunctionBody(const Function &Src, Function &Dst);
 
 /// Clones \p Blocks (all in \p F) appending " \p Suffix"-named copies to
 /// \p F, and returns them in the order of \p Blocks. Operands, phi incoming

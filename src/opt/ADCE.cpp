@@ -26,7 +26,7 @@ class ADCEPass : public FunctionPass {
 public:
   const char *getName() const override { return "adce"; }
 
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     if (F.isDeclaration())
       return false;
 

@@ -28,7 +28,7 @@ class DSEPass : public FunctionPass {
 public:
   const char *getName() const override { return "dse"; }
 
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     if (F.isDeclaration())
       return false;
     AliasAnalysis AA(F);
@@ -40,7 +40,7 @@ public:
 
 private:
   /// store P; ...no read of P...; store P  ==>  drop the first store.
-  bool removeOverwrittenStores(Function &F, const AliasAnalysis &AA) {
+  bool removeOverwrittenStores(Function &F, const AliasAnalysis &AA) const {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
       std::vector<Instruction *> Insts(BB->begin(), BB->end());
@@ -81,7 +81,8 @@ private:
   }
 
   /// Stores into a non-escaping alloca that is never loaded from are dead.
-  bool removeNeverLoadedAllocaStores(Function &F, const AliasAnalysis &AA) {
+  bool removeNeverLoadedAllocaStores(Function &F,
+                                     const AliasAnalysis &AA) const {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
       for (Instruction *I : *BB) {

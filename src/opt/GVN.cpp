@@ -124,22 +124,12 @@ private:
   std::vector<std::pair<int, Value *>> UndoLog;
 };
 
-class GVNPass : public FunctionPass {
+/// One GVN run over one function. Its tables live only for the run, so
+/// the pass object itself stays stateless.
+class GVN {
 public:
-  const char *getName() const override { return "gvn"; }
-
-  bool run(Function &F, FunctionAnalyses &FA) override {
-    if (F.isDeclaration())
-      return false;
-    Changed = false;
-    ValueNumbers = FlatMap<unsigned>();
+  bool run(Function &F, FunctionAnalyses &FA) {
     ValueNumbers.reserve(F.getNumArgs() + F.getInstructionCount());
-    NextVN = 0;
-    Table = ExprTable();
-    PhiKeys.clear();
-    PhiTable.clear();
-    PhiHeads = FlatMap<uint32_t>();
-    UniquePreds.clear();
     AliasAnalysis AA(F);
     std::shared_ptr<const DominatorTree> DT = FA.domTree(F);
 
@@ -473,6 +463,17 @@ private:
   std::vector<uint64_t> PhiKeys;
   std::vector<PhiEntry> PhiTable;
   FlatMap<uint32_t> PhiHeads;
+};
+
+class GVNPass : public FunctionPass {
+public:
+  const char *getName() const override { return "gvn"; }
+
+  bool run(Function &F, FunctionAnalyses &FA) const override {
+    if (F.isDeclaration())
+      return false;
+    return GVN().run(F, FA);
+  }
 };
 
 } // namespace

@@ -30,7 +30,7 @@ class InstCombinePass : public FunctionPass {
 public:
   const char *getName() const override { return "instcombine"; }
 
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     if (F.isDeclaration())
       return false;
     Context &Ctx = F.getParent()->getContext();
@@ -65,7 +65,7 @@ public:
   }
 
 private:
-  BasicBlock::iterator findPos(BasicBlock *BB, Instruction *I) {
+  BasicBlock::iterator findPos(BasicBlock *BB, Instruction *I) const {
     for (auto It = BB->begin(), E = BB->end(); It != E; ++It)
       if (*It == I)
         return It;
@@ -73,7 +73,7 @@ private:
   }
 
   /// Rewrites that build a replacement instruction.
-  Instruction *combine(Instruction *I, Context &Ctx) {
+  Instruction *combine(Instruction *I, Context &Ctx) const {
     if (!I->isBinaryOp())
       return nullptr;
     Value *L = I->getOperand(0);
@@ -109,7 +109,7 @@ private:
   }
 
   /// Rewrites that mutate the instruction in place (operand/pred swaps).
-  bool canonicalizeInPlace(Instruction *I, Context &Ctx) {
+  bool canonicalizeInPlace(Instruction *I, Context &Ctx) const {
     (void)Ctx;
     // Commutative op with constant on the left: move it right.
     if (I->isBinaryOp() && isCommutativeOp(I->getOpcode())) {

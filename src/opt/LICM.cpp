@@ -34,7 +34,7 @@ class LICMPass : public FunctionPass {
 public:
   const char *getName() const override { return "licm"; }
 
-  bool run(Function &F, FunctionAnalyses &FA) override {
+  bool run(Function &F, FunctionAnalyses &FA) const override {
     if (F.isDeclaration())
       return false;
     std::shared_ptr<LoopInfo> LI = FA.loopInfo(F);
@@ -48,7 +48,7 @@ public:
   }
 
 private:
-  bool processLoop(Function &F, Loop &L, const AliasAnalysis &AA) {
+  bool processLoop(Function &F, Loop &L, const AliasAnalysis &AA) const {
     BasicBlock *Preheader = ensurePreheader(F, L);
     if (!Preheader)
       return false;
@@ -109,7 +109,7 @@ private:
 
   bool canHoist(const Instruction *I, const Loop &L, const AliasAnalysis &AA,
                 const std::vector<const StoreInst *> &Stores,
-                bool HasWriterCall) {
+                bool HasWriterCall) const {
     switch (I->getOpcode()) {
     case Opcode::Phi:
     case Opcode::Br:

@@ -32,7 +32,7 @@ class LoopDeletionPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-deletion"; }
 
-  bool run(Function &F, FunctionAnalyses &FA) override {
+  bool run(Function &F, FunctionAnalyses &FA) const override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
@@ -56,7 +56,7 @@ public:
   }
 
 private:
-  bool tryDelete(Function &F, Loop &L) {
+  bool tryDelete(Function &F, Loop &L) const {
     if (!L.getSubLoops().empty())
       return false; // delete innermost first; parents become eligible later
     if (L.getExitBlocks().size() != 1)

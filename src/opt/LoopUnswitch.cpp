@@ -31,7 +31,7 @@ class LoopUnswitchPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-unswitch"; }
 
-  bool run(Function &F, FunctionAnalyses &FA) override {
+  bool run(Function &F, FunctionAnalyses &FA) const override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
@@ -56,7 +56,7 @@ public:
   }
 
 private:
-  BranchInst *findInvariantBranch(Loop &L) {
+  BranchInst *findInvariantBranch(Loop &L) const {
     for (BasicBlock *BB : L.getBlocks()) {
       auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
       if (!Br || !Br->isConditional())
@@ -76,7 +76,7 @@ private:
   /// Rewrites uses of loop-defined values outside \p L to go through φs in
   /// the unique exit block. Returns false when the loop has several exit
   /// blocks or a value does not dominate the exit (we stay conservative).
-  bool promoteExitUsesToPhis(Function &F, FunctionAnalyses &FA, Loop &L) {
+  bool promoteExitUsesToPhis(Function &F, FunctionAnalyses &FA, Loop &L) const {
     if (L.getExitBlocks().size() != 1)
       return false;
     BasicBlock *Exit = L.getExitBlocks().front();
@@ -118,7 +118,7 @@ private:
     return true;
   }
 
-  bool tryUnswitch(Function &F, FunctionAnalyses &FA, Loop &L) {
+  bool tryUnswitch(Function &F, FunctionAnalyses &FA, Loop &L) const {
     // Bound duplication cost.
     size_t LoopSize = 0;
     for (BasicBlock *BB : L.getBlocks())

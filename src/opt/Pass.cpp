@@ -53,13 +53,6 @@ std::unique_ptr<FunctionPass> llvmmd::createPass(const std::string &Name) {
   return nullptr;
 }
 
-bool llvmmd::isRegisteredPassName(const std::string &Name) {
-  for (const RegistryEntry &E : Registry)
-    if (Name == E.Name)
-      return true;
-  return false;
-}
-
 bool PassManager::parsePipeline(const std::string &Pipeline) {
   std::vector<std::unique_ptr<FunctionPass>> Parsed;
   std::stringstream SS(Pipeline);
@@ -77,50 +70,38 @@ bool PassManager::parsePipeline(const std::string &Pipeline) {
   return true;
 }
 
-bool PassManager::isClonable() const {
-  for (const auto &P : Passes)
-    if (!isRegisteredPassName(P->getName()))
-      return false;
-  return true;
-}
-
-std::unique_ptr<PassManager> PassManager::clone() const {
-  auto PM = std::make_unique<PassManager>();
-  for (const auto &P : Passes) {
-    auto C = createPass(P->getName());
-    if (!C)
-      return nullptr;
-    PM->addPass(std::move(C));
-  }
-  return PM;
-}
-
-bool FunctionPass::run(Function &F) {
+bool FunctionPass::run(Function &F) const {
   FunctionAnalyses FA;
   return run(F, FA);
 }
 
-bool PassManager::run(Function &F) {
+bool PassManager::runPasses(Function &F, FunctionAnalyses &FA,
+                            unsigned *Counts) const {
   bool Changed = false;
-  if (ChangeCounts.size() != Passes.size())
-    ChangeCounts.assign(Passes.size(), 0);
-  FunctionAnalyses FA;
   for (unsigned I = 0, E = Passes.size(); I != E; ++I) {
     if (Passes[I]->run(F, FA)) {
-      ++ChangeCounts[I];
+      if (Counts)
+        ++Counts[I];
       Changed = true;
     }
   }
-  Builds.DomTrees += FA.getDomTreeBuilds();
-  Builds.LoopInfos += FA.getLoopInfoBuilds();
   return Changed;
+}
+
+bool PassManager::run(Function &F) const {
+  FunctionAnalyses FA;
+  return runPasses(F, FA, nullptr);
 }
 
 bool PassManager::run(Module &M) {
   ChangeCounts.assign(Passes.size(), 0);
   Builds = {};
   bool Changed = false;
-  for (Function *F : M.definedFunctions())
-    Changed |= run(*F);
+  for (Function *F : M.definedFunctions()) {
+    FunctionAnalyses FA;
+    Changed |= runPasses(*F, FA, ChangeCounts.data());
+    Builds.DomTrees += FA.getDomTreeBuilds();
+    Builds.LoopInfos += FA.getLoopInfoBuilds();
+  }
   return Changed;
 }

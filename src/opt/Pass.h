@@ -11,6 +11,12 @@
 /// one function's pipeline share one FunctionAnalyses, so a dominator tree
 /// or loop info is built once per CFG state instead of once per pass.
 ///
+/// A pass keeps no state between runs: `run` is const, and whatever a run
+/// needs (tables, worklists, scratch) lives in a per-run object, as SCCP's
+/// solver and GVN's numbering do. So one PassManager may run on many
+/// threads at once, each on its own function; the validation engine's
+/// optimizer tasks all share the caller's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_OPT_PASS_H
@@ -34,21 +40,19 @@ public:
   virtual const char *getName() const = 0;
 
   /// Transforms \p F in place; returns true iff something changed. CFG
-  /// analyses come from \p FA, the cache of \p F's pipeline.
-  virtual bool run(Function &F, FunctionAnalyses &FA) = 0;
+  /// analyses come from \p FA, the cache of \p F's pipeline. Writes only
+  /// \p F, \p FA and the Context's lock-striped constant tables, so
+  /// concurrent runs on different functions are safe.
+  virtual bool run(Function &F, FunctionAnalyses &FA) const = 0;
 
   /// Runs this pass alone, with a cache that lives for this call.
-  bool run(Function &F);
+  bool run(Function &F) const;
 };
 
 /// Creates a pass by its pipeline name; null for unknown names. Known:
 /// adce, gvn, sccp, licm, loop-deletion, loop-unswitch, dse, instcombine,
 /// simplifycfg.
 std::unique_ptr<FunctionPass> createPass(const std::string &Name);
-
-/// True iff \p Name is in the createPass registry, without constructing
-/// the pass.
-bool isRegisteredPassName(const std::string &Name);
 
 /// Runs passes in order over every defined function of a module.
 class PassManager {
@@ -63,22 +67,13 @@ public:
 
   size_t size() const { return Passes.size(); }
 
-  /// Builds an independent pipeline of the same passes through the registry,
-  /// or null if any pass is not registry-constructible (a caller-assembled
-  /// pass whose name createPass does not know). The validation engine clones
-  /// the pipeline per optimizer task: passes carry per-run scratch state and
-  /// change counters, so one PassManager must never run on two threads.
-  std::unique_ptr<PassManager> clone() const;
-
-  /// True iff clone() would succeed — every pass name is in the registry.
-  /// Cheap: no pass objects are constructed.
-  bool isClonable() const;
-
   /// Runs the pipeline on one function, with one analysis cache for all of
-  /// its passes; returns true iff any pass changed it.
-  bool run(Function &F);
+  /// its passes; returns true iff any pass changed it. Writes no counters,
+  /// so threads may share one manager, each on its own function.
+  bool run(Function &F) const;
 
-  /// Runs the pipeline on every defined function.
+  /// Runs the pipeline on every defined function and records the counters
+  /// below.
   bool run(Module &M);
 
   /// Per-pass change counts from the last run(Module&): how many functions
@@ -99,6 +94,9 @@ public:
   }
 
 private:
+  /// run(Function&), adding each pass's change to \p Counts when non-null.
+  bool runPasses(Function &F, FunctionAnalyses &FA, unsigned *Counts) const;
+
   std::vector<std::unique_ptr<FunctionPass>> Passes;
   std::vector<unsigned> ChangeCounts;
   AnalysisBuilds Builds;

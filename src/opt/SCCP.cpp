@@ -358,7 +358,7 @@ private:
 class SCCPPass : public FunctionPass {
 public:
   const char *getName() const override { return "sccp"; }
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     return SCCPSolver(F).run();
   }
 };

@@ -24,7 +24,7 @@ class SimplifyCFGPass : public FunctionPass {
 public:
   const char *getName() const override { return "simplifycfg"; }
 
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
@@ -41,7 +41,7 @@ public:
   }
 
 private:
-  bool foldConstantBranches(Function &F) {
+  bool foldConstantBranches(Function &F) const {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
       auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
@@ -79,7 +79,7 @@ private:
 
   /// Merges BB into its unique predecessor when the predecessor jumps
   /// unconditionally to BB and BB is the predecessor's only successor.
-  bool mergeChains(Function &F) {
+  bool mergeChains(Function &F) const {
     bool Changed = false;
     bool Merged = true;
     while (Merged) {

@@ -187,14 +187,11 @@ std::unique_ptr<Module> llvmmd::extractFunctionModule(const Module &Src,
     Work.pop_back();
     if (Cur->isDeclaration() || !Cloned.insert(Cur).second)
       continue;
-    Function *Dst = M->getFunction(Cur->getName());
-    cloneFunctionBody(*Cur, *Dst);
-    // Collect source-module callees before the remap points them away.
-    for (const auto &BB : Dst->blocks())
-      for (Instruction *I : *BB)
-        if (auto *Call = dyn_cast<CallInst>(I))
+    replaceFunctionBody(*Cur, *M->getFunction(Cur->getName()));
+    for (const BasicBlock *BB : Cur->blocks())
+      for (const Instruction *I : *BB)
+        if (const auto *Call = dyn_cast<CallInst>(I))
           Work.push_back(Call->getCallee());
-    remapModuleReferences(*Dst, *M);
   }
   return M;
 }

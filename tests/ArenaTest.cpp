@@ -167,15 +167,12 @@ TEST(ArenaTest, DropBodyAndRecloneReusesTheSlab) {
   // cycle primes the slab, the body arena must stop growing.
   F->dropBody();
   EXPECT_TRUE(F->isDeclaration());
-  cloneFunctionBody(*Pristine->getFunction("f"), *F);
-  remapModuleReferences(*F, *M);
+  replaceFunctionBody(*Pristine->getFunction("f"), *F);
   size_t WarmReserved = F->bodyArena().bytesReserved();
   EXPECT_EQ(printModule(*M), Expected);
 
   for (int Cycle = 0; Cycle < 10; ++Cycle) {
-    F->dropBody();
-    cloneFunctionBody(*Pristine->getFunction("f"), *F);
-    remapModuleReferences(*F, *M);
+    replaceFunctionBody(*Pristine->getFunction("f"), *F);
     EXPECT_EQ(printModule(*M), Expected) << "cycle " << Cycle;
     EXPECT_EQ(F->bodyArena().bytesReserved(), WarmReserved)
         << "body arena grew on cycle " << Cycle;
@@ -209,9 +206,7 @@ TEST(ArenaTest, EightThreadsMutateTheirOwnModulesInIsolation) {
         }
         auto Clone = cloneModule(*R.M);
         Function *F = Clone->getFunction("f");
-        F->dropBody();
-        cloneFunctionBody(*R.M->getFunction("f"), *F);
-        remapModuleReferences(*F, *Clone);
+        replaceFunctionBody(*R.M->getFunction("f"), *F);
         if (printModule(*Clone) != Expected) {
           Failures[T] = "round " + std::to_string(Round) +
                         ": clone diverged after re-clone";

@@ -12,12 +12,12 @@
 
 #include "TestUtil.h"
 
+#include "driver/ValidationEngine.h"
 #include "ir/Cloning.h"
 #include "ir/Interpreter.h"
 #include "opt/BugInjector.h"
 #include "opt/Pass.h"
 #include "triage/DifferentialTester.h"
-#include "validator/LLVMMD.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -87,11 +87,12 @@ TEST_P(ProfileSweep, ValidationEffectivenessFloor) {
   auto M = generateBenchmark(Ctx, smallProfile(GetParam(), 16));
   PassManager PM;
   ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
-  RuleConfig C;
-  C.M = M.get();
-  LLVMMDReport Report;
-  auto Out = runLLVMMD(*M, PM, C, Report);
-  expectVerified(*Out);
+  EngineConfig C;
+  C.RevertFailures = true;
+  ValidationEngine Engine(C);
+  EngineRun Run = Engine.run(*M, PM);
+  const ValidationReport &Report = Run.Report;
+  expectVerified(*Run.Optimized);
   // The paper validates ~80% overall; demand at least 50% per (truncated)
   // benchmark so regressions in the rules or the builder surface here.
   if (Report.transformed() >= 4)
@@ -175,13 +176,10 @@ TEST_P(ProfileSweep, DeterministicGenerationAndValidation) {
     Context Ctx;
     auto M = generateBenchmark(Ctx, smallProfile(GetParam(), 8));
     TextOut = printModule(*M);
-    PassManager PM;
-    PM.parsePipeline(getPaperPipeline());
-    RuleConfig C;
-    C.M = M.get();
-    LLVMMDReport Report;
-    runLLVMMD(*M, PM, C, Report);
-    return Report.validationRate();
+    EngineConfig C;
+    C.RevertFailures = true;
+    ValidationEngine Engine(C);
+    return Engine.run(*M, getPaperPipeline()).Report.validationRate();
   };
   std::string T1, T2;
   double R1 = Run(T1), R2 = Run(T2);

@@ -8,11 +8,16 @@
 #include "ir/Cloning.h"
 #include "opt/BugInjector.h"
 #include "opt/Pass.h"
+#include "ir/Printer.h"
 #include "support/Hashing.h"
+#include "support/Telemetry.h"
 #include "workload/Generator.h"
 #include "workload/Profiles.h"
 
 #include "TestUtil.h"
+
+#include <atomic>
+#include <thread>
 
 using namespace llvmmd;
 using testutil::parseOrDie;
@@ -56,7 +61,7 @@ BenchmarkProfile smallProfile() {
 class BugInjectorPass : public FunctionPass {
 public:
   const char *getName() const override { return "bug-inject"; }
-  bool run(Function &F, FunctionAnalyses &) override {
+  bool run(Function &F, FunctionAnalyses &) const override {
     return !injectBug(F, 42).empty();
   }
 };
@@ -133,6 +138,41 @@ TEST(EngineTest, DeterministicStepwiseAcrossThreadCounts) {
   }
 }
 
+TEST(EngineTest, OnePipelineServesFourThreads) {
+  // Passes keep no state between runs and PassManager::run(Function&)
+  // writes no counters, so four threads may share one pipeline, each on
+  // its own functions. The output must equal the serial pipeline's:
+  // PassTest pins the same digest for PassManager::run(Module&). Under
+  // TSan a pass or manager that writes a member is a data race here.
+  std::vector<std::unique_ptr<Context>> Contexts;
+  std::vector<std::unique_ptr<Module>> Modules;
+  std::vector<Function *> Functions;
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    Contexts.push_back(std::make_unique<Context>());
+    Modules.push_back(generateBenchmark(*Contexts.back(), P));
+    for (Function *F : Modules.back()->definedFunctions())
+      Functions.push_back(F);
+  }
+  PassManager PM;
+  ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 4; ++T)
+    Threads.emplace_back([&] {
+      for (size_t I; (I = Next.fetch_add(1)) < Functions.size();)
+        PM.run(*Functions[I]);
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  uint64_t Digest = 0xcbf29ce484222325ULL;
+  for (const auto &M : Modules) {
+    std::string Text = printModule(*M);
+    Digest = hashBytes(Text.data(), Text.size(), Digest);
+  }
+  EXPECT_EQ(Digest, 0x27af2cf41c2d5901ULL);
+}
+
 //===----------------------------------------------------------------------===//
 // Suite sharding
 //===----------------------------------------------------------------------===//
@@ -203,9 +243,9 @@ TEST(EngineTest, SuiteSharesVerdictsAcrossModules) {
 }
 
 TEST(EngineTest, SuiteStepwiseRevertProducesCertifiedModules) {
-  // Stepwise suite run with an always-failing middle pass cannot be
-  // parallel-optimized (the injector pass has no registry name), so this
-  // also covers the sequential fallback path end to end.
+  // Stepwise run with a failing caller-assembled pass (the injector has no
+  // registry name) on the shared pipeline, reverted to certified
+  // snapshots.
   Context Ctx;
   auto M = parseOrDie(Ctx, TwoFunctions);
 
@@ -246,6 +286,51 @@ TEST(EngineTest, IdenticalModulesAreSkippedInConstantTime) {
   EXPECT_EQ(Engine.cacheStats().Misses, 0u);
   EXPECT_EQ(Engine.cacheStats().SkippedIdentical,
             M->definedFunctions().size());
+}
+
+TEST(EngineTest, ValidateModulesFeedsTheEngineMetrics) {
+  // Pair mode reports its skips, cache hits and triage runs to the same
+  // process metrics as optimizing runs do.
+  Counter &Skipped = telemetry().counter(
+      "llvmmd_engine_skipped_identical_total", "");
+  Counter &Hits = telemetry().counter("llvmmd_engine_cache_hits_total", "");
+  Counter &TriageRuns =
+      telemetry().counter("llvmmd_engine_triage_runs_total", "");
+  Context Ctx;
+  auto M = generateBenchmark(Ctx, smallProfile());
+  auto Clone = cloneModule(*M);
+  auto Opt = cloneModule(*M);
+  unsigned Injected = 0;
+  PassManager PM;
+  ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+  PM.run(*Opt);
+  // Miscompile two functions so that triage has work.
+  for (Function *F : Opt->definedFunctions())
+    if (F->getInstructionCount() > 4 && !injectBug(*F, 7).empty() &&
+        ++Injected == 2)
+      break;
+
+  EngineConfig C;
+  C.Triage.Enabled = true;
+  C.Triage.MaxInputs = 32;
+  C.Triage.ReduceBudget = 0;
+  ValidationEngine Engine(C);
+  uint64_t SkippedBefore = Skipped.value();
+  Engine.validateModules(*M, *Clone);
+  EXPECT_EQ(Skipped.value() - SkippedBefore, M->definedFunctions().size());
+
+  uint64_t HitsBefore = Hits.value(), TriageBefore = TriageRuns.value();
+  ValidationReport First = Engine.validateModules(*M, *Opt);
+  ASSERT_GT(First.transformed(), First.validated()) << "nothing to triage";
+  EXPECT_EQ(Hits.value(), HitsBefore);
+  EXPECT_EQ(TriageRuns.value() - TriageBefore,
+            First.transformed() - First.validated());
+  ValidationReport Second = Engine.validateModules(*M, *Opt);
+  EXPECT_GT(Second.cacheHits(), 0u);
+  EXPECT_EQ(Hits.value() - HitsBefore, Second.cacheHits());
+  EXPECT_EQ(TriageRuns.value() - TriageBefore,
+            First.transformed() - First.validated())
+      << "a resubmission replays its triage results";
 }
 
 TEST(EngineTest, ResubmissionHitsTheVerdictCache) {
@@ -377,36 +462,49 @@ TEST(EngineTest, WholePipelineRevertRestoresOriginal) {
 }
 
 TEST(EngineTest, ParallelRevertIsDeterministicAcrossThreadCounts) {
-  // The revert phase re-clones certified bodies one pool task per function;
-  // the reverted output and the report must not depend on the thread count.
-  std::string Baseline;
-  for (unsigned Threads : {1u, 4u}) {
-    Context Ctx;
-    auto M = generateBenchmark(Ctx, smallProfile());
+  // The revert phase re-clones certified bodies one pool task per function,
+  // and every optimizer task runs the one caller-assembled pipeline (the
+  // injector has no registry name); the reverted output and the report
+  // must not depend on the thread count, in either granularity.
+  for (ValidationGranularity G : {ValidationGranularity::WholePipeline,
+                                  ValidationGranularity::PerPass}) {
+    std::string Baseline, BaselineText;
+    for (unsigned Threads : {1u, 4u}) {
+      Context Ctx;
+      auto M = generateBenchmark(Ctx, smallProfile());
 
-    PassManager PM;
-    PM.addPass(createPass("gvn"));
-    PM.addPass(std::make_unique<BugInjectorPass>());
+      PassManager PM;
+      PM.addPass(createPass("gvn"));
+      PM.addPass(std::make_unique<BugInjectorPass>());
 
-    EngineConfig C;
-    C.Threads = Threads;
-    C.RevertFailures = true;
-    ValidationEngine Engine(C);
-    EngineRun Run = Engine.run(*M, PM);
-    EXPECT_GT(Run.Report.reverted(), 0u);
-    testutil::expectVerified(*Run.Optimized);
+      EngineConfig C;
+      C.Threads = Threads;
+      C.Granularity = G;
+      C.RevertFailures = true;
+      ValidationEngine Engine(C);
+      EngineRun Run = Engine.run(*M, PM);
+      EXPECT_GT(Run.Report.reverted(), 0u);
+      testutil::expectVerified(*Run.Optimized);
 
-    // Every reverted function must be provably equivalent to its original
-    // again, and the whole report must be thread-count independent.
-    ValidationReport Certified = Engine.validateModules(*M, *Run.Optimized);
-    for (const FunctionReportEntry &E : Certified.Functions)
-      EXPECT_TRUE(E.Validated || E.SkippedIdentical) << E.Name;
-    std::string Json = reportToJSON(Run.Report);
-    if (Baseline.empty())
-      Baseline = Json;
-    else
+      // Every reverted function must be provably equivalent to its
+      // original again, and the whole report and the reverted module must
+      // be thread-count independent.
+      ValidationReport Certified =
+          Engine.validateModules(*M, *Run.Optimized);
+      for (const FunctionReportEntry &E : Certified.Functions)
+        EXPECT_TRUE(E.Validated || E.SkippedIdentical) << E.Name;
+      std::string Json = reportToJSON(Run.Report);
+      std::string Text = printModule(*Run.Optimized);
+      if (Baseline.empty()) {
+        Baseline = Json;
+        BaselineText = Text;
+        continue;
+      }
       EXPECT_EQ(Baseline, Json) << "thread count " << Threads
                                 << " changed the reverted report";
+      EXPECT_EQ(BaselineText, Text) << "thread count " << Threads
+                                    << " changed the reverted module";
+    }
   }
 }
 

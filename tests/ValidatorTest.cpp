@@ -6,12 +6,12 @@
 
 #include "TestUtil.h"
 
+#include "driver/ValidationEngine.h"
 #include "ir/Cloning.h"
 #include "normalize/Normalizer.h"
 #include "opt/BugInjector.h"
 #include "opt/Pass.h"
 #include "support/Hashing.h"
-#include "validator/LLVMMD.h"
 #include "validator/Validator.h"
 #include "vg/GraphBuilder.h"
 #include "workload/Generator.h"
@@ -368,12 +368,15 @@ entry:
 )");
   PassManager PM;
   ASSERT_TRUE(PM.parsePipeline("sccp"));
-  RuleConfig C; // paper rules: no float folding
-  LLVMMDReport Report;
-  auto Out = runLLVMMD(*M, PM, C, Report);
+  EngineConfig C; // paper rules: no float folding
+  C.RevertFailures = true;
+  ValidationEngine Engine(C);
+  EngineRun Run = Engine.run(*M, PM);
+  const ValidationReport &Report = Run.Report;
+  const std::unique_ptr<Module> &Out = Run.Optimized;
   expectVerified(*Out);
   ASSERT_EQ(Report.Functions.size(), 2u);
-  const FunctionReport *FP = nullptr, *OK = nullptr;
+  const FunctionReportEntry *FP = nullptr, *OK = nullptr;
   for (const auto &FR : Report.Functions) {
     if (FR.Name == "fp")
       FP = &FR;
