@@ -17,8 +17,15 @@
 // the value graphs of the suite's pairs, the normalizer (BM_Normalize) and
 // one sharing pass (BM_MaximizeSharing). BM_ParseModule reads the printed
 // suite modules back through the module reader. The warm path has one
-// case per layer: BM_CloneModule, BM_OptimizePass/<pass> for each paper
-// pass, and BM_Fingerprint.
+// case per layer: BM_CloneModule (which also times freeing the clones),
+// BM_OptimizePass/<pass> for each paper pass, and BM_Fingerprint, plus
+// BM_WarmJob for a whole warm job. BM_EraseDuplicatePhis times GVN
+// erasing 2,000 φs from the middle of one 40,000-instruction block.
+//
+// The warm-path cases also report heap allocations as allocs_per_op (per
+// iteration, i.e. per pass over the suite; per job for BM_WarmJob),
+// counted by a replacement operator new that only counts while a case
+// asks it to. The figures are the same on every machine.
 //
 // After the microbenchmarks run, a whole-suite engine pass is emitted as
 // BENCH_scaling.json through the engine's JSON reporter (with timing).
@@ -32,6 +39,7 @@
 #include "analysis/LoopInfo.h"
 #include "driver/VerdictStore.h"
 #include "gated/GatedSSA.h"
+#include "ir/IRBuilder.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "normalize/Normalizer.h"
@@ -40,12 +48,59 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <new>
 
 using namespace llvmmd;
+
+namespace {
+
+/// Heap allocations made by any thread while counting is on. Process-wide
+/// rather than per thread: an engine job runs on its pool's thread, not
+/// the benchmark's. Off, the hook costs one relaxed load per allocation.
+std::atomic<bool> CountingAllocs{false};
+std::atomic<uint64_t> NumAllocs{0};
+
+/// Counts allocations from construction until count() is read; only one
+/// may be live at a time.
+class AllocCounter {
+public:
+  AllocCounter() : Start(NumAllocs.load()) { CountingAllocs = true; }
+  ~AllocCounter() { CountingAllocs = false; }
+  uint64_t count() const { return NumAllocs.load() - Start; }
+
+private:
+  uint64_t Start;
+};
+
+/// Reports \p Allocs, summed over all iterations, per iteration.
+void reportAllocs(benchmark::State &State, uint64_t Allocs) {
+  State.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(Allocs), benchmark::Counter::kAvgIterations);
+}
+
+} // namespace
+
+void *operator new(std::size_t Size) {
+  if (CountingAllocs.load(std::memory_order_relaxed))
+    NumAllocs.fetch_add(1, std::memory_order_relaxed);
+  while (true) {
+    if (void *P = std::malloc(Size ? Size : 1))
+      return P;
+    std::new_handler Handler = std::get_new_handler();
+    if (!Handler)
+      throw std::bad_alloc();
+    Handler();
+  }
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
@@ -149,6 +204,7 @@ const PaperSuite &paperSuite() {
 void BM_PaperPipeline(benchmark::State &State) {
   const auto &Modules = paperSuite().Orig;
   PassManager::AnalysisBuilds Builds;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<std::unique_ptr<Module>> Clones;
@@ -156,12 +212,16 @@ void BM_PaperPipeline(benchmark::State &State) {
       Clones.push_back(cloneModule(*M));
     State.ResumeTiming();
     Builds = {};
-    for (auto &M : Clones) {
-      PassManager PM;
-      PM.parsePipeline(getPaperPipeline());
-      PM.run(*M);
-      Builds.DomTrees += PM.getAnalysisBuilds().DomTrees;
-      Builds.LoopInfos += PM.getAnalysisBuilds().LoopInfos;
+    {
+      AllocCounter Count;
+      for (auto &M : Clones) {
+        PassManager PM;
+        PM.parsePipeline(getPaperPipeline());
+        PM.run(*M);
+        Builds.DomTrees += PM.getAnalysisBuilds().DomTrees;
+        Builds.LoopInfos += PM.getAnalysisBuilds().LoopInfos;
+      }
+      Allocs += Count.count();
     }
     State.PauseTiming();
     Clones.clear();
@@ -169,6 +229,7 @@ void BM_PaperPipeline(benchmark::State &State) {
   }
   State.counters["dom_trees"] = Builds.DomTrees;
   State.counters["loop_infos"] = Builds.LoopInfos;
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_PaperPipeline)->Unit(benchmark::kMillisecond);
 
@@ -179,6 +240,7 @@ void BM_OptimizePass(benchmark::State &State, size_t Pass) {
   PassManager PM;
   PM.parsePipeline(getPaperPipeline());
   const auto &Passes = PM.passes();
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<std::unique_ptr<Module>> Clones;
@@ -193,13 +255,18 @@ void BM_OptimizePass(benchmark::State &State, size_t Pass) {
       for (size_t P = 0; P != Pass; ++P)
         Passes[P]->run(*Functions[I], Analyses[I]);
     State.ResumeTiming();
-    for (size_t I = 0; I != Functions.size(); ++I)
-      Passes[Pass]->run(*Functions[I], Analyses[I]);
+    {
+      AllocCounter Count;
+      for (size_t I = 0; I != Functions.size(); ++I)
+        Passes[Pass]->run(*Functions[I], Analyses[I]);
+      Allocs += Count.count();
+    }
     State.PauseTiming();
     Analyses.clear();
     Clones.clear();
     State.ResumeTiming();
   }
+  reportAllocs(State, Allocs);
 }
 
 /// Registers BM_OptimizePass/<pass> for each paper pass. The set-up of an
@@ -217,34 +284,148 @@ const bool OptimizePassBenchmarks = [] {
   return true;
 }();
 
-/// cloneModule over the 12 suite modules (freeing the clones is untimed).
+/// cloneModule over the 12 suite modules. Freeing the clones is untimed,
+/// but reported as teardown_ms (mean per iteration).
 void BM_CloneModule(benchmark::State &State) {
   size_t Instructions = 0;
+  uint64_t Allocs = 0;
+  double TeardownMs = 0;
   for (auto _ : State) {
     std::vector<std::unique_ptr<Module>> Clones;
-    for (const auto &M : paperSuite().Orig)
-      Clones.push_back(cloneModule(*M));
+    {
+      AllocCounter Count;
+      for (const auto &M : paperSuite().Orig)
+        Clones.push_back(cloneModule(*M));
+      Allocs += Count.count();
+    }
     State.PauseTiming();
     Instructions = 0;
     for (const auto &M : Clones)
       for (const Function *F : M->definedFunctions())
         Instructions += F->getInstructionCount();
+    auto T0 = std::chrono::steady_clock::now();
     Clones.clear();
+    TeardownMs += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
     State.ResumeTiming();
   }
   State.counters["instructions"] = static_cast<double>(Instructions);
+  State.counters["teardown_ms"] =
+      benchmark::Counter(TeardownMs, benchmark::Counter::kAvgIterations);
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_CloneModule)->Unit(benchmark::kMillisecond);
 
 /// fingerprintFunction over every optimized suite function.
 void BM_Fingerprint(benchmark::State &State) {
   const auto &Functions = paperSuite().OptFunctions;
-  for (auto _ : State)
+  uint64_t Allocs = 0;
+  for (auto _ : State) {
+    AllocCounter Count;
     for (const Function *F : Functions)
       benchmark::DoNotOptimize(fingerprintFunction(*F));
+    Allocs += Count.count();
+  }
   State.counters["functions"] = static_cast<double>(Functions.size());
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_Fingerprint)->Unit(benchmark::kMicrosecond);
+
+/// One warm job per suite module, as perfbench's warm-replay workload runs
+/// them: a fresh single-threaded engine loads a store that already holds
+/// every verdict and replays the module (clone, the paper pipeline,
+/// fingerprints, store reads). Unlike perfbench, the store holds only the
+/// suite's own verdicts. An iteration is the 12 jobs; allocs_per_op is
+/// per job.
+void BM_WarmJob(benchmark::State &State) {
+  const PaperSuite &S = paperSuite();
+  const std::string Store = "BENCH_warmjob.vstore";
+  std::remove(Store.c_str());
+  EngineConfig C;
+  C.Threads = 1;
+  C.CachePath = Store;
+  {
+    std::vector<const Module *> Mods;
+    for (const auto &M : S.Orig)
+      Mods.push_back(M.get());
+    ValidationEngine Prove(C);
+    Prove.runSuite(Mods, getPaperPipeline());
+  }
+  C.CacheSave = false;
+  uint64_t Allocs = 0;
+  for (auto _ : State) {
+    AllocCounter Count;
+    for (const auto &M : S.Orig) {
+      ValidationEngine Warm(C);
+      EngineRun Run = Warm.run(*M, getPaperPipeline());
+      benchmark::DoNotOptimize(Run.Report);
+      if (Warm.cacheStats().Misses != 0) {
+        State.SkipWithError("warm job validated from scratch; store broken?");
+        break;
+      }
+    }
+    Allocs += Count.count();
+  }
+  State.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(Allocs) / S.Orig.size(),
+      benchmark::Counter::kAvgIterations);
+  std::remove(Store.c_str());
+  std::remove((Store + ".lock").c_str());
+}
+BENCHMARK(BM_WarmJob)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// GVN over one block of 20,000 φs in which every tenth φ repeats the one
+/// before it, each φ feeding one add of a chain: GVN erases the 2,000
+/// copies from the middle of the 40,000-instruction block. Building the
+/// function is untimed.
+void BM_EraseDuplicatePhis(benchmark::State &State) {
+  const unsigned NumPhis = 20000;
+  auto GVN = createPass("gvn");
+  Context Ctx;
+  std::unique_ptr<Module> M;
+  size_t Left = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    M = std::make_unique<Module>(Ctx);
+    Type *I32 = Ctx.getInt32Ty();
+    Function *F = M->createFunction(
+        Ctx.getFunctionTy(I32, {Ctx.getInt1Ty(), I32}), "f");
+    BasicBlock *Entry = F->createBlock("entry");
+    BasicBlock *L = F->createBlock("l");
+    BasicBlock *R = F->createBlock("r");
+    BasicBlock *J = F->createBlock("j");
+    IRBuilder B(Ctx);
+    B.setInsertPoint(Entry);
+    B.createCondBr(F->getArg(0), L, R);
+    B.setInsertPoint(L);
+    B.createBr(J);
+    B.setInsertPoint(R);
+    B.createBr(J);
+    B.setInsertPoint(J);
+    std::vector<PhiNode *> Phis;
+    for (unsigned K = 0; K != NumPhis; ++K) {
+      unsigned Key = K % 10 == 9 ? K - 1 : K;
+      auto *P = F->bodyArena().create<PhiNode>(I32);
+      J->append(P);
+      P->addIncoming(Ctx.getInt32(Key), L);
+      P->addIncoming(Ctx.getInt32(Key + 1), R);
+      Phis.push_back(P);
+    }
+    Value *Acc = F->getArg(1);
+    for (PhiNode *P : Phis)
+      Acc = B.createAdd(Acc, P);
+    B.createRet(Acc);
+    State.ResumeTiming();
+    GVN->run(*F);
+    State.PauseTiming();
+    Left = J->phis().size();
+    M.reset();
+    State.ResumeTiming();
+  }
+  State.counters["phis_erased"] = static_cast<double>(NumPhis - Left);
+}
+BENCHMARK(BM_EraseDuplicatePhis)->Unit(benchmark::kMillisecond);
 
 /// parseModule over the printed text of the 12 suite modules; reports
 /// bytes read per second and the functions read.

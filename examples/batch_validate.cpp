@@ -318,12 +318,11 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Validate the pipeline up front: runSuite only asserts on a bad one
-  // (compiled out in Release), and a typo must not green-light a run that
-  // validated nothing.
+  // Refuse a bad pipeline up front, with the message every front door
+  // uses, rather than let the engine throw on it.
   PassManager PM;
   if (!PM.parsePipeline(Pipeline)) {
-    std::fprintf(stderr, "error: bad pipeline '%s'\n", Pipeline.c_str());
+    std::fprintf(stderr, "error: %s\n", pipelineError(Pipeline).c_str());
     return 1;
   }
 

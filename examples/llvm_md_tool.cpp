@@ -105,7 +105,7 @@ int main(int argc, char **argv) {
 
   PassManager PM;
   if (!PM.parsePipeline(Pipeline)) {
-    std::fprintf(stderr, "error: bad pipeline '%s'\n", Pipeline.c_str());
+    std::fprintf(stderr, "error: %s\n", pipelineError(Pipeline).c_str());
     return 1;
   }
 

@@ -20,7 +20,8 @@
 //     --worker-binary P  worker executable (default: validate_server next
 //                        to this binary)
 //     --worker-threads N engine threads per worker (default 1)
-//     --pipeline P       pass pipeline for submitted modules
+//     --pipeline P       pass pipeline for submitted modules; an unknown
+//                        pass exits 2
 //     --all-rules        enable the extension rule sets fleet-wide
 //     --rule-mask N      set the rule mask explicitly
 //     --triage           triage rejected pairs on every worker
@@ -52,6 +53,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/FleetRouter.h"
+#include "opt/Pass.h"
 #include "support/Log.h"
 #include "support/Trace.h"
 
@@ -220,6 +222,12 @@ int main(int argc, char **argv) {
   }
   if (NoUnix)
     C.UnixPath.clear();
+  // An unknown pass would let every job "succeed" with nothing
+  // transformed; refuse it before binding anything.
+  if (std::string Bad = pipelineError(C.Pipeline); !Bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", Bad.c_str());
+    return 2;
+  }
 
   // Remember the HTTP host for the startup banner (scripts grep the
   // "http:" line for the ephemeral port); the config moves into the

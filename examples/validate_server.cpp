@@ -16,7 +16,7 @@
 //     --no-unix          TCP only: do not bind the unix socket
 //     --threads N        engine worker threads (default: hardware)
 //     --pipeline P       pass pipeline for submitted modules (default:
-//                        the paper's)
+//                        the paper's); an unknown pass exits 2
 //     --all-rules        enable the libc/float/global extension rule sets
 //     --rule-mask N      set the rule mask explicitly
 //     --stepwise         per-pass validation with guilty-pass attribution
@@ -51,6 +51,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "opt/Pass.h"
 #include "server/ValidationServer.h"
 #include "support/Log.h"
 
@@ -183,6 +184,12 @@ int main(int argc, char **argv) {
   }
   if (NoUnix)
     C.UnixPath.clear();
+  // An unknown pass would let every job "succeed" with nothing
+  // transformed; refuse it before binding anything.
+  if (std::string Bad = pipelineError(C.Pipeline); !Bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", Bad.c_str());
+    return 2;
+  }
 
   // Remember the HTTP host for the startup banner (scripts grep the
   // "http:" line for the ephemeral port); the config moves into the

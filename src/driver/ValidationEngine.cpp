@@ -20,6 +20,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 using namespace llvmmd;
 
@@ -499,12 +500,21 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
 // Module and suite runs
 //===----------------------------------------------------------------------===//
 
-EngineRun ValidationEngine::run(const Module &M, const std::string &Pipeline) {
+namespace {
+
+/// \p Pipeline as a pass manager. Throws on an unknown pass in every
+/// build: a pipeline that ran nothing must not pass for a validated run.
+PassManager parsedPipeline(const std::string &Pipeline) {
   PassManager PM;
-  bool OK = PM.parsePipeline(Pipeline);
-  (void)OK;
-  assert(OK && "bad pipeline");
-  SuiteRun SR = runModules({&M}, Pipeline, PM);
+  if (!PM.parsePipeline(Pipeline))
+    throw std::invalid_argument(pipelineError(Pipeline));
+  return PM;
+}
+
+} // namespace
+
+EngineRun ValidationEngine::run(const Module &M, const std::string &Pipeline) {
+  SuiteRun SR = runModules({&M}, Pipeline, parsedPipeline(Pipeline));
   EngineRun Run;
   Run.Optimized = std::move(SR.Optimized.front());
   Run.Report = std::move(SR.Report.Modules.front());
@@ -527,11 +537,7 @@ EngineRun ValidationEngine::run(const Module &M, const PassManager &PM) {
 
 SuiteRun ValidationEngine::runSuite(const std::vector<const Module *> &Modules,
                                     const std::string &Pipeline) {
-  PassManager PM;
-  bool OK = PM.parsePipeline(Pipeline);
-  (void)OK;
-  assert(OK && "bad pipeline");
-  return runModules(Modules, Pipeline, PM);
+  return runModules(Modules, Pipeline, parsedPipeline(Pipeline));
 }
 
 void ValidationEngine::initModule(ModuleRunState &S, BatchState &B,

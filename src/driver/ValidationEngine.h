@@ -157,7 +157,8 @@ public:
 
   /// Clones \p M, runs \p Pipeline (comma-separated pass names) on every
   /// defined function, and validates according to the configured
-  /// granularity. Asserts on an unparsable pipeline.
+  /// granularity. Throws std::invalid_argument, with pipelineError's
+  /// message, on an unknown pass.
   EngineRun run(const Module &M, const std::string &Pipeline);
 
   /// Same, over a caller-assembled pass manager (e.g. one containing
@@ -168,7 +169,8 @@ public:
   /// optimized with \p Pipeline, all (module, function) work is scheduled
   /// over the one shared pool, and verdicts deduplicate across modules
   /// through the cache. Modules may live in different Contexts. Reports are
-  /// emitted per module (input order) plus a suite roll-up.
+  /// emitted per module (input order) plus a suite roll-up. Throws like
+  /// run() on an unknown pass.
   SuiteRun runSuite(const std::vector<const Module *> &Modules,
                     const std::string &Pipeline);
 

@@ -7,6 +7,7 @@
 #include "fleet/FleetRouter.h"
 
 #include "driver/VerdictStore.h"
+#include "opt/Pass.h"
 #include "support/Log.h"
 #include "support/Trace.h"
 
@@ -255,6 +256,12 @@ bool FleetRouter::start(std::string *Error) {
   if (Cfg.Workers == 0) {
     if (Error)
       *Error = "a fleet needs at least one worker";
+    return false;
+  }
+  // Workers would refuse it at startup, over and over.
+  if (std::string Bad = pipelineError(Cfg.Pipeline); !Bad.empty()) {
+    if (Error)
+      *Error = Bad;
     return false;
   }
 

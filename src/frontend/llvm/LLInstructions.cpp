@@ -794,7 +794,7 @@ Instruction *LLImporter::translateCall(Body &B, IRBuilder &Builder,
            "signature mismatch calling '@" + std::string(Name) + "'");
 
   return static_cast<Instruction *>(
-      Builder.createCall(Callee, std::move(Args)));
+      Builder.createCall(Callee, Args));
 }
 
 //===----------------------------------------------------------------------===//

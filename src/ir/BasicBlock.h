@@ -5,9 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A BasicBlock owns an ordered list of instructions terminated by exactly
+/// A BasicBlock holds an ordered list of instructions terminated by exactly
 /// one terminator. Blocks are owned by their parent Function, which numbers
 /// them in creation order; CFG analyses index dense vectors by that number.
+///
+/// The instruction list is intrusive, like LLVM's ilist: each Instruction
+/// carries its own Prev/Next links, and the block keeps the two ends and a
+/// count. So linking and unlinking allocate nothing and cost O(1) wherever
+/// the instruction sits (erasing k of n instructions is O(k), not O(n·k)),
+/// size() is a load, and getTerminator() reads the tail. Iterators are
+/// bidirectional and stay valid across insertions and across removal of
+/// any other instruction; a loop that erases the instruction it stands on
+/// advances first. phis() and successors() are ranges over the block and
+/// its terminator, not copies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +26,8 @@
 
 #include "ir/Instruction.h"
 
-#include <list>
+#include <cstddef>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,9 +37,124 @@ class Function;
 
 class BasicBlock {
 public:
-  using InstListType = std::list<Instruction *>;
-  using iterator = InstListType::iterator;
-  using const_iterator = InstListType::const_iterator;
+  /// Walks the instruction list. Holds the block so that end() can step
+  /// back to the tail. Dereferences to the instruction pointer itself.
+  class iterator {
+  public:
+    using iterator_category = std::bidirectional_iterator_tag;
+    using value_type = Instruction *;
+    using difference_type = std::ptrdiff_t;
+    using pointer = Instruction *const *;
+    using reference = Instruction *;
+
+    iterator() = default;
+
+    Instruction *operator*() const {
+      assert(Cur && "dereferencing end()");
+      return Cur;
+    }
+    iterator &operator++() {
+      Cur = Cur->Next;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    iterator &operator--() {
+      Cur = Cur ? Cur->Prev : BB->Tail;
+      return *this;
+    }
+    iterator operator--(int) {
+      iterator Old = *this;
+      --*this;
+      return Old;
+    }
+    bool operator==(const iterator &O) const { return Cur == O.Cur; }
+    bool operator!=(const iterator &O) const { return Cur != O.Cur; }
+
+  private:
+    friend class BasicBlock;
+    iterator(Instruction *Cur, const BasicBlock *BB) : Cur(Cur), BB(BB) {}
+
+    Instruction *Cur = nullptr;
+    const BasicBlock *BB = nullptr;
+  };
+  using const_iterator = iterator;
+
+  /// The φ nodes at the head of the block, in order. Erasing the φ a loop
+  /// stands on ends the walk early; such loops advance by hand.
+  class PhiRange {
+  public:
+    class iterator {
+    public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = PhiNode *;
+      using difference_type = std::ptrdiff_t;
+      using pointer = PhiNode *const *;
+      using reference = PhiNode *;
+
+      explicit iterator(Instruction *I) : Cur(asPhi(I)) {}
+      PhiNode *operator*() const { return Cur; }
+      iterator &operator++() {
+        Cur = asPhi(Cur->Next);
+        return *this;
+      }
+      bool operator==(const iterator &O) const { return Cur == O.Cur; }
+      bool operator!=(const iterator &O) const { return Cur != O.Cur; }
+
+    private:
+      static PhiNode *asPhi(Instruction *I) {
+        return dyn_cast_or_null<PhiNode>(I);
+      }
+      PhiNode *Cur;
+    };
+
+    explicit PhiRange(Instruction *Head) : Head(Head) {}
+    iterator begin() const { return iterator(Head); }
+    iterator end() const { return iterator(nullptr); }
+    bool empty() const { return begin() == end(); }
+    size_t size() const { return std::distance(begin(), end()); }
+
+  private:
+    Instruction *Head;
+  };
+
+  /// The successor slots of a block's terminator, in order.
+  class SuccessorRange {
+  public:
+    class iterator {
+    public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = BasicBlock *;
+      using difference_type = std::ptrdiff_t;
+      using pointer = BasicBlock *const *;
+      using reference = BasicBlock *;
+
+      iterator(const BranchInst *Br, unsigned Idx) : Br(Br), Idx(Idx) {}
+      BasicBlock *operator*() const { return Br->getSuccessor(Idx); }
+      iterator &operator++() {
+        ++Idx;
+        return *this;
+      }
+      bool operator==(const iterator &O) const { return Idx == O.Idx; }
+      bool operator!=(const iterator &O) const { return Idx != O.Idx; }
+
+    private:
+      const BranchInst *Br;
+      unsigned Idx;
+    };
+
+    explicit SuccessorRange(const BranchInst *Br)
+        : Br(Br), Num(Br ? Br->getNumSuccessors() : 0) {}
+    iterator begin() const { return iterator(Br, 0); }
+    iterator end() const { return iterator(Br, Num); }
+
+  private:
+    const BranchInst *Br;
+    unsigned Num;
+  };
 
   explicit BasicBlock(std::string Name) : Name(std::move(Name)) {}
   BasicBlock(const BasicBlock &) = delete;
@@ -49,33 +175,47 @@ public:
   /// Function::getMaxBlockNumber() is not necessarily a live block.
   unsigned getNumber() const { return Number; }
 
-  iterator begin() { return Insts.begin(); }
-  iterator end() { return Insts.end(); }
-  const_iterator begin() const { return Insts.begin(); }
-  const_iterator end() const { return Insts.end(); }
-  bool empty() const { return Insts.empty(); }
-  size_t size() const { return Insts.size(); }
+  iterator begin() const { return iterator(Head, this); }
+  iterator end() const { return iterator(nullptr, this); }
+  bool empty() const { return NumInsts == 0; }
+  size_t size() const { return NumInsts; }
 
-  Instruction *front() const { return Insts.front(); }
-  Instruction *back() const { return Insts.back(); }
+  Instruction *front() const { return Head; }
+  Instruction *back() const { return Tail; }
+
+  /// The position of \p I, which must be in this block.
+  iterator iteratorTo(Instruction *I) const {
+    assert(I->getParent() == this && "instruction is not in this block");
+    return iterator(I, this);
+  }
 
   /// Appends \p I, taking ownership.
-  void append(Instruction *I) {
-    I->setParent(this);
-    Insts.push_back(I);
-  }
+  void append(Instruction *I) { insert(end(), I); }
 
   /// Inserts \p I before \p Pos, taking ownership. Returns an iterator to
   /// the inserted instruction.
   iterator insert(iterator Pos, Instruction *I) {
-    I->setParent(this);
-    return Insts.insert(Pos, I);
+    assert(!I->getParent() && !I->Prev && !I->Next &&
+           "instruction is already in a block");
+    Instruction *Next = Pos == end() ? nullptr : *Pos;
+    Instruction *Prev = Next ? Next->Prev : Tail;
+    I->Prev = Prev;
+    I->Next = Next;
+    (Prev ? Prev->Next : Head) = I;
+    (Next ? Next->Prev : Tail) = I;
+    I->Parent = this;
+    ++NumInsts;
+    return iterator(I, this);
   }
 
   /// Unlinks \p I without deleting it (ownership passes to the caller).
   void remove(Instruction *I) {
-    Insts.remove(I);
-    I->setParent(nullptr);
+    assert(I->getParent() == this && "instruction is not in this block");
+    (I->Prev ? I->Prev->Next : Head) = I->Next;
+    (I->Next ? I->Next->Prev : Tail) = I->Prev;
+    I->Prev = I->Next = nullptr;
+    I->Parent = nullptr;
+    --NumInsts;
   }
 
   /// Unlinks \p I and releases its operand uses. The instruction must have
@@ -88,9 +228,7 @@ public:
 
   /// The block terminator, or null if the block is not yet terminated.
   Instruction *getTerminator() const {
-    if (Insts.empty() || !Insts.back()->isTerminator())
-      return nullptr;
-    return Insts.back();
+    return Tail && Tail->isTerminator() ? Tail : nullptr;
   }
 
   /// Successor slots of the terminator (0 for ret/unreachable or an
@@ -104,11 +242,8 @@ public:
   }
 
   /// Successor blocks via the terminator (empty for ret/unreachable).
-  std::vector<BasicBlock *> successors() const {
-    std::vector<BasicBlock *> Out;
-    for (unsigned I = 0, E = getNumSuccessors(); I != E; ++I)
-      Out.push_back(getSuccessor(I));
-    return Out;
+  SuccessorRange successors() const {
+    return SuccessorRange(dyn_cast_or_null<BranchInst>(getTerminator()));
   }
 
   /// Predecessor blocks in function block order, each once, unreachable
@@ -117,31 +252,24 @@ public:
   std::vector<BasicBlock *> predecessors() const;
 
   /// First non-phi instruction position (phis must be grouped at the top).
-  iterator getFirstNonPhi() {
-    auto It = Insts.begin();
-    while (It != Insts.end() && (*It)->isPhi())
-      ++It;
-    return It;
+  iterator getFirstNonPhi() const {
+    Instruction *I = Head;
+    while (I && I->isPhi())
+      I = I->Next;
+    return iterator(I, this);
   }
 
   /// All phi nodes at the head of the block.
-  std::vector<PhiNode *> phis() const {
-    std::vector<PhiNode *> Out;
-    for (Instruction *I : Insts) {
-      auto *P = dyn_cast<PhiNode>(I);
-      if (!P)
-        break;
-      Out.push_back(P);
-    }
-    return Out;
-  }
+  PhiRange phis() const { return PhiRange(Head); }
 
 private:
   friend class Function; // assigns Number
   std::string Name;
   Function *Parent = nullptr;
   unsigned Number = 0;
-  InstListType Insts;
+  Instruction *Head = nullptr;
+  Instruction *Tail = nullptr;
+  size_t NumInsts = 0;
 };
 
 } // namespace llvmmd

@@ -8,6 +8,7 @@
 
 #include "ir/Module.h"
 #include "support/Arena.h"
+#include "support/SmallVector.h"
 
 using namespace llvmmd;
 
@@ -62,12 +63,11 @@ Instruction *copyInstruction(const Instruction *I, Arena &A, MapFn &&Map,
   }
   case Opcode::Call: {
     const auto *C = cast<CallInst>(I);
-    std::vector<Value *> Args;
-    Args.reserve(C->getNumArgs());
+    OperandList Args;
     for (unsigned K = 0, E = C->getNumArgs(); K != E; ++K)
       Args.push_back(Map(C->getArg(K)));
     return A.create<CallInst>(cast<Function>(Map(C->getCallee())),
-                              std::move(Args), C->getType());
+                              Args.begin(), Args.size(), C->getType());
   }
   case Opcode::Phi: {
     const auto *P = cast<PhiNode>(I);
@@ -202,7 +202,8 @@ private:
   Module *DstModule;
   /// Copy of each source block, indexed by block number.
   std::vector<BasicBlock *> BlockMap;
-  std::vector<Fixup> Fixups;
+  /// Few bodies have more forward references than this.
+  SmallVector<Fixup, 16> Fixups;
   /// Placeholders handed out for the instruction being copied.
   unsigned Pending = 0;
 };
@@ -216,6 +217,10 @@ void cloneBody(const Function &Src, Function &Dst, ValueMap &VMap,
     VMap.set(flatKey(Src.getArg(I)), Dst.getArg(I));
     Dst.getArg(I)->setName(Src.getArg(I)->getName());
   }
+  // The copy takes about as much room as its source: one slab and one
+  // block list, sized up front.
+  Dst.bodyArena().reserve(Src.bodyArena().bytesAllocated());
+  Dst.reserveBlocks(Src.getNumBlocks());
   BodyCloner C(Src, VMap, DstModule);
   for (const BasicBlock *BB : Src.blocks())
     C.addBlock(BB, Dst.createBlock(BB->getName()));

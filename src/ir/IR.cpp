@@ -208,13 +208,14 @@ bool Instruction::hasSideEffects() const {
   return false;
 }
 
-CallInst::CallInst(Function *Callee, std::vector<Value *> Args, Type *RetTy)
+CallInst::CallInst(Function *Callee, Value *const *Args, unsigned NumArgs,
+                   Type *RetTy)
     : Instruction(Opcode::Call, RetTy), Callee(Callee) {
   assert(Callee && "call requires a callee");
-  assert(Args.size() == Callee->getFunctionType()->getNumParams() &&
+  assert(NumArgs == Callee->getFunctionType()->getNumParams() &&
          "call argument count mismatch");
-  for (Value *A : Args)
-    addOperand(A);
+  for (unsigned I = 0; I != NumArgs; ++I)
+    addOperand(Args[I]);
 }
 
 std::vector<BasicBlock *> BasicBlock::predecessors() const {

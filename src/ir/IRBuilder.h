@@ -108,9 +108,10 @@ public:
     return insert(arena().create<GEPInst>(ElemTy, Base, Index, Ctx.getPtrTy()), Name);
   }
 
-  Value *createCall(Function *Callee, std::vector<Value *> Args,
+  Value *createCall(Function *Callee, const std::vector<Value *> &Args,
                     const std::string &Name = "") {
-    auto *C = arena().create<CallInst>(Callee, std::move(Args), Callee->getReturnType());
+    auto *C = arena().create<CallInst>(Callee, Args.data(), Args.size(),
+                                       Callee->getReturnType());
     if (C->getType()->isVoid()) {
       BB->append(C);
       return C;

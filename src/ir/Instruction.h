@@ -9,6 +9,14 @@
 /// float arithmetic, comparisons, casts, select, memory (alloca, load,
 /// store, getelementptr), calls, phi nodes, and terminators.
 ///
+/// Storage: an instruction is one object in its function's body arena.
+/// It carries its own prev/next links in the parent block's instruction
+/// list (see BasicBlock.h), its operands and users inline (see Value.h),
+/// and, for a φ, its incoming blocks in a SmallVector parallel to the
+/// operands. Building, linking or unlinking an instruction normally
+/// touches no heap; only a φ or call with more than three operands, or a
+/// value with more than two users, spills a list to the heap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_IR_INSTRUCTION_H
@@ -16,9 +24,7 @@
 
 #include "ir/Constant.h"
 #include "ir/Value.h"
-
-#include <string>
-#include <vector>
+#include "support/SmallVector.h"
 
 namespace llvmmd {
 
@@ -109,15 +115,15 @@ ICmpPred swapPred(ICmpPred P);
 /// The predicate equivalent to !P.
 ICmpPred invertPred(ICmpPred P);
 
-/// Base class of all instructions. Owns nothing; the parent BasicBlock owns
-/// the instruction object.
+/// Base class of all instructions. Owns nothing; the function's body arena
+/// owns the instruction object, and the parent BasicBlock links it into
+/// its list through the Prev/Next fields.
 class Instruction : public User {
 public:
   Opcode getOpcode() const { return Op; }
   const char *getOpcodeName() const { return llvmmd::getOpcodeName(Op); }
 
   BasicBlock *getParent() const { return Parent; }
-  void setParent(BasicBlock *BB) { Parent = BB; }
   Function *getFunction() const;
 
   bool isTerminator() const { return isTerminatorOp(Op); }
@@ -143,8 +149,13 @@ protected:
       : User(ValueKind::Instruction, Ty), Op(Op) {}
 
 private:
+  friend class BasicBlock; // links Parent, Prev and Next
   Opcode Op;
   BasicBlock *Parent = nullptr;
+  /// Neighbours in Parent's instruction list; null at the ends and while
+  /// the instruction is unlinked.
+  Instruction *Prev = nullptr;
+  Instruction *Next = nullptr;
 };
 
 /// Integer or float binary operator.
@@ -331,7 +342,9 @@ private:
 /// Direct call to a module function or external declaration.
 class CallInst : public Instruction {
 public:
-  CallInst(Function *Callee, std::vector<Value *> Args, Type *RetTy);
+  /// Calls \p Callee with the \p NumArgs values at \p Args.
+  CallInst(Function *Callee, Value *const *Args, unsigned NumArgs,
+           Type *RetTy);
 
   Function *getCallee() const { return Callee; }
   /// Retargets the call (used by module cloning to point at the cloned
@@ -400,7 +413,7 @@ public:
   }
 
 private:
-  std::vector<BasicBlock *> Blocks;
+  SmallVector<BasicBlock *, 3> Blocks;
 };
 
 /// Conditional or unconditional branch.

@@ -54,20 +54,24 @@ public:
 
     // Delete everything not live. Break references first so mutually-dead
     // cycles (phis through back edges) can be removed.
-    std::vector<std::pair<BasicBlock *, Instruction *>> Dead;
+    bool Changed = false;
     for (const auto &BB : F.blocks())
       for (Instruction *I : *BB)
-        if (!Live.contains(flatKey(I)))
-          Dead.push_back({BB, I});
-    if (Dead.empty())
+        if (!Live.contains(flatKey(I))) {
+          I->dropAllReferences();
+          Changed = true;
+        }
+    if (!Changed)
       return false;
-    for (auto &[BB, I] : Dead)
-      I->dropAllReferences();
-    for (auto &[BB, I] : Dead) {
-      assert(I->use_empty() && "dead instruction still used by live code");
-      // Unlink only: the body arena reclaims the storage at dropBody.
-      BB->remove(I);
-    }
+    for (const auto &BB : F.blocks())
+      for (auto It = BB->begin(); It != BB->end();) {
+        Instruction *I = *It++;
+        if (Live.contains(flatKey(I)))
+          continue;
+        assert(I->use_empty() && "dead instruction still used by live code");
+        // Unlink only: the body arena reclaims the storage at dropBody.
+        BB->remove(I);
+      }
     return true;
   }
 };

@@ -43,14 +43,13 @@ private:
   bool removeOverwrittenStores(Function &F, const AliasAnalysis &AA) const {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
-      std::vector<Instruction *> Insts(BB->begin(), BB->end());
-      for (unsigned I = 0; I < Insts.size(); ++I) {
-        auto *St = dyn_cast<StoreInst>(Insts[I]);
+      for (auto It = BB->begin(); It != BB->end();) {
+        auto *St = dyn_cast<StoreInst>(*It++);
         if (!St)
           continue;
         unsigned Size = St->getStoredValue()->getType()->getStoreSize();
-        for (unsigned J = I + 1; J < Insts.size(); ++J) {
-          Instruction *Next = Insts[J];
+        for (auto J = It; J != BB->end(); ++J) {
+          Instruction *Next = *J;
           if (auto *Ld = dyn_cast<LoadInst>(Next)) {
             if (AA.alias(Ld->getPointer(), Ld->getType()->getStoreSize(),
                          St->getPointer(), Size) != AliasResult::NoAlias)

@@ -20,8 +20,6 @@
 #include "ir/Module.h"
 #include "opt/Local.h"
 
-#include <vector>
-
 using namespace llvmmd;
 
 namespace {
@@ -39,8 +37,8 @@ public:
     while (Progress) {
       Progress = false;
       for (const auto &BB : F.blocks()) {
-        std::vector<Instruction *> Insts(BB->begin(), BB->end());
-        for (Instruction *I : Insts) {
+        for (auto It = BB->begin(); It != BB->end();) {
+          Instruction *I = *It++;
           if (Value *Simpl = simplifyInstruction(I, Ctx)) {
             I->replaceAllUsesWith(Simpl);
             BB->erase(I);
@@ -48,7 +46,7 @@ public:
             continue;
           }
           if (Instruction *New = combine(I, Ctx)) {
-            BB->insert(findPos(BB, I), New);
+            BB->insert(BB->iteratorTo(I), New);
             New->setName(I->getName());
             I->replaceAllUsesWith(New);
             BB->erase(I);
@@ -65,13 +63,6 @@ public:
   }
 
 private:
-  BasicBlock::iterator findPos(BasicBlock *BB, Instruction *I) const {
-    for (auto It = BB->begin(), E = BB->end(); It != E; ++It)
-      if (*It == I)
-        return It;
-    return BB->end();
-  }
-
   /// Rewrites that build a replacement instruction.
   Instruction *combine(Instruction *I, Context &Ctx) const {
     if (!I->isBinaryOp())

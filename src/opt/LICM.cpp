@@ -79,8 +79,8 @@ private:
     while (Progress) {
       Progress = false;
       for (BasicBlock *BB : L.getBlocks()) {
-        std::vector<Instruction *> Insts(BB->begin(), BB->end());
-        for (Instruction *I : Insts) {
+        for (auto It = BB->begin(); It != BB->end();) {
+          Instruction *I = *It++;
           if (Hoisted.contains(flatKey(I)))
             continue;
           if (!canHoist(I, L, AA, Stores, HasWriterCall))
@@ -95,9 +95,7 @@ private:
             continue;
           // Move to the preheader, before its terminator.
           BB->remove(I);
-          auto Pos = Preheader->end();
-          --Pos; // before the branch
-          Preheader->insert(Pos, I);
+          Preheader->insert(std::prev(Preheader->end()), I);
           Hoisted.insert(flatKey(I));
           Progress = true;
           Changed = true;

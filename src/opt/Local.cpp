@@ -271,8 +271,8 @@ unsigned llvmmd::removeUnreachableBlocks(Function &F) {
 unsigned llvmmd::foldSingleEntryPhis(Function &F) {
   unsigned N = 0;
   for (const auto &BB : F.blocks()) {
-    std::vector<PhiNode *> Phis = BB->phis();
-    for (PhiNode *P : Phis) {
+    for (auto It = BB->begin(); It != BB->end() && (*It)->isPhi();) {
+      auto *P = cast<PhiNode>(*It++);
       if (P->getNumIncoming() != 1)
         continue;
       P->replaceAllUsesWith(P->getIncomingValue(0));

@@ -70,36 +70,35 @@ bool PassManager::parsePipeline(const std::string &Pipeline) {
   return true;
 }
 
+std::string llvmmd::pipelineError(const std::string &Pipeline) {
+  if (PassManager().parsePipeline(Pipeline))
+    return "";
+  return "bad pipeline '" + Pipeline + "'";
+}
+
 bool FunctionPass::run(Function &F) const {
   FunctionAnalyses FA;
   return run(F, FA);
 }
 
-bool PassManager::runPasses(Function &F, FunctionAnalyses &FA,
-                            unsigned *Counts) const {
+bool PassManager::runPasses(Function &F, FunctionAnalyses &FA) const {
   bool Changed = false;
-  for (unsigned I = 0, E = Passes.size(); I != E; ++I) {
-    if (Passes[I]->run(F, FA)) {
-      if (Counts)
-        ++Counts[I];
-      Changed = true;
-    }
-  }
+  for (const auto &P : Passes)
+    Changed |= P->run(F, FA);
   return Changed;
 }
 
 bool PassManager::run(Function &F) const {
   FunctionAnalyses FA;
-  return runPasses(F, FA, nullptr);
+  return runPasses(F, FA);
 }
 
 bool PassManager::run(Module &M) {
-  ChangeCounts.assign(Passes.size(), 0);
   Builds = {};
   bool Changed = false;
   for (Function *F : M.definedFunctions()) {
     FunctionAnalyses FA;
-    Changed |= runPasses(*F, FA, ChangeCounts.data());
+    Changed |= runPasses(*F, FA);
     Builds.DomTrees += FA.getDomTreeBuilds();
     Builds.LoopInfos += FA.getLoopInfoBuilds();
   }

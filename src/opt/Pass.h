@@ -54,6 +54,10 @@ public:
 /// simplifycfg.
 std::unique_ptr<FunctionPass> createPass(const std::string &Name);
 
+/// Empty if \p Pipeline parses, else "bad pipeline '<Pipeline>'": the
+/// message every front door refuses an unknown pass with.
+std::string pipelineError(const std::string &Pipeline);
+
 /// Runs passes in order over every defined function of a module.
 class PassManager {
 public:
@@ -72,13 +76,9 @@ public:
   /// so threads may share one manager, each on its own function.
   bool run(Function &F) const;
 
-  /// Runs the pipeline on every defined function and records the counters
-  /// below.
+  /// Runs the pipeline on every defined function and records the analysis
+  /// builds below.
   bool run(Module &M);
-
-  /// Per-pass change counts from the last run(Module&): how many functions
-  /// each pass reported transforming. Used by the per-optimization figures.
-  const std::vector<unsigned> &getChangeCounts() const { return ChangeCounts; }
 
   /// Dominator trees and loop infos the passes built during the last
   /// run(Module&). A deterministic measure of analysis work: the same on
@@ -94,11 +94,10 @@ public:
   }
 
 private:
-  /// run(Function&), adding each pass's change to \p Counts when non-null.
-  bool runPasses(Function &F, FunctionAnalyses &FA, unsigned *Counts) const;
+  /// run(Function&) with the caller's analysis cache.
+  bool runPasses(Function &F, FunctionAnalyses &FA) const;
 
   std::vector<std::unique_ptr<FunctionPass>> Passes;
-  std::vector<unsigned> ChangeCounts;
   AnalysisBuilds Builds;
 };
 

@@ -97,16 +97,14 @@ private:
           continue;
         assert(PredBr->getSuccessor(0) == BB && "inconsistent CFG");
         // Single-entry phis in BB fold to the incoming value.
-        std::vector<PhiNode *> Phis = BB->phis();
-        for (PhiNode *P : Phis) {
+        while (auto *P = dyn_cast_or_null<PhiNode>(BB->front())) {
           assert(P->getNumIncoming() == 1 && "phi/pred mismatch");
           P->replaceAllUsesWith(P->getIncomingValue(0));
           BB->erase(P);
         }
         // Splice instructions: delete Pred's branch, move BB's body.
         Pred->erase(PredBr);
-        std::vector<Instruction *> Body(BB->begin(), BB->end());
-        for (Instruction *I : Body) {
+        while (Instruction *I = BB->front()) {
           BB->remove(I);
           Pred->append(I);
         }

@@ -169,6 +169,13 @@ bool ValidationServer::start(std::string *Error) {
       return false;
     }
   }
+  // Every job runs this pipeline; an unknown pass would let each one
+  // "succeed" with nothing transformed.
+  if (std::string Bad = pipelineError(Pipeline); !Bad.empty()) {
+    if (Error)
+      *Error = Bad;
+    return false;
+  }
   FrontDoor::Config FC;
   FC.UnixPath = Cfg.UnixPath;
   FC.TcpPort = Cfg.TcpPort;

@@ -67,6 +67,15 @@ public:
     return Obj;
   }
 
+  /// Makes room for \p Bytes more in the current slab, starting a slab of
+  /// at least that size if they would not fit. A caller that knows what it
+  /// is about to build (a clone sizes itself by its source) gets one
+  /// right-sized slab instead of a doubling series.
+  void reserve(size_t Bytes) {
+    if (!Cur || static_cast<size_t>(BumpEnd - BumpPtr) < Bytes)
+      grow(Bytes);
+  }
+
   /// Runs all registered destructors (LIFO), then recycles the slabs: the
   /// largest slab is kept for reuse so a reset-heavy lifecycle (stepwise
   /// snapshot, revert, re-clone) stops hitting malloc entirely once warm.

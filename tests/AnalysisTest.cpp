@@ -190,7 +190,7 @@ void expectDominatorsMatchReference(const Function &F) {
   for (const BasicBlock *B : Blocks) {
     std::vector<BasicBlock *> WantPreds;
     for (BasicBlock *P : Blocks) {
-      std::vector<BasicBlock *> Succs = P->successors();
+      auto Succs = P->successors();
       if (std::find(Succs.begin(), Succs.end(), B) != Succs.end())
         WantPreds.push_back(P);
     }

@@ -17,6 +17,7 @@
 #include "TestUtil.h"
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 using namespace llvmmd;
@@ -119,6 +120,25 @@ TEST(EngineTest, DeterministicAcrossThreadCounts) {
                                 << " changed the report";
   }
   EXPECT_FALSE(Baseline.empty());
+}
+
+// The string entry points parse the pipeline in every build, not only
+// under assertions: an unknown pass must not yield a run that transformed
+// nothing and reported success.
+TEST(EngineTest, UnknownPassInPipelineThrows) {
+  Context Ctx;
+  auto M = generateBenchmark(Ctx, smallProfile());
+  ValidationEngine Engine;
+  EXPECT_THROW(Engine.run(*M, "adce,bogus"), std::invalid_argument);
+  EXPECT_THROW(Engine.runSuite({M.get()}, "gvn,,frobnicate"),
+               std::invalid_argument);
+  try {
+    Engine.run(*M, "bogus");
+  } catch (const std::invalid_argument &E) {
+    EXPECT_STREQ(E.what(), "bad pipeline 'bogus'");
+  }
+  EXPECT_EQ(Engine.run(*M, getPaperPipeline()).Report.total(),
+            M->definedFunctions().size());
 }
 
 TEST(EngineTest, DeterministicStepwiseAcrossThreadCounts) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace llvmmd;
 
 TEST(Types, Interning) {
@@ -182,7 +184,8 @@ TEST(BasicBlocks, SuccessorsAndPredecessors) {
   B.setInsertPoint(E);
   B.createRet(Ctx.getInt32(2));
 
-  auto Succs = Entry->successors();
+  std::vector<BasicBlock *> Succs(Entry->successors().begin(),
+                                  Entry->successors().end());
   ASSERT_EQ(Succs.size(), 2u);
   EXPECT_EQ(Succs[0], T);
   EXPECT_EQ(Succs[1], E);
@@ -214,6 +217,286 @@ TEST(BasicBlocks, PhiHelpers) {
   B.createRet(P2);
   EXPECT_EQ(*BJ->getFirstNonPhi(), BJ->getTerminator());
   EXPECT_EQ(BJ->phis().size(), 2u);
+}
+
+namespace {
+
+/// A function `f(i32, i32, i1)` with one empty block, for building
+/// instructions that the tests link, unlink and rewire by hand.
+struct Scratch {
+  Context Ctx;
+  Module M{Ctx};
+  Function *F;
+  BasicBlock *BB;
+  Value *A, *B;
+
+  Scratch() {
+    Type *I32 = Ctx.getInt32Ty();
+    F = M.createFunction(
+        Ctx.getFunctionTy(I32, {I32, I32, Ctx.getInt1Ty()}), "f");
+    BB = F->createBlock("bb");
+    A = F->getArg(0);
+    B = F->getArg(1);
+  }
+
+  /// A detached `Op L, R`.
+  Instruction *binary(Opcode Op, Value *L, Value *R) {
+    return F->bodyArena().create<BinaryOperator>(Op, L, R);
+  }
+  PhiNode *phi() { return F->bodyArena().create<PhiNode>(Ctx.getInt32Ty()); }
+  Instruction *ret(Value *V) {
+    return F->bodyArena().create<ReturnInst>(V, Ctx.getVoidTy());
+  }
+};
+
+std::vector<User *> usersOf(const Value *V) {
+  return {V->users().begin(), V->users().end()};
+}
+
+/// Checks \p BB's list against \p Want walking forward and backward, and
+/// every cached property of the list.
+void expectBlock(const BasicBlock *BB, const std::vector<Instruction *> &Want) {
+  std::vector<Instruction *> Fwd(BB->begin(), BB->end());
+  EXPECT_EQ(Fwd, Want);
+  std::vector<Instruction *> Bwd;
+  for (auto It = BB->end(); It != BB->begin();)
+    Bwd.push_back(*--It);
+  EXPECT_EQ(std::vector<Instruction *>(Bwd.rbegin(), Bwd.rend()), Want);
+  EXPECT_EQ(BB->size(), Want.size());
+  EXPECT_EQ(BB->empty(), Want.empty());
+  EXPECT_EQ(BB->front(), Want.empty() ? nullptr : Want.front());
+  EXPECT_EQ(BB->back(), Want.empty() ? nullptr : Want.back());
+  for (Instruction *I : Want)
+    EXPECT_EQ(I->getParent(), BB);
+}
+
+} // namespace
+
+TEST(BasicBlocks, InsertRemoveEraseAtHeadMiddleTail) {
+  Scratch S;
+  BasicBlock *BB = S.BB;
+  Instruction *X = S.binary(Opcode::Add, S.A, S.B);
+  Instruction *Y = S.binary(Opcode::Sub, S.A, S.B);
+  Instruction *Z = S.binary(Opcode::Mul, S.A, S.B);
+  Instruction *W = S.binary(Opcode::Xor, S.A, S.B);
+  Instruction *R = S.ret(S.Ctx.getInt32(0));
+  expectBlock(BB, {});
+  EXPECT_EQ(BB->getTerminator(), nullptr);
+  EXPECT_TRUE(BB->getFirstNonPhi() == BB->end());
+
+  BB->append(X);                  // into an empty block
+  BB->insert(BB->begin(), Y);     // head
+  BB->insert(BB->end(), Z);       // tail
+  auto It = BB->insert(BB->iteratorTo(X), W); // middle
+  EXPECT_EQ(*It, W);
+  expectBlock(BB, {Y, W, X, Z});
+  EXPECT_EQ(BB->getTerminator(), nullptr);
+  BB->append(R);
+  expectBlock(BB, {Y, W, X, Z, R});
+  EXPECT_EQ(BB->getTerminator(), R);
+  EXPECT_EQ(*BB->getFirstNonPhi(), Y);
+
+  // Unlinking keeps the instruction (and its uses) for reinsertion.
+  BB->remove(W); // middle
+  EXPECT_EQ(W->getParent(), nullptr);
+  expectBlock(BB, {Y, X, Z, R});
+  BB->remove(Y); // head
+  expectBlock(BB, {X, Z, R});
+  BB->remove(R); // tail
+  expectBlock(BB, {X, Z});
+  EXPECT_EQ(BB->getTerminator(), nullptr);
+  BB->insert(std::next(BB->begin()), Y);
+  BB->insert(BB->begin(), W);
+  BB->append(R);
+  expectBlock(BB, {W, X, Y, Z, R});
+  EXPECT_EQ(BB->getTerminator(), R);
+  EXPECT_EQ(S.A->getNumUses(), 4u);
+
+  // Erasing also releases the operand uses.
+  BB->erase(Y); // middle
+  expectBlock(BB, {W, X, Z, R});
+  EXPECT_EQ(S.A->getNumUses(), 3u);
+  EXPECT_EQ(Y->getNumOperands(), 0u);
+  BB->erase(W); // head
+  expectBlock(BB, {X, Z, R});
+  BB->erase(R); // tail
+  expectBlock(BB, {X, Z});
+  EXPECT_EQ(BB->getTerminator(), nullptr);
+  BB->erase(Z);
+  BB->erase(X);
+  expectBlock(BB, {});
+  EXPECT_TRUE(S.A->use_empty());
+  EXPECT_TRUE(S.B->use_empty());
+}
+
+TEST(BasicBlocks, FirstNonPhiAndPhiRangeFollowTheList) {
+  Scratch S;
+  BasicBlock *BB = S.BB;
+  PhiNode *P1 = S.phi(), *P2 = S.phi();
+  Instruction *X = S.binary(Opcode::Add, S.A, S.B);
+  Instruction *R = S.ret(X);
+  BB->append(X);
+  BB->append(R);
+  BB->insert(BB->begin(), P2);
+  BB->insert(BB->begin(), P1);
+  expectBlock(BB, {P1, P2, X, R});
+  EXPECT_EQ(*BB->getFirstNonPhi(), X);
+  std::vector<PhiNode *> Phis(BB->phis().begin(), BB->phis().end());
+  EXPECT_EQ(Phis, (std::vector<PhiNode *>{P1, P2}));
+  EXPECT_EQ(BB->phis().size(), 2u);
+
+  BB->erase(P1);
+  EXPECT_EQ(*BB->getFirstNonPhi(), X);
+  EXPECT_EQ(BB->phis().size(), 1u);
+  EXPECT_EQ(*BB->phis().begin(), P2);
+  BB->remove(P2);
+  EXPECT_TRUE(BB->getFirstNonPhi() == BB->begin());
+  EXPECT_TRUE(BB->phis().empty());
+  // A φ linked after a non-φ is not part of the head group.
+  BB->insert(BB->iteratorTo(R), P2);
+  EXPECT_TRUE(BB->phis().empty());
+  expectBlock(BB, {X, P2, R});
+}
+
+// The use list is a sequence: appends at the tail, and dropping a use
+// erases the first entry for that user wherever the dropped slot sits.
+// Optimizer output depends on this order through replaceAllUsesWith.
+TEST(UseLists, OrderAfterEveryMutation) {
+  Scratch S;
+  BasicBlock *BB = S.BB;
+  IRBuilder B(S.Ctx);
+  B.setInsertPoint(BB);
+  Value *V = B.createAdd(S.A, S.B, "v");
+  Value *Wv = B.createSub(S.A, S.B, "w");
+  auto *U = cast<Instruction>(B.createAdd(V, Wv, "u"));
+  auto *X = cast<Instruction>(B.createSub(V, Wv, "x"));
+  EXPECT_EQ(usersOf(V), (std::vector<User *>{U, X}));
+
+  // setOperand: [U, X] -> [U, X, U]; then dropping U's *second* slot
+  // erases the first entry: [X, U], not [U, X].
+  U->setOperand(1, V);
+  EXPECT_EQ(usersOf(V), (std::vector<User *>{U, X, U}));
+  EXPECT_EQ(usersOf(Wv), (std::vector<User *>{X}));
+  U->setOperand(1, Wv);
+  EXPECT_EQ(usersOf(V), (std::vector<User *>{X, U}));
+  EXPECT_EQ(usersOf(Wv), (std::vector<User *>{X, U}));
+
+  // replaceAllUsesWith walks the list from the back, moving each user's
+  // slots in operand order.
+  auto *T = cast<Instruction>(B.createMul(S.A, S.B, "t"));
+  auto *N = cast<Instruction>(B.createMul(S.B, S.A, "n"));
+  auto *B1 = cast<Instruction>(B.createAdd(N, S.A, "b1"));
+  auto *A1 = cast<Instruction>(B.createMul(T, S.B, "a1"));
+  auto *A2 = cast<Instruction>(B.createSub(T, T, "a2"));
+  EXPECT_EQ(usersOf(T), (std::vector<User *>{A1, A2, A2}));
+  T->replaceAllUsesWith(N);
+  EXPECT_TRUE(T->use_empty());
+  EXPECT_EQ(usersOf(N), (std::vector<User *>{B1, A2, A2, A1}));
+
+  // PhiNode::removeIncoming: [P, Q, P] minus P's last slot is [Q, P].
+  BasicBlock *P0 = S.F->createBlock("p0"), *P1 = S.F->createBlock("p1"),
+             *P2 = S.F->createBlock("p2");
+  auto *G = cast<Instruction>(B.createXor(S.A, S.B, "g"));
+  PhiNode *P = S.phi();
+  BB->insert(BB->begin(), P);
+  P->addIncoming(G, P0);
+  auto *Q = cast<Instruction>(B.createAdd(G, S.A, "q"));
+  P->addIncoming(S.A, P1);
+  P->addIncoming(G, P2);
+  EXPECT_EQ(usersOf(G), (std::vector<User *>{P, Q, P}));
+  P->removeIncoming(2);
+  EXPECT_EQ(usersOf(G), (std::vector<User *>{Q, P}));
+  EXPECT_EQ(P->getNumIncoming(), 2u);
+  EXPECT_EQ(P->getIncomingBlock(0), P0);
+  EXPECT_EQ(P->getIncomingBlock(1), P1);
+  P->removeIncoming(0);
+  EXPECT_EQ(usersOf(G), (std::vector<User *>{Q}));
+  EXPECT_EQ(P->getIncomingValue(0), S.A);
+  EXPECT_EQ(P->getIncomingBlock(0), P1);
+
+  // BranchInst::makeUnconditional drops the condition's use.
+  auto *C = cast<Instruction>(B.createICmp(ICmpPred::EQ, S.A, S.B, "c"));
+  auto *S1 = cast<Instruction>(B.createSelect(C, S.A, S.B, "s1"));
+  auto *Br = cast<BranchInst>(B.createCondBr(C, P0, P1));
+  auto *S2 = cast<Instruction>(B.createSelect(C, S.B, S.A, "s2"));
+  EXPECT_EQ(usersOf(C), (std::vector<User *>{S1, Br, S2}));
+  Br->makeUnconditional(P2);
+  EXPECT_EQ(usersOf(C), (std::vector<User *>{S1, S2}));
+  EXPECT_FALSE(Br->isConditional());
+  EXPECT_EQ(Br->getSuccessor(0), P2);
+
+  // dropAllReferences drops every slot of the user.
+  auto *D = cast<Instruction>(B.createAdd(C, C, "d"));
+  auto *E = cast<Instruction>(B.createSub(C, S1, "e"));
+  EXPECT_EQ(usersOf(C), (std::vector<User *>{S1, S2, D, D, E}));
+  D->dropAllReferences();
+  EXPECT_EQ(usersOf(C), (std::vector<User *>{S1, S2, E}));
+  EXPECT_EQ(D->getNumOperands(), 0u);
+}
+
+TEST(UseLists, OperandsAndUsersSpillPastInlineCapacity) {
+  Scratch S;
+  IRBuilder B(S.Ctx);
+  B.setInsertPoint(S.BB);
+  auto *V = cast<Instruction>(B.createAdd(S.A, S.B, "v"));
+  std::vector<BasicBlock *> Preds;
+  std::vector<Value *> Values;
+  PhiNode *P = S.phi();
+  S.BB->insert(S.BB->begin(), P);
+  std::vector<User *> WantUsers;
+  for (unsigned I = 0; I != 9; ++I) {
+    Preds.push_back(S.F->createBlock("p" + std::to_string(I)));
+    Value *In = I % 2 ? static_cast<Value *>(V) : S.Ctx.getInt32(I);
+    Values.push_back(In);
+    P->addIncoming(In, Preds.back());
+    if (I % 2)
+      WantUsers.push_back(P);
+    WantUsers.push_back(cast<Instruction>(
+        B.createMul(V, S.Ctx.getInt32(I), "m" + std::to_string(I))));
+  }
+  ASSERT_EQ(P->getNumIncoming(), 9u);
+  for (unsigned I = 0; I != 9; ++I) {
+    EXPECT_EQ(P->getIncomingValue(I), Values[I]);
+    EXPECT_EQ(P->getIncomingBlock(I), Preds[I]);
+    EXPECT_EQ(P->getBlockIndex(Preds[I]), static_cast<int>(I));
+  }
+  EXPECT_EQ(usersOf(V), WantUsers);
+  EXPECT_EQ(V->getNumUses(), 13u);
+
+  // Removing entries from the spilled lists keeps both lists parallel and
+  // the use list in order.
+  P->removeIncoming(3); // V's second φ slot; the first φ entry goes
+  Values.erase(Values.begin() + 3);
+  Preds.erase(Preds.begin() + 3);
+  WantUsers.erase(std::find(WantUsers.begin(), WantUsers.end(), P));
+  ASSERT_EQ(P->getNumIncoming(), 8u);
+  for (unsigned I = 0; I != 8; ++I) {
+    EXPECT_EQ(P->getIncomingValue(I), Values[I]);
+    EXPECT_EQ(P->getIncomingBlock(I), Preds[I]);
+  }
+  EXPECT_EQ(usersOf(V), WantUsers);
+
+  // A call with more arguments than the inline operand room.
+  std::vector<Type *> Params(6, S.Ctx.getInt32Ty());
+  Function *Callee = S.M.createFunction(
+      S.Ctx.getFunctionTy(S.Ctx.getInt32Ty(), Params), "six");
+  std::vector<Value *> Args = {V, S.A, V, S.B, V, S.Ctx.getInt32(6)};
+  auto *Call = cast<CallInst>(B.createCall(Callee, Args, "call"));
+  ASSERT_EQ(Call->getNumArgs(), 6u);
+  for (unsigned I = 0; I != 6; ++I)
+    EXPECT_EQ(Call->getArg(I), Args[I]);
+  for (int K = 0; K != 3; ++K)
+    WantUsers.push_back(Call);
+  EXPECT_EQ(usersOf(V), WantUsers);
+
+  V->replaceAllUsesWith(S.A);
+  EXPECT_TRUE(V->use_empty());
+  for (unsigned I = 0; I != 8; ++I)
+    EXPECT_EQ(P->getIncomingValue(I), Values[I] == V ? S.A : Values[I]);
+  for (unsigned I = 0; I != 6; ++I)
+    EXPECT_EQ(Call->getArg(I), Args[I] == V ? S.A : Args[I]);
+  P->dropAllReferences();
+  EXPECT_EQ(P->getNumOperands(), 0u);
 }
 
 TEST(Module, LookupAndGlobals) {

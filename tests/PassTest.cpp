@@ -9,6 +9,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Cloning.h"
+#include "ir/IRBuilder.h"
 #include "ir/Interpreter.h"
 #include "opt/BugInjector.h"
 #include "opt/Local.h"
@@ -260,6 +261,62 @@ j:
             "gvn");
   EXPECT_TRUE(R.Changed);
   EXPECT_EQ(R.F->blocks().back()->phis().size(), 1u);
+}
+
+// One block of 20,000 φs, every tenth a copy of the one before it: GVN
+// erases 2,000 φs from the middle of a 40,000-instruction block. Each
+// erase must be O(1) (a list walk per erase took seconds), and each copy's
+// users must move to the φ it duplicates.
+TEST(GVN, MergesDuplicatePhisInAHugeBlock) {
+  const unsigned NumPhis = 20000;
+  Context Ctx;
+  Module M(Ctx);
+  Type *I32 = Ctx.getInt32Ty();
+  Function *F = M.createFunction(
+      Ctx.getFunctionTy(I32, {Ctx.getInt1Ty(), I32}), "f");
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *L = F->createBlock("l");
+  BasicBlock *R = F->createBlock("r");
+  BasicBlock *J = F->createBlock("j");
+  IRBuilder B(Ctx);
+  B.setInsertPoint(Entry);
+  B.createCondBr(F->getArg(0), L, R);
+  B.setInsertPoint(L);
+  B.createBr(J);
+  B.setInsertPoint(R);
+  B.createBr(J);
+  B.setInsertPoint(J);
+  std::vector<PhiNode *> Phis;
+  for (unsigned K = 0; K != NumPhis; ++K) {
+    // φ K copies φ K-1 when K % 10 == 9.
+    unsigned Key = K % 10 == 9 ? K - 1 : K;
+    auto *P = F->bodyArena().create<PhiNode>(I32);
+    P->setName("p" + std::to_string(K));
+    J->append(P);
+    P->addIncoming(Ctx.getInt32(Key), L);
+    P->addIncoming(Ctx.getInt32(Key + 1), R);
+    Phis.push_back(P);
+  }
+  Value *Acc = F->getArg(1);
+  std::vector<Instruction *> Sums;
+  for (PhiNode *P : Phis) {
+    Acc = B.createAdd(Acc, P);
+    Sums.push_back(cast<Instruction>(Acc));
+  }
+  B.createRet(Acc);
+  expectVerified(M);
+
+  ASSERT_TRUE(createPass("gvn")->run(*F));
+  expectVerified(M);
+  EXPECT_EQ(J->phis().size(), NumPhis - NumPhis / 10);
+  EXPECT_EQ(J->size(), 2 * NumPhis - NumPhis / 10 + 1);
+  for (unsigned K = 0; K != NumPhis; ++K) {
+    PhiNode *Want = Phis[K % 10 == 9 ? K - 1 : K];
+    EXPECT_EQ(Want->getParent(), J);
+    ASSERT_EQ(Sums[K]->getOperand(1), Want) << "sum " << K;
+    if (K % 10 == 9)
+      EXPECT_EQ(Phis[K]->getParent(), nullptr);
+  }
 }
 
 TEST(GVN, FoldsConstantGlobalLoad) {

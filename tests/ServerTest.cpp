@@ -236,6 +236,20 @@ TEST(ServerTest, HandshakeRejectsConfigDigestMismatch) {
   Server.stop();
 }
 
+// Jobs under an unknown pass would "succeed" with nothing transformed, so
+// the server refuses the pipeline before it listens, in every build.
+TEST(ServerTest, UnknownPassInPipelineIsRefusedAtStart) {
+  ServeDir D("pipeline");
+  ServerConfig C = smallServerConfig(D);
+  C.Pipeline = "adce,bogus";
+  ValidationServer Server(std::move(C));
+  std::string Error;
+  EXPECT_FALSE(Server.start(&Error));
+  EXPECT_EQ(Error, "bad pipeline 'adce,bogus'");
+  ServerClient Client;
+  EXPECT_FALSE(Client.connectUnix(D.Sock));
+}
+
 TEST(ServerTest, HandshakeRejectsProtocolVersionMismatch) {
   ServeDir D("version");
   ValidationServer Server(smallServerConfig(D));
