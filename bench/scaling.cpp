@@ -15,15 +15,17 @@
 // dominator trees and loop infos its passes built), on the optimized
 // functions, the dominator tree, loop info and gating analysis, and, on
 // the value graphs of the suite's pairs, the normalizer (BM_Normalize) and
-// one sharing pass (BM_MaximizeSharing). BM_ParseModule reads the printed
+// one sharing pass (BM_MaximizeSharing); BM_ValidateSuite runs validatePair
+// over every transformed suite pair. BM_ParseModule reads the printed
 // suite modules back through the module reader. The warm path has one
 // case per layer: BM_CloneModule (which also times freeing the clones),
 // BM_OptimizePass/<pass> for each paper pass, and BM_Fingerprint, plus
 // BM_WarmJob for a whole warm job. BM_EraseDuplicatePhis times GVN
 // erasing 2,000 φs from the middle of one 40,000-instruction block.
 //
-// The warm-path cases also report heap allocations as allocs_per_op (per
-// iteration, i.e. per pass over the suite; per job for BM_WarmJob),
+// The warm-path and validator-layer cases also report heap allocations as
+// allocs_per_op (per iteration, i.e. per pass over the suite; per job for
+// BM_WarmJob),
 // counted by a replacement operator new that only counts while a case
 // asks it to. The figures are the same on every machine.
 //
@@ -167,11 +169,15 @@ void BM_BuildGraph(benchmark::State &State) {
   Context Ctx;
   auto M = generateBenchmark(Ctx, scaledProfile(Segments));
   const Function *F = M->definedFunctions().front();
+  uint64_t Allocs = 0;
   for (auto _ : State) {
+    AllocCounter Count;
     ValueGraph G;
     auto R = buildValueGraph(G, *F);
     benchmark::DoNotOptimize(R.Ret);
+    Allocs += Count.count();
   }
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_BuildGraph)->Arg(2)->Arg(8)->Arg(32);
 
@@ -458,12 +464,17 @@ BENCHMARK(BM_ParseModule)->Unit(benchmark::kMillisecond);
 /// Dominator trees of every optimized suite function.
 void BM_DomTree(benchmark::State &State) {
   const auto &Functions = paperSuite().OptFunctions;
-  for (auto _ : State)
+  uint64_t Allocs = 0;
+  for (auto _ : State) {
+    AllocCounter Count;
     for (const Function *F : Functions) {
       DominatorTree DT(*F);
       benchmark::DoNotOptimize(DT.getRPO().data());
     }
+    Allocs += Count.count();
+  }
   State.counters["functions"] = static_cast<double>(Functions.size());
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_DomTree)->Unit(benchmark::kMicrosecond);
 
@@ -474,12 +485,17 @@ void BM_LoopInfo(benchmark::State &State) {
   std::vector<std::unique_ptr<DominatorTree>> DTs;
   for (const Function *F : Functions)
     DTs.push_back(std::make_unique<DominatorTree>(*F));
-  for (auto _ : State)
+  uint64_t Allocs = 0;
+  for (auto _ : State) {
+    AllocCounter Count;
     for (size_t I = 0; I < Functions.size(); ++I) {
       LoopInfo LI(*Functions[I], *DTs[I]);
       benchmark::DoNotOptimize(LI.getTopLevelLoops().data());
     }
+    Allocs += Count.count();
+  }
   State.counters["functions"] = static_cast<double>(Functions.size());
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_LoopInfo)->Unit(benchmark::kMicrosecond);
 
@@ -490,7 +506,9 @@ BENCHMARK(BM_LoopInfo)->Unit(benchmark::kMicrosecond);
 void BM_Gating(benchmark::State &State) {
   const auto &Functions = paperSuite().OptFunctions;
   unsigned Supported = 0;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
+    AllocCounter Count;
     Supported = 0;
     for (const Function *F : Functions) {
       GatingAnalysis GA(*F);
@@ -516,9 +534,11 @@ void BM_Gating(benchmark::State &State) {
       }
       Supported += GA.isSupported();
     }
+    Allocs += Count.count();
   }
   State.counters["functions"] = static_cast<double>(Functions.size());
   State.counters["supported"] = Supported;
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_Gating)->Unit(benchmark::kMicrosecond);
 
@@ -560,16 +580,19 @@ std::vector<PairGraph> buildSuitePairGraphs() {
 void BM_Normalize(benchmark::State &State) {
   NormalizeStats Total;
   size_t Pairs = 0;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<PairGraph> Graphs = buildSuitePairGraphs();
     State.ResumeTiming();
     Total = {};
+    AllocCounter Count;
     for (PairGraph &P : Graphs) {
       RuleConfig Rules;
       Rules.M = P.Original;
       Total += normalizeToFixpoint(*P.G, P.Roots, Rules);
     }
+    Allocs += Count.count();
     benchmark::DoNotOptimize(Total);
     State.PauseTiming();
     Pairs = Graphs.size();
@@ -580,6 +603,7 @@ void BM_Normalize(benchmark::State &State) {
   State.counters["rounds"] = Total.Iterations;
   State.counters["rewrites"] = Total.Rewrites;
   State.counters["merges"] = Total.SharingMerges;
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_Normalize)->Unit(benchmark::kMillisecond);
 
@@ -587,13 +611,16 @@ BENCHMARK(BM_Normalize)->Unit(benchmark::kMillisecond);
 void BM_MaximizeSharing(benchmark::State &State) {
   unsigned Merges = 0;
   size_t Nodes = 0;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<PairGraph> Graphs = buildSuitePairGraphs();
     State.ResumeTiming();
     Merges = 0;
+    AllocCounter Count;
     for (PairGraph &P : Graphs)
       Merges += P.G->maximizeSharing();
+    Allocs += Count.count();
     benchmark::DoNotOptimize(Merges);
     State.PauseTiming();
     Nodes = 0;
@@ -604,8 +631,44 @@ void BM_MaximizeSharing(benchmark::State &State) {
   }
   State.counters["nodes"] = static_cast<double>(Nodes);
   State.counters["merges"] = Merges;
+  reportAllocs(State, Allocs);
 }
 BENCHMARK(BM_MaximizeSharing)->Unit(benchmark::kMillisecond);
+
+/// validatePair once over every suite pair the paper pipeline transformed,
+/// at the default rules: the validator core end to end (gating, graph
+/// construction, normalization), as perfbench's cold-pairs loop runs it.
+/// allocs_per_op is per pass over the suite; the pairs counter divides it.
+void BM_ValidateSuite(benchmark::State &State) {
+  const PaperSuite &S = paperSuite();
+  struct Pair {
+    const Function *Orig, *Opt;
+    const Module *M;
+  };
+  std::vector<Pair> Pairs;
+  for (size_t I = 0; I < S.Orig.size(); ++I)
+    for (const Function *F : S.Orig[I]->definedFunctions()) {
+      const Function *O = S.Opt[I]->getFunction(F->getName());
+      if (O && fingerprintFunction(*F) != fingerprintFunction(*O))
+        Pairs.push_back({F, O, S.Orig[I].get()});
+    }
+  unsigned Validated = 0;
+  uint64_t Allocs = 0;
+  for (auto _ : State) {
+    AllocCounter Count;
+    Validated = 0;
+    for (const Pair &P : Pairs) {
+      RuleConfig Rules;
+      Rules.M = P.M;
+      Validated += validatePair(*P.Orig, *P.Opt, Rules).Validated;
+    }
+    Allocs += Count.count();
+  }
+  State.counters["pairs"] = static_cast<double>(Pairs.size());
+  State.counters["validated"] = Validated;
+  reportAllocs(State, Allocs);
+}
+BENCHMARK(BM_ValidateSuite)->Unit(benchmark::kMillisecond);
 
 /// Whole-module batch validation through the engine at 1..N threads: the
 /// throughput path the driver subsystem owns. The verdict cache is disabled

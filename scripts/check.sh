@@ -33,7 +33,8 @@
 #              build (CMake preset "release"), run bench/scaling, compare
 #              its BENCH_scaling.json against the committed seed baseline
 #              in bench/baselines/ with bench_compare.py (throughput must
-#              be at least 1.0x the seed)
+#              be at least 1.0x the seed), and print the validator layers'
+#              allocs_per_op
 #   --obs      local reproduction of the CI observability job: the suite
 #              JSON must be byte-identical with tracing on and off and
 #              across 1/2/8 threads (telemetry must never leak into
@@ -119,9 +120,21 @@ if [ "$MODE" = bench ]; then
   cd "$REPO_ROOT"
   cmake --preset release
   cmake --build --preset release -j "$(nproc)" --target scaling
-  (cd build-release && ./scaling --benchmark_min_time=0.01)
+  (cd build-release && ./scaling --benchmark_min_time=0.01 \
+    --benchmark_out=scaling-results.json --benchmark_out_format=json)
   python3 scripts/bench_compare.py bench/baselines/BENCH_scaling.json \
     build-release/BENCH_scaling.json --max-regression 0
+  # Heap allocations per suite pass of each validator layer: exact and the
+  # same on every machine, so a change in them shows before any timing.
+  python3 - build-release/scaling-results.json <<'PY'
+import json, sys
+LAYERS = ("BM_BuildGraph", "BM_DomTree", "BM_LoopInfo", "BM_Gating",
+          "BM_Normalize", "BM_MaximizeSharing", "BM_ValidateSuite")
+for b in json.load(open(sys.argv[1]))["benchmarks"]:
+    if b["name"].split("/")[0] in LAYERS and "allocs_per_op" in b:
+        print("check.sh (bench): %-24s allocs_per_op %12.1f"
+              % (b["name"], b["allocs_per_op"]))
+PY
   echo "check.sh (bench): OK — throughput at least 1.0x the seed baseline"
   exit 0
 fi

@@ -41,17 +41,25 @@ private:
 } // namespace
 
 std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
-  std::vector<BasicBlock *> PostOrder;
+  std::vector<BasicBlock *> RPO;
+  computeRPO(F, RPO);
+  return RPO;
+}
+
+void llvmmd::computeRPO(const Function &F, std::vector<BasicBlock *> &Out) {
+  Out.clear();
   if (F.isDeclaration())
-    return PostOrder;
+    return;
+  Out.reserve(F.getNumBlocks());
   VisitedBlocks Visited(F);
 
-  // Iterative DFS computing post-order.
+  // Iterative DFS computing post-order into Out, reversed at the end.
   struct Frame {
     BasicBlock *BB;
     unsigned Next = 0;
   };
   std::vector<Frame> Stack;
+  Stack.reserve(F.getNumBlocks());
   BasicBlock *Entry = F.getEntryBlock();
   Visited.insert(Entry);
   Stack.push_back({Entry, 0});
@@ -63,11 +71,10 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
         Stack.push_back({Succ, 0});
       continue;
     }
-    PostOrder.push_back(Top.BB);
+    Out.push_back(Top.BB);
     Stack.pop_back();
   }
-  std::reverse(PostOrder.begin(), PostOrder.end());
-  return PostOrder;
+  std::reverse(Out.begin(), Out.end());
 }
 
 std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {

@@ -22,6 +22,9 @@ class Function;
 
 /// Blocks reachable from entry in reverse post-order (entry first).
 std::vector<BasicBlock *> computeRPO(const Function &F);
+/// The same into \p Out, which is cleared and sized once for the
+/// function's blocks.
+void computeRPO(const Function &F, std::vector<BasicBlock *> &Out);
 
 /// Blocks reachable from entry, in DFS discovery order.
 std::vector<BasicBlock *> reachableBlocks(const Function &F);

@@ -11,10 +11,8 @@
 
 using namespace llvmmd;
 
-const std::vector<BasicBlock *> DominatorTree::Empty;
-
 DominatorTree::DominatorTree(const Function &F) {
-  RPO = computeRPO(F);
+  computeRPO(F, RPO);
   Index.assign(F.getMaxBlockNumber(), -1);
   if (RPO.empty())
     return;
@@ -22,20 +20,34 @@ DominatorTree::DominatorTree(const Function &F) {
     Index[RPO[I]->getNumber()] = static_cast<int>(I);
   Nodes.resize(Index.size());
 
-  // Reachable predecessors, built once from the successor lists in
-  // function block order: unreachable predecessors never enter the
-  // intersection, and a block outside the function (malformed IR) is not
-  // in the RPO.
-  for (BasicBlock *BB : F.blocks()) {
-    if (!isReachable(BB))
-      continue;
-    for (unsigned S = 0, E = BB->getNumSuccessors(); S != E; ++S) {
-      BasicBlock *Succ = BB->getSuccessor(S);
-      if (!isReachable(Succ) || (S == 1 && BB->getSuccessor(0) == Succ))
+  // Reachable predecessors, from the successor lists in function block
+  // order: unreachable predecessors never enter the intersection, and a
+  // block outside the function (malformed IR) is not in the RPO. One pass
+  // counts each block's predecessors, a second fills the rows in the same
+  // order.
+  auto ForEachEdge = [&](auto &&Visit) {
+    for (BasicBlock *BB : F.blocks()) {
+      if (!isReachable(BB))
         continue;
-      Nodes[Succ->getNumber()].Preds.push_back(BB);
+      for (unsigned S = 0, E = BB->getNumSuccessors(); S != E; ++S) {
+        BasicBlock *Succ = BB->getSuccessor(S);
+        if (!isReachable(Succ) || (S == 1 && BB->getSuccessor(0) == Succ))
+          continue;
+        Visit(BB, Nodes[Succ->getNumber()]);
+      }
     }
+  };
+  unsigned NumEdges = 0;
+  ForEachEdge([&](BasicBlock *, NodeInfo &N) { ++N.PredEnd, ++NumEdges; });
+  unsigned Next = 0;
+  for (BasicBlock *BB : RPO) {
+    NodeInfo &N = Nodes[BB->getNumber()];
+    N.PredBegin = Next;
+    Next += N.PredEnd;
+    N.PredEnd = N.PredBegin;
   }
+  PredList.resize(NumEdges);
+  ForEachEdge([&](BasicBlock *BB, NodeInfo &N) { PredList[N.PredEnd++] = BB; });
 
   // Cooper-Harvey-Kennedy: iterate to fixpoint over RPO.
   std::vector<int> IDom(RPO.size(), -1);
@@ -55,7 +67,7 @@ DominatorTree::DominatorTree(const Function &F) {
     Changed = false;
     for (unsigned I = 1, E = RPO.size(); I != E; ++I) {
       int NewIDom = -1;
-      for (BasicBlock *Pred : Nodes[RPO[I]->getNumber()].Preds) {
+      for (BasicBlock *Pred : predecessors(RPO[I])) {
         int P = Index[Pred->getNumber()];
         if (IDom[P] < 0)
           continue; // not yet processed
@@ -68,24 +80,38 @@ DominatorTree::DominatorTree(const Function &F) {
     }
   }
 
+  // Children rows, filled in RPO order like the predecessor rows.
   for (unsigned I = 1, E = RPO.size(); I != E; ++I) {
     BasicBlock *Parent = RPO[IDom[I]];
     Nodes[RPO[I]->getNumber()].IDom = Parent;
-    Nodes[Parent->getNumber()].Children.push_back(RPO[I]);
+    ++Nodes[Parent->getNumber()].ChildEnd;
   }
+  Next = 0;
+  for (BasicBlock *BB : RPO) {
+    NodeInfo &N = Nodes[BB->getNumber()];
+    N.ChildBegin = Next;
+    Next += N.ChildEnd;
+    N.ChildEnd = N.ChildBegin;
+  }
+  ChildList.resize(RPO.size() - 1);
+  for (unsigned I = 1, E = RPO.size(); I != E; ++I)
+    ChildList[Nodes[RPO[IDom[I]]->getNumber()].ChildEnd++] = RPO[I];
 
   // DFS numbering for O(1) dominance queries.
   unsigned Clock = 0;
   struct Frame {
     NodeInfo *N;
-    size_t Next = 0;
+    unsigned Next;
   };
-  std::vector<Frame> Stack{{&Nodes[RPO[0]->getNumber()], 0}};
+  std::vector<Frame> Stack;
+  Stack.reserve(RPO.size());
+  Stack.push_back({&Nodes[RPO[0]->getNumber()], 0});
   Stack.back().N->DFSIn = Clock++;
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    if (Top.Next < Top.N->Children.size()) {
-      NodeInfo *Child = &Nodes[Top.N->Children[Top.Next++]->getNumber()];
+    if (Top.N->ChildBegin + Top.Next < Top.N->ChildEnd) {
+      NodeInfo *Child =
+          &Nodes[ChildList[Top.N->ChildBegin + Top.Next++]->getNumber()];
       Child->DFSIn = Clock++;
       Stack.push_back({Child, 0});
       continue;
@@ -108,16 +134,20 @@ bool DominatorTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
   return NA->DFSIn <= NB->DFSIn && NB->DFSOut <= NA->DFSOut;
 }
 
-const std::vector<BasicBlock *> &
+DominatorTree::BlockRange
 DominatorTree::getChildren(const BasicBlock *BB) const {
   const NodeInfo *N = node(BB);
-  return N ? N->Children : Empty;
+  if (!N)
+    return {};
+  return {ChildList.data() + N->ChildBegin, N->ChildEnd - N->ChildBegin};
 }
 
-const std::vector<BasicBlock *> &
+DominatorTree::BlockRange
 DominatorTree::predecessors(const BasicBlock *BB) const {
   const NodeInfo *N = node(BB);
-  return N ? N->Preds : Empty;
+  if (!N)
+    return {};
+  return {PredList.data() + N->PredBegin, N->PredEnd - N->PredBegin};
 }
 
 std::vector<BasicBlock *> DominatorTree::preorder() const {
@@ -129,9 +159,9 @@ std::vector<BasicBlock *> DominatorTree::preorder() const {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
     Out.push_back(BB);
-    const auto &Kids = getChildren(BB);
-    for (auto It = Kids.rbegin(); It != Kids.rend(); ++It)
-      Stack.push_back(*It);
+    BlockRange Kids = getChildren(BB);
+    for (size_t K = Kids.size(); K-- > 0;)
+      Stack.push_back(Kids[K]);
   }
   return Out;
 }

@@ -10,7 +10,9 @@
 /// queries. Per-block facts live in vectors indexed by
 /// BasicBlock::getNumber(); a query for a block of another function or an
 /// unreachable block finds no RPO slot pointing back at it and answers as
-/// for an unreachable block.
+/// for an unreachable block. The predecessor and child lists of all blocks
+/// share two flat arrays (compressed sparse rows), so a tree costs a fixed
+/// handful of allocations whatever the function's size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #define LLVMMD_ANALYSIS_DOMINATORS_H
 
 #include "ir/BasicBlock.h"
+#include "support/ArrayRef.h"
 
 #include <vector>
 
@@ -27,6 +30,9 @@ class Function;
 
 class DominatorTree {
 public:
+  /// A list of blocks the tree owns, valid as long as the tree.
+  using BlockRange = ArrayRef<BasicBlock *>;
+
   explicit DominatorTree(const Function &F);
 
   bool isReachable(const BasicBlock *BB) const { return getRPONumber(BB) >= 0; }
@@ -49,14 +55,15 @@ public:
     return A != B && dominates(A, B);
   }
 
-  /// Children of \p BB in the dominator tree.
-  const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const;
+  /// Children of \p BB in the dominator tree, in RPO order: the blocks
+  /// whose idom is \p BB. Empty for an unreachable or foreign block.
+  BlockRange getChildren(const BasicBlock *BB) const;
 
   /// The reachable predecessors of \p BB in function block order, each
   /// once (a branch with both edges to \p BB counts once): what
   /// BasicBlock::predecessors() filtered by isReachable returns, without
   /// its whole-function scan. Empty for an unreachable block.
-  const std::vector<BasicBlock *> &predecessors(const BasicBlock *BB) const;
+  BlockRange predecessors(const BasicBlock *BB) const;
 
   /// Reachable blocks in reverse post-order (entry first).
   const std::vector<BasicBlock *> &getRPO() const { return RPO; }
@@ -66,12 +73,15 @@ public:
   std::vector<BasicBlock *> preorder() const;
 
 private:
+  /// A reachable block's facts. Its predecessors are
+  /// PredList[PredBegin, PredEnd) and its children
+  /// ChildList[ChildBegin, ChildEnd).
   struct NodeInfo {
     BasicBlock *IDom = nullptr;
-    std::vector<BasicBlock *> Children;
-    std::vector<BasicBlock *> Preds;
     unsigned DFSIn = 0;
     unsigned DFSOut = 0;
+    unsigned PredBegin = 0, PredEnd = 0;
+    unsigned ChildBegin = 0, ChildEnd = 0;
   };
 
   /// The node of a reachable block of this function, else null.
@@ -82,7 +92,7 @@ private:
   std::vector<BasicBlock *> RPO;
   std::vector<int> Index;      ///< block number -> RPO index, or -1
   std::vector<NodeInfo> Nodes; ///< by block number; reachable blocks only
-  static const std::vector<BasicBlock *> Empty;
+  std::vector<BasicBlock *> PredList, ChildList;
 };
 
 } // namespace llvmmd

@@ -60,8 +60,8 @@ GatingAnalysis::GatingAnalysis(const Function &F) : F(F) {
     Reason = "declaration";
     return;
   }
-  DT = std::make_unique<DominatorTree>(F);
-  LI = std::make_unique<LoopInfo>(F, *DT);
+  DT.emplace(F);
+  LI.emplace(F, *DT);
   if (LI->isIrreducible()) {
     Supported = false;
     Reason = "irreducible control flow";

@@ -35,7 +35,7 @@
 #include "support/Arena.h"
 #include "support/FlatMap.h"
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,8 +118,8 @@ private:
   const Function &F;
   bool Supported = true;
   std::string Reason;
-  std::unique_ptr<DominatorTree> DT;
-  std::unique_ptr<LoopInfo> LI;
+  std::optional<DominatorTree> DT;
+  std::optional<LoopInfo> LI;
   GateFactory Factory;
   /// Cache of block predicates relative to a root, keyed by the (root,
   /// block) numbers.

@@ -127,7 +127,13 @@ public:
     auto *P = arena().create<PhiNode>(Ty);
     if (!Name.empty())
       P->setName(Name);
-    BB->insert(BB->getFirstNonPhi(), P);
+    // φs group at the head, so a block that is empty or ends in a φ holds
+    // only φs: append in O(1) (the reader and the generator build φs this
+    // way). Otherwise the walk finds the first non-φ.
+    if (BB->empty() || BB->back()->isPhi())
+      BB->append(P);
+    else
+      BB->insert(BB->getFirstNonPhi(), P);
     return P;
   }
 

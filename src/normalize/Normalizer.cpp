@@ -15,34 +15,44 @@ using namespace llvmmd;
 
 namespace {
 
+/// Applies the rules to one graph, one sweep at a time. One engine serves
+/// every round of a fixpoint loop, so its walk sets, stacks and memos are
+/// allocated once per pair rather than once per round; each sweep starts
+/// from the same state a fresh engine would (see sweep()).
 class RuleEngine {
 public:
-  RuleEngine(ValueGraph &G, const RuleConfig &C, NormalizeStats &Stats)
-      : G(G), C(C), Stats(Stats) {}
+  RuleEngine(ValueGraph &G, const RuleConfig &C) : G(G), C(C) {}
 
-  /// One full sweep over the live nodes. A fire counts as a rewrite only
-  /// if it created a node or merged two classes.
-  void sweep(const std::vector<NodeId> &Roots) {
+  /// One full sweep over the live nodes, counted into \p RoundStats (the
+  /// unswitch cap is per round, so it reads the round's own fires). A
+  /// fire counts as a rewrite only if it created a node or merged two
+  /// classes.
+  void sweep(const std::vector<NodeId> &Roots, NormalizeStats &RoundStats) {
+    Stats = &RoundStats;
+    // The boolean type is learned anew each sweep, as the first i1 node
+    // visited: rules that need it wait for it, so a type remembered from
+    // an earlier sweep would let them fire sooner.
+    BoolTy = nullptr;
     GraphRoots = Roots;
     computeLive(Roots);
     // Iterate over a snapshot of live roots in ascending id order;
     // rewrites may add nodes (they are processed next sweep).
-    std::vector<NodeId> Work = Live;
-    std::sort(Work.begin(), Work.end());
-    for (NodeId N : Work) {
+    SweepOrder.assign(Live.begin(), Live.end());
+    std::sort(SweepOrder.begin(), SweepOrder.end());
+    for (NodeId N : SweepOrder) {
       if (G.find(N) != N)
         continue; // already merged away this sweep
       size_t Nodes = G.size();
       unsigned Merges = G.getMergeCount();
-      ++Stats.NodesVisited;
+      ++Stats->NodesVisited;
       if (!applyRules(N))
         continue;
       if (G.size() == Nodes && G.getMergeCount() == Merges) {
-        ++Stats.NoProgressFires;
+        ++Stats->NoProgressFires;
         continue;
       }
-      ++Stats.Rewrites;
-      ++Stats.RuleFires[static_cast<unsigned>(Fired)];
+      ++Stats->Rewrites;
+      ++Stats->RuleFires[static_cast<unsigned>(Fired)];
     }
   }
 
@@ -446,7 +456,8 @@ private:
     if (!C.has(RS_PhiSimplify))
       return 0;
     const Node &Nd = G.node(N);
-    std::vector<std::pair<NodeId, NodeId>> Branches;
+    std::vector<GammaBranch> &Branches = GammaBranches;
+    Branches.clear();
     bool Dropped = false;
     NodeId TrueBranchValue = InvalidNode;
     for (unsigned K = 0; K + 1 < Nd.Ops.size(); K += 2) {
@@ -483,7 +494,8 @@ private:
         continue;
       if (!BoolTy)
         break; // cannot build conjunctions yet
-      std::vector<std::pair<NodeId, NodeId>> Flat;
+      std::vector<GammaBranch> &Flat = FlatBranches;
+      Flat.clear();
       for (unsigned K2 = 0; K2 < Branches.size(); ++K2)
         if (K2 != Which)
           Flat.push_back(Branches[K2]);
@@ -556,15 +568,16 @@ private:
       }
       // Push η toward μ: distribute over pure structure.
       if (NV.Kind == NodeKind::Op) {
-        std::vector<NodeId> NewOps;
+        std::vector<NodeId> &NewOps = OpsBuf;
+        NewOps.clear();
         for (NodeId Op : NV.Ops)
           NewOps.push_back(G.getEta(G.node(G.find(Op)).Ty, Cond, G.find(Op)));
         return rewrite(Rule::CommuteEtaOp, N,
-                       G.getOp(NV.Op, NV.Ty, std::move(NewOps), NV.Pred,
-                               NV.IntVal));
+                       G.getOp(NV.Op, NV.Ty, NewOps, NV.Pred, NV.IntVal));
       }
       if (NV.Kind == NodeKind::Gamma) {
-        std::vector<std::pair<NodeId, NodeId>> Branches;
+        std::vector<GammaBranch> &Branches = GammaBranches;
+        Branches.clear();
         for (unsigned K = 0; K + 1 < NV.Ops.size(); K += 2) {
           NodeId BC = G.find(NV.Ops[K]);
           NodeId BV = G.find(NV.Ops[K + 1]);
@@ -749,7 +762,8 @@ private:
     Visited.clear();
     unsigned NumSeen = 0;
     Stack.assign(1, G.operand(Mu, 1));
-    std::vector<NodeId> Candidates;
+    std::vector<NodeId> &Candidates = GammaCandidates;
+    Candidates.clear();
     while (!Stack.empty()) {
       NodeId N = G.find(Stack.back());
       Stack.pop_back();
@@ -862,65 +876,70 @@ private:
       G.setMuOperands(NewMu, Init, Next);
       return NewMu;
     }
-    Node Copy = Nd;
     Memo[N] = InvalidNode; // cycle guard (non-μ cycles should not exist)
-    for (NodeId &Op : Copy.Ops) {
-      if (Op == InvalidNode)
+    // The clone's operands go on CloneOps above the callers' own; the
+    // recursion may grow the vector, so they are addressed by index.
+    const size_t Base = CloneOps.size(), Arity = Nd.Ops.size();
+    CloneOps.insert(CloneOps.end(), Nd.Ops.begin(), Nd.Ops.end());
+    for (size_t K = 0; K < Arity; ++K) {
+      if (CloneOps[Base + K] == InvalidNode)
         continue;
-      Op = cloneSubst(Op, Gamma, Repl, Mu, Memo);
+      NodeId Op = cloneSubst(CloneOps[Base + K], Gamma, Repl, Mu, Memo);
       if (Op == InvalidNode) {
         // A cycle not broken by a μ (or a prior failure): give up on this
         // clone entirely; the caller abandons the rewrite.
         Memo[N] = InvalidNode;
+        CloneOps.resize(Base);
         return InvalidNode;
       }
+      CloneOps[Base + K] = Op;
     }
+    const NodeId *Ops = CloneOps.data() + Base;
     NodeId New;
-    switch (Copy.Kind) {
+    switch (Nd.Kind) {
     case NodeKind::Op:
-      New = G.getOp(Copy.Op, Copy.Ty, Copy.Ops, Copy.Pred, Copy.IntVal);
+      New = G.getOp(Nd.Op, Nd.Ty, {Ops, Arity}, Nd.Pred, Nd.IntVal);
       break;
-    case NodeKind::Gamma: {
-      std::vector<std::pair<NodeId, NodeId>> Branches;
-      for (unsigned K = 0; K + 1 < Copy.Ops.size(); K += 2)
-        Branches.emplace_back(Copy.Ops[K], Copy.Ops[K + 1]);
-      New = G.getGamma(Copy.Ty, Branches);
+    case NodeKind::Gamma:
+      CloneBranches.clear();
+      for (size_t K = 0; K + 1 < Arity; K += 2)
+        CloneBranches.emplace_back(Ops[K], Ops[K + 1]);
+      New = G.getGamma(Nd.Ty, CloneBranches);
       break;
-    }
     case NodeKind::Eta:
-      New = G.getEta(Copy.Ty, Copy.Ops[0], Copy.Ops[1]);
+      New = G.getEta(Nd.Ty, Ops[0], Ops[1]);
       break;
     case NodeKind::Load:
-      New = G.getLoad(Copy.Ty, Copy.Ops[0], Copy.Ops[1]);
+      New = G.getLoad(Nd.Ty, Ops[0], Ops[1]);
       break;
     case NodeKind::Store:
-      New = G.getStore(Copy.Ops[0], Copy.Ops[1], Copy.Ops[2]);
+      New = G.getStore(Ops[0], Ops[1], Ops[2]);
       break;
     case NodeKind::Alloc:
-      New = G.getAlloc(Copy.Ops[0], Copy.Ops[1],
-                       static_cast<unsigned>(Copy.IntVal));
+      New = G.getAlloc(Ops[0], Ops[1], static_cast<unsigned>(Nd.IntVal));
       break;
     case NodeKind::AllocMem:
-      New = G.getAllocMem(Copy.Ops[0]);
+      New = G.getAllocMem(Ops[0]);
       break;
     case NodeKind::Call:
-      New = G.getCall(Copy.Str, static_cast<MemoryEffect>(Copy.IntVal),
-                      Copy.Ty, Copy.Ops);
+      New = G.getCall(Nd.Str, static_cast<MemoryEffect>(Nd.IntVal), Nd.Ty,
+                      {Ops, Arity});
       break;
     case NodeKind::CallMem:
-      New = G.getCallMem(Copy.Ops[0]);
+      New = G.getCallMem(Ops[0]);
       break;
     default:
       New = N; // leaves are never cloned
       break;
     }
+    CloneOps.resize(Base);
     Memo[N] = New;
     return New;
   }
 
   unsigned unswitchEta(NodeId N, NodeId Cond, NodeId Mu) {
     // Each application duplicates a loop cone; cap the growth per round.
-    if (Stats.fires(Rule::CommuteUnswitch) >= 8)
+    if (Stats->fires(Rule::CommuteUnswitch) >= 8)
       return 0;
     NodeId Gamma = InvalidNode, C2 = InvalidNode, TV = InvalidNode,
            FV = InvalidNode;
@@ -987,7 +1006,7 @@ private:
     if (C.has(RS_GlobalFold) && C.M) {
       const Node &NP = G.node(Ptr);
       if (NP.Kind == NodeKind::Global && NP.IntVal /*constant-qualified*/) {
-        if (const GlobalVariable *GV = C.M->getGlobal(NP.Str)) {
+        if (const GlobalVariable *GV = C.M->getGlobal(std::string(NP.Str))) {
           if (GV->hasInitializer() && GV->getValueType() == Nd.Ty) {
             if (const auto *CI = dyn_cast<ConstantInt>(GV->getInitializer()))
               return rewrite(Rule::GlobalFoldLoad, N,
@@ -1003,7 +1022,7 @@ private:
     // when no write inside the cycle may alias it (mirrors LICM hoisting a
     // load out of a loop that only writes elsewhere).
     if (NM.Kind == NodeKind::Mu && NM.Ops[0] != InvalidNode) {
-      if (muWritesDisjointFrom(Mem, {Ptr}))
+      if (muWritesDisjointFrom(Mem, {&Ptr, 1}))
         return rewrite(Rule::LoadStoreLoadOverLoop, N,
                        G.getLoad(Nd.Ty, Ptr, G.find(NM.Ops[0])));
     }
@@ -1125,7 +1144,8 @@ private:
     if (Effect != MemoryEffect::ReadOnly || Nd.Ops.empty())
       return 0;
     NodeId Mem = G.find(Nd.Ops.back());
-    std::vector<NodeId> PtrArgs;
+    std::vector<NodeId> &PtrArgs = CallPtrArgs;
+    PtrArgs.clear();
     for (unsigned K = 0; K + 1 < Nd.Ops.size(); ++K) {
       NodeId A = G.find(Nd.Ops[K]);
       if (G.node(A).Ty && G.node(A).Ty->isPointer())
@@ -1133,10 +1153,10 @@ private:
     }
     // The same readonly call over an earlier memory state.
     auto CallOver = [&](Rule R, NodeId EarlierMem) {
-      std::vector<NodeId> NewOps(Nd.Ops.begin(), Nd.Ops.end() - 1);
+      std::vector<NodeId> &NewOps = OpsBuf;
+      NewOps.assign(Nd.Ops.begin(), Nd.Ops.end() - 1);
       NewOps.push_back(EarlierMem);
-      return rewrite(R, N,
-                     G.getCall(Nd.Str, Effect, Nd.Ty, std::move(NewOps)));
+      return rewrite(R, N, G.getCall(Nd.Str, Effect, Nd.Ty, NewOps));
     };
     const Node &NM = G.node(Mem);
     // A readonly call jumps over a store none of its pointers can see.
@@ -1163,9 +1183,10 @@ private:
   /// Walks the memory chain of the μ cycle; true if every store in it is
   /// disjoint from every pointer in \p PtrArgs and no opaque CallMem
   /// appears.
-  bool muWritesDisjointFrom(NodeId Mu, const std::vector<NodeId> &PtrArgs) {
+  bool muWritesDisjointFrom(NodeId Mu, ArrayRef<NodeId> PtrArgs) {
     Visited.clear();
-    std::vector<NodeId> Work{G.find(G.node(Mu).Ops[1])};
+    std::vector<NodeId> &Work = Stack;
+    Work.assign(1, G.find(G.node(Mu).Ops[1]));
     while (!Work.empty()) {
       NodeId M = G.find(Work.back());
       Work.pop_back();
@@ -1211,18 +1232,25 @@ private:
 
   ValueGraph &G;
   const RuleConfig &C;
-  NormalizeStats &Stats;
+  /// The current round's counters.
+  NormalizeStats *Stats = nullptr;
   /// The live nodes in discovery order. Only the sweep depends on an
-  /// order, and it sorts its own snapshot; the liveness rules ask whether
-  /// any live node qualifies.
-  std::vector<NodeId> Live;
+  /// order, and it sorts its own snapshot (SweepOrder); the liveness rules
+  /// ask whether any live node qualifies.
+  std::vector<NodeId> Live, SweepOrder;
   std::vector<NodeId> GraphRoots;
-  /// Visited set of the engine's walks (liveness, the invariant-γ search,
-  /// the μ memory walk) and work stack of the first two and the ancestor
-  /// walk; no walk runs inside another, and the graph's own queries keep
-  /// their own set.
+  /// Visited set and work stack of the engine's walks (liveness, the
+  /// invariant-γ search, the ancestor walk, the μ memory walk); no walk
+  /// runs inside another, and the graph's own queries keep their own set.
   NodeSet Visited;
   std::vector<NodeId> Stack;
+  /// Working lists of single rule applications, reused across nodes: no
+  /// rule application runs inside another.
+  std::vector<GammaBranch> GammaBranches, FlatBranches;
+  std::vector<NodeId> OpsBuf, CallPtrArgs, GammaCandidates;
+  /// cloneSubst's operand stack and the branches of the γ it rebuilds.
+  std::vector<NodeId> CloneOps;
+  std::vector<GammaBranch> CloneBranches;
   /// The roots that reach the μ or the γ of the unswitch in progress.
   NodeSet Ancestors;
   /// cloneSubst's memo of each polarity, by node id.
@@ -1278,14 +1306,25 @@ NormalizeStats &NormalizeStats::operator+=(const NormalizeStats &O) {
   return *this;
 }
 
+namespace {
+
+/// One round with \p Engine: a rule sweep, then a sharing pass.
+NormalizeStats runRound(RuleEngine &Engine, ValueGraph &G,
+                        const std::vector<NodeId> &Roots) {
+  NormalizeStats Stats;
+  Stats.Iterations = 1;
+  Engine.sweep(Roots, Stats);
+  Stats.SharingMerges = G.maximizeSharing(&Stats.SharingExamined);
+  return Stats;
+}
+
+} // namespace
+
 NormalizeStats llvmmd::normalizeGraph(ValueGraph &G,
                                       const std::vector<NodeId> &Roots,
                                       const RuleConfig &Config) {
-  NormalizeStats Stats;
-  Stats.Iterations = 1;
-  RuleEngine(G, Config, Stats).sweep(Roots);
-  Stats.SharingMerges = G.maximizeSharing(&Stats.SharingExamined);
-  return Stats;
+  RuleEngine Engine(G, Config);
+  return runRound(Engine, G, Roots);
 }
 
 NormalizeStats llvmmd::normalizeToFixpoint(ValueGraph &G,
@@ -1298,12 +1337,13 @@ NormalizeStats llvmmd::normalizeToFixpoint(ValueGraph &G,
            });
   };
   NormalizeStats Total;
+  RuleEngine Engine(G, Config);
   while (!RootsMerged()) {
     if (Total.Iterations == Config.MaxIterations) {
       Total.BudgetExhausted = true;
       break;
     }
-    NormalizeStats Round = normalizeGraph(G, Roots, Config);
+    NormalizeStats Round = runRound(Engine, G, Roots);
     Total += Round;
     if (Round.Rewrites == 0 && Round.SharingMerges == 0)
       break; // a true fixpoint: the next round would see the same graph

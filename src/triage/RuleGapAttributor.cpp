@@ -54,7 +54,9 @@ std::string describeNode(const ValueGraph &G, NodeId Id) {
     break;
   case NodeKind::Global:
   case NodeKind::Call:
-    S += '(' + N.Str + ')';
+    S += '(';
+    S += N.Str;
+    S += ')';
     break;
   case NodeKind::Param:
     std::snprintf(Buf, sizeof(Buf), "(%lld)",

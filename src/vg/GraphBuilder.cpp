@@ -187,7 +187,7 @@ private:
     const DominatorTree &DT = GA.getDomTree();
     const LoopInfo &LI = GA.getLoopInfo();
     const Loop *L = LI.getLoopFor(BB);
-    std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
+    Incoming.clear();
     for (const BasicBlock *P : DT.predecessors(BB)) {
       if (InitOnly && L && L->contains(P))
         continue; // skip latches
@@ -207,7 +207,7 @@ private:
       AllSame &= (G.find(M) == G.find(Incoming.front().second));
     if (AllSame)
       return Incoming.front().second;
-    std::vector<std::pair<NodeId, NodeId>> Branches;
+    Branches.clear();
     for (auto &[P, M] : Incoming) {
       NodeId C = gateToNode(GA.getEdgeGate(P, BB), BB);
       Branches.emplace_back(C, M);
@@ -246,7 +246,7 @@ private:
   }
 
   NodeId buildGatedPhi(const PhiNode *P) {
-    std::vector<std::pair<NodeId, NodeId>> Branches;
+    Branches.clear();
     for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
       const BasicBlock *Pred = P->getIncomingBlock(K);
       if (!GA.getDomTree().isReachable(Pred))
@@ -271,7 +271,8 @@ private:
 
   NodeId buildLoopPhi(const PhiNode *P, const Loop &L) {
     // Initial side: entering edges (evaluable now, preds already processed).
-    std::vector<std::pair<NodeId, NodeId>> InitBranches;
+    std::vector<GammaBranch> &InitBranches = Branches;
+    InitBranches.clear();
     for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
       const BasicBlock *Pred = P->getIncomingBlock(K);
       if (!GA.getDomTree().isReachable(Pred) || L.contains(Pred))
@@ -379,7 +380,8 @@ private:
     case Opcode::Call: {
       const auto *Call = cast<CallInst>(I);
       const Function *Callee = Call->getCallee();
-      std::vector<NodeId> Ops;
+      std::vector<NodeId> &Ops = CallOps;
+      Ops.clear();
       for (unsigned A = 0, E = Call->getNumArgs(); A != E; ++A) {
         NodeId V = evalUse(Call->getArg(A), BB);
         if (V == InvalidNode)
@@ -392,7 +394,7 @@ private:
       if (!Callee->isReadNone())
         Ops.push_back(Mem);
       NodeId C = G.getCall(Callee->getName(), Callee->getMemoryEffect(),
-                           I->getType(), std::move(Ops));
+                           I->getType(), Ops);
       if (!I->getType()->isVoid())
         define(I, C);
       if (Callee->mayWriteMemory())
@@ -433,7 +435,8 @@ private:
     for (auto &[P, Mu, Init] : PendingValueMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(P->getParent());
       assert(L && "pending mu outside loop");
-      std::vector<std::pair<NodeId, NodeId>> LatchBranches;
+      std::vector<GammaBranch> &LatchBranches = Branches;
+      LatchBranches.clear();
       for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K) {
         const BasicBlock *Pred = P->getIncomingBlock(K);
         if (!GA.getDomTree().isReachable(Pred) || !L->contains(Pred))
@@ -457,7 +460,8 @@ private:
     for (auto &[Header, Mu, Init] : PendingMemMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(Header);
       assert(L && L->getHeader() == Header && "bad pending memory mu");
-      std::vector<std::pair<NodeId, NodeId>> LatchBranches;
+      std::vector<GammaBranch> &LatchBranches = Branches;
+      LatchBranches.clear();
       for (const BasicBlock *Latch : L->getLatches()) {
         NodeId M = MemOut[Latch->getNumber()];
         if (M == InvalidNode)
@@ -504,6 +508,13 @@ private:
   };
   std::vector<PendingMu<PhiNode>> PendingValueMus;
   std::vector<PendingMu<BasicBlock>> PendingMemMus;
+  /// Working lists of one join, φ or call at a time: the memory state
+  /// arriving along each edge, the (gate, value) branches of the γ being
+  /// built, and a call's operands. Nothing that fills one builds another
+  /// node of the same sort before it is consumed.
+  std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
+  std::vector<GammaBranch> Branches;
+  std::vector<NodeId> CallOps;
   NodeId RetNode = InvalidNode;
   std::string Failure;
 };

@@ -149,26 +149,52 @@ uint64_t ValueGraph::hashNodeHead(const Node &N) const {
   return H;
 }
 
-uint64_t ValueGraph::hashNode(const Node &N) const {
-  uint64_t H = hashNodeHead(N);
-  for (NodeId Op : N.Ops)
-    H = hashCombine(H, Op);
-  return H;
-}
-
 bool ValueGraph::nodeEquals(const Node &A, const Node &B) {
   return scalarFieldsEqual(A, B) && A.Ops == B.Ops;
 }
 
-NodeId ValueGraph::addNode(Node N, uint64_t Key) {
+void ValueGraph::reserve(size_t NumNodes) {
+  Nodes.reserve(NumNodes);
+  Parent.reserve(NumNodes);
+  InternHash.reserve(NumNodes);
+  HeadHash.reserve(NumNodes);
+  Users.reserve(NumNodes);
+  // Nodes average under two operands; a γ or call spills past that.
+  UseEntries.reserve(2 * NumNodes);
+  NodeArena.reserve(NumNodes * (sizeof(Node) + 2 * sizeof(NodeId)));
+  KeyOps.reserve(8);
+  KeyBranches.reserve(4);
+  // An empty hash-cons table can take its final size at once; a filled
+  // one keeps doubling (the table's size never changes what it finds).
+  size_t Slots = 64;
+  while (Slots < 2 * NumNodes)
+    Slots *= 2;
+  if (HashConsCount == 0 && Slots > HashCons.size())
+    HashCons.assign(Slots, InvalidNode);
+}
+
+NodeId ValueGraph::addNode(const Node &N, uint64_t Key, uint64_t Head) {
   NodeId Id = static_cast<NodeId>(Nodes.size());
   Parent.push_back(Id);
   InternHash.push_back(Key);
+  HeadHash.push_back(Head);
   Users.emplace_back();
   for (NodeId Op : N.Ops)
     if (Op != InvalidNode)
       addUse(Op, Id);
-  Nodes.push_back(std::move(N));
+  // The node, then its operands, in one bump; then the name's characters.
+  void *Mem = NodeArena.allocate(sizeof(Node) + N.Ops.size() * sizeof(NodeId),
+                                 alignof(Node));
+  Node *Copy = ::new (Mem) Node(N);
+  auto *OpMem = reinterpret_cast<NodeId *>(Copy + 1);
+  std::copy(N.Ops.begin(), N.Ops.end(), OpMem);
+  Copy->Ops = ArrayRef<NodeId>(OpMem, N.Ops.size());
+  if (!N.Str.empty()) {
+    char *Text = static_cast<char *>(NodeArena.allocate(N.Str.size(), 1));
+    std::memcpy(Text, N.Str.data(), N.Str.size());
+    Copy->Str = std::string_view(Text, N.Str.size());
+  }
+  Nodes.push_back(Copy);
   return Id;
 }
 
@@ -176,7 +202,7 @@ void ValueGraph::growHashCons() {
   HashCons.assign(std::max<size_t>(64, 2 * HashCons.size()), InvalidNode);
   const size_t Mask = HashCons.size() - 1;
   for (NodeId Id = 0; Id < Nodes.size(); ++Id) {
-    if (Nodes[Id].Kind == NodeKind::Mu)
+    if (Nodes[Id]->Kind == NodeKind::Mu)
       continue;
     size_t Slot = InternHash[Id] & Mask;
     while (HashCons[Slot] != InvalidNode)
@@ -185,21 +211,22 @@ void ValueGraph::growHashCons() {
   }
 }
 
-NodeId ValueGraph::intern(Node N) {
-  // Canonicalize operand references before keying.
-  for (NodeId &Op : N.Ops)
-    Op = find(Op);
-  const uint64_t Key = hashNode(N);
+NodeId ValueGraph::intern(Node N, ArrayRef<NodeId> Ops) {
+  N.Ops = Ops;
+  const uint64_t Head = hashNodeHead(N);
+  uint64_t Key = Head;
+  for (NodeId Op : Ops)
+    Key = hashCombine(Key, Op);
   if (2 * (HashConsCount + 1) > HashCons.size())
     growHashCons();
   const size_t Mask = HashCons.size() - 1;
   size_t Slot = Key & Mask;
   for (; HashCons[Slot] != InvalidNode; Slot = (Slot + 1) & Mask) {
     NodeId Candidate = HashCons[Slot];
-    if (InternHash[Candidate] == Key && nodeEquals(Nodes[Candidate], N))
+    if (InternHash[Candidate] == Key && nodeEquals(*Nodes[Candidate], N))
       return find(Candidate);
   }
-  NodeId Id = addNode(std::move(N), Key);
+  NodeId Id = addNode(N, Key, Head);
   HashCons[Slot] = Id;
   ++HashConsCount;
   return Id;
@@ -210,7 +237,7 @@ NodeId ValueGraph::getConstInt(Type *Ty, int64_t V) {
   N.Kind = NodeKind::ConstInt;
   N.Ty = Ty;
   N.IntVal = signExtend(V, Ty->getBitWidth());
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
 NodeId ValueGraph::getConstFloat(Type *Ty, double V) {
@@ -218,31 +245,31 @@ NodeId ValueGraph::getConstFloat(Type *Ty, double V) {
   N.Kind = NodeKind::ConstFloat;
   N.Ty = Ty;
   N.FloatVal = V;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
 NodeId ValueGraph::getNull(Type *PtrTy) {
   Node N;
   N.Kind = NodeKind::ConstNull;
   N.Ty = PtrTy;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
 NodeId ValueGraph::getUndef(Type *Ty) {
   Node N;
   N.Kind = NodeKind::Undef;
   N.Ty = Ty;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
-NodeId ValueGraph::getGlobal(const std::string &Name, bool IsConstant,
+NodeId ValueGraph::getGlobal(std::string_view Name, bool IsConstant,
                              Type *PtrTy) {
   Node N;
   N.Kind = NodeKind::Global;
   N.Ty = PtrTy;
   N.Str = Name;
   N.IntVal = IsConstant ? 1 : 0;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
 NodeId ValueGraph::getParam(unsigned Index, Type *Ty) {
@@ -250,16 +277,16 @@ NodeId ValueGraph::getParam(unsigned Index, Type *Ty) {
   N.Kind = NodeKind::Param;
   N.Ty = Ty;
   N.IntVal = Index;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
 NodeId ValueGraph::getInitialMem() {
   Node N;
   N.Kind = NodeKind::InitialMem;
-  return intern(std::move(N));
+  return intern(N, {});
 }
 
-NodeId ValueGraph::getOp(Opcode Op, Type *Ty, std::vector<NodeId> Operands,
+NodeId ValueGraph::getOp(Opcode Op, Type *Ty, ArrayRef<NodeId> Operands,
                          uint8_t Pred, int64_t Extra) {
   Node N;
   N.Kind = NodeKind::Op;
@@ -267,115 +294,118 @@ NodeId ValueGraph::getOp(Opcode Op, Type *Ty, std::vector<NodeId> Operands,
   N.Pred = Pred;
   N.Ty = Ty;
   N.IntVal = Extra;
-  N.Ops = std::move(Operands);
-  if (isCommutativeOp(Op) && N.Ops.size() == 2) {
-    NodeId A = find(N.Ops[0]), B = find(N.Ops[1]);
-    if (B < A)
-      std::swap(N.Ops[0], N.Ops[1]);
-  }
-  return intern(std::move(N));
+  KeyOps.clear();
+  for (NodeId Operand : Operands)
+    KeyOps.push_back(find(Operand));
+  if (isCommutativeOp(Op) && KeyOps.size() == 2 && KeyOps[1] < KeyOps[0])
+    std::swap(KeyOps[0], KeyOps[1]);
+  return intern(N, KeyOps);
 }
 
-NodeId ValueGraph::getGamma(Type *Ty,
-                            std::vector<std::pair<NodeId, NodeId>> Branches) {
+NodeId ValueGraph::getGamma(Type *Ty, ArrayRef<GammaBranch> Branches) {
   assert(!Branches.empty() && "gamma with no branches");
-  for (auto &[C, V] : Branches) {
-    C = find(C);
-    V = find(V);
+  KeyBranches.clear();
+  for (auto [C, V] : Branches)
+    KeyBranches.emplace_back(find(C), find(V));
+  std::sort(KeyBranches.begin(), KeyBranches.end());
+  KeyOps.clear();
+  for (auto [C, V] : KeyBranches) {
+    KeyOps.push_back(C);
+    KeyOps.push_back(V);
   }
-  std::sort(Branches.begin(), Branches.end());
   Node N;
   N.Kind = NodeKind::Gamma;
   N.Ty = Ty;
-  for (auto &[C, V] : Branches) {
-    N.Ops.push_back(C);
-    N.Ops.push_back(V);
-  }
-  return intern(std::move(N));
+  return intern(N, KeyOps);
 }
 
 NodeId ValueGraph::getEta(Type *Ty, NodeId StayCond, NodeId Value) {
   Node N;
   N.Kind = NodeKind::Eta;
   N.Ty = Ty;
-  N.Ops = {StayCond, Value};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(StayCond), find(Value)};
+  return intern(N, {Ops, 2});
 }
 
 NodeId ValueGraph::makeMu(Type *Ty) {
   Node N;
   N.Kind = NodeKind::Mu;
   N.Ty = Ty;
-  N.Ops = {InvalidNode, InvalidNode};
-  return addNode(std::move(N), 0); // deliberately not hash-consed
+  const NodeId Ops[] = {InvalidNode, InvalidNode};
+  N.Ops = {Ops, 2};
+  return addNode(N, 0, hashNodeHead(N)); // deliberately not hash-consed
 }
 
 void ValueGraph::setMuOperands(NodeId Mu, NodeId Init, NodeId Next) {
-  Node &N = Nodes[find(Mu)];
+  Node &N = *Nodes[find(Mu)];
   assert(N.Kind == NodeKind::Mu && "not a mu node");
   assert(N.Ops[0] == InvalidNode && "mu operands set twice");
-  N.Ops[0] = find(Init);
-  N.Ops[1] = find(Next);
-  addUse(N.Ops[0], find(Mu));
-  addUse(N.Ops[1], find(Mu));
+  NodeId *Ops = mutableOps(N);
+  Ops[0] = find(Init);
+  Ops[1] = find(Next);
+  addUse(Ops[0], find(Mu));
+  addUse(Ops[1], find(Mu));
 }
 
 NodeId ValueGraph::getAlloc(NodeId Count, NodeId MemIn, unsigned ElemSize) {
   Node N;
   N.Kind = NodeKind::Alloc;
   N.IntVal = ElemSize;
-  N.Ops = {Count, MemIn};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(Count), find(MemIn)};
+  return intern(N, {Ops, 2});
 }
 
 NodeId ValueGraph::getAllocMem(NodeId Alloc) {
   Node N;
   N.Kind = NodeKind::AllocMem;
-  N.Ops = {Alloc};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(Alloc)};
+  return intern(N, {Ops, 1});
 }
 
 NodeId ValueGraph::getLoad(Type *Ty, NodeId Ptr, NodeId Mem) {
   Node N;
   N.Kind = NodeKind::Load;
   N.Ty = Ty;
-  N.Ops = {Ptr, Mem};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(Ptr), find(Mem)};
+  return intern(N, {Ops, 2});
 }
 
 NodeId ValueGraph::getStore(NodeId Value, NodeId Ptr, NodeId Mem) {
   Node N;
   N.Kind = NodeKind::Store;
-  N.Ops = {Value, Ptr, Mem};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(Value), find(Ptr), find(Mem)};
+  return intern(N, {Ops, 3});
 }
 
-NodeId ValueGraph::getCall(const std::string &Callee, MemoryEffect Effect,
-                           Type *RetTy, std::vector<NodeId> ArgsAndMem) {
+NodeId ValueGraph::getCall(std::string_view Callee, MemoryEffect Effect,
+                           Type *RetTy, ArrayRef<NodeId> ArgsAndMem) {
   Node N;
   N.Kind = NodeKind::Call;
   N.Ty = RetTy;
   N.Str = Callee;
   N.IntVal = static_cast<int64_t>(Effect);
-  N.Ops = std::move(ArgsAndMem);
-  return intern(std::move(N));
+  KeyOps.clear();
+  for (NodeId Operand : ArgsAndMem)
+    KeyOps.push_back(find(Operand));
+  return intern(N, KeyOps);
 }
 
 NodeId ValueGraph::getCallMem(NodeId Call) {
   Node N;
   N.Kind = NodeKind::CallMem;
-  N.Ops = {Call};
-  return intern(std::move(N));
+  const NodeId Ops[] = {find(Call)};
+  return intern(N, {Ops, 1});
 }
 
 NodeId ValueGraph::getRet(NodeId ValueOrInvalid, NodeId Mem) {
   Node N;
   N.Kind = NodeKind::Ret;
-  if (ValueOrInvalid != InvalidNode)
-    N.Ops = {ValueOrInvalid, Mem};
-  else
-    N.Ops = {Mem};
-  return intern(std::move(N));
+  if (ValueOrInvalid == InvalidNode) {
+    const NodeId Ops[] = {find(Mem)};
+    return intern(N, {Ops, 1});
+  }
+  const NodeId Ops[] = {find(ValueOrInvalid), find(Mem)};
+  return intern(N, {Ops, 2});
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,33 +413,35 @@ NodeId ValueGraph::getRet(NodeId ValueOrInvalid, NodeId Mem) {
 //===----------------------------------------------------------------------===//
 
 void ValueGraph::canonicalizeOrders() {
+  std::vector<GammaBranch> &Branches = Share.NodeBranches;
   for (NodeId I = 0; I < Nodes.size(); ++I) {
     if (find(I) != I)
       continue;
-    Node &N = Nodes[I];
+    const Node &N = *Nodes[I];
+    NodeId *Ops = mutableOps(N);
     if (N.Kind == NodeKind::Gamma) {
-      std::vector<std::pair<NodeId, NodeId>> Branches;
+      Branches.clear();
       for (unsigned K = 0; K + 1 < N.Ops.size(); K += 2)
-        Branches.emplace_back(find(N.Ops[K]), find(N.Ops[K + 1]));
+        Branches.emplace_back(find(Ops[K]), find(Ops[K + 1]));
       std::sort(Branches.begin(), Branches.end());
-      N.Ops.clear();
-      for (auto &[C, V] : Branches) {
-        N.Ops.push_back(C);
-        N.Ops.push_back(V);
-      }
+      for (unsigned K = 0; K < Branches.size(); ++K)
+        std::tie(Ops[2 * K], Ops[2 * K + 1]) = Branches[K];
       continue;
     }
     if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) && N.Ops.size() == 2) {
-      NodeId A = find(N.Ops[0]), B = find(N.Ops[1]);
+      NodeId A = find(Ops[0]), B = find(Ops[1]);
       if (B < A)
         std::swap(A, B);
-      N.Ops = {A, B};
+      Ops[0] = A;
+      Ops[1] = B;
     }
   }
 }
 
 unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
-  std::vector<NodeId> Roots;
+  SharingScratch &Scratch = Share;
+  std::vector<NodeId> &Roots = Scratch.Roots;
+  Roots.clear();
   for (NodeId I = 0; I < Nodes.size(); ++I)
     if (find(I) == I)
       Roots.push_back(I);
@@ -417,59 +449,70 @@ unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
     *Examined = static_cast<unsigned>(Roots.size());
 
   // Initial partition of the roots: head payload (kind, op, pred, type,
-  // scalars, arity). Sorting (head hash, id) pairs groups equal hashes
-  // with ids ascending; collisions resolve by field equality, and each
-  // root first points at the least id of its head.
-  std::vector<unsigned> Class(Nodes.size(), 0);
+  // scalars, arity). One pass over the roots in id order through an
+  // open-addressing table of class representatives keyed by the head hash
+  // addNode recorded: a root joins the class of the representative with
+  // its head (collisions resolve by field equality) or founds a new class
+  // under the next number. So a class's number is the rank of its least
+  // id, and its representative is that id.
+  std::vector<unsigned> &Class = Scratch.Class;
+  Class.assign(Nodes.size(), 0);
   unsigned NumClasses = 0;
   {
-    std::vector<std::pair<uint64_t, NodeId>> Heads;
-    for (NodeId I : Roots)
-      Heads.emplace_back(hashNodeHead(Nodes[I]), I);
-    std::sort(Heads.begin(), Heads.end());
-    std::vector<NodeId> Reps;
-    for (size_t S = 0, E; S < Heads.size(); S = E) {
-      Reps.clear();
-      for (E = S; E < Heads.size() && Heads[E].first == Heads[S].first; ++E) {
-        NodeId I = Heads[E].second;
-        const Node &N = Nodes[I];
-        auto Rep = std::find_if(Reps.begin(), Reps.end(), [&](NodeId R) {
-          return scalarFieldsEqual(Nodes[R], N) &&
-                 Nodes[R].Ops.size() == N.Ops.size();
-        });
-        if (Rep != Reps.end()) {
-          Class[I] = *Rep;
-        } else {
-          Class[I] = I;
-          Reps.push_back(I);
+    size_t Slots = 16;
+    while (Slots < 2 * Roots.size())
+      Slots *= 2;
+    std::vector<NodeId> &Reps = Scratch.HeadTable;
+    Reps.assign(Slots, InvalidNode);
+    const size_t Mask = Slots - 1;
+    for (NodeId I : Roots) {
+      const Node &N = *Nodes[I];
+      const uint64_t H = HeadHash[I];
+      for (size_t Slot = H & Mask;; Slot = (Slot + 1) & Mask) {
+        NodeId R = Reps[Slot];
+        if (R == InvalidNode) {
+          Reps[Slot] = I;
+          Class[I] = NumClasses++;
+          break;
+        }
+        if (HeadHash[R] == H && scalarFieldsEqual(*Nodes[R], N) &&
+            Nodes[R]->Ops.size() == N.Ops.size()) {
+          Class[I] = Class[R];
+          break;
         }
       }
     }
-    // Number the classes in node order; a class's least id comes first.
-    for (NodeId I : Roots)
-      Class[I] = Class[I] == I ? NumClasses++ : Class[Class[I]];
   }
 
-  // Each class is the range [Begin, End) of Elems.
-  std::vector<unsigned> Begin(NumClasses + 1, 0);
+  // Each class is the range [Begin, End) of Elems. Refinement ends with
+  // at most one class per root; sizing the class tables (and the worklist,
+  // which holds a class at most once) for that up front means a later
+  // pass over a graph that did not grow never reallocates them.
+  std::vector<unsigned> &Begin = Scratch.Begin, &End = Scratch.End;
+  Begin.reserve(Roots.size() + 1);
+  End.reserve(Roots.size());
+  Scratch.Queued.reserve(Roots.size());
+  Scratch.Work.reserve(Roots.size());
+  Begin.assign(NumClasses + 1, 0);
   for (NodeId I : Roots)
     ++Begin[Class[I] + 1];
   std::partial_sum(Begin.begin(), Begin.end(), Begin.begin());
-  std::vector<unsigned> End(Begin.begin() + 1, Begin.end());
+  End.assign(Begin.begin() + 1, Begin.end());
   Begin.pop_back();
-  std::vector<NodeId> Elems(Roots.size());
-  {
-    std::vector<unsigned> Fill = Begin;
-    for (NodeId I : Roots)
-      Elems[Fill[Class[I]]++] = I;
-  }
+  std::vector<NodeId> &Elems = Scratch.Elems;
+  Elems.resize(Roots.size());
+  Scratch.Fill.assign(Begin.begin(), Begin.end());
+  for (NodeId I : Roots)
+    Elems[Scratch.Fill[Class[I]]++] = I;
 
   // Refine to the coarsest stable partition. A class off the worklist is
   // stable: its members' operand classes agree. Splitting a class changes
   // the operand classes of exactly the users of the members that moved,
   // so only their classes go back on the worklist.
-  std::vector<unsigned> Work;
-  std::vector<char> Queued(NumClasses, 0);
+  std::vector<unsigned> &Work = Scratch.Work;
+  std::vector<char> &Queued = Scratch.Queued;
+  Work.clear();
+  Queued.assign(NumClasses, 0);
   auto Push = [&](unsigned C) {
     if (!Queued[C] && End[C] - Begin[C] > 1) {
       Queued[C] = 1;
@@ -478,15 +521,16 @@ unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
   };
   for (unsigned C = 0; C < NumClasses; ++C)
     Push(C);
-  std::vector<unsigned> Sigs, Order;
-  std::vector<std::pair<unsigned, unsigned>> Branches, Runs;
-  std::vector<NodeId> Sorted;
+  std::vector<unsigned> &Sigs = Scratch.Sigs, &Order = Scratch.Order;
+  std::vector<std::pair<unsigned, unsigned>> &Branches = Scratch.Branches,
+                                             &Runs = Scratch.Runs;
+  std::vector<NodeId> &Sorted = Scratch.Sorted;
   while (!Work.empty()) {
     unsigned C = Work.back();
     Work.pop_back();
     Queued[C] = 0;
     const unsigned B = Begin[C], Size = End[C] - B;
-    const Node &Head = Nodes[Elems[B]];
+    const Node &Head = *Nodes[Elems[B]];
     const size_t Arity = Head.Ops.size();
     if (Arity == 0)
       continue;
@@ -497,7 +541,7 @@ unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
     Sigs.resize(Size * Arity);
     for (unsigned K = 0; K < Size; ++K) {
       unsigned *Sig = &Sigs[K * Arity];
-      const Node &N = Nodes[Elems[B + K]];
+      const Node &N = *Nodes[Elems[B + K]];
       for (size_t J = 0; J < Arity; ++J)
         Sig[J] = N.Ops[J] == InvalidNode ? ~0u : Class[find(N.Ops[J])];
       if (Head.Kind == NodeKind::Op && isCommutativeOp(Head.Op) &&
@@ -533,6 +577,7 @@ unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
     std::copy(Sorted.begin(), Sorted.end(), Elems.begin() + B);
     // Runs of equal signature; the largest keeps C, the others get new ids.
     Runs.clear();
+    Runs.reserve(Size);
     for (unsigned S = 0, E; S < Size; S = E) {
       for (E = S + 1; E < Size && !SigLess(Order[S], Order[E]); ++E)
         ;
@@ -583,13 +628,14 @@ unsigned ValueGraph::maximizeSharing(unsigned *Examined) {
 
 bool ValueGraph::coneContainsMu(NodeId Id) const {
   Visited.clear();
-  std::vector<NodeId> Work{find(Id)};
+  std::vector<NodeId> &Work = WalkStack;
+  Work.assign(1, find(Id));
   while (!Work.empty()) {
     NodeId N = Work.back();
     Work.pop_back();
     if (!Visited.insert(N))
       continue;
-    const Node &Nd = Nodes[N];
+    const Node &Nd = *Nodes[N];
     if (Nd.Kind == NodeKind::Mu)
       return true;
     for (NodeId Op : Nd.Ops)
@@ -604,7 +650,8 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
   // may yield it) are tracked transitively; the allocation escapes when any
   // derived pointer is stored as a value, passed to a call, or returned.
   Visited.clear();
-  std::vector<NodeId> Work{find(Alloc)};
+  std::vector<NodeId> &Work = WalkStack;
+  Work.assign(1, find(Alloc));
   Visited.insert(Work.back());
   auto Derive = [&](NodeId N) {
     if (Visited.insert(N))
@@ -613,7 +660,7 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
   // False if user I's operand slot K holding the pointer lets it escape.
   // A user met twice re-derives nothing, so repeats are harmless.
   auto UseKeepsPrivate = [&](NodeId I, unsigned K) {
-    const Node &N = Nodes[I];
+    const Node &N = *Nodes[I];
     switch (N.Kind) {
     case NodeKind::Load:
       return K == 0; // used as a memory state?! treat as escape
@@ -649,7 +696,7 @@ bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
     NodeId Target = Work.back();
     Work.pop_back();
     forEachUser(Target, [&](NodeId I) {
-      const std::vector<NodeId> &Ops = Nodes[I].Ops;
+      ArrayRef<NodeId> Ops = Nodes[I]->Ops;
       for (unsigned K = 0, E = Ops.size(); K != E && Private; ++K)
         if (Ops[K] != InvalidNode && find(Ops[K]) == Target)
           Private = UseKeepsPrivate(I, K);
@@ -671,7 +718,7 @@ std::string ValueGraph::dumpDot(const std::vector<NodeId> &Roots) const {
     Work.pop_back();
     if (!Seen.insert(N).second)
       continue;
-    const Node &Nd = Nodes[N];
+    const Node &Nd = *Nodes[N];
     std::string Label;
     switch (Nd.Kind) {
     case NodeKind::ConstInt:
@@ -687,7 +734,7 @@ std::string ValueGraph::dumpDot(const std::vector<NodeId> &Roots) const {
       Label = "param" + std::to_string(Nd.IntVal);
       break;
     case NodeKind::Global:
-      Label = "@" + Nd.Str;
+      Label = "@" + std::string(Nd.Str);
       break;
     case NodeKind::Op:
       Label = llvmmd::getOpcodeName(Nd.Op);
@@ -704,7 +751,7 @@ std::string ValueGraph::dumpDot(const std::vector<NodeId> &Roots) const {
       Label = "\xce\xb7"; // η
       break;
     case NodeKind::Call:
-      Label = "call " + Nd.Str;
+      Label = "call " + std::string(Nd.Str);
       break;
     default:
       Label = getNodeKindName(Nd.Kind);
@@ -721,7 +768,7 @@ std::string ValueGraph::dumpDot(const std::vector<NodeId> &Roots) const {
       NodeId Op = find(Nd.Ops[K]);
       // Dashed edges for memory-typed operands (null type), matching the
       // paper's figure style for state edges.
-      bool Mem = Nodes[Op].Ty == nullptr;
+      bool Mem = Nodes[Op]->Ty == nullptr;
       OS << "  n" << N << " -> n" << Op;
       if (Mem)
         OS << " [style=dashed]";
@@ -768,13 +815,15 @@ bool isIdentifiedVG(const Node &N) {
 }
 
 /// All bases a pointer may resolve to, following GEPs and the selecting
-/// structure (γ branches, μ streams, η values). Returns false when the set
-/// is unbounded or contains something unanalyzable.
-bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out,
-                   NodeSet &Seen) {
+/// structure (γ branches, μ streams, η values), into \p Out (sorted,
+/// unique). Returns false when the set is unbounded or contains something
+/// unanalyzable.
+bool possibleBases(const ValueGraph &G, NodeId P, std::vector<NodeId> &Out,
+                   NodeSet &Seen, std::vector<NodeId> &Work) {
+  Out.clear();
   Seen.clear();
   unsigned NumSeen = 0;
-  std::vector<NodeId> Work{G.find(P)};
+  Work.assign(1, G.find(P));
   while (!Work.empty()) {
     NodeId N = G.find(Work.back());
     Work.pop_back();
@@ -789,7 +838,7 @@ bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out,
         Work.push_back(Nd.Ops[0]);
         break;
       }
-      Out.insert(N);
+      Out.push_back(N);
       break;
     case NodeKind::Gamma:
       for (unsigned K = 1; K < Nd.Ops.size(); K += 2)
@@ -805,10 +854,12 @@ bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out,
       Work.push_back(Nd.Ops[1]);
       break;
     default:
-      Out.insert(N);
+      Out.push_back(N);
       break;
     }
   }
+  // Seen admits each root once, so Out holds no duplicates.
+  std::sort(Out.begin(), Out.end());
   return true;
 }
 
@@ -825,7 +876,7 @@ std::string ValueGraph::dump(const std::vector<NodeId> &Roots) const {
     Work.pop_back();
     if (!Seen.insert(N).second)
       continue;
-    const Node &Nd = Nodes[N];
+    const Node &Nd = *Nodes[N];
     OS << 'n' << N << " = " << getNodeKindName(Nd.Kind);
     if (Nd.Kind == NodeKind::Op) {
       OS << '.' << getOpcodeName(Nd.Op);
@@ -881,9 +932,8 @@ int ValueGraph::aliasPointers(NodeId P, NodeId Q, unsigned SizeP,
   // provably distinct from every possible base of the other. γ/μ/η nodes
   // may *select* an allocation, so the non-escaping rule must look through
   // them rather than treat them as fresh objects.
-  std::set<NodeId> BasesA, BasesB;
-  if (!possibleBases(*this, A.Base, BasesA, Visited) ||
-      !possibleBases(*this, B.Base, BasesB, Visited))
+  if (!possibleBases(*this, A.Base, BasesA, Visited, WalkStack) ||
+      !possibleBases(*this, B.Base, BasesB, Visited, WalkStack))
     return 1;
   for (NodeId PA : BasesA) {
     for (NodeId PB : BasesB) {

@@ -27,10 +27,14 @@
 #include "ir/Function.h"
 #include "ir/Type.h"
 #include "support/Arena.h"
+#include "support/ArrayRef.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace llvmmd {
@@ -92,6 +96,9 @@ private:
   uint32_t Epoch = 1;
 };
 
+/// A node of the graph. Nodes live in the graph's arena and hold no heap
+/// storage of their own, so making one is a pointer bump and freeing the
+/// graph frees them all at once.
 struct Node {
   NodeKind Kind;
   Opcode Op = Opcode::Add; // valid when Kind == Op
@@ -99,9 +106,16 @@ struct Node {
   Type *Ty = nullptr;      // result type (null for memory-typed nodes)
   int64_t IntVal = 0;
   double FloatVal = 0;
-  std::string Str;
-  std::vector<NodeId> Ops;
+  /// Global or callee name; the graph keeps its own copy of the text.
+  std::string_view Str;
+  /// The operands. Their number is fixed when the node is made; they sit
+  /// right after the node in the graph's arena. Only the graph rewrites
+  /// them, and then only by re-ordering within their classes.
+  ArrayRef<NodeId> Ops;
 };
+
+/// A γ branch: (condition, value).
+using GammaBranch = std::pair<NodeId, NodeId>;
 
 class ValueGraph {
 public:
@@ -116,15 +130,27 @@ public:
   }
   NodeId getNull(Type *PtrTy);
   NodeId getUndef(Type *Ty);
-  NodeId getGlobal(const std::string &Name, bool IsConstant, Type *PtrTy);
+  NodeId getGlobal(std::string_view Name, bool IsConstant, Type *PtrTy);
   NodeId getParam(unsigned Index, Type *Ty);
   NodeId getInitialMem();
 
-  NodeId getOp(Opcode Op, Type *Ty, std::vector<NodeId> Operands,
+  /// The node constructors read their operand lists and keep no pointer
+  /// into them, so a caller may pass a vector, another node's Ops or a
+  /// braced list. Looking up a node that exists allocates nothing.
+  NodeId getOp(Opcode Op, Type *Ty, ArrayRef<NodeId> Operands,
                uint8_t Pred = 0, int64_t Extra = 0);
+  NodeId getOp(Opcode Op, Type *Ty, std::initializer_list<NodeId> Operands,
+               uint8_t Pred = 0, int64_t Extra = 0) {
+    return getOp(Op, Ty, ArrayRef<NodeId>(Operands.begin(), Operands.size()),
+                 Pred, Extra);
+  }
 
   /// Gamma operands are (cond, value) pairs; they are canonically sorted.
-  NodeId getGamma(Type *Ty, std::vector<std::pair<NodeId, NodeId>> Branches);
+  NodeId getGamma(Type *Ty, ArrayRef<GammaBranch> Branches);
+  NodeId getGamma(Type *Ty, std::initializer_list<GammaBranch> Branches) {
+    return getGamma(Ty,
+                    ArrayRef<GammaBranch>(Branches.begin(), Branches.size()));
+  }
 
   NodeId getEta(Type *Ty, NodeId StayCond, NodeId Value);
 
@@ -137,8 +163,13 @@ public:
   NodeId getAllocMem(NodeId Alloc);
   NodeId getLoad(Type *Ty, NodeId Ptr, NodeId Mem);
   NodeId getStore(NodeId Value, NodeId Ptr, NodeId Mem);
-  NodeId getCall(const std::string &Callee, MemoryEffect Effect, Type *RetTy,
-                 std::vector<NodeId> ArgsAndMem);
+  NodeId getCall(std::string_view Callee, MemoryEffect Effect, Type *RetTy,
+                 ArrayRef<NodeId> ArgsAndMem);
+  NodeId getCall(std::string_view Callee, MemoryEffect Effect, Type *RetTy,
+                 std::initializer_list<NodeId> ArgsAndMem) {
+    return getCall(Callee, Effect, RetTy,
+                   ArrayRef<NodeId>(ArgsAndMem.begin(), ArgsAndMem.size()));
+  }
   NodeId getCallMem(NodeId Call);
   NodeId getRet(NodeId ValueOrInvalid, NodeId Mem);
 
@@ -146,12 +177,17 @@ public:
   // Union-find and access
   //===------------------------------------------------------------------===//
 
+  /// Sizes the node, use and hash-cons tables and the node arena for about
+  /// \p NumNodes nodes, so a graph of that size grows without
+  /// reallocating.
+  void reserve(size_t NumNodes);
+
   NodeId find(NodeId Id) const;
   /// Merges \p From into \p Into: find(From) == find(Into) == find-of-Into.
   /// Rewrite rules call this with Into = the canonical replacement.
   void mergeInto(NodeId From, NodeId Into);
 
-  const Node &node(NodeId Id) const { return Nodes[find(Id)]; }
+  const Node &node(NodeId Id) const { return *Nodes[find(Id)]; }
   size_t size() const { return Nodes.size(); }
   /// Number of live (representative) nodes.
   size_t countRoots() const;
@@ -211,21 +247,26 @@ public:
   std::string dumpDot(const std::vector<NodeId> &Roots) const;
 
 private:
-  NodeId intern(Node N);
-  /// Appends \p N with hash-cons key \p Key; returns its id.
-  NodeId addNode(Node N, uint64_t Key);
+  /// Looks up the node with \p N's head and operands \p Ops (already
+  /// canonical roots); adds it if there is none.
+  NodeId intern(Node N, ArrayRef<NodeId> Ops);
+  /// Copies \p N and its operands into the arena under hash-cons key
+  /// \p Key and head hash \p Head; returns its id.
+  NodeId addNode(const Node &N, uint64_t Key, uint64_t Head);
   /// Doubles the hash-cons table, re-inserting the nodes oldest first.
   void growHashCons();
 
-  /// Structural hash of \p N over its (already canonicalized) operand list;
-  /// the hash-cons key. Collisions are resolved by structural equality.
-  uint64_t hashNode(const Node &N) const;
   /// Hash of the head payload only (kind, op, pred, type, scalars, arity) —
-  /// the operand *contents* are excluded. Bucket key for the initial
-  /// partition of maximizeSharing().
+  /// the operand *contents* are excluded. HeadHash keeps it by id as the
+  /// bucket key of maximizeSharing()'s initial partition.
   uint64_t hashNodeHead(const Node &N) const;
   /// Field-by-field structural equality against an interned node.
   static bool nodeEquals(const Node &A, const Node &B);
+
+  /// The operand storage of \p N, which the graph owns and may re-order.
+  static NodeId *mutableOps(const Node &N) {
+    return const_cast<NodeId *>(N.Ops.data());
+  }
 
   /// Appends \p User to the use list of \p Used's class.
   void addUse(NodeId Used, NodeId User);
@@ -234,29 +275,22 @@ private:
   /// commutative operators' operands.
   void canonicalizeOrders();
 
-  /// Arena-backed, pointer-stable node table. Interning a node must never
-  /// invalidate references to existing nodes — the normalizer's rewrite
-  /// rules hold `const Node &` to the node being rewritten while creating
-  /// its replacement through getOp/getConstInt, and node() hands such
-  /// references out across the codebase. Nodes are bump-allocated in
-  /// creation order (normalization walks touch consecutive memory) and
-  /// freed with the graph in a handful of slab releases.
-  class NodeTable {
-  public:
-    Node &operator[](size_t I) { return *Items[I]; }
-    const Node &operator[](size_t I) const { return *Items[I]; }
-    size_t size() const { return Items.size(); }
-    void push_back(Node N) { Items.push_back(A.create<Node>(std::move(N))); }
-
-  private:
-    Arena A{16 * 1024};
-    std::vector<Node *> Items;
-  };
-  NodeTable Nodes;
+  /// Node storage: each node and its operand array are bump-allocated
+  /// together in creation order (normalization walks touch consecutive
+  /// memory), and freed with the graph in a handful of slab releases.
+  /// Pointer-stable: interning a node never moves an existing one, so the
+  /// normalizer's rules may hold `const Node &` to the node being
+  /// rewritten while they create its replacement.
+  Arena NodeArena{16 * 1024};
+  std::vector<Node *> Nodes;
   mutable std::vector<NodeId> Parent;
-  /// Visited set of the const cone walks (coneContainsMu, the escape
-  /// query, the alias query's base walks); none of them nests another.
+  /// Visited set and work stack of the const cone walks (coneContainsMu,
+  /// the escape query, the alias query's base walks); none of them nests
+  /// another.
   mutable NodeSet Visited;
+  mutable std::vector<NodeId> WalkStack;
+  /// The alias query's base sets (sorted, unique).
+  mutable std::vector<NodeId> BasesA, BasesB;
   /// The hash-cons table: node ids under open addressing with linear
   /// probing, at most half full. A node's key is its structural hash,
   /// frozen at intern time in InternHash like its operand list; later
@@ -267,6 +301,13 @@ private:
   size_t HashConsCount = 0;
   /// Key of each node, by id (0 for μ nodes, which are not hash-consed).
   std::vector<uint64_t> InternHash;
+  /// hashNodeHead of each node, by id.
+  std::vector<uint64_t> HeadHash;
+  /// A looked-up node's canonical operands and γ branches; the
+  /// constructors fill them, intern reads them, and no constructor runs
+  /// inside another.
+  std::vector<NodeId> KeyOps;
+  std::vector<GammaBranch> KeyBranches;
   /// The use lists: for each root, a singly linked list of the nodes that
   /// took an operand in its class, kept in flat arrays. addNode and
   /// setMuOperands append one entry per operand slot; mergeInto splices
@@ -285,6 +326,18 @@ private:
   std::vector<UseList> Users; ///< by node id; meaningful for roots
   std::vector<UseEntry> UseEntries;
   unsigned MergeCount = 0;
+
+  /// maximizeSharing()'s and canonicalizeOrders()'s working storage, kept
+  /// between calls so a sharing pass over a graph that did not grow
+  /// allocates nothing.
+  struct SharingScratch {
+    std::vector<NodeId> Roots, Elems, Sorted, HeadTable;
+    std::vector<unsigned> Class, Begin, End, Fill, Work, Sigs, Order;
+    std::vector<char> Queued;
+    std::vector<std::pair<unsigned, unsigned>> Branches, Runs;
+    std::vector<GammaBranch> NodeBranches;
+  };
+  SharingScratch Share;
 };
 
 } // namespace llvmmd

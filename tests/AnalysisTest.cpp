@@ -168,12 +168,19 @@ std::set<const BasicBlock *> reachableWithout(const Function &F,
   return Seen;
 }
 
-/// Checks predecessors(), getIDom and dominates on every block pair of
+/// The blocks of a dominator-tree range, as a vector to compare.
+std::vector<BasicBlock *> blocksOf(DominatorTree::BlockRange R) {
+  return std::vector<BasicBlock *>(R.begin(), R.end());
+}
+
+/// Checks predecessors(), getIDom, getChildren and dominates on every
+/// block pair of
 /// \p F against the definitions: predecessors are the blocks whose
 /// terminator names the block, in function order, and the dominator tree's
 /// are the reachable ones among them; A dominates B when B is
 /// reachable and removing A makes it unreachable (or A == B); the idom is
-/// the strict dominator every other strict dominator dominates.
+/// the strict dominator every other strict dominator dominates; a block's
+/// children are the blocks whose idom it is, in RPO order.
 void expectDominatorsMatchReference(const Function &F) {
   SCOPED_TRACE(F.getName());
   const auto &Blocks = F.blocks();
@@ -187,6 +194,7 @@ void expectDominatorsMatchReference(const Function &F) {
   };
 
   DominatorTree DT(F);
+  std::map<const BasicBlock *, const BasicBlock *> WantIDomOf;
   for (const BasicBlock *B : Blocks) {
     std::vector<BasicBlock *> WantPreds;
     for (BasicBlock *P : Blocks) {
@@ -201,7 +209,8 @@ void expectDominatorsMatchReference(const Function &F) {
       for (BasicBlock *P : WantPreds)
         if (Reachable.count(P))
           WantReachablePreds.push_back(P);
-    EXPECT_EQ(DT.predecessors(B), WantReachablePreds) << B->getName();
+    EXPECT_EQ(blocksOf(DT.predecessors(B)), WantReachablePreds)
+        << B->getName();
 
     const BasicBlock *WantIDom = nullptr;
     for (const BasicBlock *D : Blocks) {
@@ -215,20 +224,32 @@ void expectDominatorsMatchReference(const Function &F) {
         WantIDom = D;
     }
     EXPECT_EQ(DT.getIDom(B), WantIDom) << B->getName();
+    WantIDomOf[B] = WantIDom;
     for (const BasicBlock *A : Blocks)
       EXPECT_EQ(DT.dominates(A, B), RefDominates(A, B))
           << A->getName() << " dom " << B->getName();
   }
+  for (const BasicBlock *B : Blocks) {
+    std::vector<BasicBlock *> WantChildren;
+    for (BasicBlock *C : DT.getRPO())
+      if (WantIDomOf[C] == B)
+        WantChildren.push_back(C);
+    EXPECT_EQ(blocksOf(DT.getChildren(B)), WantChildren) << B->getName();
+  }
 }
 
 /// Expects \p Got, a dominator tree from a FunctionAnalyses cache, to equal
-/// one built fresh: RPO, and each block's idom and reachable predecessors.
+/// one built fresh: RPO, and each block's idom, reachable predecessors and
+/// children.
 void expectSameDomTree(const Function &F, const DominatorTree &Got) {
   DominatorTree Want(F);
   EXPECT_EQ(Got.getRPO(), Want.getRPO());
   for (const BasicBlock *BB : F.blocks()) {
     EXPECT_EQ(Got.getIDom(BB), Want.getIDom(BB)) << BB->getName();
-    EXPECT_EQ(Got.predecessors(BB), Want.predecessors(BB)) << BB->getName();
+    EXPECT_EQ(blocksOf(Got.predecessors(BB)), blocksOf(Want.predecessors(BB)))
+        << BB->getName();
+    EXPECT_EQ(blocksOf(Got.getChildren(BB)), blocksOf(Want.getChildren(BB)))
+        << BB->getName();
   }
 }
 
@@ -297,9 +318,13 @@ k:
   EXPECT_TRUE(DT.dominates(J, K));
   EXPECT_FALSE(DT.dominates(Dead, K));
   EXPECT_FALSE(DT.dominates(Dead, Dead));
-  EXPECT_EQ(DT.predecessors(K), std::vector<BasicBlock *>{J});
-  EXPECT_EQ(DT.predecessors(J), std::vector<BasicBlock *>{Entry});
+  EXPECT_EQ(blocksOf(DT.predecessors(K)), std::vector<BasicBlock *>{J});
+  EXPECT_EQ(blocksOf(DT.predecessors(J)), std::vector<BasicBlock *>{Entry});
   EXPECT_TRUE(DT.predecessors(Dead).empty());
+  EXPECT_EQ(blocksOf(DT.getChildren(Entry)), std::vector<BasicBlock *>{J});
+  EXPECT_EQ(blocksOf(DT.getChildren(J)), std::vector<BasicBlock *>{K});
+  EXPECT_TRUE(DT.getChildren(K).empty());
+  EXPECT_TRUE(DT.getChildren(Dead).empty()) << "unreachable: empty range";
   expectDominatorsMatchReference(*F);
 }
 

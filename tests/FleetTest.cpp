@@ -274,16 +274,15 @@ TEST(FleetTest, DuplicateConcurrentSubmissionsRunEngineOnce) {
   std::string Error;
   ASSERT_TRUE(Router.start(&Error)) << Error;
 
-  // Occupy the only worker with a job, then hold the worker once that job
-  // streams, so the next submission is deterministically still live in
-  // the table when its duplicate arrives, however short the jobs are.
+  // Hold the only worker before anything is submitted, then occupy it
+  // with a job: no job can finish while it is held, so the next
+  // submission is deterministically still live in the table when its
+  // duplicate arrives, however short the jobs are.
+  HeldWorker Hold(Router, 0);
+  ASSERT_TRUE(Hold.held());
   ServerClient Busy;
   ASSERT_TRUE(attach(Busy, D.Sock));
   ASSERT_TRUE(Busy.submit(profileSubmission("sqlite", 24)));
-  ASSERT_TRUE(eventually(
-      [&] { return Router.tableStats().FramesFanned >= 1; }));
-  HeldWorker Hold(Router, 0);
-  ASSERT_TRUE(Hold.held());
 
   SubmitPayload Shared = profileSubmission("hmmer", 8);
   ServerClient First;
@@ -329,22 +328,21 @@ TEST(FleetTest, SubscribeJoinsRunningJobWithFullStream) {
   std::string Error;
   ASSERT_TRUE(Router.start(&Error)) << Error;
 
-  // Hold the only worker once the busy job streams (as in the dedup test),
-  // so the next job is still in flight when the watcher attaches.
+  // Hold the only worker before the busy job is submitted (as in the
+  // dedup test), so neither job can finish before the watcher attaches.
+  HeldWorker Hold(Router, 0);
+  ASSERT_TRUE(Hold.held());
   ServerClient Busy;
   ASSERT_TRUE(attach(Busy, D.Sock));
   ASSERT_TRUE(Busy.submit(profileSubmission("sqlite", 24)));
-  ASSERT_TRUE(eventually(
-      [&] { return Router.tableStats().FramesFanned >= 1; }));
-  HeldWorker Hold(Router, 0);
-  ASSERT_TRUE(Hold.held());
 
   ServerClient Submitter;
   ASSERT_TRUE(attach(Submitter, D.Sock));
   AcceptedPayload Acc;
   ASSERT_TRUE(Submitter.submit(profileSubmission("hmmer", 8), &Acc));
 
-  // Attach by id while the job is in flight (queued behind the busy one).
+  // Attach by id while the job is in flight (queued behind the busy one,
+  // which waits on the held worker).
   ServerClient Watcher;
   ASSERT_TRUE(attach(Watcher, D.Sock));
   JobIdPayload Info;

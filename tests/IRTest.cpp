@@ -6,6 +6,7 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+#include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,45 @@ TEST(BasicBlocks, PhiHelpers) {
   B.createRet(P2);
   EXPECT_EQ(*BJ->getFirstNonPhi(), BJ->getTerminator());
   EXPECT_EQ(BJ->phis().size(), 2u);
+}
+
+TEST(BasicBlocks, ManyPhisKeepCreationOrder) {
+  // 20,000 φs in one block: creation appends (no walk over the φs already
+  // there), keeps creation order, and the block still verifies. A φ made
+  // after the terminator still lands before it.
+  Context Ctx;
+  Module M(Ctx);
+  Type *I32 = Ctx.getInt32Ty();
+  Function *F = M.createFunction(Ctx.getFunctionTy(I32, {I32}), "f");
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Ctx);
+  B.setInsertPoint(Entry);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  constexpr unsigned NumPhis = 20000;
+  std::vector<PhiNode *> Made;
+  for (unsigned I = 0; I < NumPhis; ++I) {
+    PhiNode *P = B.createPhi(I32);
+    P->addIncoming(I % 2 ? static_cast<Value *>(F->getArg(0))
+                         : Ctx.getInt32(I),
+                   Entry);
+    Made.push_back(P);
+  }
+  B.createRet(Made.front());
+  PhiNode *Late = B.createPhi(I32, "late");
+  Late->addIncoming(Ctx.getInt32(7), Entry);
+  Made.push_back(Late);
+
+  std::vector<PhiNode *> InBlock;
+  for (PhiNode *P : Join->phis())
+    InBlock.push_back(P);
+  EXPECT_EQ(InBlock, Made);
+  EXPECT_EQ(Join->size(), NumPhis + 2);
+  EXPECT_EQ(*Join->getFirstNonPhi(), Join->getTerminator());
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(verifyFunction(*F, Errors))
+      << (Errors.empty() ? "" : Errors.front());
 }
 
 namespace {
