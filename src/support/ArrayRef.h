@@ -47,12 +47,6 @@ public:
   const T &front() const { return (*this)[0]; }
   const T &back() const { return (*this)[Size - 1]; }
 
-  /// The first \p N elements.
-  ArrayRef take_front(size_t N) const {
-    assert(N <= Size && "slice out of range");
-    return {Data, N};
-  }
-
   bool operator==(ArrayRef O) const {
     if (Size != O.Size)
       return false;
